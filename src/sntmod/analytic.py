@@ -393,6 +393,7 @@ def theta_colinear(L, pt, tail_target=1e-11, max_norm=64):
     """
     lam = pt.im_min_eig()
     B = 4
+    tail = math.inf   # no certified bound until (B + 1)·lam >= 2
     while True:
         # each discarded shell contributes (c_prim(n)/2) |theta_2(n tau) - 1|
         # with |theta_2(y) - 1| <= 4.1 exp(-pi y min-eig) once y >= 2

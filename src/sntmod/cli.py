@@ -16,15 +16,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 from . import serialize as ser
 from . import linalg as la
 from .analytic import (AUT_E8, IntegralLattice, SiegelPoint, TruncationError,
                        e8, verify_identity)
-from .fields import QQ, GF, CharacteristicTwoError
+from .fields import QQ, GF
 from .orbits import (EnumerationGuardError, OrthSpace, TensorSpace,
                      brute_force_orbits, invariant_partition, orbit_invariant,
                      same_orbit, transport)
@@ -68,6 +70,24 @@ class RunReport:
         print("  (%d checks, %.2fs)" % (len(self.checks), self.wall_time))
 
 
+class InputError(ValueError):
+    """Rejected input, reported as the failed check `check` with exit code 2."""
+
+    def __init__(self, check, **details):
+        super().__init__(details.get("message", check))
+        self.check = check
+        self.details = details
+
+
+@contextmanager
+def _input_stage(check):
+    """Turn a malformed input met inside the block into an InputError."""
+    try:
+        yield
+    except (ValueError, KeyError, OSError) as exc:
+        raise InputError(check, message=str(exc)) from exc
+
+
 def _parse_complex(s):
     return complex(str(s).replace("i", "j").replace(" ", ""))
 
@@ -77,42 +97,25 @@ def _load_json(path):
         return json.load(fh)
 
 
-def cmd_decompose(args):
-    report = RunReport("decompose", {"file": args.module_file})
-    t0 = time.time()
-    try:
+def cmd_decompose(args, report):
+    report.config = {"file": args.module_file}
+    with _input_stage("parse"):
         M = ser.module_from_json(_load_json(args.module_file))
-    except (ValueError, KeyError, OSError, CharacteristicTwoError) as exc:
-        report.add("parse", "error", message=str(exc))
-        report.wall_time = time.time() - t0
-        report.emit(args.json)
-        return 2
     bad = M.validate()
     if bad:
-        report.add("validate", "error", violations=bad)
-        report.wall_time = time.time() - t0
-        report.emit(args.json)
-        return 2
+        raise InputError("validate", violations=bad)
     ks, iso = decompose(M, seed=args.seed)
     report.add("decompose", "ok", partition=list(ks),
                iso=ser.matrix_to_json(iso))
-    report.wall_time = time.time() - t0
-    report.emit(args.json)
     return 0
 
 
-def cmd_orbit(args):
-    report = RunReport("orbit", {"x": args.x_file, "y": args.y_file})
-    t0 = time.time()
-    try:
+def cmd_orbit(args, report):
+    report.config = {"x": args.x_file, "y": args.y_file}
+    with _input_stage("parse"):
         x = ser.tensor_element_from_json(_load_json(args.x_file))
         y = ser.tensor_element_from_json(_load_json(args.y_file)) \
             if args.y_file else None
-    except (ValueError, KeyError, OSError, CharacteristicTwoError) as exc:
-        report.add("parse", "error", message=str(exc))
-        report.wall_time = time.time() - t0
-        report.emit(args.json)
-        return 2
     inv = orbit_invariant(x)
     report.add("invariant", "ok",
                W_type=list(inv.partition),
@@ -120,18 +123,13 @@ def cmd_orbit(args):
                i_coords=[[str(c) for c in comp] for comp in inv.coords])
     if y is not None:
         if y.space.ks != x.space.ks or y.space.V.gram != x.space.V.gram:
-            report.add("compare", "error", message="mismatched ambient data")
-            report.wall_time = time.time() - t0
-            report.emit(args.json)
-            return 2
+            raise InputError("compare", message="mismatched ambient data")
         same = same_orbit(x, y)
         detail = {"same_orbit": same}
         if same:
             g = transport(x, y)
             detail["transport"] = [[ser.tpoly_to_json(p) for p in row] for row in g]
         report.add("compare", "ok", **detail)
-    report.wall_time = time.time() - t0
-    report.emit(args.json)
     return 0
 
 
@@ -148,30 +146,17 @@ def _parse_vgram(field, spec):
     return ser.matrix_from_json(field, json.loads(spec))
 
 
-def cmd_census(args):
-    config = {"q": args.q, "M": args.M, "V": args.V, "k": args.k}
-    report = RunReport("census", config)
-    t0 = time.time()
-    try:
+def cmd_census(args, report):
+    report.config = {"q": args.q, "M": args.M, "V": args.V, "k": args.k}
+    with _input_stage("setup"):
         field = GF(args.q)
         ks = tuple(int(v) for v in args.M.replace("H", "").split(","))
         V = OrthSpace(field, _parse_vgram(field, args.V))
         if args.k != max(ks):
             raise ValueError("k must equal the largest part of the type of M")
         sp = TensorSpace(field, ks, V)
-    except (ValueError, CharacteristicTwoError) as exc:
-        report.add("setup", "error", message=str(exc))
-        report.wall_time = time.time() - t0
-        report.emit(args.json)
-        return 2
-    try:
-        inv_classes = invariant_partition(sp)
-        bf = brute_force_orbits(sp)
-    except EnumerationGuardError as exc:
-        report.add("guard", "error", message=str(exc))
-        report.wall_time = time.time() - t0
-        report.emit(args.json)
-        return 3
+    inv_classes = invariant_partition(sp)
+    bf = brute_force_orbits(sp)
     table = []
     for inv, members in sorted(inv_classes.items(),
                                key=lambda kv: (-len(kv[1]), kv[0].partition)):
@@ -182,16 +167,12 @@ def cmd_census(args):
     report.add("orbit-table", "ok", classes=len(table), table=table)
     report.add("invariant-vs-brute-force", "ok" if agree else "fail",
                invariant_classes=len(inv_classes), brute_force_orbits=len(bf))
-    report.wall_time = time.time() - t0
-    report.emit(args.json)
     return 0 if agree else 1
 
 
-def cmd_verify_sw(args):
-    config = {k: str(v) for k, v in vars(args).items() if k != "func"}
-    report = RunReport("verify-sw", config)
-    t0 = time.time()
-    try:
+def cmd_verify_sw(args, report):
+    report.config = {k: str(v) for k, v in vars(args).items() if k != "func"}
+    with _input_stage("setup"):
         if args.gram_file:
             lat = IntegralLattice(_load_json(args.gram_file), name=args.gram_file)
             aut = args.aut
@@ -201,39 +182,28 @@ def cmd_verify_sw(args):
             lat, aut = e8(), (args.aut or AUT_E8)
         else:
             raise ValueError("unknown lattice %r" % args.lattice)
+        if lat.rank != args.N:
+            raise ValueError("lattice rank %d does not match --N %d"
+                             % (lat.rank, args.N))
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError("--tol must be positive and finite, got %r" % args.tol)
         pt = SiegelPoint(_parse_complex(args.tau11),
                          _parse_complex(args.tau12),
                          _parse_complex(args.tau22))
-    except (ValueError, OSError) as exc:
-        report.add("setup", "error", message=str(exc))
-        report.wall_time = time.time() - t0
-        report.emit(args.json)
-        return 2
-    try:
-        rep = verify_identity([lat], [aut], pt, args.N, tol=args.tol)
-    except TruncationError as exc:
-        report.add("identity", "error", message=str(exc),
-                   achieved_tail=exc.achieved)
-        report.wall_time = time.time() - t0
-        report.emit(args.json)
-        return 4
-    status = "ok" if rep.passed else "fail"
+    rep = verify_identity([lat], [aut], pt, args.N, tol=args.tol)
     detail = rep.to_dict()
     if pt.is_diagonal:
         detail["note"] = "diagonal specialization (tau12 = 0)"
-    report.add("identity", status, **detail)
-    report.wall_time = time.time() - t0
-    report.emit(args.json)
+    report.add("identity", "ok" if rep.passed else "fail", **detail)
     return 0 if rep.passed else 1
 
 
-def cmd_gen_fixtures(args):
+def cmd_gen_fixtures(args, report):
     import os
     import random as _random
 
     from .serialize import module_to_json, tensor_element_to_json
-    report = RunReport("gen-fixtures", {"out": args.out})
-    t0 = time.time()
+    report.config = {"out": args.out}
     os.makedirs(args.out, exist_ok=True)
     rng = _random.Random(args.seed)
 
@@ -274,8 +244,6 @@ def cmd_gen_fixtures(args):
     dump("orbit_x.json", tensor_element_to_json(x))
     dump("orbit_xg.json", tensor_element_to_json(x.act(g)))
     dump("orbit_zero.json", tensor_element_to_json(sp.zero()))
-    report.wall_time = time.time() - t0
-    report.emit(args.json)
     return 0
 
 
@@ -329,15 +297,23 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    report = RunReport(args.command, {})
+    t0 = time.time()
     try:
-        return args.func(args)
+        code = args.func(args, report)
+    except InputError as exc:
+        report.add(exc.check, "error", **exc.details)
+        code = 2
     except EnumerationGuardError as exc:
-        print("guard exceeded: %s" % exc, file=sys.stderr)
-        return 3
-    except TruncationError as exc:
-        print("truncation failure: %s (achieved %s)" % (exc, exc.achieved),
-              file=sys.stderr)
-        return 4
+        report.add("guard", "error", message=str(exc))
+        code = 3
+    except TruncationError as exc:     # only the identity check truncates
+        report.add("identity", "error", message=str(exc),
+                   achieved_tail=exc.achieved)
+        code = 4
+    report.wall_time = time.time() - t0
+    report.emit(args.json)
+    return code
 
 
 def verify_sw_main(argv=None):

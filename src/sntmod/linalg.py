@@ -3,7 +3,8 @@
 Matrices are plain lists of lists of field elements; vectors are lists.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
-Every routine here is exact — no pivoting heuristics beyond "first nonzero".
+Every routine here is exact — no pivoting heuristics beyond "first nonzero"
+(first unit, when `rref` eliminates over a truncated polynomial ring).
 """
 from __future__ import annotations
 
@@ -89,11 +90,18 @@ def bilinear(u, G, v):
     return _dot(vec_mat(u, G), v)
 
 
-def mat_pow(field, A, e):
-    R = identity(field, len(A))
-    for _ in range(e):
-        R = mat_mul(R, A)
-    return R
+def nilpotent_powers(field, A):
+    """[I, A, ..., A^(nu-1)] for a nilpotent A, nu its nilpotency index.
+
+    Stops at the first zero power; raises ValueError when A^n != 0.
+    """
+    out, P = [], identity(field, len(A))
+    while not is_zero_mat(P):
+        if len(out) == len(A):
+            raise ValueError("matrix is not nilpotent")
+        out.append(P)
+        P = mat_mul(P, A)
+    return out
 
 
 def is_zero_mat(A):
@@ -107,8 +115,13 @@ def mat_eq(A, B):
                for ra, rb in zip(A, B))
 
 
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (reduced rows, pivot columns)."""
+def rref(field, rows, is_pivot=bool):
+    """Reduced row echelon form.  Returns (reduced rows, pivot columns).
+
+    `is_pivot` says which entries may serve as pivots: any nonzero one over
+    a field, units only over a local ring such as F[t]/(t^K) (pass
+    ``TruncPoly.is_unit``; `field` is then the coefficient field).
+    """
     R = [row[:] for row in rows]
     nr = len(R)
     nc = len(R[0]) if nr else 0
@@ -117,7 +130,7 @@ def rref(field, rows):
     for c in range(nc):
         pr = None
         for i in range(r, nr):
-            if R[i][c]:
+            if is_pivot(R[i][c]):
                 pr = i
                 break
         if pr is None:
@@ -198,6 +211,40 @@ def right_kernel(field, A):
         return []
     R, pivots = rref(field, A)
     return _kernel_from_rref(field, R, pivots, len(A[0]))
+
+
+def isometry_lie_basis(field, G, T=None):
+    """Basis of {S : S·G + G·Sᵀ = 0}, with also S·T = T·S when T is given.
+
+    The unknowns are the entries of S, var(i, j) = i·n + j.  The kernel is
+    read off the reduced echelon form of the equations, which is canonical,
+    so the basis does not depend on the order the equations are listed in.
+    """
+    n = len(G)
+    eqs = []
+
+    def var(i, j):
+        return i * n + j
+
+    if T is not None:
+        # commutation: (S T - T S)[i][j] = 0
+        for i in range(n):
+            for j in range(n):
+                row = [field.zero] * (n * n)
+                for l in range(n):
+                    row[var(i, l)] = row[var(i, l)] + T[l][j]
+                    row[var(l, j)] = row[var(l, j)] - T[i][l]
+                eqs.append(row)
+    # infinitesimal form preservation: (S G + G Sᵀ)[i][j] = 0
+    for i in range(n):
+        for j in range(n):
+            row = [field.zero] * (n * n)
+            for l in range(n):
+                row[var(i, l)] = row[var(i, l)] + G[l][j]
+                row[var(j, l)] = row[var(j, l)] + G[i][l]
+            eqs.append(row)
+    ker = right_kernel(field, eqs)
+    return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in ker]
 
 
 def inverse(field, A):

@@ -19,8 +19,9 @@ from . import linalg as la
 from .fields import PrimeField
 from .sntmodule import (EnumerationGuardError, enum_guard_limit,
                         quasi_basis, module_coords)
-from .tpoly import (TruncPoly, tmat_from_scalars, tmat_identity,
-                    tmat_inverse, tmat_solve_right)
+from .tpoly import (TruncPoly, tmat_add, tmat_eq, tmat_from_scalars,
+                    tmat_identity, tmat_inverse, tmat_mul, tmat_solve_right,
+                    tmat_sub, tmat_transpose, tmat_zero, tvec_mat)
 
 
 class HypothesisFailedError(ValueError):
@@ -96,6 +97,7 @@ class TensorSpace:
             for s in range(k - 1):
                 T[o + s][o + s + 1] = field.one
         self.t_minus = T
+        self.t_powers = la.nilpotent_powers(field, T)   # I, t, ..., t^{K-1}
 
     @classmethod
     def from_flag(cls, flag, V):
@@ -240,17 +242,9 @@ def f_matrix(x):
     columns by M_- chain coordinates.
     """
     sp = x.space
-    field = sp.field
     CQ = la.mat_mul(x.coords, sp.V.gram)     # (d x dimV): column l = f-image data
     base = la.transpose(CQ)                  # rows indexed by l
-    rows = []
-    powers = [la.identity(field, sp.d)]
-    for _ in range(sp.K - 1):
-        powers.append(la.mat_mul(powers[-1], sp.t_minus))
-    for l in range(sp.V.dim):
-        for s in range(sp.K):
-            rows.append(la.vec_mat(base[l], powers[s]))
-    return rows
+    return [la.vec_mat(base[l], P) for l in range(sp.V.dim) for P in sp.t_powers]
 
 
 def image_of(x):
@@ -303,7 +297,7 @@ def normal_form(x, W=None):
     # push the complement into ker f_x:  u' = u - l(u) with f_x(l(u)) = f_x(u)
     comp_ker = []
     for u in comp:
-        fu = _apply_f(x, u)
+        fu = la.vec_mat([c for poly in u for c in poly.coeffs], fm)   # f_x(u)
         coords = module_coords(field, sp.t_minus, sp.K, e_rows, orders, fu)
         if coords is None:
             raise RuntimeError("f_x(u) escaped Im f_x")
@@ -335,7 +329,7 @@ def normal_form(x, W=None):
         for l in range(sp.V.dim):
             for s, c in enumerate(w[l].coeffs):
                 if c:
-                    ev = la.vec_mat(list(e), la.mat_pow(field, sp.t_minus, s)) if s else list(e)
+                    ev = la.vec_mat(list(e), sp.t_powers[s])
                     for r in range(sp.d):
                         if ev[r]:
                             rebuilt[r][l] = rebuilt[r][l] + ev[r] * c
@@ -345,23 +339,6 @@ def normal_form(x, W=None):
         return img, ws
     # re-express over the quasi-basis of the larger W
     return W, _reexpress(sp, img, ws, W)
-
-
-def _apply_f(x, v):
-    """f_x(v) for a TruncPoly vector v, as an M_- coordinate row."""
-    sp = x.space
-    field = sp.field
-    out = [field.zero] * sp.d
-    CQ = la.mat_mul(x.coords, sp.V.gram)
-    base = la.transpose(CQ)
-    for l in range(sp.V.dim):
-        poly = v[l]
-        for s, c in enumerate(poly.coeffs):
-            if c:
-                img = la.vec_mat(base[l], la.mat_pow(field, sp.t_minus, s)) if s \
-                    else list(base[l])
-                out = la.vec_add(out, la.vec_scale(c, img))
-    return out
 
 
 def _reexpress(sp, img, ws, W):
@@ -435,11 +412,8 @@ def _dual_vectors(space, bvecs):
     """c_j in V[t]/(t^K) with (b_i, c_j) = delta_ij, for a primitive tuple."""
     V, K, field = space.V, space.K, space.field
     m = len(bvecs)
-    Qr = tmat_from_scalars(field, K, V.gram)
     # P[i][a] = (b_i, basis_a)
-    P = [[sum((bvecs[i][l] * Qr[l][a] for l in range(V.dim)),
-              TruncPoly.zero(field, K)) for a in range(V.dim)]
-         for i in range(m)]
+    P = tmat_mul(bvecs, tmat_from_scalars(field, K, V.gram))
     duals = []
     for j in range(m):
         target = [TruncPoly.one(field, K) if i == j else TruncPoly.zero(field, K)
@@ -706,58 +680,74 @@ def extend_isometry(space, avecs, bvecs):
     abar = [[v[l].coeffs[0] for l in range(V.dim)] for v in avecs]
     bbar = [[v[l].coeffs[0] for l in range(V.dim)] for v in bvecs]
     g0 = witt_extend_field(field, Q, abar, bbar) if m else la.identity(field, V.dim)
-    g = [[TruncPoly(field, [g0[r][c]], K) for c in range(V.dim)]
-         for r in range(V.dim)]
+    g = tmat_from_scalars(field, K, g0)
     Qr = tmat_from_scalars(field, K, Q)
-    g0_Qt = la.mat_mul(Q, la.transpose(g0))
-    g0_Qt_inv = la.inverse(field, g0_Qt)
+    g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
     for layer in range(1, K):
-        # residual of the form identity at this layer
-        gQgT = _tmat_mul3(g, Qr, _tmat_transpose(g))
-        Delta = [[gQgT[r][c].coeffs[layer] - (Qr[r][c].coeffs[layer])
-                  for c in range(V.dim)] for r in range(V.dim)]
         # residuals of the vector conditions
         deltas = []
         for a, b in zip(avecs, bvecs):
-            img = _tvec_mat_ring(a, g)
+            img = tvec_mat(a, g)
             deltas.append([img[l].coeffs[layer] - b[l].coeffs[layer]
                            for l in range(V.dim)])
-        h = _solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas)
-        for r in range(V.dim):
-            for c in range(V.dim):
-                if h[r][c]:
-                    add = [field.zero] * K
-                    add[layer] = h[r][c]
-                    g[r][c] = g[r][c] + TruncPoly(field, add)
+        h = _solve_layer(field, Q, g0, g0_Qt_inv, abar,
+                         _layer_residual(g, Qr, layer), deltas)
+        g = _add_layer(g, h, layer)
     # exact postconditions
-    if not _tmat_eq_ring(_tmat_mul3(g, Qr, _tmat_transpose(g)), Qr):
+    if not _is_ring_orthogonal(g, Qr):
         raise RuntimeError("isometry extension lost orthogonality over the ring")
     for a, b in zip(avecs, bvecs):
-        if _tvec_mat_ring(a, g) != list(b):
+        if tvec_mat(a, g) != list(b):
             raise RuntimeError("isometry extension failed a vector condition")
     return g
 
 
-def _tmat_transpose(A):
-    return [list(col) for col in zip(*A)]
+def _is_ring_orthogonal(g, Qr):
+    return tmat_eq(tmat_mul(tmat_mul(g, Qr), tmat_transpose(g)), Qr)
 
 
-def _tmat_mul3(A, B, C):
-    from .tpoly import tmat_mul
-    return tmat_mul(tmat_mul(A, B), C)
+# One t-adic layer of lifting g from O(V)(R_layer) to O(V)(R_{layer+1}):
+# g + h·t^layer stays orthogonal mod t^{layer+1} exactly when
+# h·Q·g0ᵀ + g0·Q·hᵀ = -Delta.  Writing u = h·Q·g0ᵀ, the solutions are
+# u = -Delta/2 + (any skew matrix).
+
+def _layer_residual(g, Qr, layer):
+    """Delta: the t^layer coefficient of g·Q·gᵀ - Q."""
+    gQgT = tmat_mul(tmat_mul(g, Qr), tmat_transpose(g))
+    return [[x.coeffs[layer] - q.coeffs[layer] for x, q in zip(rx, rq)]
+            for rx, rq in zip(gQgT, Qr)]
 
 
-def _tmat_eq_ring(A, B):
-    return all(all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+def _layer_particular(field, Delta, g0_Qt_inv):
+    """h0 = -Delta/2 · (Q·g0ᵀ)⁻¹."""
+    return la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
 
 
-def _tvec_mat_ring(v, A):
-    out = []
-    for c in range(len(A[0])):
-        acc = v[0] * A[0][c]
-        for r in range(1, len(A)):
-            acc = acc + v[r] * A[r][c]
-        out.append(acc)
+def _upper_pairs(d):
+    return [(r, s) for r in range(d) for s in range(r + 1, d)]
+
+
+def _add_skew(field, h0, g0_Qt_inv, vals):
+    """h0 + u·(Q·g0ᵀ)⁻¹ for the skew u whose upper entries, row by row, are
+    `vals`."""
+    d = len(h0)
+    u = la.zeros(field, d, d)
+    for (r, s), v in zip(_upper_pairs(d), vals):
+        u[r][s] = v
+        u[s][r] = -v
+    return la.mat_add(h0, la.mat_mul(u, g0_Qt_inv))
+
+
+def _add_layer(g, h, layer):
+    """g + h·t^layer for g over R_K and h over F, as a new matrix."""
+    out = [row[:] for row in g]
+    for r, hrow in enumerate(h):
+        for c, x in enumerate(hrow):
+            if x:
+                p = out[r][c]
+                add = [p.field.zero] * p.prec
+                add[layer] = x
+                out[r][c] = p + TruncPoly(p.field, add)
     return out
 
 
@@ -766,30 +756,23 @@ def _solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
 
         h·Q·g0ᵀ + g0·Q·hᵀ = -Delta      and      abar_i · h = -delta_i.
 
-    Writing u = h·Q·g0ᵀ, the particular part u0 = -Delta/2 handles the
-    symmetric equation; the skew freedom is fixed by the vector conditions,
-    whose compatibility is guaranteed by the exact product equalities.
+    The skew freedom is fixed by the vector conditions, whose compatibility
+    is guaranteed by the exact product equalities.
     """
     d = len(Q)
     m = len(abar)
-    half = field(1) / field(2)
-    u0 = la.scal_mul(-half, Delta)
-    h0 = la.mat_mul(u0, g0_Qt_inv)
+    h0 = _layer_particular(field, Delta, g0_Qt_inv)
     if m == 0:
         return h0
     # skew u with abar_i · u · g0_Qt_inv = eta_i
+    g0_Qt = la.mat_mul(Q, la.transpose(g0))
     etas = []
     for i in range(m):
         want = [-(x) for x in deltas[i]]
         rem = la.vec_sub(want, la.vec_mat(abar[i], h0))
-        etas.append(la.vec_mat(rem, la.mat_mul(Q, la.transpose(g0))))
-    nvar = d * (d - 1) // 2
-    idx = {}
-    c = 0
-    for r in range(d):
-        for s in range(r + 1, d):
-            idx[(r, s)] = c
-            c += 1
+        etas.append(la.vec_mat(rem, g0_Qt))
+    idx = {pair: j for j, pair in enumerate(_upper_pairs(d))}
+    nvar = len(idx)
 
     def ucoef(r, s):
         if r == s:
@@ -811,11 +794,7 @@ def _solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
     sol = la.solve(field, rows, rhs)
     if sol is None:
         raise RuntimeError("layer system inconsistent; inputs not in one orbit?")
-    u = la.zeros(field, d, d)
-    for (r, s), j in idx.items():
-        u[r][s] = sol.particular[j]
-        u[s][r] = -sol.particular[j]
-    return la.mat_add(h0, la.mat_mul(u, g0_Qt_inv))
+    return _add_skew(field, h0, g0_Qt_inv, sol.particular)
 
 
 def transport(x, y):
@@ -925,35 +904,17 @@ def orthogonal_group_ring(V, k, guard=None):
     total = len(base) * q ** ((k - 1) * skew_dim)
     if total > min(limit, 10 ** 6):
         raise EnumerationGuardError("group of size %d exceeds guard" % total)
-    sols = [[[TruncPoly(field, [g[r][c]], k) for c in range(d)] for r in range(d)]
-            for g in base]
+    sols = [tmat_from_scalars(field, k, g) for g in base]
     Qr = tmat_from_scalars(field, k, Q)
     for layer in range(1, k):
         nxt = []
         for g in sols:
-            g0 = [[g[r][c].coeffs[0] for c in range(d)] for r in range(d)]
+            g0 = [[x.coeffs[0] for x in row] for row in g]
             g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
-            gQgT = _tmat_mul3(g, Qr, _tmat_transpose(g))
-            Delta = [[gQgT[r][c].coeffs[layer] - Qr[r][c].coeffs[layer]
-                      for c in range(d)] for r in range(d)]
-            h0 = la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
+            h0 = _layer_particular(field, _layer_residual(g, Qr, layer), g0_Qt_inv)
             for skew_vals in itertools.product(elems, repeat=skew_dim):
-                u = la.zeros(field, d, d)
-                c = 0
-                for r in range(d):
-                    for s in range(r + 1, d):
-                        u[r][s] = skew_vals[c]
-                        u[s][r] = -skew_vals[c]
-                        c += 1
-                h = la.mat_add(h0, la.mat_mul(u, g0_Qt_inv))
-                gn = [row[:] for row in g]
-                for r in range(d):
-                    for cc in range(d):
-                        if h[r][cc]:
-                            add = [field.zero] * k
-                            add[layer] = h[r][cc]
-                            gn[r][cc] = gn[r][cc] + TruncPoly(field, add)
-                nxt.append(gn)
+                h = _add_skew(field, h0, g0_Qt_inv, skew_vals)
+                nxt.append(_add_layer(g, h, layer))
         sols = nxt
     return sols
 
@@ -995,22 +956,7 @@ def invariant_partition(space, guard=None):
 
 def orthogonal_lie_basis(V):
     """Basis of {S : S·Q + Q·Sᵀ = 0} over the base field."""
-    field, d = V.field, V.dim
-    Q = V.gram
-    eqs = []
-
-    def var(i, j):
-        return i * d + j
-
-    for i in range(d):
-        for j in range(d):
-            row = [field.zero] * (d * d)
-            for l in range(d):
-                row[var(i, l)] = row[var(i, l)] + Q[l][j]
-                row[var(j, l)] = row[var(j, l)] + Q[i][l]
-            eqs.append(row)
-    ker = la.right_kernel(field, eqs)
-    return [[vec[i * d:(i + 1) * d] for i in range(d)] for vec in ker]
+    return la.isometry_lie_basis(V.field, V.gram)
 
 
 def random_orthogonal_ring(space, rng):
@@ -1024,26 +970,18 @@ def random_orthogonal_ring(space, rng):
         w = _random_anisotropic(field, V, rng)
         g0 = la.mat_mul(g0, _reflection(field, V.gram, w))
     basis = orthogonal_lie_basis(V)
-    S = [[TruncPoly.zero(field, K) for _ in range(d)] for _ in range(d)]
+    S = tmat_zero(field, K, d, d)
     for s in range(1, K):
         for B in basis:
             c = field.random(rng, 2)
             if c:
-                for r in range(d):
-                    for cc in range(d):
-                        if B[r][cc]:
-                            add = [field.zero] * K
-                            add[s] = c * B[r][cc]
-                            S[r][cc] = S[r][cc] + TruncPoly(field, add)
+                S = _add_layer(S, la.scal_mul(c, B), s)
     half = TruncPoly(field, [field(1) / field(2)], K)
     I = tmat_identity(field, K, d)
-    from .tpoly import tmat_mul, tmat_sub, tmat_add
     A = [[half * S[r][c] for c in range(d)] for r in range(d)]
     cay = tmat_mul(tmat_add(I, A), tmat_inverse(tmat_sub(I, A)))
-    g0r = [[TruncPoly(field, [g0[r][c]], K) for c in range(d)] for r in range(d)]
-    g = tmat_mul(g0r, cay)
-    Qr = tmat_from_scalars(field, K, V.gram)
-    if not _tmat_eq_ring(_tmat_mul3(g, Qr, _tmat_transpose(g)), Qr):
+    g = tmat_mul(tmat_from_scalars(field, K, g0), cay)
+    if not _is_ring_orthogonal(g, tmat_from_scalars(field, K, V.gram)):
         raise RuntimeError("random orthogonal sample failed the form identity")
     return g
 

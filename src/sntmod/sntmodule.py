@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 
 from . import linalg as la
 from .fields import PrimeField
@@ -70,14 +69,7 @@ class SntModule:
     def K(self):
         """Nilpotency degree of t (= max element order; t^K = 0 on M)."""
         if self._K is None:
-            P = la.identity(self.field, self.dim)
-            k = 0
-            while not la.is_zero_mat(P):
-                P = la.mat_mul(P, self.t)
-                k += 1
-                if k > self.dim:
-                    raise ValueError("t_action is not nilpotent")
-            self._K = max(k, 1)
+            self._K = max(len(la.nilpotent_powers(self.field, self.t)), 1)
         return self._K
 
     def element_order(self, x):
@@ -104,8 +96,9 @@ class SntModule:
             la.inverse(self.field, G)
         except ValueError:
             bad.append("degenerate gram")
-        P = la.mat_pow(self.field, T, n)
-        if not la.is_zero_mat(P):
+        try:
+            la.nilpotent_powers(self.field, T)
+        except ValueError:
             bad.append("t_action not nilpotent")
         if not la.mat_eq(la.mat_mul(T, G), la.mat_mul(G, la.transpose(T))):
             bad.append("t not self-dual")
@@ -179,53 +172,25 @@ def summand_offsets(ks):
 # structure decomposition
 # --------------------------------------------------------------------------
 
-def _max_order_vector(field, T, G, rng):
-    """A vector of maximal t-order in the space spanned by the current basis.
+def _max_order_chain(field, T):
+    """The t-chain xi, t xi, ..., t^{N-1} xi of the first basis vector xi of
+    maximal order N (the nilpotency index of T).
 
-    A basis vector always attains the maximal order (t^{N-1} != 0 forces a
-    nonzero row), so the pair/random fallbacks are defensive only.
+    A basis vector always attains the maximal order: t^{N-1} != 0 has a
+    nonzero row, and that row is t^{N-1} e_i.
     """
-    n = len(T)
-    sub = SntModule(field, T, G)
-    best, bo = None, 0
-    for i in range(n):
-        e = [field.zero] * n
-        e[i] = field.one
-        o = sub.element_order(e)
-        if o > bo:
-            best, bo = e, o
-    # nilpotency degree of the restricted T
-    P = la.identity(field, n)
-    N = 0
-    while not la.is_zero_mat(P):
-        P = la.mat_mul(P, T)
-        N += 1
-    if bo == N:
-        return best, bo
-    for i, j in itertools.combinations(range(n), 2):
-        e = [field.zero] * n
-        e[i] = field.one
-        e[j] = field.one
-        o = sub.element_order(e)
-        if o == N:
-            return e, o
-    for _ in range(200):
-        e = [field.random(rng) for _ in range(n)]
-        o = sub.element_order(e)
-        if o == N:
-            return e, o
-    raise RuntimeError("no element of maximal order found")
+    powers = la.nilpotent_powers(field, T)
+    i = next(i for i, row in enumerate(powers[-1]) if any(bool(c) for c in row))
+    return [P[i][:] for P in powers]
 
 
-def _decompose_rec(field, T, G, rng):
+def _decompose_rec(field, T, G):
     """List of (N, chain1 rows, chain2 rows) in the current coordinates."""
     n = len(T)
     if n == 0:
         return []
-    xi, N = _max_order_vector(field, T, G, rng)
-    chain1 = [xi]
-    for _ in range(N - 1):
-        chain1.append(la.vec_mat(chain1[-1], T))
+    chain1 = _max_order_chain(field, T)
+    N = len(chain1)
     # eta with <t^{N-1} xi, eta> = 1 and <t^j xi, eta> = 0 for j < N-1
     rows = [la.vec_mat(v, G) for v in chain1]
     target = [field.zero] * N
@@ -243,7 +208,7 @@ def _decompose_rec(field, T, G, rng):
     if perp:
         Tr = _restrict(field, T, perp)
         Gr = la.mat_mul(la.mat_mul(perp, G), la.transpose(perp))
-        rest = _decompose_rec(field, Tr, Gr, rng)
+        rest = _decompose_rec(field, Tr, Gr)
         lifted = [(k, la.mat_mul(c1, perp), la.mat_mul(c2, perp))
                   for (k, c1, c2) in rest]
     else:
@@ -271,12 +236,13 @@ def decompose(M, seed=0):
     standard basis of ⊕H_{k_i} written in M-coordinates, so that exactly
 
         B · M.t = T_std · B      and      B · M.gram · Bᵀ = G_std.
+
+    The construction is deterministic; `seed` is accepted for compatibility.
     """
     bad = M.validate()
     if bad:
         raise ValueError("invalid snt-module: " + ", ".join(bad))
-    rng = random.Random(seed)
-    parts = _decompose_rec(M.field, M.t, M.gram, rng)
+    parts = _decompose_rec(M.field, M.t, M.gram)
     parts.sort(key=lambda p: -p[0])
     ks = tuple(p[0] for p in parts)
     B = []
@@ -295,14 +261,8 @@ def jordan_type(field, T):
     """Jordan block sizes of a nilpotent matrix (independent oracle for
     decompose: the type of an snt-module is half of this doubled partition)."""
     n = len(T)
-    ranks = [n]
-    P = la.identity(field, n)
-    while True:
-        P = la.mat_mul(P, T)
-        r = la.rank(field, P)
-        ranks.append(r)
-        if r == 0:
-            break
+    powers = la.nilpotent_powers(field, T)
+    ranks = [n] + [la.rank(field, P) for P in powers[1:]] + [0]
     blocks = []
     for s in range(1, len(ranks)):
         # number of blocks of size >= s
@@ -380,11 +340,12 @@ def quasi_basis(field, T, K, generators, require_stable=True):
     gens = [list(r) for r in span]
     r = len(gens)
     # presentation R_K^r -> span; F-basis of the domain indexed by (i, s)
+    powers = la.nilpotent_powers(field, T)[:K]
     dom = []
-    for i in range(r):
-        v = gens[i]
-        for s in range(K):
-            dom.append(la.vec_mat(v, la.mat_pow(field, T, s)) if s else list(v))
+    for v in gens:
+        dom.append(v)
+        dom.extend(la.vec_mat(v, P) for P in powers[1:])
+        dom.extend([[field.zero] * len(v)] * (K - len(powers)))
     rel = la.right_kernel(field, la.transpose(dom))
     if rel:
         lam = [[TruncPoly(field, [vec[i * K + s] for s in range(K)])
@@ -408,8 +369,7 @@ def quasi_basis(field, T, K, generators, require_stable=True):
                 a = Vinv[j][i]
                 for s, c in enumerate(a.coeffs):
                     if c:
-                        img = la.vec_mat(gens[i], la.mat_pow(field, T, s))
-                        h = la.vec_add(h, la.vec_scale(c, img))
+                        h = la.vec_add(h, la.vec_scale(c, dom[i * K + s]))
         quasi.append((d, h))
     quasi.sort(key=lambda p: -p[0])
     parts = [d for d, _ in quasi]
@@ -448,10 +408,11 @@ def module_coords(field, T, K, quasi_rows, orders, v):
     Returns a list of TruncPoly (precision K, reduced mod t^{k_i}), or None
     if v is not in the submodule.
     """
+    powers = la.nilpotent_powers(field, T)
     cols = []
     for i, e in enumerate(quasi_rows):
         for s in range(orders[i]):
-            cols.append(la.vec_mat(list(e), la.mat_pow(field, T, s)))
+            cols.append(la.vec_mat(list(e), powers[s]))
     if not cols:
         return None if any(bool(c) for c in v) else []
     sol = la.solve(field, la.transpose(cols), list(v))

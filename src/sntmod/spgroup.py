@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .sntmodule import EnumerationGuardError, standard_module, summand_offsets
-from .tpoly import TruncPoly, tmat_identity, tmat_mul, tmat_eq
+from .tpoly import TruncPoly, tmat_identity, tmat_mul, tmat_eq, tmat_transpose
 
 
 class NotAMemberError(ValueError):
@@ -88,7 +88,7 @@ class HomogeneousRingIso:
 
     def is_ring_member(self, ghat):
         J = self.ring_gram()
-        lhs = tmat_mul(tmat_mul(ghat, J), [list(col) for col in zip(*ghat)])
+        lhs = tmat_mul(tmat_mul(ghat, J), tmat_transpose(ghat))
         return tmat_eq(lhs, J)
 
     def from_ring(self, ghat):
@@ -229,31 +229,7 @@ def unipotent_radical_test(M, g):
 
 def lie_algebra_basis(M):
     """Basis of {S : S·T = T·S and S·G + G·Sᵀ = 0} as dim x dim matrices."""
-    field, n = M.field, M.dim
-    T, G = M.t, M.gram
-    eqs = []
-
-    def var(i, j):
-        return i * n + j
-
-    # commutation: (S T - T S)[i][j] = 0
-    for i in range(n):
-        for j in range(n):
-            row = [field.zero] * (n * n)
-            for l in range(n):
-                row[var(i, l)] = row[var(i, l)] + T[l][j]
-                row[var(l, j)] = row[var(l, j)] - T[i][l]
-            eqs.append(row)
-    # infinitesimal form preservation: (S G + G Sᵀ)[i][j] = 0
-    for i in range(n):
-        for j in range(n):
-            row = [field.zero] * (n * n)
-            for l in range(n):
-                row[var(i, l)] = row[var(i, l)] + G[l][j]
-                row[var(j, l)] = row[var(j, l)] + G[i][l]
-            eqs.append(row)
-    ker = la.right_kernel(field, eqs)
-    return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in ker]
+    return la.isometry_lie_basis(M.field, M.gram, M.t)
 
 
 def radical_lie_basis(M):
@@ -298,28 +274,15 @@ def radical_lie_basis(M):
     return out
 
 
-def nilpotency_index(field, S):
-    n = len(S)
-    P = la.identity(field, n)
-    for m in range(n + 1):
-        if la.is_zero_mat(P):
-            return m
-        P = la.mat_mul(P, S)
-    raise ValueError("matrix is not nilpotent")
-
-
 def exp_nilpotent(field, S):
     """Exact exp of a nilpotent matrix; None if the factorials are not
     invertible in the field."""
-    nu = nilpotency_index(field, S)
-    if field.char and nu - 1 >= field.char:
+    powers = la.nilpotent_powers(field, S)
+    if field.char and len(powers) - 1 >= field.char:
         return None
-    n = len(S)
-    out = la.identity(field, n)
-    P = la.identity(field, n)
+    out = la.identity(field, len(S))
     fact = 1
-    for m in range(1, nu):
-        P = la.mat_mul(P, S)
+    for m, P in enumerate(powers[1:], 1):
         fact *= m
         if field.char:
             coef = field(1) / field(fact % field.char)

@@ -7,7 +7,7 @@ silently truncates at t^K.
 """
 from __future__ import annotations
 
-from .linalg import transpose as _transpose
+from .linalg import rref as _rref, transpose as _transpose
 
 
 class NotAUnitError(ArithmeticError):
@@ -132,6 +132,9 @@ class TruncPoly:
     def __truediv__(self, other):
         o = self._check(other)
         return self * o.inv()
+
+    def __rtruediv__(self, other):
+        return self._check(other) * self.inv()
 
     def __pow__(self, e):
         if e < 0:
@@ -267,23 +270,12 @@ def tmat_inverse(A):
     if n == 0:
         return []
     field, K = A[0][0].field, A[0][0].prec
-    M = [row[:] + tmat_identity(field, K, n)[i] for i, row in enumerate(A)]
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if M[i][c].is_unit():
-                pr = i
-                break
-        if pr is None:
-            raise NotAUnitError("matrix not invertible over the truncated ring")
-        M[c], M[pr] = M[pr], M[c]
-        inv = M[c][c].inv()
-        M[c] = [inv * x for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
+    I = tmat_identity(field, K, n)
+    R, pivots = _rref(field, [row[:] + I[i] for i, row in enumerate(A)],
+                      TruncPoly.is_unit)
+    if pivots != list(range(n)):
+        raise NotAUnitError("matrix not invertible over the truncated ring")
+    return [row[n:] for row in R]
 
 
 def tmat_solve_right(A, b):
@@ -297,32 +289,14 @@ def tmat_solve_right(A, b):
         return []
     nc = len(A[0])
     field, K = A[0][0].field, A[0][0].prec
-    M = [A[i][:] + [b[i]] for i in range(nr)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if M[i][c].is_unit():
-                pr = i
-                break
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        inv = M[r][c].inv()
-        M[r] = [inv * x for x in M[r]]
-        for i in range(nr):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
+    R, pivots = _rref(field, [A[i][:] + [b[i]] for i in range(nr)],
+                      TruncPoly.is_unit)
+    if nc in pivots:
+        return None
     z = TruncPoly.zero(field, K)
     y = [z] * nc
     for rr, c in enumerate(pivots):
-        y[c] = M[rr][nc]
+        y[c] = R[rr][nc]
     # consistency check
     for i in range(nr):
         acc = z

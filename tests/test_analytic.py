@@ -97,6 +97,14 @@ def test_theta_truncation_error(E8):
         theta_basic(E8, 0.001j, tail_target=1e-10, max_norm=16)
 
 
+def test_colinear_truncation_before_any_tail_bound(E8):
+    # Im-min-eig 0.02: the shell tail bound needs (B+1)·0.02 >= 2, which
+    # max_norm 64 never reaches, so no tail is ever certified
+    with pytest.raises(TruncationError) as info:
+        theta_colinear(E8, SiegelPoint(0.02j, 0j, 0.02j))
+    assert info.value.achieved == math.inf
+
+
 # --------------------------------------------------------------------------
 # Eisenstein evaluators
 # --------------------------------------------------------------------------

@@ -159,6 +159,21 @@ def test_verify_sw_bad_point(capsys):
     assert code == 2
 
 
+def test_verify_sw_rank_mismatch_is_input_error(capsys):
+    # the bundled lattice is E8, of rank 8
+    code, data = _run_json(["verify-sw", "--N", "16"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+    assert "rank" in data["checks"][0]["details"]["message"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+def test_verify_sw_bad_tolerance_is_input_error(tol, capsys):
+    code, data = _run_json(["verify-sw", "--tol", tol], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+
+
 def test_verify_sw_gram_file(tmp_path, capsys):
     from sntmod.analytic import _E8_GRAM
     path = str(tmp_path / "e8.json")

@@ -14,9 +14,9 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            orthogonal_group_ring, random_orthogonal_ring,
                            same_orbit, t_sym, tangent_matrix, transport,
                            witt_extend_field, witt_lift)
-from sntmod.orbits import _is_primitive_tuple, _tvec_mat_ring
+from sntmod.orbits import _is_primitive_tuple
 from sntmod.sntmodule import quasi_basis
-from sntmod.tpoly import TruncPoly, tp
+from sntmod.tpoly import TruncPoly, tp, tvec_mat
 
 F3 = GF(3)
 F5 = GF(5)
@@ -282,7 +282,7 @@ def test_extend_identity_case():
     sp = TensorSpace(QQ, (2,), hyperbolic_plane(QQ))
     a = tvec(QQ, 2, [1], [1])
     g = extend_isometry(sp, [a], [list(a)])
-    assert _tvec_mat_ring(a, g) == a
+    assert tvec_mat(a, g) == a
 
 
 def test_extend_reflection_case():
@@ -293,7 +293,7 @@ def test_extend_reflection_case():
     g = extend_isometry(sp, [a], [b])
     g0 = [[c.coeffs[0] for c in row] for row in g]
     assert la.mat_eq(la.mat_mul(la.mat_mul(g0, V.gram), la.transpose(g0)), V.gram)
-    assert _tvec_mat_ring(a, g) == b
+    assert tvec_mat(a, g) == b
 
 
 def test_extend_mismatch_rejected():
@@ -312,10 +312,10 @@ def test_extend_composite_f3():
         g0 = random_orthogonal_ring(sp, rng)
         m = rng.choice([1, 2])
         avecs = random_primitive_tuple(sp, m, rng)
-        bvecs = [_tvec_mat_ring(a, g0) for a in avecs]
+        bvecs = [tvec_mat(a, g0) for a in avecs]
         g = extend_isometry(sp, avecs, bvecs)
         for a, b in zip(avecs, bvecs):
-            assert _tvec_mat_ring(a, g) == b
+            assert tvec_mat(a, g) == b
 
 
 def test_witt_extend_field_isotropic_radical():

@@ -9,7 +9,7 @@ from sntmod import linalg as la
 from sntmod.fields import QQ, GF, CharacteristicTwoError
 from sntmod.tpoly import (NotAUnitError, TruncPoly, smith_divisors,
                           smith_form_t, tmat_identity, tmat_inverse, tmat_mul,
-                          tmat_eq, tp)
+                          tmat_eq, tmat_solve_right, tp)
 
 F5 = GF(5)
 F3 = GF(3)
@@ -244,6 +244,33 @@ def test_tmat_inverse_roundtrip():
     rng = random.Random(13)
     A = _random_invertible_tmat(F5, rng, 4, 3)
     assert tmat_eq(tmat_mul(A, tmat_inverse(A)), tmat_identity(F5, 3, 4))
+
+
+def _random_full_row_rank_tmat(field, rng, r, c, K):
+    """Random r x c matrix over R_K whose reduction mod t has rank r."""
+    while True:
+        A = _random_tmat(field, rng, r, c, K)
+        if la.rank(field, [[x.constant() for x in row] for row in A]) == r:
+            return A
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "QQ"])
+def test_tmat_solve_right_unit_pivots(field):
+    rng = random.Random(21)
+    t = TruncPoly.t(field, 3)
+    for _ in range(8):
+        r = rng.randint(1, 3)
+        c = r + rng.randint(0, 2)
+        A = _random_full_row_rank_tmat(field, rng, r, c, 3)
+        b = [TruncPoly(field, [field.random(rng) for _ in range(3)])
+             for _ in range(r)]
+        y = tmat_solve_right(A, b)
+        assert y is not None
+        assert tmat_eq(tmat_mul(A, [[v] for v in y]), [[v] for v in b])
+        # t·(row 0) · yᵀ lies in (t), so it never equals the unit t·b_0 + 1
+        A_bad = A + [[t * x for x in A[0]]]
+        b_bad = b + [t * b[0] + 1]
+        assert tmat_solve_right(A_bad, b_bad) is None
 
 
 def test_solve_dimension_mismatch():

@@ -98,6 +98,10 @@ def test_validate_reports_problems():
     bad = SntModule(QQ, H.t, sym)
     assert "not alternating" in bad.validate()
     assert "t not self-dual" in _one_block_transposed(H).validate()
+    not_nilpotent = SntModule(QQ, la.identity(QQ, 4), H.gram)
+    assert "t_action not nilpotent" in not_nilpotent.validate()
+    with pytest.raises(ValueError):
+        not_nilpotent.K
 
 
 def test_element_order():
