@@ -22,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .sntmodule import EnumerationGuardError, enum_guard_limit
+
 
 class TruncationError(RuntimeError):
     """Requested tail target unreachable at the configured bound."""
@@ -90,29 +92,28 @@ class IntegralLattice:
         self._counts = None
         self._counts_upto = -1
 
-    def _positive_definite(self):
+    def _pivots(self):
+        """Pivots of exact Gaussian elimination without row swaps, up to
+        and including the first non-positive one.  All are positive exactly
+        when the gram is positive definite, and their product is then det."""
         A = [[Fraction(x) for x in row] for row in self.gram]
         n = self.rank
+        out = []
         for i in range(n):
             piv = A[i][i]
+            out.append(piv)
             if piv <= 0:
-                return False
+                break
             for r in range(i + 1, n):
                 f = A[r][i] / piv
                 A[r] = [x - f * y for x, y in zip(A[r], A[i])]
-        return True
+        return out
+
+    def _positive_definite(self):
+        return all(p > 0 for p in self._pivots())
 
     def det(self):
-        A = [[Fraction(x) for x in row] for row in self.gram]
-        n = self.rank
-        d = Fraction(1)
-        for i in range(n):
-            piv = A[i][i]
-            d *= piv
-            for r in range(i + 1, n):
-                f = A[r][i] / piv
-                A[r] = [x - f * y for x, y in zip(A[r], A[i])]
-        return int(d)
+        return int(math.prod(self._pivots()))
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -135,12 +136,9 @@ class IntegralLattice:
             self._counts_upto = B
         return list(self._counts[:B + 1])
 
-    def vectors_by_norm(self, B, limit=2 * 10 ** 6):
-        """All lattice vectors with (u,u) <= B (memory-guarded)."""
-        coords, norms = _enumerate_vectors(self.gram, B)
-        if len(coords) > limit:
-            raise MemoryError("vector list of size %d exceeds the guard" % len(coords))
-        return coords, norms
+    def vectors_by_norm(self, B):
+        """All lattice vectors with (u,u) <= B (enumeration-guarded)."""
+        return _enumerate_vectors(self.gram, B)
 
     def __repr__(self):
         return "IntegralLattice(%s, rank=%d)" % (self.name or "?", self.rank)
@@ -184,8 +182,11 @@ def _enumerate_vectors(gram, B):
     """All x in Z^N with xᵀGx <= B, by Cholesky-pruned level enumeration.
 
     Float bounds are inflated and every survivor is re-checked with exact
-    integer arithmetic, so the output is exact.
+    integer arithmetic, so the output is exact.  Raises
+    EnumerationGuardError before building a level whose candidate count
+    exceeds the enumeration guard.
     """
+    limit = enum_guard_limit()
     G = np.array(gram, dtype=np.int64)
     N = len(gram)
     R = _cholesky_upper(gram)
@@ -209,6 +210,10 @@ def _enumerate_vectors(gram, B):
         hi = np.floor(center + half).astype(np.int64)
         cnt = np.maximum(hi - lo + 1, 0)
         total = int(cnt.sum())
+        if total > limit:
+            raise EnumerationGuardError(
+                "lattice enumeration level of %d candidates exceeds the guard %d"
+                % (total, limit))
         rows = np.repeat(np.arange(len(Xk)), cnt)
         offsets = np.concatenate([np.arange(c) for c in cnt]) if total else \
             np.zeros(0, dtype=np.int64)
@@ -319,13 +324,11 @@ def _shell_tail(N, lam, B):
     return f(n0) / (1 - r)
 
 
-def _square_shell_tail(lam, R, weight=0):
+def _square_shell_tail(lam, R):
     """Upper bound for sum over (m,n) in Z^2 with max(|m|,|n|) > R of
-    (m^2+n^2)^{weight/2} exp(-pi lam (m^2 + n^2))."""
+    exp(-pi lam (m^2 + n^2))."""
     def f(k):
-        return 8 * k * (2 * k * k) ** (weight / 2 or 0) * \
-            math.exp(-math.pi * lam * k * k) if weight else \
-            8 * k * math.exp(-math.pi * lam * k * k)
+        return 8 * k * math.exp(-math.pi * lam * k * k)
     k0 = R + 1
     r = (f(k0 + 1) / f(k0)) if f(k0) > 0 else 0.0
     if r >= 1:
@@ -459,7 +462,8 @@ def eisenstein_q(tau, w, tail_target=1e-14, max_terms=600):
     q = cmath.exp(2j * math.pi * tau)
     x = abs(q)
     if x >= 0.5:
-        raise ValueError("Im tau too small for the q-expansion path")
+        raise TruncationError("Im tau too small for the q-expansion path "
+                              "(|q| = %.3g >= 0.5)" % x)
     value = 1.0 + 0j
     n = 1
     qn = q

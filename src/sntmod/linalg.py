@@ -1,10 +1,16 @@
-"""Exact dense linear algebra over a coefficient field.
+"""Exact dense linear algebra over a coefficient ring descriptor.
 
-Matrices are plain lists of lists of field elements; vectors are lists.
+Matrices are plain lists of lists of ring elements; vectors are lists.  The
+descriptor (``QQ``, ``GF(p)`` or ``tpoly.TruncRing(field, K)`` for
+F[t]/(t^K)) supplies ``zero``, ``one``, element construction and the pivot
+test ``is_unit``; the arithmetic itself goes through the elements' operators.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
-Every routine here is exact — no pivoting heuristics beyond "first nonzero"
-(first unit, when `rref` eliminates over a truncated polynomial ring).
+Every routine here is exact — no pivoting heuristics beyond "first unit"
+(first nonzero entry over a field).  Over F[t]/(t^K) elimination with unit
+pivots is complete for square invertible matrices (`inverse`) but not for
+general systems: `solve` may then return a vector that does not solve them,
+so callers check A·xᵀ = b.
 """
 from __future__ import annotations
 
@@ -19,6 +25,12 @@ def zeros(field, r, c):
 def identity(field, n):
     z, o = field.zero, field.one
     return [[o if i == j else z for j in range(n)] for i in range(n)]
+
+
+def change_ring(R, A):
+    """A with every entry mapped into the ring R (e.g. field scalars to
+    constant polynomials)."""
+    return [[R(x) for x in row] for row in A]
 
 
 def copy_mat(A):
@@ -115,13 +127,13 @@ def mat_eq(A, B):
                for ra, rb in zip(A, B))
 
 
-def rref(field, rows, is_pivot=bool):
+def rref(field, rows):
     """Reduced row echelon form.  Returns (reduced rows, pivot columns).
 
-    `is_pivot` says which entries may serve as pivots: any nonzero one over
-    a field, units only over a local ring such as F[t]/(t^K) (pass
-    ``TruncPoly.is_unit``; `field` is then the coefficient field).
+    Pivots are the entries that pass ``field.is_unit``: any nonzero one over
+    a field, units only over a local ring such as F[t]/(t^K).
     """
+    is_pivot = field.is_unit
     R = [row[:] for row in rows]
     nr = len(R)
     nc = len(R[0]) if nr else 0
@@ -249,7 +261,7 @@ def isometry_lie_basis(field, G, T=None):
 
 def inverse(field, A):
     n = len(A)
-    aug = [A[i][:] + identity(field, n)[i] for i in range(n)]
+    aug = [row[:] + e for row, e in zip(A, identity(field, n))]
     R, pivots = rref(field, aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -284,11 +296,5 @@ def intersect_spans(field, A_rows, B_rows):
     a, b = len(A_rows), len(B_rows)
     M = [list(A_rows[i]) if i < a else [-x for x in B_rows[i - a]]
          for i in range(a + b)]
-    ker = right_kernel(field, transpose(M))
-    out = []
-    for lam in ker:
-        v = [field.zero] * len(A_rows[0])
-        for i in range(a):
-            v = vec_add(v, vec_scale(lam[i], list(A_rows[i])))
-        out.append(v)
+    out = [vec_mat(lam[:a], A_rows) for lam in right_kernel(field, transpose(M))]
     return [list(r) for r in rref_span(field, out)] if out else []

@@ -19,9 +19,7 @@ from . import linalg as la
 from .fields import PrimeField
 from .sntmodule import (EnumerationGuardError, enum_guard_limit,
                         quasi_basis, module_coords)
-from .tpoly import (TruncPoly, tmat_add, tmat_eq, tmat_from_scalars,
-                    tmat_identity, tmat_inverse, tmat_mul, tmat_solve_right,
-                    tmat_sub, tmat_transpose, tmat_zero, tvec_mat)
+from .tpoly import TruncPoly, TruncRing
 
 
 class HypothesisFailedError(ValueError):
@@ -85,6 +83,7 @@ class TensorSpace:
         self.ks = ks
         self.V = V
         self.K = ks[0]
+        self.R = TruncRing(field, self.K)
         self.d = sum(ks)
         self.offsets = []
         off = 0
@@ -263,12 +262,12 @@ def normal_form(x, W=None):
     then no longer primitive in general).
     """
     sp = x.space
+    R = sp.R
     img = image_of(x)
     if x.is_zero():
         if W is None or not W.quasi:
             return img, []
-        zero = [TruncPoly.zero(sp.field, sp.K) for _ in range(sp.V.dim)]
-        return W, [list(zero) for _ in W.quasi]
+        return W, [[R.zero] * sp.V.dim for _ in W.quasi]
     e_rows, orders = img.quasi, list(img.partition)
     m = len(e_rows)
     field = sp.field
@@ -291,8 +290,8 @@ def normal_form(x, W=None):
     comp = []
     for c in range(sp.V.dim):
         if c not in piv:
-            u = [TruncPoly.zero(field, sp.K) for _ in range(sp.V.dim)]
-            u[c] = TruncPoly.one(field, sp.K)
+            u = [R.zero] * sp.V.dim
+            u[c] = R.one
             comp.append(u)
     # push the complement into ker f_x:  u' = u - l(u) with f_x(l(u)) = f_x(u)
     comp_ker = []
@@ -301,28 +300,14 @@ def normal_form(x, W=None):
         coords = module_coords(field, sp.t_minus, sp.K, e_rows, orders, fu)
         if coords is None:
             raise RuntimeError("f_x(u) escaped Im f_x")
-        corr = [TruncPoly.zero(field, sp.K) for _ in range(sp.V.dim)]
-        for a, v in zip(coords, vs):
-            if a:
-                for l in range(sp.V.dim):
-                    corr[l] = corr[l] + a * v[l]
-        comp_ker.append([u[l] - corr[l] for l in range(sp.V.dim)])
+        comp_ker.append(la.vec_sub(u, la.vec_mat(coords, vs)))
     basis = vs + comp_ker
     N = len(basis)
     if N != sp.V.dim:
         raise RuntimeError("basis completion failed")
     # dual basis via the ring Gram matrix
     Gamma = [[sp.ring_pair(basis[i], basis[j]) for j in range(N)] for i in range(N)]
-    Ginv = tmat_inverse(Gamma)
-    ws = []
-    for j in range(m):
-        w = [TruncPoly.zero(field, sp.K) for _ in range(sp.V.dim)]
-        for i in range(N):
-            c = Ginv[j][i]
-            if c:
-                for l in range(sp.V.dim):
-                    w[l] = w[l] + c * basis[i][l]
-        ws.append(w)
+    ws = la.mat_mul(la.inverse(R, Gamma)[:m], basis)
     # exact reconstruction check
     rebuilt = sp.from_pairs([]).coords
     for e, w in zip(e_rows, ws):
@@ -343,18 +328,13 @@ def normal_form(x, W=None):
 
 def _reexpress(sp, img, ws, W):
     """Coefficients over W's quasi-basis from those over Im f_x ⊆ W."""
-    field = sp.field
-    out = [[TruncPoly.zero(field, sp.K) for _ in range(sp.V.dim)]
-           for _ in range(len(W.quasi))]
-    for e_img, w in zip(img.quasi, ws):
-        coords = module_coords(field, sp.t_minus, sp.K, W.quasi, list(W.partition), e_img)
+    C = []      # row k: coordinates of the k-th quasi-basis vector of Im f_x
+    for e_img in img.quasi:
+        coords = module_coords(sp.field, sp.t_minus, sp.K, W.quasi, list(W.partition), e_img)
         if coords is None:
             raise ValueError("W does not contain Im f_x")
-        for i, a in enumerate(coords):
-            if a:
-                for l in range(sp.V.dim):
-                    out[i][l] = out[i][l] + a * w[l]
-    return out
+        C.append(coords)
+    return la.mat_mul(la.transpose(C), ws)
 
 
 @dataclass(frozen=True)
@@ -410,18 +390,18 @@ def _is_primitive_tuple(V, vecs):
 
 def _dual_vectors(space, bvecs):
     """c_j in V[t]/(t^K) with (b_i, c_j) = delta_ij, for a primitive tuple."""
-    V, K, field = space.V, space.K, space.field
-    m = len(bvecs)
+    R = space.R
     # P[i][a] = (b_i, basis_a)
-    P = tmat_mul(bvecs, tmat_from_scalars(field, K, V.gram))
+    P = la.mat_mul(bvecs, la.change_ring(R, space.V.gram))
+    Pt = la.transpose(P)
     duals = []
-    for j in range(m):
-        target = [TruncPoly.one(field, K) if i == j else TruncPoly.zero(field, K)
-                  for i in range(m)]
-        y = tmat_solve_right(P, target)
-        if y is None:
+    for target in la.identity(R, len(bvecs)):
+        # unit-pivot elimination can miss an inconsistency of positive
+        # valuation, so the solution is checked
+        sol = la.solve(R, P, target)
+        if sol is None or la.vec_mat(sol.particular, Pt) != target:
             raise RuntimeError("dual system unsolvable; tuple not primitive?")
-        duals.append(y)
+        duals.append(sol.particular)
     return duals
 
 
@@ -461,15 +441,10 @@ def witt_lift(space, avecs, bvecs, ks, check=True):
         for j in range(i):
             delta = sp.ring_pair(avecs[j], avecs[i]) - sp.ring_pair(b[j], b[i])
             hs.append(delta.divide_t(k))
-        hs.append(TruncPoly.zero(field, K))  # h_i, solved degree by degree
+        hs.append(sp.R.zero)  # h_i, solved degree by degree
+
         def updated():
-            corr = [TruncPoly.zero(field, K) for _ in range(sp.V.dim)]
-            for h, c in zip(hs, duals):
-                if h:
-                    hsh = h.shift(k)
-                    for l in range(sp.V.dim):
-                        corr[l] = corr[l] + hsh * c[l]
-            return [b[i][l] + corr[l] for l in range(sp.V.dim)]
+            return la.vec_add(b[i], la.vec_mat([h.shift(k) for h in hs], duals))
         target = sp.ring_pair(avecs[i], avecs[i])
         for s in range(K - k):
             cur = updated()
@@ -680,14 +655,14 @@ def extend_isometry(space, avecs, bvecs):
     abar = [[v[l].coeffs[0] for l in range(V.dim)] for v in avecs]
     bbar = [[v[l].coeffs[0] for l in range(V.dim)] for v in bvecs]
     g0 = witt_extend_field(field, Q, abar, bbar) if m else la.identity(field, V.dim)
-    g = tmat_from_scalars(field, K, g0)
-    Qr = tmat_from_scalars(field, K, Q)
+    g = la.change_ring(sp.R, g0)
+    Qr = la.change_ring(sp.R, Q)
     g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
     for layer in range(1, K):
         # residuals of the vector conditions
         deltas = []
         for a, b in zip(avecs, bvecs):
-            img = tvec_mat(a, g)
+            img = la.vec_mat(a, g)
             deltas.append([img[l].coeffs[layer] - b[l].coeffs[layer]
                            for l in range(V.dim)])
         h = _solve_layer(field, Q, g0, g0_Qt_inv, abar,
@@ -697,13 +672,13 @@ def extend_isometry(space, avecs, bvecs):
     if not _is_ring_orthogonal(g, Qr):
         raise RuntimeError("isometry extension lost orthogonality over the ring")
     for a, b in zip(avecs, bvecs):
-        if tvec_mat(a, g) != list(b):
+        if la.vec_mat(a, g) != list(b):
             raise RuntimeError("isometry extension failed a vector condition")
     return g
 
 
 def _is_ring_orthogonal(g, Qr):
-    return tmat_eq(tmat_mul(tmat_mul(g, Qr), tmat_transpose(g)), Qr)
+    return la.mat_eq(la.mat_mul(la.mat_mul(g, Qr), la.transpose(g)), Qr)
 
 
 # One t-adic layer of lifting g from O(V)(R_layer) to O(V)(R_{layer+1}):
@@ -713,7 +688,7 @@ def _is_ring_orthogonal(g, Qr):
 
 def _layer_residual(g, Qr, layer):
     """Delta: the t^layer coefficient of g·Q·gᵀ - Q."""
-    gQgT = tmat_mul(tmat_mul(g, Qr), tmat_transpose(g))
+    gQgT = la.mat_mul(la.mat_mul(g, Qr), la.transpose(g))
     return [[x.coeffs[layer] - q.coeffs[layer] for x, q in zip(rx, rq)]
             for rx, rq in zip(gQgT, Qr)]
 
@@ -805,7 +780,7 @@ def transport(x, y):
     if inv_x != inv_y:
         return None
     if x.is_zero():
-        return tmat_identity(sp.field, sp.K, sp.V.dim)
+        return la.identity(sp.R, sp.V.dim)
     W, a = normal_form(x)
     _, b = normal_form(y)
     bt = witt_lift(sp, a, b, list(W.partition), check=True)
@@ -862,8 +837,8 @@ def tangent_matrix(x, W=None):
 
 
 def _unit_vec(sp, l):
-    out = [TruncPoly.zero(sp.field, sp.K) for _ in range(sp.V.dim)]
-    out[l] = TruncPoly.one(sp.field, sp.K)
+    out = [sp.R.zero] * sp.V.dim
+    out[l] = sp.R.one
     return out
 
 
@@ -904,8 +879,9 @@ def orthogonal_group_ring(V, k, guard=None):
     total = len(base) * q ** ((k - 1) * skew_dim)
     if total > min(limit, 10 ** 6):
         raise EnumerationGuardError("group of size %d exceeds guard" % total)
-    sols = [tmat_from_scalars(field, k, g) for g in base]
-    Qr = tmat_from_scalars(field, k, Q)
+    R = TruncRing(field, k)
+    sols = [la.change_ring(R, g) for g in base]
+    Qr = la.change_ring(R, Q)
     for layer in range(1, k):
         nxt = []
         for g in sols:
@@ -963,25 +939,24 @@ def random_orthogonal_ring(space, rng):
     """Random element of O(V)(R_K): random reflections at the residue level
     composed with a ring Cayley transform of a t-divisible Lie element."""
     sp = space
-    field, V, K = sp.field, sp.V, sp.K
+    field, V, K, R = sp.field, sp.V, sp.K, sp.R
     d = V.dim
     g0 = la.identity(field, d)
     for _ in range(rng.randint(1, 3)):
         w = _random_anisotropic(field, V, rng)
         g0 = la.mat_mul(g0, _reflection(field, V.gram, w))
     basis = orthogonal_lie_basis(V)
-    S = tmat_zero(field, K, d, d)
+    S = la.zeros(R, d, d)
     for s in range(1, K):
         for B in basis:
             c = field.random(rng, 2)
             if c:
                 S = _add_layer(S, la.scal_mul(c, B), s)
-    half = TruncPoly(field, [field(1) / field(2)], K)
-    I = tmat_identity(field, K, d)
-    A = [[half * S[r][c] for c in range(d)] for r in range(d)]
-    cay = tmat_mul(tmat_add(I, A), tmat_inverse(tmat_sub(I, A)))
-    g = tmat_mul(tmat_from_scalars(field, K, g0), cay)
-    if not _is_ring_orthogonal(g, tmat_from_scalars(field, K, V.gram)):
+    A = la.scal_mul(R(field(1) / field(2)), S)
+    I = la.identity(R, d)
+    cay = la.mat_mul(la.mat_add(I, A), la.inverse(R, la.mat_sub(I, A)))
+    g = la.mat_mul(la.change_ring(R, g0), cay)
+    if not _is_ring_orthogonal(g, la.change_ring(R, V.gram)):
         raise RuntimeError("random orthogonal sample failed the form identity")
     return g
 

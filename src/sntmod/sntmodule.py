@@ -19,7 +19,7 @@ import os
 
 from . import linalg as la
 from .fields import PrimeField
-from .tpoly import TruncPoly, smith_form_t, smith_divisors, tmat_inverse
+from .tpoly import TruncPoly, TruncRing, smith_form_t, smith_divisors
 
 DEFAULT_ENUM_GUARD = 10 ** 7
 
@@ -352,7 +352,7 @@ def quasi_basis(field, T, K, generators, require_stable=True):
                 for i in range(r)] for vec in rel]
         U, D, V = smith_form_t(lam)
         orders = smith_divisors(D, ncols=r)
-        Vinv = tmat_inverse(V)
+        Vinv = la.inverse(TruncRing(field, K), V)
     else:
         orders = [K] * r
         Vinv = None
@@ -364,12 +364,8 @@ def quasi_basis(field, T, K, generators, require_stable=True):
         if Vinv is None:
             h = gens[j]
         else:
-            h = [field.zero] * len(gens[0])
-            for i in range(r):
-                a = Vinv[j][i]
-                for s, c in enumerate(a.coeffs):
-                    if c:
-                        h = la.vec_add(h, la.vec_scale(c, dom[i * K + s]))
+            # row j of V⁻¹ over R_K, read in the F-basis t^s·gen_i of dom
+            h = la.vec_mat([c for a in Vinv[j] for c in a.coeffs], dom)
         quasi.append((d, h))
     quasi.sort(key=lambda p: -p[0])
     parts = [d for d, _ in quasi]
@@ -644,9 +640,7 @@ def rho_of(flag, U_rows):
         sol = la.solve(field, la.transpose([r[:d] for r in Umat]), list(w))
         if sol is None:
             raise RuntimeError("projection of U misses W")
-        lift_plus = [field.zero] * d
-        for c, u in zip(sol.particular, Umat):
-            lift_plus = la.vec_add(lift_plus, la.vec_scale(c, u[d:]))
+        lift_plus = la.vec_mat(sol.particular, [u[d:] for u in Umat])
         qsol = la.solve(field, la.transpose(quot_basis), lift_plus)
         rho.append(qsol.particular[:len(reps)])
     return W_sub, Wperp, reps, rho
@@ -655,24 +649,10 @@ def rho_of(flag, U_rows):
 def graph_of_rho(flag, W_sub, Wperp, reps, rho):
     """Rebuild the t-Lagrangian {w + rho(w) + W^⊥} in ambient coordinates."""
     field = flag.M.field
-    rows = []
-    for w, rcoef in zip(W_sub.span, rho):
-        v = [field.zero] * flag.M.dim
-        for c, m in zip(w, flag.minus):
-            v = la.vec_add(v, la.vec_scale(c, m))
-        plus = [field.zero] * (flag.M.dim // 2)
-        for c, rep in zip(rcoef, reps):
-            plus = la.vec_add(plus, la.vec_scale(c, rep))
-        amb_plus = [field.zero] * flag.M.dim
-        for c, p in zip(plus, flag.plus):
-            amb_plus = la.vec_add(amb_plus, la.vec_scale(c, p))
-        rows.append(la.vec_add(v, amb_plus))
-    for wp in Wperp:
-        v = [field.zero] * flag.M.dim
-        for c, p in zip(wp, flag.plus):
-            v = la.vec_add(v, la.vec_scale(c, p))
-        rows.append(v)
-    return la.rref_span(field, rows)
+    # rows in (M_-, M_+) coordinates: w + rho(w), then 0 + W^⊥
+    coords = [list(w) + la.vec_mat(rcoef, reps) for w, rcoef in zip(W_sub.span, rho)]
+    coords += [[field.zero] * len(flag.minus) + list(wp) for wp in Wperp]
+    return la.rref_span(field, la.mat_mul(coords, flag.minus + flag.plus))
 
 
 def self_dual_map_space_dim(flag, W_sub, Wperp, reps):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .sntmodule import EnumerationGuardError, standard_module, summand_offsets
-from .tpoly import TruncPoly, tmat_identity, tmat_mul, tmat_eq, tmat_transpose
+from .tpoly import TruncPoly, TruncRing
 
 
 class NotAMemberError(ValueError):
@@ -69,6 +69,7 @@ class HomogeneousRingIso:
         self.k = ks[0]
         self.n = len(ks)
         self.field = M.field
+        self.R = TruncRing(M.field, self.k)
         offs = summand_offsets(ks)
         # F-basis row index of t^s * eps_a
         self._row = {}
@@ -79,17 +80,16 @@ class HomogeneousRingIso:
 
     def ring_gram(self):
         """The R_k-valued symplectic gram on R_k^{2n} (pairs (2j-1, 2j))."""
-        f, k, n = self.field, self.k, self.n
-        J = [[TruncPoly.zero(f, k) for _ in range(2 * n)] for _ in range(2 * n)]
+        R, n = self.R, self.n
+        J = la.zeros(R, 2 * n, 2 * n)
         for j in range(n):
-            J[2 * j][2 * j + 1] = TruncPoly.one(f, k)
-            J[2 * j + 1][2 * j] = -TruncPoly.one(f, k)
+            J[2 * j][2 * j + 1] = R.one
+            J[2 * j + 1][2 * j] = -R.one
         return J
 
     def is_ring_member(self, ghat):
         J = self.ring_gram()
-        lhs = tmat_mul(tmat_mul(ghat, J), tmat_transpose(ghat))
-        return tmat_eq(lhs, J)
+        return la.mat_eq(la.mat_mul(la.mat_mul(ghat, J), la.transpose(ghat)), J)
 
     def from_ring(self, ghat):
         """F-matrix of the R_k-linear right action of ghat."""
@@ -174,6 +174,21 @@ def _levels(ks):
     return levels, mults
 
 
+def _level_layout(ks):
+    """(k, multiplicity, first row, generator rows) per homogeneous level of
+    the standard module of type ks.  A level owns the 2·k·multiplicity rows
+    from its first row on; its generator rows are the e1 and e2 rows of
+    each of its planes."""
+    levels, mults = _levels(ks)
+    offs = summand_offsets(ks)
+    out, pos = [], 0
+    for lv, m in zip(levels, mults):
+        gens = [r for off in offs[pos:pos + m] for r in (off, off + lv)]
+        out.append((lv, m, offs[pos], gens))
+        pos += m
+    return out
+
+
 def block_profile(M, g):
     """Block decomposition of a member over the homogeneous levels."""
     ks = M.partition
@@ -182,21 +197,8 @@ def block_profile(M, g):
     if not is_member(M, g):
         raise NotAMemberError("not an element of Sp(M,t)")
     field = M.field
-    levels, mults = _levels(ks)
-    offs = summand_offsets(ks)
-    # row indices and generator rows per level
-    lvl_rows, lvl_gens = [], []
-    pos = 0
-    for lv, m in zip(levels, mults):
-        rows, gens = [], []
-        for _ in range(m):
-            off = offs[pos]
-            rows.extend(range(off, off + 2 * lv))
-            gens.append(off)          # e1 generator row
-            gens.append(off + lv)     # e2 generator row
-            pos += 1
-        lvl_rows.append(rows)
-        lvl_gens.append(gens)
+    levels, mults, starts, lvl_gens = zip(*_level_layout(ks))
+    lvl_rows = [range(s, s + 2 * lv * m) for lv, m, s in zip(levels, mults, starts)]
     blocks = [[None] * len(levels) for _ in levels]
     reduced = [[None] * len(levels) for _ in levels]
     for i in range(len(levels)):
@@ -238,17 +240,7 @@ def radical_lie_basis(M):
     if ks is None:
         raise ValueError("radical_lie_basis needs a standard module")
     field, n = M.field, M.dim
-    levels, mults = _levels(ks)
-    offs = summand_offsets(ks)
-    gens, pos = [], 0
-    lvl_gens = []
-    for lv, m in zip(levels, mults):
-        g = []
-        for _ in range(m):
-            g.append(offs[pos])
-            g.append(offs[pos] + lv)
-            pos += 1
-        lvl_gens.append(g)
+    lvl_gens = [gens for _, _, _, gens in _level_layout(ks)]
     basis = lie_algebra_basis(M)
     if not basis:
         return []
@@ -311,18 +303,9 @@ def _level_submodule(M, level_index):
 
 def _embed_block(M, level_index, block):
     """Embed a level-block matrix as a block-diagonal member candidate."""
-    ks = M.partition
-    levels, mults = _levels(ks)
-    field = M.field
-    g = la.identity(field, M.dim)
-    offs = summand_offsets(ks)
-    pos = 0
-    start = None
-    for i, (lv, m) in enumerate(zip(levels, mults)):
-        if i == level_index:
-            start = offs[pos]
-        pos += m
-    size = 2 * levels[level_index] * mults[level_index]
+    lv, m, start, _ = _level_layout(M.partition)[level_index]
+    g = la.identity(M.field, M.dim)
+    size = 2 * lv * m
     for a in range(size):
         for b in range(size):
             g[start + a][start + b] = block[a][b]
@@ -338,15 +321,15 @@ def levi_transvection(M, level_index, v_coeffs, lam):
     """
     sub = _level_submodule(M, level_index)
     iso = HomogeneousRingIso(sub)
-    f, k, n2 = iso.field, iso.k, 2 * iso.n
+    R, n2 = iso.R, 2 * iso.n
     J = iso.ring_gram()
-    v = [TruncPoly(f, [f(c)], k) for c in v_coeffs]
-    ghat = tmat_identity(f, k, n2)
-    Jv = [sum((J[a][b] * v[b] for b in range(n2)), TruncPoly.zero(f, k))
-          for a in range(n2)]
+    v = [R(c) for c in v_coeffs]
+    ghat = la.identity(R, n2)
+    Jv = la.vec_mat(v, la.transpose(J))     # J·vᵀ
+    lam = iso.field(lam)
     for a in range(n2):
         for b in range(n2):
-            ghat[a][b] = ghat[a][b] + f(lam) * Jv[a] * v[b]
+            ghat[a][b] = ghat[a][b] + lam * Jv[a] * v[b]
     block = iso.from_ring(ghat)
     return _embed_block(M, level_index, block)
 
@@ -405,19 +388,14 @@ def sp_group_order(q, n, k=1):
 def sp_ring_generators(field, n, k):
     """Elementary generators of Sp_{2n}(R_k) (enough for closure tests)."""
     gens = []
+    R = TruncRing(field, k)
     if n == 1:
         for s in range(k):
-            for c in [field.one]:
-                for (i, j) in [(0, 1), (1, 0)]:
-                    g = tmat_identity(field, k, 2)
-                    g[i][j] = g[i][j] + TruncPoly(field, [field.zero] * s + [c], k)
-                    gens.append(g)
-        g = tmat_identity(field, k, 2)
-        g[0][0] = TruncPoly.zero(field, k)
-        g[1][1] = TruncPoly.zero(field, k)
-        g[0][1] = TruncPoly.one(field, k)
-        g[1][0] = -TruncPoly.one(field, k)
-        gens.append(g)
+            for (i, j) in [(0, 1), (1, 0)]:
+                g = la.identity(R, 2)
+                g[i][j] = R.one.shift(s)      # the transvection by t^s
+                gens.append(g)
+        gens.append([[R.zero, R.one], [-R.one, R.zero]])
         return gens
     raise NotImplementedError("ring generators implemented for n = 1")
 

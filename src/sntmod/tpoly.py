@@ -1,13 +1,16 @@
-"""Truncated polynomial rings R_K = F[t]/(t^K) and exact linear algebra over them.
+"""Truncated polynomial rings R_K = F[t]/(t^K).
 
 R_K is a local ring: every element is t^v · unit (v = t-adic valuation), so
 Gaussian elimination with unit pivots and a t-local Smith normal form are
 available.  A TruncPoly always carries exactly K coefficients; arithmetic
-silently truncates at t^K.
+silently truncates at t^K.  Matrices over R_K are handled by `linalg` with
+the ring descriptor `TruncRing(field, K)`; this module adds what needs
+valuations (the t-local Smith normal form) and the hashable matrix key
+`tmat_key` for group closures.
 """
 from __future__ import annotations
 
-from .linalg import rref as _rref, transpose as _transpose
+from .linalg import identity, mat_mul
 
 
 class NotAUnitError(ArithmeticError):
@@ -193,118 +196,34 @@ def tp(field, K, *coeffs):
     return TruncPoly(field, [field(c) for c in coeffs], K)
 
 
-# --------------------------------------------------------------------------
-# matrices over R_K (lists of lists of TruncPoly)
-# --------------------------------------------------------------------------
+class TruncRing:
+    """Descriptor for R_K = F[t]/(t^K), shaped like the field descriptors
+    (``zero``, ``one``, ``__call__``, ``is_unit``) so that every `linalg`
+    routine runs over it."""
 
-def tmat_zero(field, K, r, c):
-    z = TruncPoly.zero(field, K)
-    return [[z for _ in range(c)] for _ in range(r)]
+    is_unit = staticmethod(TruncPoly.is_unit)
 
+    def __init__(self, field, K):
+        self.field = field
+        self.K = K
+        self.zero = TruncPoly.zero(field, K)
+        self.one = TruncPoly.one(field, K)
 
-def tmat_identity(field, K, n):
-    z = TruncPoly.zero(field, K)
-    o = TruncPoly.one(field, K)
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+    def __call__(self, c):
+        """The constant polynomial c."""
+        return TruncPoly(self.field, [self.field(c)], self.K)
 
-
-def tmat_from_scalars(field, K, A):
-    """Lift a field-scalar matrix to constant polynomials."""
-    return [[TruncPoly(field, [x], K) for x in row] for row in A]
-
-
-def tmat_mul(A, B):
-    Bt = _transpose(B)
-    out = []
-    for row in A:
-        new = []
-        for col in Bt:
-            acc = row[0] * col[0]
-            for a, b in zip(row[1:], col[1:]):
-                acc = acc + a * b
-            new.append(acc)
-        out.append(new)
-    return out
+    def __repr__(self):
+        return "TruncRing(%r, %d)" % (self.field, self.K)
 
 
-def tmat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def tmat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def tmat_transpose(A):
-    return _transpose(A)
-
-
-def tmat_eq(A, B):
-    return len(A) == len(B) and all(
-        all(a == b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+# the product that callers pass to `spgroup.group_closure` with `tmat_key`
+tmat_mul = mat_mul
 
 
 def tmat_key(A):
-    """Hashable key (used for group closures)."""
+    """Hashable key of a matrix over R_K (used for group closures)."""
     return tuple(tuple(x.coeffs for x in row) for row in A)
-
-
-def tvec_mat(v, A):
-    At = _transpose(A)
-    out = []
-    for col in At:
-        acc = v[0] * col[0]
-        for a, b in zip(v[1:], col[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return out
-
-
-def tmat_inverse(A):
-    """Inverse over R_K via Gauss-Jordan with unit pivots.
-
-    A square matrix over the local ring is invertible iff its reduction
-    mod t is invertible; raises NotAUnitError otherwise.
-    """
-    n = len(A)
-    if n == 0:
-        return []
-    field, K = A[0][0].field, A[0][0].prec
-    I = tmat_identity(field, K, n)
-    R, pivots = _rref(field, [row[:] + I[i] for i, row in enumerate(A)],
-                      TruncPoly.is_unit)
-    if pivots != list(range(n)):
-        raise NotAUnitError("matrix not invertible over the truncated ring")
-    return [row[n:] for row in R]
-
-
-def tmat_solve_right(A, b):
-    """One solution y of A yᵀ = b over R_K, or None.
-
-    Elimination uses unit pivots only; sufficient whenever the reduction of
-    A mod t has full row rank (the only case the package needs).
-    """
-    nr = len(A)
-    if nr == 0:
-        return []
-    nc = len(A[0])
-    field, K = A[0][0].field, A[0][0].prec
-    R, pivots = _rref(field, [A[i][:] + [b[i]] for i in range(nr)],
-                      TruncPoly.is_unit)
-    if nc in pivots:
-        return None
-    z = TruncPoly.zero(field, K)
-    y = [z] * nc
-    for rr, c in enumerate(pivots):
-        y[c] = R[rr][nc]
-    # consistency check
-    for i in range(nr):
-        acc = z
-        for j in range(nc):
-            acc = acc + A[i][j] * y[j]
-        if acc != b[i]:
-            return None
-    return y
 
 
 def smith_form_t(A):
@@ -319,10 +238,11 @@ def smith_form_t(A):
     nc = len(A[0]) if nr else 0
     if nr == 0 or nc == 0:
         return [], [row[:] for row in A], []
-    field, K = A[0][0].field, A[0][0].prec
+    R = TruncRing(A[0][0].field, A[0][0].prec)
+    K = R.K
     D = [row[:] for row in A]
-    U = tmat_identity(field, K, nr)
-    V = tmat_identity(field, K, nc)
+    U = identity(R, nr)
+    V = identity(R, nc)
     for s in range(min(nr, nc)):
         best, bv = None, K
         for i in range(s, nr):

@@ -19,7 +19,7 @@ from sntmod.sntmodule import (LagrangianFlag, SntModule, decompose,
                               self_dual_map_space_dim, standard_module)
 from sntmod.spgroup import (block_profile, group_closure, random_element,
                             sp_group_order, sp_ring_generators)
-from sntmod.tpoly import TruncPoly, tmat_key, tmat_mul
+from sntmod.tpoly import TruncPoly, tmat_key
 
 F3, F5 = GF(3), GF(5)
 
@@ -84,7 +84,7 @@ def test_criterion_2_sp_structure():
             assert bp.upper_triangular_ok(), "triangularity failed"
             assert bp.diagonal_symplectic_ok(), "residue symplectic failed"
     gens = sp_ring_generators(F3, 1, 2)
-    grp = group_closure(gens, tmat_mul, tmat_key, 10 ** 4)
+    grp = group_closure(gens, la.mat_mul, tmat_key, 10 ** 4)
     assert len(grp) == 648 == sp_group_order(3, 1, 2) == 24 * 3 ** 3
     _report("criterion 2 (Sp(M,t) structure, 500 samples + closure 648)",
             time.time() - t0, 60)

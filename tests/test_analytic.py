@@ -12,6 +12,7 @@ from sntmod.analytic import (AUT_E8, IntegralLattice, SiegelPoint,
                              primitive_counts, sigma_power, theta_basic,
                              theta_colinear, theta_colinear_direct,
                              verify_identity)
+from sntmod.sntmodule import EnumerationGuardError
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,15 @@ def test_vectors_by_norm(E8):
     coords, norms = E8.vectors_by_norm(2)
     assert len(coords) == 241
     assert sorted(set(int(n) for n in norms)) == [0, 2]
+
+
+def test_enumeration_guard_before_allocation(monkeypatch):
+    # 1 + 240 + 2160 = 2401 vectors of norm <= 4; the guard caps each level
+    monkeypatch.setenv("SNT_MAX_ENUM", "1000")
+    with pytest.raises(EnumerationGuardError):
+        e8().counts_by_norm(4)
+    monkeypatch.setenv("SNT_MAX_ENUM", "2401")
+    assert sum(e8().counts_by_norm(4)) == 2401
 
 
 # --------------------------------------------------------------------------

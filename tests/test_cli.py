@@ -174,6 +174,21 @@ def test_verify_sw_bad_tolerance_is_input_error(tol, capsys):
     assert data["checks"][0]["name"] == "setup"
 
 
+def test_verify_sw_small_im_tau_is_truncation(capsys):
+    # |q| = exp(-2 pi 0.02) > 0.5: the q-expansion cannot be certified
+    code, data = _run_json(["verify-sw", "--tau11", "0.02i",
+                            "--tau22", "0.02i"], capsys)
+    assert code == 4
+    assert data["checks"][-1]["status"] == "error"
+
+
+def test_verify_sw_enumeration_guard(capsys, monkeypatch):
+    monkeypatch.setenv("SNT_MAX_ENUM", "1000")
+    code, data = _run_json(["verify-sw"], capsys)
+    assert code == 3
+    assert data["checks"][-1]["name"] == "guard"
+
+
 def test_verify_sw_gram_file(tmp_path, capsys):
     from sntmod.analytic import _E8_GRAM
     path = str(tmp_path / "e8.json")

@@ -16,7 +16,7 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            witt_extend_field, witt_lift)
 from sntmod.orbits import _is_primitive_tuple
 from sntmod.sntmodule import quasi_basis
-from sntmod.tpoly import TruncPoly, tp, tvec_mat
+from sntmod.tpoly import TruncPoly, tp
 
 F3 = GF(3)
 F5 = GF(5)
@@ -154,7 +154,7 @@ def _direct_t_sym_full(sp, x, W):
         u[r] = field.one
         a.append(module_coords(field, sp.t_minus, sp.K, W.quasi, ks, u))
     # symmetric coefficient matrix M_{ij} = sum_{r,s} (v_r, v_s) a_ri a_sj
-    Mco = [[TruncPoly.zero(field, sp.K) for _ in range(m)] for _ in range(m)]
+    Mco = la.zeros(sp.R, m, m)
     for r in range(sp.d):
         for s in range(sp.d):
             pr = la.bilinear(x.coords[r], sp.V.gram, x.coords[s])
@@ -282,7 +282,7 @@ def test_extend_identity_case():
     sp = TensorSpace(QQ, (2,), hyperbolic_plane(QQ))
     a = tvec(QQ, 2, [1], [1])
     g = extend_isometry(sp, [a], [list(a)])
-    assert tvec_mat(a, g) == a
+    assert la.vec_mat(a, g) == a
 
 
 def test_extend_reflection_case():
@@ -293,7 +293,7 @@ def test_extend_reflection_case():
     g = extend_isometry(sp, [a], [b])
     g0 = [[c.coeffs[0] for c in row] for row in g]
     assert la.mat_eq(la.mat_mul(la.mat_mul(g0, V.gram), la.transpose(g0)), V.gram)
-    assert tvec_mat(a, g) == b
+    assert la.vec_mat(a, g) == b
 
 
 def test_extend_mismatch_rejected():
@@ -312,10 +312,10 @@ def test_extend_composite_f3():
         g0 = random_orthogonal_ring(sp, rng)
         m = rng.choice([1, 2])
         avecs = random_primitive_tuple(sp, m, rng)
-        bvecs = [tvec_mat(a, g0) for a in avecs]
+        bvecs = [la.vec_mat(a, g0) for a in avecs]
         g = extend_isometry(sp, avecs, bvecs)
         for a, b in zip(avecs, bvecs):
-            assert tvec_mat(a, g) == b
+            assert la.vec_mat(a, g) == b
 
 
 def test_witt_extend_field_isotropic_radical():

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sntmod import linalg as la
 from sntmod.fields import QQ, GF, CharacteristicTwoError
-from sntmod.tpoly import (NotAUnitError, TruncPoly, smith_divisors,
-                          smith_form_t, tmat_identity, tmat_inverse, tmat_mul,
-                          tmat_eq, tmat_solve_right, tp)
+from sntmod.tpoly import (NotAUnitError, TruncPoly, TruncRing, smith_divisors,
+                          smith_form_t, tp)
 
 F5 = GF(5)
 F3 = GF(3)
@@ -204,9 +203,9 @@ def _random_invertible_tmat(field, rng, n, K):
     while True:
         A = _random_tmat(field, rng, n, n, K)
         try:
-            tmat_inverse(A)
+            la.inverse(TruncRing(field, K), A)
             return A
-        except NotAUnitError:
+        except ValueError:
             continue
 
 
@@ -215,10 +214,10 @@ def test_smith_multiply_back_oracle():
     for _ in range(25):
         A = _random_tmat(F3, rng, 3, 3, 3)
         U, D, V = smith_form_t(A)
-        assert tmat_eq(tmat_mul(tmat_mul(U, A), V), D)
+        assert la.mat_eq(la.mat_mul(la.mat_mul(U, A), V), D)
         # U, V invertible over the ring
-        tmat_inverse(U)
-        tmat_inverse(V)
+        la.inverse(TruncRing(F3, 3), U)
+        la.inverse(TruncRing(F3, 3), V)
         divs = smith_divisors(D)
         assert divs == sorted(divs)
         # off-diagonal zero
@@ -236,14 +235,29 @@ def test_smith_divisors_invariant_under_units():
         base = smith_divisors(D, 4)
         L = _random_invertible_tmat(F3, rng, 3, 3)
         R = _random_invertible_tmat(F3, rng, 4, 3)
-        _, D2, _ = smith_form_t(tmat_mul(tmat_mul(L, A), R))
+        _, D2, _ = smith_form_t(la.mat_mul(la.mat_mul(L, A), R))
         assert smith_divisors(D2, 4) == base
 
 
 def test_tmat_inverse_roundtrip():
     rng = random.Random(13)
+    R = TruncRing(F5, 3)
     A = _random_invertible_tmat(F5, rng, 4, 3)
-    assert tmat_eq(tmat_mul(A, tmat_inverse(A)), tmat_identity(F5, 3, 4))
+    assert la.mat_eq(la.mat_mul(A, la.inverse(R, A)), la.identity(R, 4))
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "QQ"])
+def test_ring_inverse_rejects_singular_reduction(field):
+    # t·I and a unit matrix with one row a multiple of t are invertible over
+    # F but not over F[t]/(t^3): their reductions mod t are singular
+    R = TruncRing(field, 3)
+    t = TruncPoly.t(field, 3)
+    with pytest.raises(ValueError):
+        la.inverse(R, la.scal_mul(t, la.identity(R, 3)))
+    A = la.identity(R, 3)
+    A[2] = [t, t * t, t + t]
+    with pytest.raises(ValueError):
+        la.inverse(R, A)
 
 
 def _random_full_row_rank_tmat(field, rng, r, c, K):
@@ -257,6 +271,7 @@ def _random_full_row_rank_tmat(field, rng, r, c, K):
 @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "QQ"])
 def test_tmat_solve_right_unit_pivots(field):
     rng = random.Random(21)
+    R = TruncRing(field, 3)
     t = TruncPoly.t(field, 3)
     for _ in range(8):
         r = rng.randint(1, 3)
@@ -264,13 +279,20 @@ def test_tmat_solve_right_unit_pivots(field):
         A = _random_full_row_rank_tmat(field, rng, r, c, 3)
         b = [TruncPoly(field, [field.random(rng) for _ in range(3)])
              for _ in range(r)]
-        y = tmat_solve_right(A, b)
-        assert y is not None
-        assert tmat_eq(tmat_mul(A, [[v] for v in y]), [[v] for v in b])
+        sol = la.solve(R, A, b)
+        assert sol is not None
+        y = sol.particular
+        assert la.mat_eq(la.mat_mul(A, [[v] for v in y]), [[v] for v in b])
         # t·(row 0) · yᵀ lies in (t), so it never equals the unit t·b_0 + 1
         A_bad = A + [[t * x for x in A[0]]]
         b_bad = b + [t * b[0] + 1]
-        assert tmat_solve_right(A_bad, b_bad) is None
+        assert la.solve(R, A_bad, b_bad) is None
+        # an inconsistency of positive valuation is no unit pivot: the
+        # returned vector fails A·yᵀ = b, which callers must check
+        b_bad = b + [t * b[0] + t * t]
+        y = la.solve(R, A_bad, b_bad).particular
+        assert not la.mat_eq(la.mat_mul(A_bad, [[v] for v in y]),
+                             [[v] for v in b_bad])
 
 
 def test_solve_dimension_mismatch():
