@@ -10,7 +10,8 @@ Exit codes form a stable contract:
     4  truncation target unreachable
 
 `--json` switches to machine-readable reports; SNT_MAX_ENUM overrides the
-enumeration guards.
+enumeration guards, and a value that is not a non-negative integer is an
+input error.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .fields import QQ, GF
 from .orbits import (EnumerationGuardError, OrthSpace, TensorSpace,
                      brute_force_orbits, invariant_partition, orbit_invariant,
                      same_orbit, transport)
-from .sntmodule import decompose, standard_module
+from .sntmodule import decompose, enum_guard_limit, standard_module
 
 
 @dataclass
@@ -84,7 +85,7 @@ def _input_stage(check):
     """Turn a malformed input met inside the block into an InputError."""
     try:
         yield
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError) as exc:
         raise InputError(check, message=str(exc)) from exc
 
 
@@ -217,6 +218,7 @@ def cmd_gen_fixtures(args, report):
     dump("h2h1_module.json", module_to_json(M))
     corrupted = module_to_json(M)
     corrupted["gram"][0][0] = "1"
+    del corrupted["partition"]   # no longer the standard module's gram
     dump("corrupted_gram.json", corrupted)
     # base-changed module with planted partition recorded in the metadata
     ks = (3, 1)
@@ -300,6 +302,8 @@ def main(argv=None):
     report = RunReport(args.command, {})
     t0 = time.time()
     try:
+        with _input_stage("environment"):
+            enum_guard_limit()
         code = args.func(args, report)
     except InputError as exc:
         report.add(exc.check, "error", **exc.details)

@@ -6,6 +6,9 @@ F[t]/(t^K)) supplies ``zero``, ``one``, element construction and the pivot
 test ``is_unit``; the arithmetic itself goes through the elements' operators.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
+Powers of a nilpotent t come from two primitives: `nilpotent_powers` for
+the whole matrix powers I, A, A², … and `t_chain` for the chain v, vA,
+vA², … of one vector.
 Every routine here is exact — no pivoting heuristics beyond "first unit"
 (first nonzero entry over a field).  Over F[t]/(t^K) elimination with unit
 pivots is complete for square invertible matrices (`inverse`) but not for
@@ -113,6 +116,20 @@ def nilpotent_powers(field, A):
             raise ValueError("matrix is not nilpotent")
         out.append(P)
         P = mat_mul(P, A)
+    return out
+
+
+def t_chain(A, v):
+    """[v, vA, vA², ...] up to the last nonzero vector; [] for v = 0.
+
+    Raises ValueError when vA^n != 0 for n = len(A) (A is not nilpotent).
+    """
+    out, v = [], list(v)
+    while any(v):
+        if len(out) == len(A):
+            raise ValueError("matrix is not nilpotent")
+        out.append(v)
+        v = vec_mat(v, A)
     return out
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import linalg as la
 from .fields import PrimeField
 from .sntmodule import (EnumerationGuardError, enum_guard_limit,
-                        quasi_basis, module_coords)
+                        module_coords, padded_chain, quasi_basis)
 from .tpoly import TruncPoly, TruncRing
 
 
@@ -96,7 +96,6 @@ class TensorSpace:
             for s in range(k - 1):
                 T[o + s][o + s + 1] = field.one
         self.t_minus = T
-        self.t_powers = la.nilpotent_powers(field, T)   # I, t, ..., t^{K-1}
 
     @classmethod
     def from_flag(cls, flag, V):
@@ -108,18 +107,11 @@ class TensorSpace:
         element sum_r (minus_r) ⊗ v_r with M_- coordinate matrix X becomes
         space.element(transpose(inverse(chain_rows)) · X).
         """
-        from .sntmodule import quasi_basis as _qb
         field = flag.M.field
         Tm = flag.t_on_minus()
         d = flag.M.dim // 2
-        sub = _qb(field, Tm, flag.M.K, la.identity(field, d))
-        chain_rows = []
-        for h, k in zip(sub.quasi, sub.partition):
-            v = list(h)
-            chain_rows.append(v)
-            for _ in range(k - 1):
-                v = la.vec_mat(v, Tm)
-                chain_rows.append(v)
+        sub = quasi_basis(field, Tm, flag.M.K, la.identity(field, d))
+        chain_rows = [v for h in sub.quasi for v in la.t_chain(Tm, h)]
         space = cls(field, sub.partition, V)
         return space, chain_rows
 
@@ -150,13 +142,12 @@ class TensorSpace:
                                      for _ in range(self.V.dim)]
                                     for _ in range(self.d)])
 
-    def all_elements(self, guard=None):
+    def all_elements(self):
         if not isinstance(self.field, PrimeField):
             raise ValueError("exhaustive element lists need a finite field")
-        limit = guard if guard is not None else enum_guard_limit()
         q = self.field.p
         total = q ** (self.d * self.V.dim)
-        if total > min(limit, 10 ** 6):
+        if total > enum_guard_limit():
             raise EnumerationGuardError("element space of size %d exceeds guard" % total)
         elems = list(self.field.elements())
         cells = self.d * self.V.dim
@@ -243,7 +234,8 @@ def f_matrix(x):
     sp = x.space
     CQ = la.mat_mul(x.coords, sp.V.gram)     # (d x dimV): column l = f-image data
     base = la.transpose(CQ)                  # rows indexed by l
-    return [la.vec_mat(base[l], P) for l in range(sp.V.dim) for P in sp.t_powers]
+    return [row for l in range(sp.V.dim)
+            for row in padded_chain(sp.field, sp.t_minus, base[l], sp.K)]
 
 
 def image_of(x):
@@ -311,10 +303,10 @@ def normal_form(x, W=None):
     # exact reconstruction check
     rebuilt = sp.from_pairs([]).coords
     for e, w in zip(e_rows, ws):
+        chain = la.t_chain(sp.t_minus, e)
         for l in range(sp.V.dim):
-            for s, c in enumerate(w[l].coeffs):
+            for ev, c in zip(chain, w[l].coeffs):
                 if c:
-                    ev = la.vec_mat(list(e), sp.t_powers[s])
                     for r in range(sp.d):
                         if ev[r]:
                             rebuilt[r][l] = rebuilt[r][l] + ev[r] * c
@@ -859,12 +851,12 @@ def is_submersive(x, W=None):
 # brute-force oracle over finite fields
 # --------------------------------------------------------------------------
 
-def orthogonal_group_ring(V, k, guard=None):
+def orthogonal_group_ring(V, k):
     """All of O(V)(F_q[t]/(t^k)) by kernel lifting through t-adic layers."""
     field = V.field
     if not isinstance(field, PrimeField):
         raise ValueError("group enumeration needs a finite field")
-    limit = guard if guard is not None else enum_guard_limit()
+    limit = enum_guard_limit()
     q, d = field.p, V.dim
     if q ** (d * d) > limit:
         raise EnumerationGuardError("level-0 scan of size %d exceeds guard" % q ** (d * d))
@@ -877,7 +869,7 @@ def orthogonal_group_ring(V, k, guard=None):
             base.append(g)
     skew_dim = d * (d - 1) // 2
     total = len(base) * q ** ((k - 1) * skew_dim)
-    if total > min(limit, 10 ** 6):
+    if total > limit:
         raise EnumerationGuardError("group of size %d exceeds guard" % total)
     R = TruncRing(field, k)
     sols = [la.change_ring(R, g) for g in base]
@@ -895,16 +887,16 @@ def orthogonal_group_ring(V, k, guard=None):
     return sols
 
 
-def brute_force_orbits(space, guard=None):
+def brute_force_orbits(space):
     """Exact orbit partition of M_- ⊗ V under O(V)(F_q[t]/(t^K)).
 
     Returns a list of frozensets of coordinate keys.
     """
     sp = space
-    group = orthogonal_group_ring(sp.V, sp.K, guard)
+    group = orthogonal_group_ring(sp.V, sp.K)
     seen = set()
     orbits = []
-    for x in sp.all_elements(guard):
+    for x in sp.all_elements():
         kx = x.key()
         if kx in seen:
             continue
@@ -916,11 +908,11 @@ def brute_force_orbits(space, guard=None):
     return orbits
 
 
-def invariant_partition(space, guard=None):
+def invariant_partition(space):
     """Partition of all elements by the orbit invariant (W, i)."""
     sp = space
     classes = {}
-    for x in sp.all_elements(guard):
+    for x in sp.all_elements():
         inv = orbit_invariant(x)
         classes.setdefault(inv, set()).add(x.key())
     return {inv: frozenset(v) for inv, v in classes.items()}

@@ -9,7 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fields import QQ, GF, FpElement, PrimeField, RationalField
-from .sntmodule import SntModule
+from .linalg import mat_eq
+from .sntmodule import SntModule, standard_module
 from .tpoly import TruncPoly
 
 
@@ -63,10 +64,6 @@ def matrix_from_json(field, rows):
     return [[scalar_from_str(field, x) for x in row] for row in rows]
 
 
-def vector_from_json(field, row):
-    return [scalar_from_str(field, x) for x in row]
-
-
 def tpoly_to_json(p):
     return [scalar_to_str(c) for c in p.coeffs]
 
@@ -93,7 +90,15 @@ def module_from_json(obj):
     field = field_from_json(obj["field"])
     T = matrix_from_json(field, obj["t_action"])
     G = matrix_from_json(field, obj["gram"])
-    part = tuple(obj["partition"]) if "partition" in obj else None
+    part = None
+    if "partition" in obj:
+        # a claimed partition must give exactly the standard module's matrices
+        part = tuple(int(k) for k in obj["partition"])
+        std = standard_module(field, part) if part and min(part) >= 1 \
+            and 2 * sum(part) == len(T) else None
+        if std is None or not (mat_eq(T, std.t) and mat_eq(G, std.gram)):
+            raise ValueError("t_action and gram are not those of the standard "
+                             "module of partition %r" % (list(part),))
     return SntModule(field, T, G, partition=part)
 
 

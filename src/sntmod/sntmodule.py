@@ -33,15 +33,23 @@ class EnumerationGuardError(RuntimeError):
 
 
 def enum_guard_limit():
+    """SNT_MAX_ENUM if set, else the default; ValueError unless it is a
+    non-negative integer."""
     v = os.environ.get("SNT_MAX_ENUM")
-    return int(v) if v else DEFAULT_ENUM_GUARD
+    if not v:
+        return DEFAULT_ENUM_GUARD
+    if not v.strip().isdecimal():
+        raise ValueError("SNT_MAX_ENUM must be a non-negative integer, got %r" % v)
+    return int(v)
 
 
 class SntModule:
     """dim x dim data (t_action, gram) over a field descriptor.
 
     Values are immutable by convention: no method mutates the matrices, so
-    instances may be shared freely across threads.
+    instances may be shared freely across threads.  Two derived values are
+    cached on first use: the nilpotency degree `K` and the radical Lie
+    basis that `spgroup.random_element` samples from.
     """
 
     def __init__(self, field, t_action, gram, partition=None):
@@ -55,6 +63,7 @@ class SntModule:
         # set when the module was assembled from standard planes
         self.partition = tuple(partition) if partition is not None else None
         self._K = None
+        self._radical_cache = None
 
     # -- basic pairing / action --------------------------------------------
     def pair(self, x, y):
@@ -74,15 +83,7 @@ class SntModule:
 
     def element_order(self, x):
         """Least k with x·t^k = 0; the zero vector has order 0."""
-        if not any(bool(c) for c in x):
-            return 0
-        k = 0
-        while any(bool(c) for c in x):
-            x = self.apply_t(x)
-            k += 1
-            if k > self.dim:
-                raise ValueError("t_action is not nilpotent")
-        return k
+        return len(la.t_chain(self.t, x))
 
     def validate(self):
         """Return the list of violated invariants (empty = valid)."""
@@ -92,9 +93,7 @@ class SntModule:
             bad.append("not alternating")
         if any(bool(G[i][i]) for i in range(n)):
             bad.append("nonzero diagonal in gram")
-        try:
-            la.inverse(self.field, G)
-        except ValueError:
+        if la.rank(self.field, G) < n:
             bad.append("degenerate gram")
         try:
             la.nilpotent_powers(self.field, T)
@@ -172,50 +171,6 @@ def summand_offsets(ks):
 # structure decomposition
 # --------------------------------------------------------------------------
 
-def _max_order_chain(field, T):
-    """The t-chain xi, t xi, ..., t^{N-1} xi of the first basis vector xi of
-    maximal order N (the nilpotency index of T).
-
-    A basis vector always attains the maximal order: t^{N-1} != 0 has a
-    nonzero row, and that row is t^{N-1} e_i.
-    """
-    powers = la.nilpotent_powers(field, T)
-    i = next(i for i, row in enumerate(powers[-1]) if any(bool(c) for c in row))
-    return [P[i][:] for P in powers]
-
-
-def _decompose_rec(field, T, G):
-    """List of (N, chain1 rows, chain2 rows) in the current coordinates."""
-    n = len(T)
-    if n == 0:
-        return []
-    chain1 = _max_order_chain(field, T)
-    N = len(chain1)
-    # eta with <t^{N-1} xi, eta> = 1 and <t^j xi, eta> = 0 for j < N-1
-    rows = [la.vec_mat(v, G) for v in chain1]
-    target = [field.zero] * N
-    target[N - 1] = field.one
-    sol = la.solve(field, rows, target)
-    if sol is None:
-        raise ValueError("gram is degenerate on a t-cyclic subspace")
-    eta = sol.particular
-    chain2 = [eta]
-    for _ in range(N - 1):
-        chain2.append(la.vec_mat(chain2[-1], T))
-    H = chain1 + chain2
-    # orthogonal complement of H
-    perp = la.right_kernel(field, la.mat_mul(H, G))
-    if perp:
-        Tr = _restrict(field, T, perp)
-        Gr = la.mat_mul(la.mat_mul(perp, G), la.transpose(perp))
-        rest = _decompose_rec(field, Tr, Gr)
-        lifted = [(k, la.mat_mul(c1, perp), la.mat_mul(c2, perp))
-                  for (k, c1, c2) in rest]
-    else:
-        lifted = []
-    return [(N, chain1, chain2)] + lifted
-
-
 def _restrict(field, T, basis_rows):
     """Matrix of T restricted to the span of basis_rows, in those coordinates."""
     out = []
@@ -242,7 +197,25 @@ def decompose(M, seed=0):
     bad = M.validate()
     if bad:
         raise ValueError("invalid snt-module: " + ", ".join(bad))
-    parts = _decompose_rec(M.field, M.t, M.gram)
+    field, T, G = M.field, M.t, M.gram
+    C = M.basis()   # basis of the complement of the planes found so far
+    parts = []
+    while C:
+        # C spans a t-stable subspace, so one of its rows attains the
+        # maximal order N there: t^(N-1) restricted to it has a nonzero row
+        chain1 = max((la.t_chain(T, c) for c in C), key=len)
+        N = len(chain1)
+        # eta in span C with <t^{N-1} xi, eta> = 1, <t^j xi, eta> = 0 for j < N-1
+        GCt = la.mat_mul(G, la.transpose(C))
+        target = [field.zero] * N
+        target[N - 1] = field.one
+        sol = la.solve(field, la.mat_mul(chain1, GCt), target)
+        if sol is None:
+            raise ValueError("gram is degenerate on a t-cyclic subspace")
+        chain2 = la.t_chain(T, la.vec_mat(sol.particular, C))
+        # orthogonal complement of the new plane inside span C
+        C = la.mat_mul(la.right_kernel(field, la.mat_mul(chain1 + chain2, GCt)), C)
+        parts.append((N, chain1, chain2))
     parts.sort(key=lambda p: -p[0])
     ks = tuple(p[0] for p in parts)
     B = []
@@ -310,42 +283,30 @@ class SntSubmodule:
         return "SntSubmodule(type=%r, dim=%d)" % (self.partition, self.dim)
 
 
-def _t_closure(field, T, rows):
-    cur = la.rref_span(field, rows)
-    while True:
-        ext = [list(r) for r in cur] + [la.vec_mat(list(r), T) for r in cur]
-        nxt = la.rref_span(field, ext)
-        if nxt == cur:
-            return cur
-        cur = nxt
+def padded_chain(field, T, v, k):
+    """The t-chain v, vT, vT², ... cut or zero-padded to exactly k rows."""
+    chain = la.t_chain(T, v)[:k]
+    return chain + [[field.zero] * len(v)] * (k - len(chain))
 
 
-def quasi_basis(field, T, K, generators, require_stable=True):
+def quasi_basis(field, T, K, generators):
     """Extract a quasi-basis of the F[t]-span of `generators`.
 
     T is the ambient t-action and K a precision with t^K = 0.  Returns an
     SntSubmodule whose `quasi` rows have orders k_1 >= ... >= k_m; its
-    cardinality equals dim(span / t·span).  Raises NotTStableError when
-    `require_stable` and the plain linear span is not t-stable.
+    cardinality equals dim(span / t·span).  Raises NotTStableError when the
+    plain linear span is not t-stable.
     """
     span = la.rref_span(field, [list(g) for g in generators])
-    if require_stable:
-        for r in span:
-            if not la.in_span(field, span, la.vec_mat(list(r), T)):
-                raise NotTStableError("generators span a non-t-stable subspace")
-    else:
-        span = _t_closure(field, T, span)
+    for r in span:
+        if not la.in_span(field, span, la.vec_mat(list(r), T)):
+            raise NotTStableError("generators span a non-t-stable subspace")
     if not span:
         return SntSubmodule(field, (), [], ())
     gens = [list(r) for r in span]
     r = len(gens)
     # presentation R_K^r -> span; F-basis of the domain indexed by (i, s)
-    powers = la.nilpotent_powers(field, T)[:K]
-    dom = []
-    for v in gens:
-        dom.append(v)
-        dom.extend(la.vec_mat(v, P) for P in powers[1:])
-        dom.extend([[field.zero] * len(v)] * (K - len(powers)))
+    dom = [row for v in gens for row in padded_chain(field, T, v, K)]
     rel = la.right_kernel(field, la.transpose(dom))
     if rel:
         lam = [[TruncPoly(field, [vec[i * K + s] for s in range(K)])
@@ -383,14 +344,8 @@ def _check_quasi(field, T, sub):
         raise RuntimeError("quasi-basis has wrong cardinality")
     # orders are exact
     for k, h in zip(sub.partition, sub.quasi):
-        v = list(h)
-        for _ in range(k - 1):
-            v = la.vec_mat(v, T)
-        if not any(bool(c) for c in v):
-            raise RuntimeError("quasi-basis order too small")
-        v = la.vec_mat(v, T)
-        if any(bool(c) for c in v):
-            raise RuntimeError("quasi-basis order too large")
+        if len(la.t_chain(T, h)) != k:
+            raise RuntimeError("quasi-basis row has the wrong order")
     # residues independent mod t·span
     if sub.quasi:
         base = [list(r) for r in tspan]
@@ -404,11 +359,8 @@ def module_coords(field, T, K, quasi_rows, orders, v):
     Returns a list of TruncPoly (precision K, reduced mod t^{k_i}), or None
     if v is not in the submodule.
     """
-    powers = la.nilpotent_powers(field, T)
-    cols = []
-    for i, e in enumerate(quasi_rows):
-        for s in range(orders[i]):
-            cols.append(la.vec_mat(list(e), powers[s]))
+    cols = [row for e, k in zip(quasi_rows, orders)
+            for row in padded_chain(field, T, e, k)]
     if not cols:
         return None if any(bool(c) for c in v) else []
     sol = la.solve(field, la.transpose(cols), list(v))
@@ -468,14 +420,6 @@ def standard_t_lagrangian(M, indices):
     return rows
 
 
-def all_standard_t_lagrangians(M):
-    ks = M.partition
-    out = []
-    for idx in itertools.product(*[range(k) for k in ks]):
-        out.append(la.rref_span(M.field, standard_t_lagrangian(M, idx)))
-    return out
-
-
 def _all_rref_subspaces(field, dim, d):
     """All reduced-echelon bases of d-dimensional subspaces of F^dim."""
     elems = list(field.elements())
@@ -494,25 +438,36 @@ def _all_rref_subspaces(field, dim, d):
             yield A
 
 
-def enumerate_t_lagrangians(M, guard=None):
+def enumerate_t_lagrangians(M):
     """Exhaustive list of t-Lagrangian subspaces over a finite field.
 
     Output is canonical (sorted reduced-echelon bases) and duplicate-free.
+    The scan visits every (dim/2)-dimensional subspace of F_q^dim.
     """
     if not isinstance(M.field, PrimeField):
         raise ValueError("enumeration needs a finite field")
-    limit = guard if guard is not None else enum_guard_limit()
-    q = M.field.p
-    if q ** M.dim > limit:
+    limit = enum_guard_limit()
+    q, d = M.field.p, M.dim // 2
+    candidates = _gaussian_binomial(M.dim, d, q)
+    if candidates > limit:
         raise EnumerationGuardError(
-            "q^dim = %d exceeds the enumeration guard %d" % (q ** M.dim, limit))
-    d = M.dim // 2
+            "%d candidate subspaces exceed the enumeration guard %d"
+            % (candidates, limit))
     found = []
     for A in _all_rref_subspaces(M.field, M.dim, d):
         if is_isotropic(M, A) and is_t_stable(M, A):
             found.append(tuple(tuple(x for x in row) for row in A))
     found.sort(key=lambda rows: [[_scalar_key(x) for x in r] for r in rows])
     return found
+
+
+def _gaussian_binomial(n, d, q):
+    """[n, d]_q: the number of d-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def _scalar_key(x):

@@ -346,12 +346,10 @@ def random_element(M, seed):
         raise ValueError("random_element needs a standard module")
     rng = random.Random(seed)
     field = M.field
-    rad = getattr(M, "_radical_cache", None)
-    if rad is None:
-        rad = radical_lie_basis(M)
-        M._radical_cache = rad
+    if M._radical_cache is None:
+        M._radical_cache = radical_lie_basis(M)
     S = la.zeros(field, M.dim, M.dim)
-    for B in rad:
+    for B in M._radical_cache:
         c = field.random(rng, 3)
         if c:
             S = la.mat_add(S, la.scal_mul(c, B))

@@ -45,10 +45,6 @@ class TruncPoly:
     def t(cls, field, K):
         return cls(field, [field.zero, field.one], K)
 
-    @classmethod
-    def const(cls, field, c, K):
-        return cls(field, [field(c)], K)
-
     # -- basic queries -----------------------------------------------------
     @property
     def prec(self):
@@ -158,13 +154,6 @@ class TruncPoly:
         if any(bool(c) for c in self.coeffs[:s]):
             raise ValueError("not divisible by t^%d" % s)
         return TruncPoly(self.field, list(self.coeffs[s:]), self.prec)
-
-    def truncate(self, j):
-        """Reduce mod t^j (coefficients >= j zeroed; precision kept)."""
-        z = self.field.zero
-        return TruncPoly(self.field,
-                         [c if i < j else z for i, c in enumerate(self.coeffs)],
-                         self.prec)
 
     # -- misc ---------------------------------------------------------------
     def __eq__(self, other):

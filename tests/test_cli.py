@@ -47,6 +47,24 @@ def test_decompose_base_changed_matches_metadata(fixtures, capsys):
     assert data["checks"][0]["details"]["partition"] == planted
 
 
+@pytest.mark.parametrize("name,key,value", [
+    ("basechange_module.json", "partition", [3, 1]),   # false claim
+    ("h2h1_module.json", "partition", 5),
+    ("h2h1_module.json", "t_action", 5),
+])
+def test_decompose_rejected_module_entry(name, key, value, fixtures, tmp_path,
+                                         capsys):
+    with open(os.path.join(fixtures, name)) as fh:
+        obj = json.load(fh)
+    obj[key] = value
+    path = str(tmp_path / "rejected.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    code, data = _run_json(["decompose", path], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "parse"
+
+
 def test_decompose_missing_file(capsys):
     assert main(["decompose", "/nonexistent/module.json"]) == 2
     capsys.readouterr()
@@ -116,6 +134,24 @@ def test_census_guard_exceeded(capsys, monkeypatch):
                  "--V", "diag:1,1,1,1,1,1", "--k", "3"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_guard_limit_is_input_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("SNT_MAX_ENUM", value)
+    code, data = _run_json(["census", "--q", "3", "--M", "1",
+                            "--V", "hyperbolic2", "--k", "1"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "environment"
+    assert "SNT_MAX_ENUM" in data["checks"][0]["details"]["message"]
+
+
+def test_zero_guard_limit_is_valid(capsys, monkeypatch):
+    monkeypatch.setenv("SNT_MAX_ENUM", "0")
+    code, data = _run_json(["census", "--q", "3", "--M", "1",
+                            "--V", "hyperbolic2", "--k", "1"], capsys)
+    assert code == 3
+    assert data["checks"][-1]["name"] == "guard"
 
 
 def test_census_k_mismatch(capsys):

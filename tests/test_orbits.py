@@ -15,7 +15,7 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            same_orbit, t_sym, tangent_matrix, transport,
                            witt_extend_field, witt_lift)
 from sntmod.orbits import _is_primitive_tuple
-from sntmod.sntmodule import quasi_basis
+from sntmod.sntmodule import EnumerationGuardError, quasi_basis
 from sntmod.tpoly import TruncPoly, tp
 
 F3 = GF(3)
@@ -461,6 +461,15 @@ def test_brute_force_equals_invariant_partition(q, ks, gram):
     # the orbit of zero is {zero}
     zero_key = sp.zero().key()
     assert frozenset([zero_key]) in set(bf)
+
+
+def test_element_guard_follows_the_limit(monkeypatch):
+    # 3^13 = 1 594 323 elements: within the default guard of 10^7
+    sp = TensorSpace(F3, (13,), diagonal_space(F3, [1]))
+    assert next(sp.all_elements()).is_zero()
+    monkeypatch.setenv("SNT_MAX_ENUM", str(3 ** 13 - 1))
+    with pytest.raises(EnumerationGuardError):
+        next(sp.all_elements())
 
 
 def test_invariants_constant_on_brute_orbits():

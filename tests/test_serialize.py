@@ -1,5 +1,6 @@
 """Wire formats: scalar strings, matrices, modules, tensor elements."""
 import json
+import os
 
 import pytest
 
@@ -50,6 +51,18 @@ def test_module_roundtrip():
     assert la.mat_eq(M2.t, M.t) and la.mat_eq(M2.gram, M.gram)
     assert M2.partition == (2, 1)
     assert M2.validate() == []
+
+
+def test_module_partition_claim_is_verified():
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                        "basechange_module.json")
+    with open(path) as fh:
+        obj = json.load(fh)
+    assert module_from_json(obj).partition is None
+    for claim in ([3, 1], [1, 1, 1, 1], [4], [], [5, -1]):
+        obj["partition"] = claim
+        with pytest.raises(ValueError):
+            module_from_json(obj)
 
 
 def test_tensor_element_roundtrip():

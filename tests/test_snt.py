@@ -111,6 +111,26 @@ def test_element_order():
     assert H.element_order([QQ.zero] * 6) == 0
 
 
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_t_chain_against_nilpotent_powers(field):
+    rng = random.Random(31)
+    for ks in ((3, 1), (2, 2, 1), (4, 2)):
+        M = base_change(standard_module(field, ks),
+                        random_invertible(field, 2 * sum(ks), rng))
+        powers = la.nilpotent_powers(field, M.t)
+        for _ in range(6):
+            v = [field(rng.randint(-2, 2)) for _ in range(M.dim)]
+            v = la.vec_mat(v, powers[rng.randrange(len(powers))])
+            chain = la.t_chain(M.t, v)
+            assert all(c == la.vec_mat(v, P) for c, P in zip(chain, powers))
+            # the length is the least k with v·T^k = 0
+            orders = [k for k, P in enumerate(powers) if not any(la.vec_mat(v, P))]
+            assert len(chain) == (orders[0] if orders else len(powers))
+        assert la.t_chain(M.t, [field.zero] * M.dim) == []
+    with pytest.raises(ValueError):
+        la.t_chain(la.identity(field, 3), [field.one, field.zero, field.zero])
+
+
 def test_self_duality_pairing_form():
     # <t xi, eta> = <xi, t eta> on random vectors
     rng = random.Random(0)
@@ -269,10 +289,33 @@ def test_enumerate_members_are_lagrangian():
         assert is_t_lagrangian(M, [list(r) for r in L])
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
     from sntmod.sntmodule import EnumerationGuardError
+    monkeypatch.setenv("SNT_MAX_ENUM", "10000")
     with pytest.raises(EnumerationGuardError):
-        enumerate_t_lagrangians(standard_module(F5, (2, 2, 2)), guard=10 ** 4)
+        enumerate_t_lagrangians(standard_module(F5, (2, 2, 2)))
+
+
+def test_enumeration_guard_counts_scanned_subspaces(monkeypatch):
+    # the scan visits all [dim, dim/2]_q subspaces: [4, 2]_3 = 130 for (1, 1)
+    # and [6, 3]_3 = 33 880 for (2, 1), although 3^6 = 729
+    from sntmod.sntmodule import EnumerationGuardError
+    M = standard_module(F3, (1, 1))
+    monkeypatch.setenv("SNT_MAX_ENUM", "130")
+    assert len(enumerate_t_lagrangians(M)) > 0
+    monkeypatch.setenv("SNT_MAX_ENUM", "129")
+    with pytest.raises(EnumerationGuardError):
+        enumerate_t_lagrangians(M)
+    monkeypatch.setenv("SNT_MAX_ENUM", "1000")
+    with pytest.raises(EnumerationGuardError):
+        enumerate_t_lagrangians(standard_module(F3, (2, 1)))
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
+def test_enumeration_guard_rejects_bad_limit(value, monkeypatch):
+    monkeypatch.setenv("SNT_MAX_ENUM", value)
+    with pytest.raises(ValueError):
+        enumerate_t_lagrangians(standard_module(F3, (1, 1)))
 
 
 # --------------------------------------------------------------------------

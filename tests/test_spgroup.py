@@ -199,6 +199,21 @@ def test_sampling_deterministic():
     assert la.mat_eq(random_element(M, 11), random_element(M, 11))
 
 
+def test_sampling_keeps_module_attributes(monkeypatch):
+    # the radical basis is cached in a slot the module declares, once
+    from sntmod import spgroup
+    calls = []
+    basis = spgroup.radical_lie_basis
+    monkeypatch.setattr(spgroup, "radical_lie_basis",
+                        lambda M: calls.append(M) or basis(M))
+    M = standard_module(QQ, (2, 1))
+    names = set(vars(M))
+    for seed in range(4):
+        random_element(M, seed)
+    assert set(vars(M)) == names
+    assert len(calls) == 1
+
+
 def test_samples_are_members_and_closed():
     M = standard_module(QQ, (2, 1))
     gs = [random_element(M, seed) for seed in range(12)]
