@@ -132,13 +132,20 @@ class IntegralLattice:
         """Exact vector counts c(n) = #{u : (u,u) = n} for n = 0..B."""
         B = int(B)
         if self._counts is None or self._counts_upto < B:
-            self._counts = _enumerate_counts(self.gram, B)
+            counts = np.zeros(B + 1, dtype=np.int64)
+            for _, norms in _shell_chunks(self.gram, B):
+                counts += np.bincount(norms, minlength=B + 1)
+            self._counts = counts.tolist()
             self._counts_upto = B
         return list(self._counts[:B + 1])
 
     def vectors_by_norm(self, B):
-        """All lattice vectors with (u,u) <= B (enumeration-guarded)."""
-        return _enumerate_vectors(self.gram, B)
+        """All lattice vectors with (u,u) <= B (enumeration-guarded), as
+        (coordinates, norms) arrays."""
+        chunks = [(np.zeros((0, self.rank), dtype=np.int64),
+                   np.zeros(0, dtype=np.int64))]
+        chunks += _shell_chunks(self.gram, B)
+        return tuple(np.concatenate(part) for part in zip(*chunks))
 
     def __repr__(self):
         return "IntegralLattice(%s, rank=%d)" % (self.name or "?", self.rank)
@@ -178,60 +185,68 @@ def _cholesky_upper(gram):
     return L.T.copy()  # upper triangular R with RᵀR = G
 
 
-def _enumerate_vectors(gram, B):
-    """All x in Z^N with xᵀGx <= B, by Cholesky-pruned level enumeration.
+# prefixes expanded by one level step.  The walker holds one expanded step
+# per level, at most _CHUNK times the ~2√B / R_ii values one coordinate can
+# take, so its memory does not follow the number of vectors of norm <= B
+_CHUNK = 4096
 
-    Float bounds are inflated and every survivor is re-checked with exact
-    integer arithmetic, so the output is exact.  Raises
-    EnumerationGuardError before building a level whose candidate count
-    exceeds the enumeration guard.
+
+def _shell_chunks(gram, B):
+    """Yield (X, norms) for all x in Z^N with xᵀGx <= B, chunk by chunk.
+
+    Depth-first Cholesky-pruned enumeration, coordinates from the last to
+    the first: a level step fixes coordinate i below at most _CHUNK
+    prefixes that fix coordinates i+1..N-1, and pending prefixes wait on a
+    stack in order, so the rows come out in lexicographic order of
+    (x_{N-1}, ..., x_0).  Float bounds are inflated and every survivor is
+    re-checked with exact integer arithmetic, so the output is exact.
+    Raises EnumerationGuardError before a step would take a level's
+    candidate count, summed over its chunks, past the enumeration guard.
     """
     limit = enum_guard_limit()
     G = np.array(gram, dtype=np.int64)
     N = len(gram)
     R = _cholesky_upper(gram)
-    margin = 0.5
-    # process coordinates from the last to the first
-    X = np.zeros((1, 0), dtype=np.int64)
-    pn = np.zeros(1, dtype=np.float64)
-    for i in range(N - 1, -1, -1):
+    bound = B + 0.5
+    seen = [0] * N
+    # (i, X, pn): prefixes X fixing coordinates i..N-1, their other columns
+    # still 0, with float partial norms pn
+    stack = [(N, np.zeros((1, N), dtype=np.int64), np.zeros(1))]
+    while stack:
+        i, X, pn = stack.pop()
+        if len(X) > _CHUNK:
+            stack.append((i, X[_CHUNK:], pn[_CHUNK:]))
+            X, pn = X[:_CHUNK], pn[:_CHUNK]
+        i -= 1
         rii = R[i, i]
-        if X.shape[1]:
-            t = X @ R[i, i + 1:]
-        else:
-            t = np.zeros(len(pn))
-        rem = B + margin - pn
-        keep = rem >= 0
-        Xk, tk, pnk = X[keep], t[keep], pn[keep]
-        remk = rem[keep]
-        half = np.sqrt(np.maximum(remk, 0.0)) / rii
-        center = -tk / rii
+        t = X @ R[i]   # R is upper triangular and X[:, :i+1] is 0
+        half = np.sqrt(np.maximum(bound - pn, 0.0)) / rii
+        center = -t / rii
         lo = np.ceil(center - half).astype(np.int64)
         hi = np.floor(center + half).astype(np.int64)
-        cnt = np.maximum(hi - lo + 1, 0)
+        cnt = np.where(pn <= bound, np.maximum(hi - lo + 1, 0), 0)
         total = int(cnt.sum())
-        if total > limit:
+        seen[i] += total
+        if seen[i] > limit:
             raise EnumerationGuardError(
                 "lattice enumeration level of %d candidates exceeds the guard %d"
-                % (total, limit))
-        rows = np.repeat(np.arange(len(Xk)), cnt)
-        offsets = np.concatenate([np.arange(c) for c in cnt]) if total else \
-            np.zeros(0, dtype=np.int64)
-        xi = lo[rows] + offsets
-        y = rii * xi + tk[rows]
-        X = np.column_stack([xi, Xk[rows]]) if Xk.shape[1] else xi.reshape(-1, 1)
-        pn = pnk[rows] + y * y
-    if X.shape[0] == 0:
-        return np.zeros((0, N), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    norms = np.einsum("ij,jk,ik->i", X, G, X)
-    ok = norms <= B
-    return X[ok], norms[ok]
-
-
-def _enumerate_counts(gram, B):
-    _, norms = _enumerate_vectors(gram, B)
-    counts = np.bincount(norms, minlength=B + 1)
-    return counts[:B + 1].astype(object).tolist()
+                % (seen[i], limit))
+        if not total:
+            continue
+        rows = np.repeat(np.arange(len(X)), cnt)
+        # x_i runs over lo..hi below each prefix: its offset in the prefix's
+        # run is the position minus the run's start
+        xi = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        y = rii * xi + t[rows]
+        pn = pn[rows] + y * y
+        X = X.take(rows, axis=0)
+        X[:, i] = xi
+        if i:
+            stack.append((i, X, pn))
+        else:
+            norms = np.einsum("ij,ij->i", X @ G, X)
+            ok = norms <= B
+            yield X[ok], norms[ok]
 
 
 def primitive_counts(counts):
@@ -386,6 +401,26 @@ def _binary_theta(s11, s12, s22, tail_target=1e-14):
     return value, _square_shell_tail(lam, R)
 
 
+def _colinear_norm_bound(rank, pt, tail_target=1e-11, max_norm=64):
+    """(B, tail): the least even norm bound B >= 4 at which the shells
+    theta_colinear discards beyond B sum to at most tail_target / 2, with
+    that certified tail.  Raises TruncationError past `max_norm`."""
+    lam = pt.im_min_eig()
+    B = 4
+    tail = math.inf   # no certified bound until (B + 1)·lam >= 2
+    while True:
+        # each discarded shell contributes (c_prim(n)/2) |theta_2(n tau) - 1|
+        # with |theta_2(y) - 1| <= 4.1 exp(-pi y min-eig) once y >= 2
+        if (B + 1) * lam >= 2:
+            tail = 2.05 * _shell_tail(rank, lam, B)
+            if tail <= tail_target / 2:
+                return B, tail
+        if B >= max_norm:
+            raise TruncationError("colinear theta tail %.3g > target %.3g"
+                                  % (tail, tail_target), achieved=tail)
+        B += 2
+
+
 def theta_colinear(L, pt, tail_target=1e-11, max_norm=64):
     """Sum over colinear pairs (u, v) of exp(pi i (tau11 (u,u) +
     2 tau12 (u,v) + tau22 (v,v))).
@@ -394,20 +429,7 @@ def theta_colinear(L, pt, tail_target=1e-11, max_norm=64):
     sign) and (m, n) != (0, 0); the zero pair contributes 1, so the sum is
     1 + 1/2 sum_w [theta_2((w,w) tau) - 1] grouped by primitive shells.
     """
-    lam = pt.im_min_eig()
-    B = 4
-    tail = math.inf   # no certified bound until (B + 1)·lam >= 2
-    while True:
-        # each discarded shell contributes (c_prim(n)/2) |theta_2(n tau) - 1|
-        # with |theta_2(y) - 1| <= 4.1 exp(-pi y min-eig) once y >= 2
-        if (B + 1) * lam >= 2:
-            tail = 2.05 * _shell_tail(L.rank, lam, B)
-            if tail <= tail_target / 2:
-                break
-        if B >= max_norm:
-            raise TruncationError("colinear theta tail %.3g > target %.3g"
-                                  % (tail, tail_target), achieved=tail)
-        B += 2
+    B, tail = _colinear_norm_bound(L.rank, pt, tail_target, max_norm)
     counts = L.counts_by_norm(B)
     cprim = primitive_counts(counts)
     value = 1.0 + 0j
@@ -658,14 +680,17 @@ def verify_identity(lattices, aut_orders, pt, N, tol=1e-8, mass=None,
     lhs, lhs_tail = eisenstein_lhs(pt, N, tail_target=tail_target)
     rhs = 0j
     rhs_tail = 0.0
+    B, _ = _colinear_norm_bound(N, pt, tail_target)   # theta_colinear's bound
     per = []
     for L, aut in zip(lattices, aut_orders):
         th, tl = theta_colinear(L, pt, tail_target=tail_target)
         weight = float(C * Fraction(1, int(aut)))
         rhs += weight * th
         rhs_tail += weight * tl
+        # read the shell counts theta_colinear has just cached up to B
         per.append({"lattice": L.name, "aut": int(aut),
-                    "theta_colinear": [th.real, th.imag], "tail": tl})
+                    "theta_colinear": [th.real, th.imag], "tail": tl,
+                    "norm_bound": B, "vectors": sum(L._counts[:B + 1])})
     abs_diff = abs(lhs - rhs)
     rel_diff = abs_diff / max(abs(lhs), 1e-300)
     return IdentityReport(

@@ -1,10 +1,19 @@
 """Lattice enumeration, theta series, Eisenstein evaluators, and the
 identity harness."""
+import itertools
 import math
+import os
+import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import sntmod
+from sntmod import analytic
 from sntmod.analytic import (AUT_E8, IntegralLattice, SiegelPoint,
                              TruncationError, bernoulli_number, e8,
                              eisenstein_direct, eisenstein_lhs, eisenstein_q,
@@ -86,6 +95,90 @@ def test_enumeration_guard_before_allocation(monkeypatch):
         e8().counts_by_norm(4)
     monkeypatch.setenv("SNT_MAX_ENUM", "2401")
     assert sum(e8().counts_by_norm(4)) == 2401
+
+
+def _random_gram(rng, n):
+    # MᵀM + I is a positive definite integer gram for any integer M
+    M = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return [[sum(M[k][i] * M[k][j] for k in range(n)) + (i == j)
+             for j in range(n)] for i in range(n)]
+
+
+def _brute_force_shell(gram, B):
+    """All x with xᵀGx <= B in the walker's order (lexicographic in
+    (x_{N-1}, ..., x_0)), by scanning the box |x_i| <= sqrt(B (G⁻¹)_ii),
+    which holds every such x by Cauchy-Schwarz."""
+    n = len(gram)
+    ginv = np.linalg.inv(np.array(gram, dtype=float))
+    # one extra layer absorbs rounding in the float inverse
+    r = [math.isqrt(int(B * ginv[i, i])) + 1 for i in range(n)]
+    found = []
+    for rev in itertools.product(*(range(-k, k + 1) for k in reversed(r))):
+        x = rev[::-1]
+        norm = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+        if norm <= B:
+            found.append((x, norm))
+    return found
+
+
+@pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_shell_walker_matches_box_scan(seed, chunk, monkeypatch):
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    rng = random.Random(seed)
+    gram = _random_gram(rng, 2 + seed % 3)
+    B = rng.randint(3, 12)
+    want = _brute_force_shell(gram, B)
+    coords, norms = IntegralLattice(gram).vectors_by_norm(B)
+    assert [tuple(int(c) for c in x) for x in coords] == [x for x, _ in want]
+    assert norms.tolist() == [nm for _, nm in want]
+    counts = [0] * (B + 1)
+    for _, nm in want:
+        counts[nm] += 1
+    assert IntegralLattice(gram).counts_by_norm(B) == counts
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_vectors_by_norm_independent_of_chunk(chunk, monkeypatch):
+    want_x, want_n = e8().vectors_by_norm(4)
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    got_x, got_n = e8().vectors_by_norm(4)
+    assert np.array_equal(got_x, want_x) and np.array_equal(got_n, want_n)
+
+
+def test_enumeration_guard_sums_chunks(monkeypatch):
+    # one-prefix chunks: no single step nears the guard, only their sum
+    monkeypatch.setattr(analytic, "_CHUNK", 1)
+    monkeypatch.setenv("SNT_MAX_ENUM", "1000")
+    with pytest.raises(EnumerationGuardError):
+        e8().counts_by_norm(4)
+    monkeypatch.setenv("SNT_MAX_ENUM", "2401")
+    assert sum(e8().counts_by_norm(4)) == 2401
+
+
+def _rank16_closed_form(B):
+    # the theta series of the rank-16 genus is the weight-8 Eisenstein
+    # series: 480 sigma_7(m) vectors of norm 2m
+    return [1] + [480 * sigma_power(n // 2, 7) if n % 2 == 0 else 0
+                  for n in range(1, B + 1)]
+
+
+def test_rank16_counts_in_bounded_memory():
+    # holding all 1.1M vectors of norm <= 6 at once took ~740 MB of address
+    # space; counting chunk by chunk fits in 400 MB with room to spare
+    limit = 400 * 2 ** 20
+    code = ("from sntmod.analytic import e8e8\n"
+            "print(e8e8().counts_by_norm(6))\n")
+    src = os.path.dirname(os.path.dirname(sntmod.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(_rank16_closed_form(6))
 
 
 # --------------------------------------------------------------------------
@@ -297,6 +390,12 @@ def test_rank16_equal_theta_counts():
     # the two classes are isospectral in one variable (equal shell counts)
     from sntmod.analytic import d16_plus, e8e8
     assert e8e8().counts_by_norm(6) == d16_plus().counts_by_norm(6)
+    # both equal the closed form, and the double's theta series is the
+    # square of the rank-8 one
+    assert d16_plus().counts_by_norm(6) == _rank16_closed_form(6)
+    c8 = e8().counts_by_norm(6)
+    assert e8e8().counts_by_norm(6) == [
+        sum(c8[k] * c8[n - k] for k in range(n + 1)) for n in range(7)]
 
 
 def test_rank16_mass_is_classical():

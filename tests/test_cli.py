@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from sntmod.analytic import sigma_power
 from sntmod.cli import main
 
 
@@ -171,6 +172,19 @@ def test_verify_sw_default_run(capsys):
                            capsys)
     assert code == 0
     assert data["checks"][0]["details"]["passed"] is True
+
+
+def test_verify_sw_reports_norm_bound(capsys):
+    code, data = _run_json(["verify-sw", "--tau11", "2i", "--tau12", "0.5i",
+                            "--tau22", "2i"], capsys)
+    assert code == 0
+    entry = data["checks"][0]["details"]["per_lattice"][0]
+    assert {"lattice", "aut", "theta_colinear", "tail"} <= set(entry)
+    B = entry["norm_bound"]
+    assert B >= 4 and B % 2 == 0
+    # 1 + 240 sigma_3(m) vectors of norm 2m, summed up to the bound
+    assert entry["vectors"] == 1 + sum(240 * sigma_power(m, 3)
+                                       for m in range(1, B // 2 + 1))
 
 
 def test_verify_sw_diagonal_specialization_flagged(capsys):
