@@ -6,7 +6,7 @@ colinear-pair theta series of that lattice, with the mass constant equal to
 the automorphism count 696729600.
 """
 from sntmod.analytic import (AUT_E8, SiegelPoint, e8, eisenstein_lhs,
-                             eisenstein_q, mass_constant, sigma_power,
+                             eisenstein_lhs_direct, eisenstein_q, mass_constant, sigma_power,
                              theta_basic, verify_identity)
 
 L = e8()
@@ -37,7 +37,7 @@ print()
 print("accelerated vs direct evaluation of the left side at (2i, 0, 2i):")
 pt = SiegelPoint(2j, 0j, 2j)
 acc, _ = eisenstein_lhs(pt, 8)
-direct, _ = eisenstein_lhs(pt, 8, direct=True)
+direct, _ = eisenstein_lhs_direct(pt, 8)
 print("  accelerated:", acc)
 print("  direct:     ", direct)
 print("  |difference| = %.2e" % abs(acc - direct))

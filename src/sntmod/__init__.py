@@ -6,7 +6,7 @@ from .fields import QQ, GF, PrimeField, RationalField, CharacteristicTwoError
 from .tpoly import TruncPoly, NotAUnitError, smith_form_t, smith_divisors
 from .sntmodule import (
     SntModule, SntSubmodule, LagrangianFlag,
-    NotTStableError, EnumerationGuardError,
+    NotTStableError, EnumerationGuardError, InvalidModuleError,
     make_H, direct_sum, standard_module, decompose, jordan_type,
     quasi_basis, is_t_lagrangian, standard_t_lagrangian,
     enumerate_t_lagrangians, rho_of, graph_of_rho, self_dual_map_space_dim,
@@ -32,7 +32,7 @@ from .analytic import (
     e8, e8e8, d16_plus, rank16_genus, AUT_E8, AUT_E8E8, AUT_D16_PLUS,
     primitive_counts, bernoulli_number, sigma_power,
     theta_basic, theta_colinear, theta_colinear_direct,
-    eisenstein_q, eisenstein_direct, eisenstein_rank1, eisenstein_lhs,
+    eisenstein_q, eisenstein_direct, eisenstein_lhs, eisenstein_lhs_direct,
     mass_constant, verify_identity,
 )
 

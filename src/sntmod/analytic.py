@@ -315,28 +315,48 @@ class SiegelPoint:
         return m * m * self.tau11 + 2 * m * n * self.tau12 + n * n * self.tau22
 
     def im_min_eig(self):
-        y11, y12, y22 = self.tau11.imag, self.tau12.imag, self.tau22.imag
-        tr, det = y11 + y22, y11 * y22 - y12 * y12
-        return (tr - math.sqrt(tr * tr - 4 * det)) / 2
+        return _min_eig(self.tau11.imag, self.tau12.imag, self.tau22.imag)
+
+
+def _min_eig(y11, y12, y22):
+    """Least eigenvalue of the symmetric matrix [[y11, y12], [y12, y22]]."""
+    tr, det = y11 + y22, y11 * y22 - y12 * y12
+    return (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
 
 
 # --------------------------------------------------------------------------
 # certified tail helpers
 # --------------------------------------------------------------------------
 
+def _geometric_tail(first, ratio):
+    """Bound for a series from `first` on, each term at most `ratio` times
+    the last: first / (1 - ratio), or inf when ratio >= 1."""
+    return first / (1 - ratio) if ratio < 1 else math.inf
+
+
+def _certified_bound(tail_at, bounds, target, what):
+    """(b, tail_at(b)) for the first b in `bounds` with tail_at(b) <= target,
+    else TruncationError naming `what` and the last bound tried, with its
+    tail (inf if none) as `achieved`."""
+    b, tail = None, math.inf
+    for b in bounds:
+        tail = tail_at(b)
+        if tail <= target:
+            return b, tail
+    raise TruncationError("%s %s leaves tail %.3g > target %.3g"
+                          % (what, b, tail, target), achieved=tail)
+
+
 def _shell_tail(N, lam, B):
     """Upper bound for sum_{n > B} (2 sqrt(n) + 1)^N exp(-pi lam n).
 
     (2 sqrt(n) + 1)^N bounds the shell count of any integral PD lattice of
     rank N by a packing argument (nonzero norms are >= 1)."""
-    def f(n):
-        return (2 * math.sqrt(n) + 1) ** N * math.exp(-math.pi * lam * n)
     n0 = B + 1
     r = math.exp(-math.pi * lam) * ((2 * math.sqrt(n0 + 1) + 1) /
                                     (2 * math.sqrt(n0) + 1)) ** N
-    if r >= 1:
-        return math.inf
-    return f(n0) / (1 - r)
+    return _geometric_tail(
+        (2 * math.sqrt(n0) + 1) ** N * math.exp(-math.pi * lam * n0), r)
 
 
 def _square_shell_tail(lam, R):
@@ -346,9 +366,7 @@ def _square_shell_tail(lam, R):
         return 8 * k * math.exp(-math.pi * lam * k * k)
     k0 = R + 1
     r = (f(k0 + 1) / f(k0)) if f(k0) > 0 else 0.0
-    if r >= 1:
-        return math.inf
-    return f(k0) / (1 - r)
+    return _geometric_tail(f(k0), r)
 
 
 # --------------------------------------------------------------------------
@@ -364,15 +382,9 @@ def theta_basic(L, tau, tail_target=1e-12, max_norm=64):
     lam = tau.imag
     if lam <= 0:
         raise ValueError("Im tau must be positive")
-    B = 4
-    while True:
-        tail = _shell_tail(L.rank, lam, B)
-        if tail <= tail_target:
-            break
-        if B >= max_norm:
-            raise TruncationError("theta tail %.3g > target %.3g at norm bound %d"
-                                  % (tail, tail_target, B), achieved=tail)
-        B += 2
+    B, tail = _certified_bound(lambda B: _shell_tail(L.rank, lam, B),
+                               range(4, max_norm + 2, 2), tail_target,
+                               "theta norm bound")
     counts = L.counts_by_norm(B)
     value = 0j
     for n in range(B + 1):
@@ -383,22 +395,16 @@ def theta_basic(L, tau, tail_target=1e-12, max_norm=64):
 
 def _binary_theta(s11, s12, s22, tail_target=1e-14):
     """Sum over (m,n) in Z^2 of exp(pi i (m^2 s11 + 2mn s12 + n^2 s22))."""
-    y11, y12, y22 = s11.imag, s12.imag, s22.imag
-    tr, det = y11 + y22, y11 * y22 - y12 * y12
-    lam = (tr - math.sqrt(max(tr * tr - 4 * det, 0.0))) / 2
+    lam = _min_eig(s11.imag, s12.imag, s22.imag)
     if lam <= 0:
         raise ValueError("imaginary part must be positive definite")
-    R = 1
-    while _square_shell_tail(lam, R) > tail_target:
-        R += 1
-        if R > 200:
-            raise TruncationError("binary theta tail not certifiable",
-                                  achieved=_square_shell_tail(lam, R))
+    R, tail = _certified_bound(lambda R: _square_shell_tail(lam, R),
+                               range(1, 202), tail_target, "binary theta box R")
     ms = np.arange(-R, R + 1)
     M, Nn = np.meshgrid(ms, ms, indexing="ij")
     phase = 1j * math.pi * (M * M * s11 + 2 * M * Nn * s12 + Nn * Nn * s22)
     value = complex(np.exp(phase).sum())
-    return value, _square_shell_tail(lam, R)
+    return value, tail
 
 
 def _colinear_norm_bound(rank, pt, tail_target=1e-11, max_norm=64):
@@ -406,19 +412,14 @@ def _colinear_norm_bound(rank, pt, tail_target=1e-11, max_norm=64):
     theta_colinear discards beyond B sum to at most tail_target / 2, with
     that certified tail.  Raises TruncationError past `max_norm`."""
     lam = pt.im_min_eig()
-    B = 4
-    tail = math.inf   # no certified bound until (B + 1)·lam >= 2
-    while True:
+
+    def tail_at(B):
         # each discarded shell contributes (c_prim(n)/2) |theta_2(n tau) - 1|
-        # with |theta_2(y) - 1| <= 4.1 exp(-pi y min-eig) once y >= 2
-        if (B + 1) * lam >= 2:
-            tail = 2.05 * _shell_tail(rank, lam, B)
-            if tail <= tail_target / 2:
-                return B, tail
-        if B >= max_norm:
-            raise TruncationError("colinear theta tail %.3g > target %.3g"
-                                  % (tail, tail_target), achieved=tail)
-        B += 2
+        # with |theta_2(y) - 1| <= 4.1 exp(-pi y min-eig) once y >= 2, so
+        # there is no certified bound until (B + 1)·lam >= 2
+        return 2.05 * _shell_tail(rank, lam, B) if (B + 1) * lam >= 2 else math.inf
+    return _certified_bound(tail_at, range(4, max_norm + 2, 2), tail_target / 2,
+                            "colinear theta norm bound")
 
 
 def theta_colinear(L, pt, tail_target=1e-11, max_norm=64):
@@ -477,48 +478,45 @@ def theta_colinear_direct(L, pt, B):
 # --------------------------------------------------------------------------
 
 def eisenstein_q(tau, w, tail_target=1e-14, max_terms=600):
-    """q-expansion path: 1 - (2w / B_w) sum sigma_{w-1}(n) q^n, q = e^{2 pi i tau}."""
+    """q-expansion path: 1 - (2w / B_w) sum sigma_{w-1}(n) q^n, q = e^{2 pi i tau}.
+
+    Sums the fewest terms, at most `max_terms`, whose certified tail meets
+    `tail_target`, and returns (value, tail).
+    """
     if w < 4 or w % 2:
         raise ValueError("weight must be even and >= 4")
-    coef = -Fraction(2 * w) / bernoulli_number(w)
+    coef = float(-Fraction(2 * w) / bernoulli_number(w))
     q = cmath.exp(2j * math.pi * tau)
     x = abs(q)
     if x >= 0.5:
         raise TruncationError("Im tau too small for the q-expansion path "
                               "(|q| = %.3g >= 0.5)" % x)
+
+    def tail_at(n):
+        # the terms past n: sigma_{w-1}(k) <= zeta(w-1) k^{w-1} <= 1.21 k^{w-1}
+        return _geometric_tail(1.21 * abs(coef) * (n + 1) ** (w - 1) * x ** (n + 1),
+                               x * ((n + 1) / n) ** (w - 1))
+    terms, tail = _certified_bound(tail_at, range(1, max_terms + 1),
+                                   tail_target, "q-expansion term count")
     value = 1.0 + 0j
-    n = 1
     qn = q
-    while True:
-        term = float(coef) * sigma_power(n, w - 1) * qn
-        value += term
-        # certified tail: sigma_{w-1}(n) <= zeta(w-1) n^{w-1} <= 1.21 n^{w-1}
-        ratio = x * ((n + 1) / n) ** (w - 1)
-        if ratio < 1:
-            tail = 1.21 * abs(float(coef)) * (n + 1) ** (w - 1) * x ** (n + 1) \
-                / (1 - ratio)
-            if tail <= tail_target:
-                return value, tail
-        n += 1
+    for n in range(1, terms + 1):
+        value += coef * sigma_power(n, w - 1) * qn
         qn *= q
-        if n > max_terms:
-            raise TruncationError("q-expansion did not certify its tail",
-                                  achieved=tail)
+    return value, tail
 
 
-def eisenstein_direct(tau, w, m_max=None, n_max=None):
+def eisenstein_direct(tau, w):
     """Coprime-pair path: 1/2 sum over (m,n)=1 of (m tau + n)^{-w}.
 
-    The (0, ±1) terms give 1; the rest is summed with numpy per m row and a
-    certified tail estimate is returned alongside the value.
+    The (0, ±1) terms give 1; the rest is summed with numpy per m row over
+    |n| <= 4000 and m up to about 12 / Im tau, and a certified tail estimate
+    is returned alongside the value.
     """
     if w < 4 or w % 2:
         raise ValueError("weight must be even and >= 4")
     y = tau.imag
-    if m_max is None:
-        m_max = max(30, int(12 / y) + 10)
-    if n_max is None:
-        n_max = 4000
+    m_max, n_max = max(30, int(12 / y) + 10), 4000
     value = 1.0 + 0j
     ns = np.arange(-n_max, n_max + 1)
     for m in range(1, m_max + 1):
@@ -538,49 +536,35 @@ def eisenstein_direct(tau, w, m_max=None, n_max=None):
     return value, n_tail + m_tail
 
 
-def eisenstein_rank1(tau, w, tail_target=1e-12):
-    """Both evaluators of the weight-w coprime Eisenstein sum at tau.
-
-    Returns (q_value, direct_value, q_tail, direct_tail)."""
-    qv, qt = eisenstein_q(tau, w, tail_target=tail_target)
-    dv, dt = eisenstein_direct(tau, w)
-    return qv, dv, qt, dt
-
-
 # --------------------------------------------------------------------------
 # the two sides of the identity
 # --------------------------------------------------------------------------
 
-def eisenstein_lhs(pt, N, tail_target=1e-12, direct=False):
-    """1 + 1/2 sum_{(m,n)=1} sum_{a>=1, (a,b)=1} (a Q(m,n) + b)^{-N/2}.
-
-    Accelerated path: the inner coprime sum telescopes to E_w(Q(m,n)) - 1
-    with E_w evaluated by its q-expansion.  With direct=True a bounded
-    triple loop is evaluated instead (truncation-limited; used for
-    cross-checking the acceleration).
-    """
+def _lhs_weight(N):
+    """The weight w = N/2 of the left side, which must be even and >= 4."""
     w = N // 2
     if 2 * w != N or w < 4 or w % 2:
         raise ValueError("N must be a multiple of 8 at desk scale (w = N/2 even >= 4)")
+    return w
+
+
+def eisenstein_lhs(pt, N, tail_target=1e-12):
+    """1 + 1/2 sum_{(m,n)=1} sum_{a>=1, (a,b)=1} (a Q(m,n) + b)^{-N/2}.
+
+    The inner coprime sum telescopes to E_w(Q(m,n)) - 1, with E_w evaluated
+    by its q-expansion; eisenstein_lhs_direct is the independent oracle.
+    """
+    w = _lhs_weight(N)
     lam = pt.im_min_eig()
-    if direct:
-        return _eisenstein_lhs_direct(pt, w)
-    # outer box: |E_w(z) - 1| <= C x with x = exp(-2 pi Im z)
-    R = 1
     coefbound = 1.21 * abs(float(-Fraction(2 * w) / bernoulli_number(w)))
-    tail = math.inf
-    while True:
-        x = math.exp(-2 * math.pi * lam * (R + 1) ** 2)
-        r = x * 2 ** (w - 1)
-        if r < 1:
-            # |E_w(z) - 1| <= coefbound * exp(-2 pi Im z) / (1 - r)
-            tail = _square_shell_tail(2 * lam, R) * coefbound / (1 - r)
-            if tail <= tail_target / 2:
-                break
-        R += 1
-        if R > 60:
-            raise TruncationError("outer box for the accelerated sum too large",
-                                  achieved=tail)
+
+    def tail_at(R):
+        # outside the box Im Q(m, n) >= lam (R + 1)^2, and |E_w(z) - 1| <=
+        # coefbound x / (1 - x 2^(w-1)) with x = exp(-2 pi Im z)
+        r = math.exp(-2 * math.pi * lam * (R + 1) ** 2) * 2 ** (w - 1)
+        return _geometric_tail(_square_shell_tail(2 * lam, R) * coefbound, r)
+    R, tail = _certified_bound(tail_at, range(1, 61), tail_target / 2,
+                               "outer box R")
     value = 1.0 + 0j
     inner_tail = 0.0
     for m in range(-R, R + 1):
@@ -594,8 +578,11 @@ def eisenstein_lhs(pt, N, tail_target=1e-12, direct=False):
     return value, tail + inner_tail
 
 
-def _eisenstein_lhs_direct(pt, w, box=6, a_max=40, b_max=4000):
-    """Bounded triple loop; returns (value, rough tail estimate)."""
+def eisenstein_lhs_direct(pt, N):
+    """Direct triple loop over |m|, |n| <= 6, 1 <= a <= 40 and |b| <= 4000:
+    the independent oracle for eisenstein_lhs.  Returns (value, rough tail)."""
+    w = _lhs_weight(N)
+    box, a_max, b_max = 6, 40, 4000
     value = 1.0 + 0j
     bs = np.arange(-b_max, b_max + 1)
     tail = 0.0

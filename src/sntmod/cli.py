@@ -31,7 +31,8 @@ from .fields import QQ, GF
 from .orbits import (EnumerationGuardError, OrthSpace, TensorSpace,
                      brute_force_orbits, invariant_partition, orbit_invariant,
                      same_orbit, transport)
-from .sntmodule import decompose, enum_guard_limit, standard_module
+from .sntmodule import (InvalidModuleError, decompose, enum_guard_limit,
+                        standard_module)
 
 
 @dataclass
@@ -102,10 +103,10 @@ def cmd_decompose(args, report):
     report.config = {"file": args.module_file}
     with _input_stage("parse"):
         M = ser.module_from_json(_load_json(args.module_file))
-    bad = M.validate()
-    if bad:
-        raise InputError("validate", violations=bad)
-    ks, iso = decompose(M, seed=args.seed)
+    try:
+        ks, iso = decompose(M, seed=args.seed)
+    except InvalidModuleError as exc:
+        raise InputError("validate", violations=exc.violations) from exc
     report.add("decompose", "ok", partition=list(ks),
                iso=ser.matrix_to_json(iso))
     return 0

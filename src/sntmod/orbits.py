@@ -19,6 +19,7 @@ from . import linalg as la
 from .fields import PrimeField
 from .sntmodule import (EnumerationGuardError, enum_guard_limit,
                         module_coords, padded_chain, quasi_basis)
+from .spgroup import cayley
 from .tpoly import TruncPoly, TruncRing
 
 
@@ -397,7 +398,7 @@ def _dual_vectors(space, bvecs):
     return duals
 
 
-def witt_lift(space, avecs, bvecs, ks, check=True):
+def witt_lift(space, avecs, bvecs, ks):
     """Correct b_1..b_m so its Gram matches a_1..a_m exactly mod t^K.
 
     Requires (a_i, a_j) = (b_i, b_j) mod t^{min(k_i, k_j)} with
@@ -414,15 +415,14 @@ def witt_lift(space, avecs, bvecs, ks, check=True):
         raise ValueError("orders must satisfy k_1 >= ... >= k_m >= 1")
     sp = space
     K = sp.K
-    if check:
-        if not _is_primitive_tuple(sp.V, avecs) or not _is_primitive_tuple(sp.V, bvecs):
-            raise ValueError("tuples must be primitive bases")
-        for i in range(m):
-            for j in range(m):
-                d = sp.ring_pair(avecs[i], avecs[j]) - sp.ring_pair(bvecs[i], bvecs[j])
-                if d.valuation() < min(ks[i], ks[j]):
-                    raise HypothesisFailedError(
-                        "products differ below t^min(k_i,k_j) at (%d,%d)" % (i, j))
+    if not _is_primitive_tuple(sp.V, avecs) or not _is_primitive_tuple(sp.V, bvecs):
+        raise ValueError("tuples must be primitive bases")
+    for i in range(m):
+        for j in range(m):
+            d = sp.ring_pair(avecs[i], avecs[j]) - sp.ring_pair(bvecs[i], bvecs[j])
+            if d.valuation() < min(ks[i], ks[j]):
+                raise HypothesisFailedError(
+                    "products differ below t^min(k_i,k_j) at (%d,%d)" % (i, j))
     field = sp.field
     b = [list(v) for v in bvecs]
     for i in range(m):
@@ -775,7 +775,7 @@ def transport(x, y):
         return la.identity(sp.R, sp.V.dim)
     W, a = normal_form(x)
     _, b = normal_form(y)
-    bt = witt_lift(sp, a, b, list(W.partition), check=True)
+    bt = witt_lift(sp, a, b, list(W.partition))
     g = extend_isometry(sp, a, bt)
     if x.act(g).key() != y.key():
         raise RuntimeError("transport verification failed")
@@ -922,11 +922,6 @@ def invariant_partition(space):
 # random orthogonal elements over the ring (for property tests)
 # --------------------------------------------------------------------------
 
-def orthogonal_lie_basis(V):
-    """Basis of {S : S·Q + Q·Sᵀ = 0} over the base field."""
-    return la.isometry_lie_basis(V.field, V.gram)
-
-
 def random_orthogonal_ring(space, rng):
     """Random element of O(V)(R_K): random reflections at the residue level
     composed with a ring Cayley transform of a t-divisible Lie element."""
@@ -937,17 +932,14 @@ def random_orthogonal_ring(space, rng):
     for _ in range(rng.randint(1, 3)):
         w = _random_anisotropic(field, V, rng)
         g0 = la.mat_mul(g0, _reflection(field, V.gram, w))
-    basis = orthogonal_lie_basis(V)
+    basis = la.isometry_lie_basis(field, V.gram)
     S = la.zeros(R, d, d)
     for s in range(1, K):
         for B in basis:
             c = field.random(rng, 2)
             if c:
                 S = _add_layer(S, la.scal_mul(c, B), s)
-    A = la.scal_mul(R(field(1) / field(2)), S)
-    I = la.identity(R, d)
-    cay = la.mat_mul(la.mat_add(I, A), la.inverse(R, la.mat_sub(I, A)))
-    g = la.mat_mul(la.change_ring(R, g0), cay)
+    g = la.mat_mul(la.change_ring(R, g0), cayley(R, S))
     if not _is_ring_orthogonal(g, la.change_ring(R, V.gram)):
         raise RuntimeError("random orthogonal sample failed the form identity")
     return g

@@ -28,6 +28,15 @@ class NotTStableError(ValueError):
     """A span that was required to be t-stable is not."""
 
 
+class InvalidModuleError(ValueError):
+    """A module that violates the snt-module invariants, listed in
+    `violations` as SntModule.validate returns them."""
+
+    def __init__(self, violations):
+        super().__init__("invalid snt-module: " + ", ".join(violations))
+        self.violations = violations
+
+
 class EnumerationGuardError(RuntimeError):
     """A brute-force enumeration would exceed the configured size guard."""
 
@@ -196,7 +205,7 @@ def decompose(M, seed=0):
     """
     bad = M.validate()
     if bad:
-        raise ValueError("invalid snt-module: " + ", ".join(bad))
+        raise InvalidModuleError(bad)
     field, T, G = M.field, M.t, M.gram
     C = M.basis()   # basis of the complement of the planes found so far
     parts = []

@@ -16,8 +16,8 @@ import sntmod
 from sntmod import analytic
 from sntmod.analytic import (AUT_E8, IntegralLattice, SiegelPoint,
                              TruncationError, bernoulli_number, e8,
-                             eisenstein_direct, eisenstein_lhs, eisenstein_q,
-                             eisenstein_rank1, mass_constant,
+                             eisenstein_direct, eisenstein_lhs,
+                             eisenstein_lhs_direct, eisenstein_q, mass_constant,
                              primitive_counts, sigma_power, theta_basic,
                              theta_colinear, theta_colinear_direct,
                              verify_identity)
@@ -196,8 +196,9 @@ def test_theta_positive_on_imaginary_axis(E8):
 
 
 def test_theta_truncation_error(E8):
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError) as info:
         theta_basic(E8, 0.001j, tail_target=1e-10, max_norm=16)
+    assert "norm bound 16" in str(info.value)
 
 
 def test_colinear_truncation_before_any_tail_bound(E8):
@@ -206,6 +207,39 @@ def test_colinear_truncation_before_any_tail_bound(E8):
     with pytest.raises(TruncationError) as info:
         theta_colinear(E8, SiegelPoint(0.02j, 0j, 0.02j))
     assert info.value.achieved == math.inf
+
+
+def test_q_expansion_truncation_before_any_tail_bound():
+    # |q| = exp(-2 pi 0.26) ≈ 0.195: after one term the ratio 2^3 |q| is
+    # still >= 1, so no tail is certified
+    with pytest.raises(TruncationError) as info:
+        eisenstein_q(0.26j, 4, max_terms=1)
+    assert info.value.achieved == math.inf
+    assert "term count 1" in str(info.value)
+
+
+def test_lhs_outer_box_truncation_reports_last_tail():
+    with pytest.raises(TruncationError) as info:
+        eisenstein_lhs(SiegelPoint(0.001j, 0j, 0.001j), 8)
+    assert info.value.achieved == pytest.approx(1.874e-05, rel=1e-3)
+    assert "box R 60" in str(info.value)
+
+
+def test_certified_bound_takes_first_qualifying_bound():
+    assert analytic._certified_bound(lambda b: 1.0 / b, range(1, 10), 0.3,
+                                     "bound") == (4, 0.25)
+    with pytest.raises(TruncationError) as info:
+        analytic._certified_bound(lambda b: 1.0 / b, range(1, 3), 0.3, "bound")
+    assert info.value.achieved == 0.5 and "bound 2" in str(info.value)
+    with pytest.raises(TruncationError) as info:
+        analytic._certified_bound(lambda b: 0.0, [], 0.3, "bound")
+    assert info.value.achieved == math.inf
+
+
+def test_geometric_tail():
+    assert analytic._geometric_tail(1.0, 0.5) == 2.0
+    assert analytic._geometric_tail(1.0, 1.0) == math.inf
+    assert analytic._geometric_tail(0.0, 2.0) == math.inf
 
 
 # --------------------------------------------------------------------------
@@ -226,9 +260,11 @@ def test_eisenstein_large_im_limit():
 
 
 def test_eisenstein_dual_evaluators_agree():
-    qv, dv, qt, dt = eisenstein_rank1(2j, 4)
+    qv, _ = eisenstein_q(2j, 4, tail_target=1e-12)
+    dv, _ = eisenstein_direct(2j, 4)
     assert abs(qv - dv) < 1e-8
-    qv, dv, _, _ = eisenstein_rank1(1.5j + 0.3, 4)
+    qv, _ = eisenstein_q(1.5j + 0.3, 4, tail_target=1e-12)
+    dv, _ = eisenstein_direct(1.5j + 0.3, 4)
     assert abs(qv - dv) < 1e-7
 
 
@@ -338,8 +374,16 @@ def test_identity_at_general_point(E8):
 def test_accelerated_vs_direct_lhs(E8):
     pt = SiegelPoint(2j, 0j, 2j)
     acc, _ = eisenstein_lhs(pt, 8)
-    direct, _ = eisenstein_lhs(pt, 8, direct=True)
+    direct, _ = eisenstein_lhs_direct(pt, 8)
     assert abs(acc - direct) < 1e-3
+
+
+@pytest.mark.parametrize("N", [6, 9, 10])
+def test_lhs_evaluators_reject_bad_rank(N):
+    pt = SiegelPoint(2j, 0j, 2j)
+    for evaluate in (eisenstein_lhs, eisenstein_lhs_direct):
+        with pytest.raises(ValueError):
+            evaluate(pt, N)
 
 
 def test_wrong_mass_fails(E8):
@@ -368,7 +412,8 @@ def test_monotone_truncation(E8):
 def test_dual_evaluator_values_bracketed_by_tails(E8):
     # reported value ± tail brackets the dual evaluator's value
     for tau in (2j, 1.5j, 3j, 0.3 + 1.2j):
-        qv, dv, qt, dt = eisenstein_rank1(tau, 4)
+        qv, qt = eisenstein_q(tau, 4, tail_target=1e-12)
+        dv, dt = eisenstein_direct(tau, 4)
         assert abs(qv - dv) <= qt + dt
     for tau in (1.5j, 2j):
         tv, tt = theta_basic(E8, tau)

@@ -5,7 +5,8 @@ import os
 import pytest
 
 from sntmod.analytic import sigma_power
-from sntmod.cli import main
+from sntmod.cli import main, verify_sw_main
+from sntmod.sntmodule import SntModule
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,20 @@ def test_decompose_bundled_sample(fixtures, capsys):
                            capsys)
     assert code == 0
     assert data["checks"][0]["details"]["partition"] == [2, 1]
+
+
+def test_decompose_validates_once(fixtures, capsys, monkeypatch):
+    calls = []
+    validate = SntModule.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+    monkeypatch.setattr(SntModule, "validate", counted)
+    code, _ = _run_json(["decompose", os.path.join(fixtures, "h2h1_module.json")],
+                        capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_decompose_corrupted_gram(fixtures, capsys):
@@ -200,6 +215,14 @@ def test_verify_sw_unreachable_tolerance(capsys):
                  "--tau22", "2i", "--tol", "1e-15"])
     capsys.readouterr()
     assert code == 4
+
+
+def test_verify_sw_entry_point(capsys):
+    code = verify_sw_main(["--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["command"] == "verify-sw"
+    assert data["checks"][0]["details"]["passed"] is True
 
 
 def test_verify_sw_bad_point(capsys):

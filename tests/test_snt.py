@@ -7,7 +7,8 @@ import pytest
 
 from sntmod import linalg as la
 from sntmod.fields import QQ, GF, CharacteristicTwoError
-from sntmod.sntmodule import (LagrangianFlag, NotTStableError, SntModule,
+from sntmod.sntmodule import (InvalidModuleError, LagrangianFlag,
+                              NotTStableError, SntModule,
                               decompose, direct_sum, enumerate_t_lagrangians,
                               graph_of_rho, is_t_lagrangian, jordan_type,
                               make_H, quasi_basis, rho_of,
@@ -195,8 +196,12 @@ def test_decompose_base_changed_vs_jordan_oracle(field, seed):
 
 
 def test_decompose_rejects_invalid():
-    with pytest.raises(ValueError):
-        decompose(_one_block_transposed(make_H(QQ, 2)))
+    M = _one_block_transposed(make_H(QQ, 2))
+    with pytest.raises(ValueError) as info:
+        decompose(M)
+    assert isinstance(info.value, InvalidModuleError)
+    assert info.value.violations == M.validate() != []
+    assert str(info.value) == "invalid snt-module: " + ", ".join(M.validate())
 
 
 # --------------------------------------------------------------------------
