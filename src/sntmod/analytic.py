@@ -87,8 +87,10 @@ class IntegralLattice:
             raise ValueError("gram must be square")
         if self.gram != [list(r) for r in zip(*self.gram)]:
             raise ValueError("gram must be symmetric")
-        if not self._positive_definite():
+        pivots = self._pivots()
+        if not all(p > 0 for p in pivots):
             raise ValueError("gram must be positive definite")
+        self._det = int(math.prod(pivots))
         self._counts = None
         self._counts_upto = -1
 
@@ -109,11 +111,8 @@ class IntegralLattice:
                 A[r] = [x - f * y for x, y in zip(A[r], A[i])]
         return out
 
-    def _positive_definite(self):
-        return all(p > 0 for p in self._pivots())
-
     def det(self):
-        return int(math.prod(self._pivots()))
+        return self._det
 
     def is_even(self):
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
@@ -477,7 +476,10 @@ def theta_colinear_direct(L, pt, B):
 # Eisenstein series (weight w = N/2, level one)
 # --------------------------------------------------------------------------
 
-def eisenstein_q(tau, w, tail_target=1e-14, max_terms=600):
+_Q_MAX_TERMS = 600
+
+
+def eisenstein_q(tau, w, tail_target=1e-14, max_terms=_Q_MAX_TERMS):
     """q-expansion path: 1 - (2w / B_w) sum sigma_{w-1}(n) q^n, q = e^{2 pi i tau}.
 
     Sums the fewest terms, at most `max_terms`, whose certified tail meets
@@ -485,7 +487,16 @@ def eisenstein_q(tau, w, tail_target=1e-14, max_terms=600):
     """
     if w < 4 or w % 2:
         raise ValueError("weight must be even and >= 4")
-    coef = float(-Fraction(2 * w) / bernoulli_number(w))
+    return _q_expansion(tau, w, _q_coefficient(w), tail_target, max_terms)
+
+
+def _q_coefficient(w):
+    """-2w / B_w, the coefficient of the divisor sums in E_w."""
+    return float(-Fraction(2 * w) / bernoulli_number(w))
+
+
+def _q_expansion(tau, w, coef, tail_target, max_terms):
+    """eisenstein_q with the coefficient -2w / B_w given."""
     q = cmath.exp(2j * math.pi * tau)
     x = abs(q)
     if x >= 0.5:
@@ -556,7 +567,8 @@ def eisenstein_lhs(pt, N, tail_target=1e-12):
     """
     w = _lhs_weight(N)
     lam = pt.im_min_eig()
-    coefbound = 1.21 * abs(float(-Fraction(2 * w) / bernoulli_number(w)))
+    coef = _q_coefficient(w)
+    coefbound = 1.21 * abs(coef)
 
     def tail_at(R):
         # outside the box Im Q(m, n) >= lam (R + 1)^2, and |E_w(z) - 1| <=
@@ -572,7 +584,7 @@ def eisenstein_lhs(pt, N, tail_target=1e-12):
             if (m, n) == (0, 0) or math.gcd(m, n) != 1:
                 continue
             z = pt.qform(m, n)
-            ev, et = eisenstein_q(z, w, tail_target=tail_target / 8)
+            ev, et = _q_expansion(z, w, coef, tail_target / 8, _Q_MAX_TERMS)
             value += 0.5 * (ev - 1.0)
             inner_tail += et / 2
     return value, tail + inner_tail

@@ -858,15 +858,12 @@ def orthogonal_group_ring(V, k):
         raise ValueError("group enumeration needs a finite field")
     limit = enum_guard_limit()
     q, d = field.p, V.dim
-    if q ** (d * d) > limit:
-        raise EnumerationGuardError("level-0 scan of size %d exceeds guard" % q ** (d * d))
     Q = V.gram
+    base = _level0_group(field, Q, limit)
+    if not all(la.mat_eq(la.mat_mul(la.mat_mul(g, Q), la.transpose(g)), Q)
+               for g in base):
+        raise RuntimeError("a level-0 element does not preserve the form")
     elems = list(field.elements())
-    base = []
-    for vals in itertools.product(elems, repeat=d * d):
-        g = [list(vals[r * d:(r + 1) * d]) for r in range(d)]
-        if la.mat_eq(la.mat_mul(la.mat_mul(g, Q), la.transpose(g)), Q):
-            base.append(g)
     skew_dim = d * (d - 1) // 2
     total = len(base) * q ** ((k - 1) * skew_dim)
     if total > limit:
@@ -885,6 +882,41 @@ def orthogonal_group_ring(V, k):
                 nxt.append(_add_layer(g, h, layer))
         sols = nxt
     return sols
+
+
+def _level0_group(field, Q, limit):
+    """O(V)(F_q) row by row, in the order of a scan over all q^(d²) matrices.
+
+    Row i of g ranges over the vectors v with B(v, v) = Q_ii and
+    B(g_j, v) = Q_ji for every earlier row g_j, where B(u, v) = u·Q·vᵀ;
+    the candidates of each row come in `itertools.product` order.  The work
+    is done on int residues, with v·Q computed once per vector.  The guard
+    counts the partial solutions times q^d, summed over the rows, and is
+    checked before each row is searched.
+    """
+    q, d = field.p, len(Q)
+    Qv = [[x.v for x in row] for row in Q]
+    vecs = list(itertools.product(range(q), repeat=d))
+    vQ = [[sum(v[l] * Qv[l][c] for l in range(d)) % q for c in range(d)]
+          for v in vecs]
+    norms = [sum(a * b for a, b in zip(w, v)) % q for v, w in zip(vecs, vQ)]
+    partial, visited = [()], 0
+    for i in range(d):
+        visited += len(partial) * len(vecs)
+        if visited > limit:
+            raise EnumerationGuardError(
+                "level-0 search of %d candidate rows exceeds guard %d" % (visited, limit))
+        same_norm = [n for n, c in enumerate(norms) if c == Qv[i][i]]
+        nxt = []
+        for rows in partial:
+            earlier = [(vQ[n], Qv[j][i]) for j, n in enumerate(rows)]
+            for n in same_norm:
+                v = vecs[n]
+                if all(sum(a * b for a, b in zip(w, v)) % q == want
+                       for w, want in earlier):
+                    nxt.append(rows + (n,))
+        partial = nxt
+    return [[[field(x) for x in vecs[n]] for n in rows] for rows in partial]
 
 
 def brute_force_orbits(space):

@@ -451,21 +451,47 @@ def enumerate_t_lagrangians(M):
     """Exhaustive list of t-Lagrangian subspaces over a finite field.
 
     Output is canonical (sorted reduced-echelon bases) and duplicate-free.
-    The scan visits every (dim/2)-dimensional subspace of F_q^dim.
+    The list is built through the fibration U -> pi_-(U) of the flag that
+    `decompose` gives (M_- the e1 chains, M_+ the e2 chains): the t-stable
+    subspaces W of M_- are found by a scan, and the fiber over W is the set
+    of graphs of the self-dual t-linear maps W -> M_+/W^⊥, an F_q-space.
+    The guard counts the subspaces of M_- scanned plus the subspaces
+    emitted, and is checked before the scan and before each fiber.  An
+    invalid module raises InvalidModuleError, from `decompose`.
     """
-    if not isinstance(M.field, PrimeField):
+    field = M.field
+    if not isinstance(field, PrimeField):
         raise ValueError("enumeration needs a finite field")
     limit = enum_guard_limit()
-    q, d = M.field.p, M.dim // 2
-    candidates = _gaussian_binomial(M.dim, d, q)
-    if candidates > limit:
+    q, d = field.p, M.dim // 2
+    visited = sum(_gaussian_binomial(d, j, q) for j in range(d + 1))
+    if visited > limit:
         raise EnumerationGuardError(
-            "%d candidate subspaces exceed the enumeration guard %d"
-            % (candidates, limit))
+            "%d subspaces of M_- exceed the enumeration guard %d" % (visited, limit))
+    flag = LagrangianFlag.from_decomposition(M)
+    Tm = flag.t_on_minus()
     found = []
-    for A in _all_rref_subspaces(M.field, M.dim, d):
-        if is_isotropic(M, A) and is_t_stable(M, A):
-            found.append(tuple(tuple(x for x in row) for row in A))
+    for j in range(d + 1):
+        for W in _all_rref_subspaces(field, d, j):
+            if la.rank(field, W + la.mat_mul(W, Tm)) != j:
+                continue
+            W_sub = quasi_basis(field, Tm, M.K, W)
+            Wperp, reps = _perp_and_reps(flag, W)
+            basis = self_dual_map_basis(flag, W_sub, Wperp, reps)
+            visited += q ** len(basis)
+            if visited > limit:
+                raise EnumerationGuardError(
+                    "%d subspaces scanned or emitted exceed the enumeration guard %d"
+                    % (visited, limit))
+            for coeffs in itertools.product(field.elements(), repeat=len(basis)):
+                rho = la.zeros(field, j, len(reps))
+                for c, R in zip(coeffs, basis):
+                    if c:
+                        rho = la.mat_add(rho, la.scal_mul(c, R))
+                U = graph_of_rho(flag, W_sub, Wperp, reps, rho)
+                if len(U) != d or not is_isotropic(M, U):
+                    raise RuntimeError("a fiber point is not a Lagrangian subspace")
+                found.append(U)
     found.sort(key=lambda rows: [[_scalar_key(x) for x in r] for r in rows])
     return found
 
@@ -511,6 +537,11 @@ class LagrangianFlag:
         self.minus_t_stable = is_t_stable(M, self.minus)
         self._full = self.minus + self.plus
         self._full_inv = la.inverse(M.field, self._full)
+        # read once per fiber by the enumeration, so computed once here
+        self._t_minus = [self.project_minus(la.vec_mat(r, M.t)) for r in self.minus]
+        self._t_plus = [self.split_coords(la.vec_mat(r, M.t))[1] for r in self.plus]
+        self._pairing = la.mat_mul(la.mat_mul(self.minus, M.gram),
+                                   la.transpose(self.plus))
 
     @classmethod
     def standard(cls, M):
@@ -529,6 +560,18 @@ class LagrangianFlag:
                 plus.append(e)
         return cls(M, minus, plus)
 
+    @classmethod
+    def from_decomposition(cls, M):
+        """The flag read off `decompose(M)`: M_- is spanned by the e1 chains
+        of the standard basis it finds, M_+ by the e2 chains."""
+        ks, B = decompose(M)
+        minus, plus, off = [], [], 0
+        for k in ks:
+            minus += B[off:off + k]
+            plus += B[off + k:off + 2 * k]
+            off += 2 * k
+        return cls(M, minus, plus)
+
     def split_coords(self, v):
         """(a, b) with v = a·minus + b·plus."""
         c = la.vec_mat(list(v), self._full_inv)
@@ -541,26 +584,14 @@ class LagrangianFlag:
 
     def t_on_minus(self):
         """Matrix of the induced t-action on M_- coordinates (via M/M_+)."""
-        out = []
-        for r in self.minus:
-            img = la.vec_mat(r, self.M.t)
-            out.append(self.project_minus(img))
-        return out
+        return self._t_minus
 
     def t_on_plus(self):
-        out = []
-        for r in self.plus:
-            img = la.vec_mat(r, self.M.t)
-            a, b = self.split_coords(img)
-            if any(bool(c) for c in a):
-                raise NotTStableError("M_+ not t-stable")
-            out.append(b)
-        return out
+        return self._t_plus
 
     def pairing_minus_plus(self):
         """d x d matrix <minus_i, plus_j> (invertible by nondegeneracy)."""
-        return la.mat_mul(la.mat_mul(self.minus, self.M.gram),
-                          la.transpose(self.plus))
+        return self._pairing
 
 
 def rho_of(flag, U_rows):
@@ -581,21 +612,7 @@ def rho_of(flag, U_rows):
     W_rows = la.rref_span(field, [a for a, _ in Uc])
     Tm = flag.t_on_minus()
     W_sub = quasi_basis(field, Tm, M.K, [list(r) for r in W_rows])
-    # W^perp inside M_+ (M_+ coordinates)
-    Pi = flag.pairing_minus_plus()
-    if W_rows:
-        Wperp = la.right_kernel(field, la.mat_mul([list(r) for r in W_rows], Pi))
-    else:
-        Wperp = la.identity(field, d)
-    Wperp = [list(r) for r in la.rref_span(field, Wperp)]
-    # quotient representatives: unit vectors away from the pivots of W^perp
-    piv = la.rref(field, Wperp)[1] if Wperp else []
-    reps = []
-    for c in range(d):
-        if c not in piv:
-            e = [field.zero] * d
-            e[c] = field.one
-            reps.append(e)
+    Wperp, reps = _perp_and_reps(flag, W_rows)
     # rho on the canonical span basis of W
     quot_basis = reps + Wperp
     rho = []
@@ -608,6 +625,27 @@ def rho_of(flag, U_rows):
         qsol = la.solve(field, la.transpose(quot_basis), lift_plus)
         rho.append(qsol.particular[:len(reps)])
     return W_sub, Wperp, reps, rho
+
+
+def _perp_and_reps(flag, W_rows):
+    """(W^⊥, reps) for W ⊆ M_- given by rows in M_- coordinates: the
+    canonical basis of W^⊥ ⊆ M_+, and the unit vectors away from its pivots
+    as representatives of a basis of M_+/W^⊥, both in M_+ coordinates."""
+    field, d = flag.M.field, flag.M.dim // 2
+    if W_rows:
+        Wperp = la.right_kernel(
+            field, la.mat_mul([list(r) for r in W_rows], flag.pairing_minus_plus()))
+    else:
+        Wperp = la.identity(field, d)
+    Wperp = [list(r) for r in la.rref_span(field, Wperp)]
+    piv = {next(c for c, x in enumerate(r) if x) for r in Wperp}
+    reps = []
+    for c in range(d):
+        if c not in piv:
+            e = [field.zero] * d
+            e[c] = field.one
+            reps.append(e)
+    return Wperp, reps
 
 
 def graph_of_rho(flag, W_sub, Wperp, reps, rho):
@@ -625,11 +663,17 @@ def self_dual_map_space_dim(flag, W_sub, Wperp, reps):
     Over F_q the fiber of the projection Gr(M,t) -> Gr(M_-,t) over W has
     exactly q^dim points.
     """
+    return len(self_dual_map_basis(flag, W_sub, Wperp, reps))
+
+
+def self_dual_map_basis(flag, W_sub, Wperp, reps):
+    """A basis of the t-linear self-dual maps W -> M_+/W^⊥, each a w × r
+    matrix in the bases (W_sub.span) -> (reps), as `rho_of` returns rho."""
     field = flag.M.field
     w = len(W_sub.span)
     r = len(reps)
     if w == 0 or r == 0:
-        return 0
+        return []
     Tm_full = flag.t_on_minus()
     # t-action on W in span coordinates
     TW = _restrict(field, Tm_full, [list(x) for x in W_sub.span])
@@ -666,5 +710,5 @@ def self_dual_map_space_dim(flag, W_sub, Wperp, reps):
                 row[var(jj, l)] = row[var(jj, l)] + P[i][l]
                 row[var(i, l)] = row[var(i, l)] - P[jj][l]
             eqs.append(row)
-    ker = la.right_kernel(field, eqs)
-    return len(ker)
+    return [[vec[i * r:(i + 1) * r] for i in range(w)]
+            for vec in la.right_kernel(field, eqs)]

@@ -67,6 +67,17 @@ def test_rejects_bad_grams():
         IntegralLattice([[0, 1], [1, 0]])   # indefinite
 
 
+def test_lattice_eliminates_once(monkeypatch):
+    # the positive-definite check and det() share one exact elimination
+    calls = []
+    pivots = IntegralLattice._pivots
+    monkeypatch.setattr(IntegralLattice, "_pivots",
+                        lambda self: calls.append(1) or pivots(self))
+    L = IntegralLattice([[2, 1], [1, 2]], name="A2")
+    assert L.det() == 3 and not L.is_unimodular()
+    assert len(calls) == 1
+
+
 def test_primitive_counts_moebius(E8):
     c = E8.counts_by_norm(16)
     cp = primitive_counts(c)

@@ -1,10 +1,12 @@
 """Orbit invariants, Witt lifting, isometry extension, transport, and the
 brute-force cross-checks over small finite fields."""
+import itertools
 import random
 
 import pytest
 
 from sntmod import linalg as la
+from sntmod import orbits
 from sntmod.fields import QQ, GF
 from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            TensorSpace, brute_force_orbits,
@@ -461,6 +463,65 @@ def test_brute_force_equals_invariant_partition(q, ks, gram):
     # the orbit of zero is {zero}
     zero_key = sp.zero().key()
     assert frozenset([zero_key]) in set(bf)
+
+
+# --------------------------------------------------------------------------
+# O(V)(F_q[t]/(t^k)): the row-by-row level 0 against the full scan
+# --------------------------------------------------------------------------
+
+def _scan_level0(field, Q, limit):
+    """Oracle for orbits._level0_group: all q^(d²) matrices g, kept when
+    g·Q·gᵀ = Q."""
+    d = len(Q)
+    out = []
+    for vals in itertools.product(list(field.elements()), repeat=d * d):
+        g = [list(vals[r * d:(r + 1) * d]) for r in range(d)]
+        if la.mat_eq(la.mat_mul(la.mat_mul(g, Q), la.transpose(g)), Q):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("q,form,k", [
+    (3, [1, 2, 1], 1), (3, [1, 1], 1), (3, [1, 2], 2), (3, [2, 2], 3),
+    (5, [1, 2], 1), (5, [1, 1], 2), (5, [3], 3),
+    (3, "hyperbolic", 2), (5, "hyperbolic", 1),
+])
+def test_group_rows_match_scan(q, form, k, monkeypatch):
+    # element for element and in order: the layer lifting after level 0 is
+    # the same on both routes
+    F = GF(q)
+    V = hyperbolic_plane(F) if form == "hyperbolic" else diagonal_space(F, form)
+    rows = orthogonal_group_ring(V, k)
+    monkeypatch.setattr(orbits, "_level0_group", _scan_level0)
+    assert orthogonal_group_ring(V, k) == rows
+
+
+@pytest.mark.parametrize("q,entries,order", [
+    (5, [1, 1, 1], 2 * 5 * (5 ** 2 - 1)),              # |O_3(F_5)| = 240
+    (3, [1, 1, 1, 1], 2 * 3 ** 2 * (3 ** 2 - 1) ** 2),  # |O_4^+(F_3)| = 1152
+])
+def test_group_orders_closed_form(q, entries, order):
+    group = orthogonal_group_ring(diagonal_space(GF(q), entries), 1)
+    assert len(group) == order
+    assert len({tuple(x.coeffs[0].v for r in g for x in r) for g in group}) == order
+
+
+def test_level0_guard_counts_visited_rows(monkeypatch):
+    # diag(1, 1, 1) over F_3: the empty prefix, the 6 first rows of norm 1
+    # and the 24 orthonormal pairs, each tried against all 27 vectors:
+    # 27·31 = 837
+    V = diagonal_space(F3, [1, 1, 1])
+    monkeypatch.setenv("SNT_MAX_ENUM", "837")
+    assert len(orthogonal_group_ring(V, 1)) == 48
+    monkeypatch.setenv("SNT_MAX_ENUM", "836")
+    with pytest.raises(EnumerationGuardError):
+        orthogonal_group_ring(V, 1)
+    # over F_3[t]/(t^2) the lift-size guard binds first: 48·3^3 = 1296
+    monkeypatch.setenv("SNT_MAX_ENUM", "1296")
+    assert len(orthogonal_group_ring(V, 2)) == 1296
+    monkeypatch.setenv("SNT_MAX_ENUM", "1295")
+    with pytest.raises(EnumerationGuardError):
+        orthogonal_group_ring(V, 2)
 
 
 def test_element_guard_follows_the_limit(monkeypatch):

@@ -1,5 +1,6 @@
 """Structure theory: standard planes, decomposition, submodules,
 t-Lagrangian subspaces and the projection fibration."""
+import functools
 import random
 from collections import Counter
 
@@ -10,10 +11,12 @@ from sntmod.fields import QQ, GF, CharacteristicTwoError
 from sntmod.sntmodule import (InvalidModuleError, LagrangianFlag,
                               NotTStableError, SntModule,
                               decompose, direct_sum, enumerate_t_lagrangians,
-                              graph_of_rho, is_t_lagrangian, jordan_type,
-                              make_H, quasi_basis, rho_of,
+                              graph_of_rho, is_isotropic, is_t_lagrangian,
+                              is_t_stable, jordan_type, make_H, quasi_basis,
+                              rho_of, self_dual_map_basis,
                               self_dual_map_space_dim, standard_module,
                               standard_t_lagrangian)
+from sntmod.sntmodule import _all_rref_subspaces
 
 F3 = GF(3)
 F5 = GF(5)
@@ -302,18 +305,17 @@ def test_enumeration_guard(monkeypatch):
 
 
 def test_enumeration_guard_counts_scanned_subspaces(monkeypatch):
-    # the scan visits all [dim, dim/2]_q subspaces: [4, 2]_3 = 130 for (1, 1)
-    # and [6, 3]_3 = 33 880 for (2, 1), although 3^6 = 729
+    # the guard counts the subspaces of M_- scanned plus the subspaces
+    # emitted: 1 + 4 + 1 + 40 = 46 for (1, 1) and 1 + 13 + 13 + 1 + 148 = 176
+    # for (2, 1) over F_3
     from sntmod.sntmodule import EnumerationGuardError
-    M = standard_module(F3, (1, 1))
-    monkeypatch.setenv("SNT_MAX_ENUM", "130")
-    assert len(enumerate_t_lagrangians(M)) > 0
-    monkeypatch.setenv("SNT_MAX_ENUM", "129")
-    with pytest.raises(EnumerationGuardError):
-        enumerate_t_lagrangians(M)
-    monkeypatch.setenv("SNT_MAX_ENUM", "1000")
-    with pytest.raises(EnumerationGuardError):
-        enumerate_t_lagrangians(standard_module(F3, (2, 1)))
+    for ks, n, found in (((1, 1), 46, 40), ((2, 1), 176, 148)):
+        M = standard_module(F3, ks)
+        monkeypatch.setenv("SNT_MAX_ENUM", str(n))
+        assert len(enumerate_t_lagrangians(M)) == found
+        monkeypatch.setenv("SNT_MAX_ENUM", str(n - 1))
+        with pytest.raises(EnumerationGuardError):
+            enumerate_t_lagrangians(M)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5"])
@@ -321,6 +323,85 @@ def test_enumeration_guard_rejects_bad_limit(value, monkeypatch):
     monkeypatch.setenv("SNT_MAX_ENUM", value)
     with pytest.raises(ValueError):
         enumerate_t_lagrangians(standard_module(F3, (1, 1)))
+
+
+# --------------------------------------------------------------------------
+# the fibration enumerator against the full scan
+# --------------------------------------------------------------------------
+
+def _lagrangian_key(rows):
+    return [[x.v for x in r] for r in rows]
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_t_lagrangians(q, ks):
+    """Oracle: every (dim/2)-dimensional subspace of F_q^dim of the standard
+    module, kept when it is isotropic and t-stable, sorted as the
+    enumerator sorts."""
+    M = standard_module(GF(q), ks)
+    found = [tuple(tuple(r) for r in A)
+             for A in _all_rref_subspaces(M.field, M.dim, M.dim // 2)
+             if is_isotropic(M, A) and is_t_stable(M, A)]
+    return sorted(found, key=_lagrangian_key)
+
+
+# scans of at most a few seconds each
+SCANNED_TYPES = [(3, (1,)), (3, (1, 1)), (3, (2,)), (5, (1,)), (5, (1, 1)),
+                 (5, (2,)), (3, (2, 1)), (3, (3,)), (3, (1, 1, 1))]
+
+
+@pytest.mark.parametrize("q,ks", SCANNED_TYPES)
+def test_fibration_enumeration_matches_scan(q, ks):
+    F = GF(q)
+    assert enumerate_t_lagrangians(standard_module(F, ks)) == \
+        _scan_t_lagrangians(q, ks)
+
+
+@pytest.mark.parametrize("q,ks", SCANNED_TYPES)
+def test_fibration_enumeration_matches_scan_scrambled(q, ks):
+    # U is a t-Lagrangian of M exactly when U·P⁻¹ is one of P·M·P⁻¹
+    F = GF(q)
+    M = standard_module(F, ks)
+    P = random_invertible(F, M.dim, random.Random(sum(ks) * q))
+    Pinv = la.inverse(F, P)
+    expect = sorted((la.rref_span(F, la.mat_mul([list(r) for r in U], Pinv))
+                     for U in _scan_t_lagrangians(q, ks)), key=_lagrangian_key)
+    assert enumerate_t_lagrangians(base_change(M, P)) == expect
+
+
+def test_fiber_sizes_sum_to_gr_21_over_f5():
+    # beyond the scan: Σ_W q^dim F_W over the projections W to M_- of the
+    # standard flag equals the number of subspaces found
+    M = standard_module(F5, (2, 1))
+    lagr = enumerate_t_lagrangians(M)
+    assert len(lagr) == len(set(lagr)) == 906
+    assert all(is_t_lagrangian(M, [list(r) for r in U]) for U in lagr)
+    flag = LagrangianFlag.standard(M)
+    fibers = Counter(la.rref_span(F5, [flag.project_minus(u) for u in U])
+                     for U in lagr)
+    dims = {}
+    for U in lagr:
+        W, Wperp, reps, _ = rho_of(flag, [list(r) for r in U])
+        dims.setdefault(W.span, self_dual_map_space_dim(flag, W, Wperp, reps))
+        if len(dims) == len(fibers):
+            break
+    assert set(dims) == set(fibers)
+    assert all(fibers[W] == 5 ** dims[W] for W in fibers)
+    assert sum(5 ** d for d in dims.values()) == 906
+
+
+def test_self_dual_map_basis_spans_the_fiber():
+    # each basis map is t-linear and self-dual: its graph is a t-Lagrangian
+    # that rho_of maps back to the same matrix
+    M = standard_module(F3, (2, 1))
+    flag = LagrangianFlag.standard(M)
+    W, Wperp, reps, _ = rho_of(flag, flag.minus)
+    basis = self_dual_map_basis(flag, W, Wperp, reps)
+    assert len(basis) == self_dual_map_space_dim(flag, W, Wperp, reps) == 4
+    for R in basis:
+        U = graph_of_rho(flag, W, Wperp, reps, R)
+        assert is_t_lagrangian(M, [list(r) for r in U])
+        assert la.mat_eq(rho_of(flag, [list(r) for r in U])[3], R)
 
 
 # --------------------------------------------------------------------------
