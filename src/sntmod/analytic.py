@@ -393,7 +393,12 @@ def theta_basic(L, tau, tail_target=1e-12, max_norm=64):
 
 
 def _binary_theta(s11, s12, s22, tail_target=1e-14):
-    """Sum over (m,n) in Z^2 of exp(pi i (m^2 s11 + 2mn s12 + n^2 s22))."""
+    """theta_2 - 1: the sum over (m,n) != (0,0) in Z^2 of
+    exp(pi i (m^2 s11 + 2mn s12 + n^2 s22)).
+
+    The (0,0) term 1 is left out, not subtracted afterwards: theta_2 - 1 is
+    small, and forming it from the rounded theta_2 leaves an absolute error
+    of about eps, which theta_colinear multiplies by a shell count."""
     lam = _min_eig(s11.imag, s12.imag, s22.imag)
     if lam <= 0:
         raise ValueError("imaginary part must be positive definite")
@@ -402,8 +407,9 @@ def _binary_theta(s11, s12, s22, tail_target=1e-14):
     ms = np.arange(-R, R + 1)
     M, Nn = np.meshgrid(ms, ms, indexing="ij")
     phase = 1j * math.pi * (M * M * s11 + 2 * M * Nn * s12 + Nn * Nn * s22)
-    value = complex(np.exp(phase).sum())
-    return value, tail
+    terms = np.exp(phase)
+    terms[R, R] = 0
+    return complex(terms.sum()), tail
 
 
 def _colinear_norm_bound(rank, pt, tail_target=1e-11, max_norm=64):
@@ -437,8 +443,8 @@ def theta_colinear(L, pt, tail_target=1e-11, max_norm=64):
     for n in range(1, B + 1):
         if not cprim[n]:
             continue
-        th, tl = _binary_theta(n * pt.tau11, n * pt.tau12, n * pt.tau22)
-        value += (cprim[n] / 2) * (th - 1.0)
+        th1, tl = _binary_theta(n * pt.tau11, n * pt.tau12, n * pt.tau22)
+        value += (cprim[n] / 2) * th1
         inner_tail += cprim[n] * tl / 2
     return value, tail + inner_tail
 

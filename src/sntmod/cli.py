@@ -175,6 +175,8 @@ def cmd_census(args, report):
 def cmd_verify_sw(args, report):
     report.config = {k: str(v) for k, v in vars(args).items() if k != "func"}
     with _input_stage("setup"):
+        if args.aut is not None and args.aut <= 0:
+            raise ValueError("--aut must be a positive integer, got %d" % args.aut)
         if args.gram_file:
             lat = IntegralLattice(_load_json(args.gram_file), name=args.gram_file)
             aut = args.aut

@@ -3,7 +3,16 @@
 Matrices are plain lists of lists of ring elements; vectors are lists.  The
 descriptor (``QQ``, ``GF(p)`` or ``tpoly.TruncRing(field, K)`` for
 F[t]/(t^K)) supplies ``zero``, ``one``, element construction and the pivot
-test ``is_unit``; the arithmetic itself goes through the elements' operators.
+test ``is_unit``.
+`mat_mul`, `vec_mat` and `rref` (and so `inverse`, `solve`, `rank`,
+`right_kernel` and `rref_span`) look at every entry first.  When all are
+`Fraction`s they compute on integer rows over common denominators, with
+fraction-free elimination; when all are `FpElement`s of one prime p they
+compute on int residues mod p.  Any other input (`TruncPoly` entries, ints,
+mixed primes or kinds) goes through the elements' operators, in the
+`_..._generic` helpers.  Both paths return the same values and element
+types, since `Fraction` and `FpElement` are normalised and the reduced
+echelon form over a field is canonical.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from two primitives: `nilpotent_powers` for
@@ -18,6 +27,11 @@ so callers check A·xᵀ = b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+
+from .fields import FpElement
 
 
 def zeros(field, r, c):
@@ -48,11 +62,26 @@ def mat_mul(A, B):
     n, m = len(A), len(B)
     if n and m and len(A[0]) != m:
         raise ValueError("dimension mismatch in mat_mul")
+    kind = _int_kind((A, B))
+    if kind is None:
+        return _mat_mul_generic(A, B)
+    return _int_mat_mul(kind, A, B)
+
+
+def vec_mat(v, A):
+    """Row vector times matrix."""
+    if len(v) != len(A):
+        raise ValueError("dimension mismatch in vec_mat")
+    kind = _int_kind(([v], A))
+    if kind is None:
+        return _mat_mul_generic([v], A)[0]
+    return _int_mat_mul(kind, [v], A)[0]
+
+
+# the operator path: any ring, and the reference for the int kernels below
+def _mat_mul_generic(A, B):
     Bt = transpose(B)
-    out = []
-    for row in A:
-        out.append([_dot(row, col) for col in Bt])
-    return out
+    return [[_dot(row, col) for col in Bt] for row in A]
 
 
 def _dot(u, v):
@@ -64,12 +93,99 @@ def _dot(u, v):
     return acc
 
 
-def vec_mat(v, A):
-    """Row vector times matrix."""
-    if len(v) != len(A):
-        raise ValueError("dimension mismatch in vec_mat")
-    At = transpose(A)
-    return [_dot(v, col) for col in At]
+# --------------------------------------------------------------------------
+# int kernels for Q and F_p
+# --------------------------------------------------------------------------
+
+def _int_kind(blocks):
+    """The int kernel that can take every entry of these matrices: 0 when
+    all are Fractions, p when all are FpElements of F_p, None otherwise
+    (no entries, ring elements, ints, mixed kinds or primes).  Stops at the
+    first entry that rules a kernel out."""
+    kind = None
+    for rows in blocks:
+        for row in rows:
+            for x in row:
+                t = type(x)
+                if t is FpElement:
+                    k = x.p
+                elif t is Fraction:
+                    k = 0
+                else:
+                    return None
+                if k != kind:
+                    if kind is not None:
+                        return None
+                    kind = k
+    return kind
+
+
+def _scaled_rows(rows):
+    """Integer rows with their lcm denominators d: row = int_row / d."""
+    out, dens = [], []
+    for row in rows:
+        ds = [x.denominator for x in row]
+        d = lcm(*ds)
+        out.append([x.numerator * (d // e) for x, e in zip(row, ds)])
+        dens.append(d)
+    return out, dens
+
+
+def _int_mat_mul(kind, A, B):
+    """A·B for all-Fraction (kind 0) or all-F_p (kind p) matrices."""
+    if kind:
+        Bt = [[x.v for x in col] for col in zip(*B)]
+        return [[FpElement(kind, sum(map(mul, r, c))) for c in Bt]
+                for r in ([x.v for x in row] for row in A)]
+    Ai, da = _scaled_rows(A)
+    Bt, eb = _scaled_rows(zip(*B))
+    return [[Fraction(sum(map(mul, r, c)), d * e) for c, e in zip(Bt, eb)]
+            for r, d in zip(Ai, da)]
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _int_rref(kind, rows):
+    """`rref` for all-Fraction (kind 0) or all-F_p (kind p) rows.
+
+    Over F_p the rows are residues and each pivot row is scaled by
+    pow(pivot, -1, p).  Over Q the rows are scaled to primitive integer rows,
+    eliminated without fractions (a·row_i − b·row_r, then divided by its
+    content), and each pivot row is divided by its pivot only at the end."""
+    if kind:
+        R = [[x.v for x in row] for row in rows]
+    else:
+        R = [_primitive(row) for row in _scaled_rows(rows)[0]]
+    nr, nc = len(R), len(R[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        if kind:
+            inv = pow(R[r][c], -1, kind)
+            R[r] = [x * inv % kind for x in R[r]]
+        piv, a = R[r], R[r][c]
+        for i in range(nr):
+            b = R[i][c]
+            if i != r and b:
+                if kind:
+                    R[i] = [(x - b * y) % kind for x, y in zip(R[i], piv)]
+                else:
+                    R[i] = _primitive([a * x - b * y for x, y in zip(R[i], piv)])
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    if kind:
+        return [[FpElement(kind, x) for x in row] for row in R], pivots
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(R, pivots)]
+    return out + [[Fraction(0)] * nc for _ in range(r, nr)], pivots
 
 
 def mat_add(A, B):
@@ -150,6 +266,13 @@ def rref(field, rows):
     Pivots are the entries that pass ``field.is_unit``: any nonzero one over
     a field, units only over a local ring such as F[t]/(t^K).
     """
+    kind = _int_kind((rows,))
+    if kind is None:
+        return _rref_generic(field, rows)
+    return _int_rref(kind, rows)
+
+
+def _rref_generic(field, rows):
     is_pivot = field.is_unit
     R = [row[:] for row in rows]
     nr = len(R)

@@ -241,8 +241,11 @@ def f_matrix(x):
 
 def image_of(x):
     """Im f_x as an SntSubmodule of M_- (canonical span + quasi-basis)."""
-    sp = x.space
-    span = la.rref_span(sp.field, f_matrix(x))
+    return _image_of_matrix(x.space, f_matrix(x))
+
+
+def _image_of_matrix(sp, fm):
+    span = la.rref_span(sp.field, fm)
     return quasi_basis(sp.field, sp.t_minus, sp.K, [list(r) for r in span])
 
 
@@ -256,7 +259,8 @@ def normal_form(x, W=None):
     """
     sp = x.space
     R = sp.R
-    img = image_of(x)
+    fm = f_matrix(x)
+    img = _image_of_matrix(sp, fm)
     if x.is_zero():
         if W is None or not W.quasi:
             return img, []
@@ -264,7 +268,6 @@ def normal_form(x, W=None):
     e_rows, orders = img.quasi, list(img.partition)
     m = len(e_rows)
     field = sp.field
-    fm = f_matrix(x)
     # v_i with f_x(v_i) = e_i
     vs = []
     for e in e_rows:
@@ -799,7 +802,7 @@ def tangent_matrix(x, W=None):
     (i <= j) with coefficients mod t^{k_j}.
     """
     sp = x.space
-    W_used, ws = normal_form(x, W if W is not None else image_of(x))
+    W_used, ws = normal_form(x, W)
     ks = list(W_used.partition)
     m = len(ks)
     ncols = _sym_basis_size(ks)
@@ -838,10 +841,11 @@ def is_submersive(x, W=None):
     """Rank criterion: dT_x surjective onto S_t^2(W); asserted equivalent to
     Im f_x = W."""
     sp = x.space
-    W_used = W if W is not None else image_of(x)
+    img = image_of(x)
+    W_used = W if W is not None else img
     rows, ncols = tangent_matrix(x, W_used)
     by_rank = (la.rank(sp.field, rows) == ncols) if ncols else True
-    by_image = image_of(x).span == W_used.span
+    by_image = img.span == W_used.span
     if by_rank != by_image:
         raise RuntimeError("rank and image criteria disagree")
     return by_rank

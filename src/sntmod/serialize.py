@@ -23,6 +23,8 @@ def field_to_json(field):
 
 
 def field_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("field descriptor must be an object, got %r" % (obj,))
     if obj.get("type") == "Q":
         return QQ
     if obj.get("type") == "GF":
@@ -50,6 +52,8 @@ def scalar_from_str(field, s):
         return field(int(r))
     if "/" in s:
         num, den = s.split("/")
+        if not field(int(den)):
+            raise ValueError("zero denominator in scalar %r" % s)
         if isinstance(field, PrimeField):
             return field(int(num)) / field(int(den))
         return Fraction(int(num), int(den))

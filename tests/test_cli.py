@@ -67,6 +67,7 @@ def test_decompose_base_changed_matches_metadata(fixtures, capsys):
     ("basechange_module.json", "partition", [3, 1]),   # false claim
     ("h2h1_module.json", "partition", 5),
     ("h2h1_module.json", "t_action", 5),
+    ("h2h1_module.json", "field", "GF(3)"),      # descriptor not an object
 ])
 def test_decompose_rejected_module_entry(name, key, value, fixtures, tmp_path,
                                          capsys):
@@ -79,6 +80,19 @@ def test_decompose_rejected_module_entry(name, key, value, fixtures, tmp_path,
     code, data = _run_json(["decompose", path], capsys)
     assert code == 2
     assert data["checks"][0]["name"] == "parse"
+
+
+def test_decompose_zero_denominator_is_input_error(fixtures, tmp_path, capsys):
+    with open(os.path.join(fixtures, "h2h1_module.json")) as fh:
+        obj = json.load(fh)
+    obj["gram"][0][1] = "1/0"
+    path = str(tmp_path / "zero_den.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    code, data = _run_json(["decompose", path], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "parse"
+    assert "zero denominator" in data["checks"][0]["details"]["message"]
 
 
 def test_decompose_missing_file(capsys):
@@ -245,6 +259,34 @@ def test_verify_sw_bad_tolerance_is_input_error(tol, capsys):
     code, data = _run_json(["verify-sw", "--tol", tol], capsys)
     assert code == 2
     assert data["checks"][0]["name"] == "setup"
+
+
+@pytest.mark.parametrize("tau", [("1.2i", "0.3", "1.1i"),
+                                 ("0.9i", "0.2+0.1i", "1.0i")])
+def test_verify_sw_off_diagonal_points_at_tight_tolerance(tau, capsys):
+    # theta_2 - 1 summed without its (0,0) term: rel_diff stays near eps
+    # (it read 1.7e-12 and 3.0e-12 when the 1 was subtracted afterwards)
+    code, data = _run_json(["verify-sw", "--tau11", tau[0], "--tau12", tau[1],
+                            "--tau22", tau[2], "--tol", "1e-12"], capsys)
+    assert code == 0
+    assert data["checks"][0]["details"]["rel_diff"] < 1e-14
+
+
+@pytest.mark.parametrize("aut", ["0", "-3"])
+@pytest.mark.parametrize("gram_file", [False, True])
+def test_verify_sw_nonpositive_aut_is_input_error(aut, gram_file, tmp_path,
+                                                 capsys):
+    argv = ["verify-sw", "--aut", aut]
+    if gram_file:
+        from sntmod.analytic import _E8_GRAM
+        path = str(tmp_path / "e8.json")
+        with open(path, "w") as fh:
+            json.dump(_E8_GRAM, fh)
+        argv += ["--gram-file", path]
+    code, data = _run_json(argv, capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+    assert "--aut" in data["checks"][0]["details"]["message"]
 
 
 def test_verify_sw_small_im_tau_is_truncation(capsys):

@@ -1,0 +1,160 @@
+"""The int kernels of `linalg` against its generic operator path.
+
+Over QQ and GF(p), `mat_mul`, `vec_mat` and `rref` (so also `inverse` and
+`solve`) run on ints; the `_..._generic` helpers are the reference.  Every
+comparison checks values and element types, entry by entry.
+"""
+from contextlib import contextmanager
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sntmod import linalg as la
+from sntmod.fields import QQ, GF
+from sntmod.tpoly import TruncPoly, TruncRing
+
+FIELDS = [QQ, GF(3), GF(5)]
+
+
+def _typed(x):
+    """Nested structure with every scalar replaced by (type, value)."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return (type(x), x)
+
+
+@contextmanager
+def _generic_rref():
+    """Route `inverse`, `solve` and the rest through the generic rref."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "rref", la._rref_generic)
+        yield
+
+
+@st.composite
+def scalars(draw, field):
+    if field == QQ:
+        return Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    return field(draw(st.integers(0, field.p - 1)))
+
+
+@st.composite
+def matrices(draw, field, n, m):
+    """An n x m matrix: random, sparse, zero, or of rank r < min(n, m)
+    (singular when square)."""
+    shape = draw(st.sampled_from(["random", "sparse", "zero", "low-rank"]))
+    if shape == "zero":
+        return la.zeros(field, n, m)
+    if shape == "low-rank":
+        r = draw(st.integers(0, min(n, m) - 1))
+        if r == 0:
+            return la.zeros(field, n, m)
+        X = draw(matrices(field, n, r))
+        Y = draw(matrices(field, r, m))
+        return la._mat_mul_generic(X, Y)
+    entry = scalars(field)
+    if shape == "sparse":
+        entry = st.one_of(st.just(field.zero), entry)
+    return [[draw(entry) for _ in range(m)] for _ in range(n)]
+
+
+@st.composite
+def cases(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n, m, k = (draw(st.integers(1, 5)) for _ in range(3))
+    return field, draw(matrices(field, n, m)), draw(matrices(field, m, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_kernels_match_generic_path(case):
+    field, A, B = case
+    assert _typed(la.mat_mul(A, B)) == _typed(la._mat_mul_generic(A, B))
+    for v in A:
+        assert _typed(la.vec_mat(v, B)) == \
+            _typed(la._mat_mul_generic([v], B)[0])
+    for M in (A, B):
+        R, piv = la.rref(field, M)
+        R0, piv0 = la._rref_generic(field, M)
+        assert piv == piv0
+        assert _typed(R) == _typed(R0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_and_solve_match_generic_path(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    S = data.draw(matrices(field, n, n))
+    A = data.draw(matrices(field, n, m))
+    b = [data.draw(scalars(field)) for _ in range(n)]
+
+    def run():
+        try:
+            inv = la.inverse(field, S)
+        except ValueError:
+            inv = "singular"
+        sol = la.solve(field, A, b)
+        return inv, sol
+    inv, sol = run()
+    with _generic_rref():
+        inv0, sol0 = run()
+    assert _typed(inv) == _typed(inv0)
+    if sol is None or sol0 is None:
+        assert sol is sol0
+    else:
+        assert _typed(sol.particular) == _typed(sol0.particular)
+        assert _typed(sol.kernel) == _typed(sol0.kernel)
+        assert sol.rank == sol0.rank
+    if inv != "singular":
+        assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(field, n))
+
+
+def test_kernel_chosen_from_every_entry():
+    F3, F5 = GF(3), GF(5)
+    q = [[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-1, 3)]]
+    assert la._int_kind((q,)) == 0
+    assert la._int_kind(([[F5(1), F5(2)]], [[F5(0)]])) == 5
+    # one odd entry, last in the last block, sends the input to the generic
+    # path
+    assert la._int_kind((q, [[Fraction(1), 1]])) is None
+    assert la._int_kind(([[F5(1), F5(2)]], [[F3(0)]])) is None
+    assert la._int_kind(([[F5(1), Fraction(2)]],)) is None
+    assert la._int_kind(([[TruncPoly(F5, [1], 2)]],)) is None
+    assert la._int_kind(([], [[]])) is None
+
+
+def test_fraction_int_mix_takes_generic_path():
+    # row 0 of A and column 0 of B are ints: the generic path keeps an int
+    A = [[1, 2], [Fraction(1, 2), 3]]
+    B = [[1, Fraction(1, 3)], [4, 5]]
+    out = la.mat_mul(A, B)
+    assert type(out[0][0]) is int
+    assert _typed(out) == _typed(la._mat_mul_generic(A, B))
+    assert _typed(la.vec_mat(A[0], B)) == \
+        _typed(la._mat_mul_generic([A[0]], B)[0])
+    M = [[2, 4, 0], [0, 0, 0], [Fraction(1, 2), 1, 3]]
+    assert _typed(la.rref(QQ, M)) == _typed(la._rref_generic(QQ, M))
+
+
+def test_mixed_primes_still_rejected():
+    with pytest.raises(ValueError, match="mixed prime fields"):
+        la.mat_mul([[GF(3)(1)]], [[GF(5)(1)]])
+
+
+def test_truncring_matrix_takes_generic_path():
+    F5 = GF(5)
+    R = TruncRing(F5, 3)
+    A = [[TruncPoly(F5, [1, 2], 3), TruncPoly(F5, [0, 1], 3)],
+         [TruncPoly(F5, [3], 3), TruncPoly(F5, [2, 0, 4], 3)]]
+    B = [[TruncPoly(F5, [4, 1, 1], 3), R.zero],
+         [R.one, TruncPoly(F5, [0, 0, 2], 3)]]
+    assert _typed(la.mat_mul(A, B)) == _typed(la._mat_mul_generic(A, B))
+    assert _typed(la.vec_mat(A[0], B)) == \
+        _typed(la._mat_mul_generic([A[0]], B)[0])
+    assert _typed(la.rref(R, A)) == _typed(la._rref_generic(R, A))
+    inv = la.inverse(R, A)
+    with _generic_rref():
+        assert _typed(inv) == _typed(la.inverse(R, A))
+    assert la.mat_eq(la.mat_mul(A, inv), la.identity(R, 2))
