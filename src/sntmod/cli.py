@@ -61,7 +61,8 @@ class RunReport:
 
     def emit(self, as_json):
         if as_json:
-            print(json.dumps(self.to_dict(), indent=2, default=str))
+            print(json.dumps(_finite_or_null(self.to_dict()), indent=2,
+                             default=str, allow_nan=False))
             return
         print("# %s" % self.command)
         for c in self.checks:
@@ -70,6 +71,18 @@ class RunReport:
             for k, v in c["details"].items():
                 print("        %s: %s" % (k, v))
         print("  (%d checks, %.2fs)" % (len(self.checks), self.wall_time))
+
+
+def _finite_or_null(x):
+    """x with every non-finite float (inf, nan) replaced by None, which
+    JSON writes as null: strict JSON has no Infinity or NaN."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
 
 
 class InputError(ValueError):
@@ -179,6 +192,8 @@ def cmd_verify_sw(args, report):
             raise ValueError("--aut must be a positive integer, got %d" % args.aut)
         if args.gram_file:
             lat = IntegralLattice(_load_json(args.gram_file), name=args.gram_file)
+            if not (lat.is_even() and lat.is_unimodular()):
+                raise ValueError("the lattice must be even unimodular")
             aut = args.aut
             if aut is None:
                 raise ValueError("--aut is required with --gram-file")
@@ -208,12 +223,13 @@ def cmd_gen_fixtures(args, report):
 
     from .serialize import module_to_json, tensor_element_to_json
     report.config = {"out": args.out}
-    os.makedirs(args.out, exist_ok=True)
+    with _input_stage("setup"):
+        os.makedirs(args.out, exist_ok=True)
     rng = _random.Random(args.seed)
 
     def dump(name, obj):
         path = os.path.join(args.out, name)
-        with open(path, "w") as fh:
+        with _input_stage("write"), open(path, "w") as fh:
             json.dump(obj, fh, indent=1)
         report.add(name, "ok", path=path)
 

@@ -4,15 +4,21 @@ Matrices are plain lists of lists of ring elements; vectors are lists.  The
 descriptor (``QQ``, ``GF(p)`` or ``tpoly.TruncRing(field, K)`` for
 F[t]/(t^K)) supplies ``zero``, ``one``, element construction and the pivot
 test ``is_unit``.
-`mat_mul`, `vec_mat` and `rref` (and so `inverse`, `solve`, `rank`,
-`right_kernel` and `rref_span`) look at every entry first.  When all are
-`Fraction`s they compute on integer rows over common denominators, with
-fraction-free elimination; when all are `FpElement`s of one prime p they
-compute on int residues mod p.  Any other input (`TruncPoly` entries, ints,
-mixed primes or kinds) goes through the elements' operators, in the
+`mat_mul`, `vec_mat` and `rref` (and so `bilinear`, `inverse`, `solve`,
+`rank`, `right_kernel` and `rref_span`) look at every entry first and run
+on ints for three kinds of input:
+- all `Fraction`s: integer rows over common denominators, with
+  fraction-free elimination;
+- all `FpElement`s of one prime p: int residues mod p;
+- all `TruncPoly`s of one precision K whose coefficients are all
+  `FpElement`s of one p, i.e. F_p[t]/(t^K): int coefficient lists, with
+  products by Kronecker substitution and elimination by int power series.
+Any other input (`TruncPoly` over Q, int entries or coefficients, mixed
+primes, precisions or kinds) goes through the elements' operators, in the
 `_..._generic` helpers.  Both paths return the same values and element
-types, since `Fraction` and `FpElement` are normalised and the reduced
-echelon form over a field is canonical.
+types, since `Fraction`, `FpElement` and `TruncPoly` are normalised, the
+reduced echelon form over a field is canonical, and over F_p[t]/(t^K) the
+int elimination takes the same pivots and row operations as the generic one.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from two primitives: `nilpotent_powers` for
@@ -31,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .fields import FpElement
+from .fields import FpElement, PrimeField
 
 
 def zeros(field, r, c):
@@ -94,14 +100,15 @@ def _dot(u, v):
 
 
 # --------------------------------------------------------------------------
-# int kernels for Q and F_p
+# int kernels for Q, F_p and F_p[t]/(t^K)
 # --------------------------------------------------------------------------
 
 def _int_kind(blocks):
     """The int kernel that can take every entry of these matrices: 0 when
-    all are Fractions, p when all are FpElements of F_p, None otherwise
-    (no entries, ring elements, ints, mixed kinds or primes).  Stops at the
-    first entry that rules a kernel out."""
+    all are Fractions, p when all are FpElements of F_p, (p, K) when all are
+    TruncPolys over F_p of precision K with FpElement coefficients, None
+    otherwise (no entries, ints, other rings, mixed kinds, primes or
+    precisions).  Stops at the first entry that rules a kernel out."""
     kind = None
     for rows in blocks:
         for row in rows:
@@ -111,6 +118,10 @@ def _int_kind(blocks):
                     k = x.p
                 elif t is Fraction:
                     k = 0
+                elif t is _truncpoly():
+                    k = _poly_kind(x)
+                    if k is None:
+                        return None
                 else:
                     return None
                 if k != kind:
@@ -118,6 +129,31 @@ def _int_kind(blocks):
                         return None
                     kind = k
     return kind
+
+
+_TruncPoly = None
+
+
+def _truncpoly():
+    """The TruncPoly class.  tpoly imports this module, so the class is
+    looked up when first needed and kept."""
+    global _TruncPoly
+    if _TruncPoly is None:
+        from .tpoly import TruncPoly as _TruncPoly
+    return _TruncPoly
+
+
+def _poly_kind(x):
+    """(p, K) for a TruncPoly over F_p whose K coefficients are all
+    FpElements of p, else None."""
+    cs, f = x.coeffs, x.field
+    if not cs or type(f) is not PrimeField:
+        return None
+    p = f.p
+    for c in cs:
+        if type(c) is not FpElement or c.p != p:
+            return None
+    return p, len(cs)
 
 
 def _scaled_rows(rows):
@@ -132,7 +168,10 @@ def _scaled_rows(rows):
 
 
 def _int_mat_mul(kind, A, B):
-    """A·B for all-Fraction (kind 0) or all-F_p (kind p) matrices."""
+    """A·B for all-Fraction (kind 0), all-F_p (kind p) or all-F_p[t]/(t^K)
+    (kind (p, K)) matrices."""
+    if type(kind) is tuple:
+        return _ring_mat_mul(kind, A, B)
     if kind:
         Bt = [[x.v for x in col] for col in zip(*B)]
         return [[FpElement(kind, sum(map(mul, r, c))) for c in Bt]
@@ -141,6 +180,82 @@ def _int_mat_mul(kind, A, B):
     Bt, eb = _scaled_rows(zip(*B))
     return [[Fraction(sum(map(mul, r, c)), d * e) for c, e in zip(Bt, eb)]
             for r, d in zip(Ai, da)]
+
+
+def _first_entry(blocks):
+    return next(x for rows in blocks for row in rows for x in row)
+
+
+def _ring_mat_mul(kind, A, B):
+    """A·B over F_p[t]/(t^K) by Kronecker substitution.
+
+    A polynomial with coefficients c_s in [0, p) becomes the int
+    sum c_s·2^(b·s), with 2^b above every coefficient a dot product of
+    length len(B) can reach.  Then one int product per term and one sum give
+    every coefficient of a dot product at once, with no carries between
+    them; those of t^K and above are dropped and the rest reduced mod p."""
+    p, K = kind
+    b = (max(len(B), 1) * K * (p - 1) ** 2).bit_length()
+    shifts = [b * s for s in range(K)]
+    mask = (1 << b) - 1
+
+    def pack(x):
+        n = 0
+        for c, s in zip(x.coeffs, shifts):
+            n |= c.v << s
+        return n
+    poly, field = _truncpoly(), _first_entry((A, B)).field
+    Bt = [[pack(x) for x in col] for col in zip(*B)]
+    return [[poly(field, [FpElement(p, n >> s & mask) for s in shifts])
+             for n in (sum(map(mul, r, c)) for c in Bt)]
+            for r in ([pack(x) for x in row] for row in A)]
+
+
+def _series_mul(a, b, p):
+    """Product of two coefficient lists of one length K, mod t^K and p."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) % p
+            for n in range(len(a))]
+
+
+def _series_inv(a, p):
+    """Inverse mod t^K and p of a coefficient list with a[0] != 0."""
+    c0inv = pow(a[0], -1, p)
+    out = [c0inv]
+    for n in range(1, len(a)):
+        out.append(-c0inv * sum(a[i] * out[n - i] for i in range(1, n + 1)) % p)
+    return out
+
+
+def _ring_rref(kind, rows):
+    """`rref` over F_p[t]/(t^K) on int coefficient lists, step for step as
+    `_rref_generic`: the pivot is the first row whose constant term is
+    nonzero, it is scaled by its power-series inverse, and every other row
+    with a nonzero entry in the column becomes row_i - f·row_r."""
+    p = kind[0]
+    field = _first_entry((rows,)).field
+    R = [[[c.v for c in x.coeffs] for x in row] for row in rows]
+    nr, nc = len(R), len(R[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if R[i][c][0]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = _series_inv(R[r][c], p)
+        piv = R[r] = [_series_mul(inv, x, p) for x in R[r]]
+        for i in range(nr):
+            f = R[i][c]
+            if i != r and any(f):
+                R[i] = [[(u - v) % p for u, v in zip(x, _series_mul(f, y, p))]
+                        for x, y in zip(R[i], piv)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    poly = _truncpoly()
+    return [[poly(field, [FpElement(p, v) for v in x]) for x in row]
+            for row in R], pivots
 
 
 def _primitive(row):
@@ -154,7 +269,10 @@ def _int_rref(kind, rows):
     Over F_p the rows are residues and each pivot row is scaled by
     pow(pivot, -1, p).  Over Q the rows are scaled to primitive integer rows,
     eliminated without fractions (a·row_i − b·row_r, then divided by its
-    content), and each pivot row is divided by its pivot only at the end."""
+    content), and each pivot row is divided by its pivot only at the end.
+    Over F_p[t]/(t^K) (kind (p, K)) this is `_ring_rref`."""
+    if type(kind) is tuple:
+        return _ring_rref(kind, rows)
     if kind:
         R = [[x.v for x in row] for row in rows]
     else:
@@ -218,7 +336,7 @@ def vec_scale(c, u):
 
 def bilinear(u, G, v):
     """u · G · vᵀ for row vectors u, v."""
-    return _dot(vec_mat(u, G), v)
+    return vec_mat(vec_mat(u, G), [[x] for x in v])[0]
 
 
 def nilpotent_powers(field, A):
@@ -419,14 +537,6 @@ def block_diag(field, blocks):
                 out[off + i][off + j] = B[i][j]
         off += m
     return out
-
-
-def in_span(field, span_rows, v):
-    """Membership of v in the row span (exact)."""
-    if not span_rows:
-        return all(not x for x in v)
-    sol = solve(field, transpose(list(span_rows)), list(v))
-    return sol is not None
 
 
 def intersect_spans(field, A_rows, B_rows):

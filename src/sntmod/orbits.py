@@ -72,6 +72,12 @@ class TensorSpace:
 
     Row r of a coordinate matrix corresponds to the F-basis vector t^s f_i
     of M_-; the i-th chain occupies rows offset_i .. offset_i + k_i - 1.
+    `Qr` is the Gram matrix of V over R_K = F[t]/(t^K).
+
+    The space memoises the image submodules of its elements: `image_of`
+    keys them by their canonical span and calls `quasi_basis` once per
+    span.  The memo lives and dies with the space; nothing is shared
+    between spaces.
     """
 
     def __init__(self, field, ks, V):
@@ -85,6 +91,8 @@ class TensorSpace:
         self.V = V
         self.K = ks[0]
         self.R = TruncRing(field, self.K)
+        self.Qr = la.change_ring(self.R, V.gram)
+        self._images = {}
         self.d = sum(ks)
         self.offsets = []
         off = 0
@@ -159,15 +167,7 @@ class TensorSpace:
 
     def ring_pair(self, u, v):
         """(u, v) in V[t]/(t^K) for TruncPoly vectors u, v."""
-        acc = TruncPoly.zero(self.field, self.K)
-        for a in range(self.V.dim):
-            if not u[a]:
-                continue
-            for b in range(self.V.dim):
-                q = self.V.gram[a][b]
-                if q and v[b]:
-                    acc = acc + u[a] * v[b] * q
-        return acc
+        return la.bilinear(u, self.Qr, v)
 
 
 class TensorElement:
@@ -199,20 +199,10 @@ class TensorElement:
     def act(self, g_ring):
         """x · g for g over R_K acting on the V side (row convention)."""
         sp = self.space
-        out = la.zeros(sp.field, sp.d, sp.V.dim)
-        for ci, w in enumerate(self.chain_vectors()):
-            o, k = sp.offsets[ci], sp.ks[ci]
-            img = [None] * sp.V.dim
-            for b in range(sp.V.dim):
-                acc = TruncPoly.zero(sp.field, sp.K)
-                for a in range(sp.V.dim):
-                    if w[a] and g_ring[a][b]:
-                        acc = acc + w[a] * g_ring[a][b]
-                img[b] = acc
-            for l in range(sp.V.dim):
-                for s in range(k):
-                    out[o + s][l] = out[o + s][l] + img[l].coeffs[s]
-        return TensorElement(sp, out)
+        imgs = la.mat_mul(self.chain_vectors(), g_ring)
+        return TensorElement(sp, [[w.coeffs[s] for w in img]
+                                  for img, k in zip(imgs, sp.ks)
+                                  for s in range(k)])
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.space is other.space \
@@ -246,7 +236,11 @@ def image_of(x):
 
 def _image_of_matrix(sp, fm):
     span = la.rref_span(sp.field, fm)
-    return quasi_basis(sp.field, sp.t_minus, sp.K, [list(r) for r in span])
+    img = sp._images.get(span)
+    if img is None:
+        img = sp._images[span] = quasi_basis(sp.field, sp.t_minus, sp.K,
+                                             [list(r) for r in span])
+    return img
 
 
 def normal_form(x, W=None):
@@ -302,18 +296,14 @@ def normal_form(x, W=None):
     if N != sp.V.dim:
         raise RuntimeError("basis completion failed")
     # dual basis via the ring Gram matrix
-    Gamma = [[sp.ring_pair(basis[i], basis[j]) for j in range(N)] for i in range(N)]
+    Gamma = la.mat_mul(la.mat_mul(basis, sp.Qr), la.transpose(basis))
     ws = la.mat_mul(la.inverse(R, Gamma)[:m], basis)
-    # exact reconstruction check
-    rebuilt = sp.from_pairs([]).coords
-    for e, w in zip(e_rows, ws):
-        chain = la.t_chain(sp.t_minus, e)
-        for l in range(sp.V.dim):
-            for ev, c in zip(chain, w[l].coeffs):
-                if c:
-                    for r in range(sp.d):
-                        if ev[r]:
-                            rebuilt[r][l] = rebuilt[r][l] + ev[r] * c
+    # exact reconstruction check: x = sum over i and s of t^s e_i ⊗ (the
+    # t^s coefficients of w_i)
+    chains = [la.t_chain(sp.t_minus, e) for e in e_rows]
+    rebuilt = la.mat_mul(la.transpose([v for ch in chains for v in ch]),
+                         [[p.coeffs[s] for p in w]
+                          for ch, w in zip(chains, ws) for s in range(len(ch))])
     if not la.mat_eq(rebuilt, x.coords):
         raise RuntimeError("normal form failed to reconstruct x")
     if W is None or W == img:
@@ -349,13 +339,11 @@ def t_sym(x, W=None):
     ks = list(W_used.partition)
     m = len(ks)
     half = sp.field(1) / sp.field(2)
+    P = la.mat_mul(la.mat_mul(ws, sp.Qr), la.transpose(ws)) if ws else []
     coords = []
     for i in range(m):
         for j in range(i, m):
-            if i < j:
-                c = sp.ring_pair(ws[i], ws[j])
-            else:
-                c = half * sp.ring_pair(ws[i], ws[i])
+            c = P[i][j] if i < j else half * P[i][i]
             coords.append(tuple(c.coeffs[:ks[j]]))
     return OrbitInvariant(W_used.span, tuple(ks), tuple(coords))
 
@@ -388,7 +376,7 @@ def _dual_vectors(space, bvecs):
     """c_j in V[t]/(t^K) with (b_i, c_j) = delta_ij, for a primitive tuple."""
     R = space.R
     # P[i][a] = (b_i, basis_a)
-    P = la.mat_mul(bvecs, la.change_ring(R, space.V.gram))
+    P = la.mat_mul(bvecs, space.Qr)
     Pt = la.transpose(P)
     duals = []
     for target in la.identity(R, len(bvecs)):
@@ -651,7 +639,6 @@ def extend_isometry(space, avecs, bvecs):
     bbar = [[v[l].coeffs[0] for l in range(V.dim)] for v in bvecs]
     g0 = witt_extend_field(field, Q, abar, bbar) if m else la.identity(field, V.dim)
     g = la.change_ring(sp.R, g0)
-    Qr = la.change_ring(sp.R, Q)
     g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
     for layer in range(1, K):
         # residuals of the vector conditions
@@ -661,10 +648,10 @@ def extend_isometry(space, avecs, bvecs):
             deltas.append([img[l].coeffs[layer] - b[l].coeffs[layer]
                            for l in range(V.dim)])
         h = _solve_layer(field, Q, g0, g0_Qt_inv, abar,
-                         _layer_residual(g, Qr, layer), deltas)
+                         _layer_residual(g, sp.Qr, layer), deltas)
         g = _add_layer(g, h, layer)
     # exact postconditions
-    if not _is_ring_orthogonal(g, Qr):
+    if not _is_ring_orthogonal(g, sp.Qr):
         raise RuntimeError("isometry extension lost orthogonality over the ring")
     for a, b in zip(avecs, bvecs):
         if la.vec_mat(a, g) != list(b):
@@ -976,7 +963,7 @@ def random_orthogonal_ring(space, rng):
             if c:
                 S = _add_layer(S, la.scal_mul(c, B), s)
     g = la.mat_mul(la.change_ring(R, g0), cayley(R, S))
-    if not _is_ring_orthogonal(g, la.change_ring(R, V.gram)):
+    if not _is_ring_orthogonal(g, sp.Qr):
         raise RuntimeError("random orthogonal sample failed the form identity")
     return g
 

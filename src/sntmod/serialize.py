@@ -94,6 +94,8 @@ def module_from_json(obj):
     field = field_from_json(obj["field"])
     T = matrix_from_json(field, obj["t_action"])
     G = matrix_from_json(field, obj["gram"])
+    if not T:
+        raise ValueError("a module must have positive dimension")
     part = None
     if "partition" in obj:
         # a claimed partition must give exactly the standard module's matrices

@@ -307,12 +307,11 @@ def quasi_basis(field, T, K, generators):
     plain linear span is not t-stable.
     """
     span = la.rref_span(field, [list(g) for g in generators])
-    for r in span:
-        if not la.in_span(field, span, la.vec_mat(list(r), T)):
-            raise NotTStableError("generators span a non-t-stable subspace")
+    gens = [list(r) for r in span]
+    if not _stable_basis(field, T, gens):
+        raise NotTStableError("generators span a non-t-stable subspace")
     if not span:
         return SntSubmodule(field, (), [], ())
-    gens = [list(r) for r in span]
     r = len(gens)
     # presentation R_K^r -> span; F-basis of the domain indexed by (i, s)
     dom = [row for v in gens for row in padded_chain(field, T, v, K)]
@@ -394,7 +393,13 @@ def is_isotropic(M, rows):
 
 def is_t_stable(M, rows):
     span = la.rref_span(M.field, [list(r) for r in rows])
-    return all(la.in_span(M.field, span, la.vec_mat(list(r), M.t)) for r in span)
+    return _stable_basis(M.field, M.t, [list(r) for r in span])
+
+
+def _stable_basis(field, T, basis):
+    """Whether the span of the independent rows `basis` is t-stable:
+    basis·T lies in it exactly when it adds nothing to the rank."""
+    return la.rank(field, basis + la.mat_mul(basis, T)) == len(basis)
 
 
 def is_t_lagrangian(M, rows):

@@ -24,9 +24,8 @@ class TruncPoly:
         coeffs = list(coeffs)
         if K is None:
             K = len(coeffs)
-        z = field.zero
         if len(coeffs) < K:
-            coeffs = coeffs + [z] * (K - len(coeffs))
+            coeffs = coeffs + [field.zero] * (K - len(coeffs))
         elif len(coeffs) > K:
             coeffs = coeffs[:K]
         self.field = field

@@ -16,9 +16,14 @@ def fixtures(tmp_path_factory):
     return out
 
 
+def _reject_constant(name):
+    raise AssertionError("%s is not strict JSON" % name)
+
+
 def _run_json(argv, capsys):
+    """Exit code and report; the report must be one strict JSON object."""
     code = main(argv + ["--json"])
-    data = json.loads(capsys.readouterr().out)
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     return code, data
 
 
@@ -93,6 +98,17 @@ def test_decompose_zero_denominator_is_input_error(fixtures, tmp_path, capsys):
     assert code == 2
     assert data["checks"][0]["name"] == "parse"
     assert "zero denominator" in data["checks"][0]["details"]["message"]
+
+
+def test_decompose_zero_dimension_is_input_error(tmp_path, capsys):
+    path = str(tmp_path / "dim0.json")
+    with open(path, "w") as fh:
+        json.dump({"field": {"type": "Q"}, "dim": 0, "t_action": [],
+                   "gram": []}, fh)
+    code, data = _run_json(["decompose", path], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "parse"
+    assert "positive dimension" in data["checks"][0]["details"]["message"]
 
 
 def test_decompose_missing_file(capsys):
@@ -304,6 +320,26 @@ def test_verify_sw_enumeration_guard(capsys, monkeypatch):
     assert data["checks"][-1]["name"] == "guard"
 
 
+def test_verify_sw_gram_file_not_even_unimodular(tmp_path, capsys):
+    path = str(tmp_path / "a2.json")
+    with open(path, "w") as fh:
+        json.dump([[2, 1], [1, 2]], fh)      # A2: even, of determinant 3
+    code, data = _run_json(["verify-sw", "--gram-file", path, "--N", "2",
+                            "--aut", "12"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+    assert "even unimodular" in data["checks"][0]["details"]["message"]
+
+
+def test_verify_sw_infinite_tail_is_null(capsys):
+    # at Im tau = 1e308 no tail can be certified: the achieved tail is inf,
+    # which strict JSON writes as null
+    code, data = _run_json(["verify-sw", "--tau11", "1e308j",
+                            "--tau22", "1e308j"], capsys)
+    assert code == 4
+    assert data["checks"][-1]["details"]["achieved_tail"] is None
+
+
 def test_verify_sw_gram_file(tmp_path, capsys):
     from sntmod.analytic import _E8_GRAM
     path = str(tmp_path / "e8.json")
@@ -314,3 +350,23 @@ def test_verify_sw_gram_file(tmp_path, capsys):
                             "--tau11", "2i", "--tau12", "0", "--tau22", "2i"],
                            capsys)
     assert code == 0
+
+
+# --------------------------------------------------------------------------
+# gen-fixtures
+# --------------------------------------------------------------------------
+
+def test_gen_fixtures_out_is_a_plain_file(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("not a directory")
+    code, data = _run_json(["gen-fixtures", "--out", str(path)], capsys)
+    assert code == 2
+    assert len(data["checks"]) == 1 and data["checks"][0]["name"] == "setup"
+    assert path.read_text() == "not a directory"
+
+
+def test_gen_fixtures_unwritable_file_is_input_error(tmp_path, capsys):
+    (tmp_path / "h2h1_module.json").mkdir()    # the first file cannot be opened
+    code, data = _run_json(["gen-fixtures", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert [c["name"] for c in data["checks"]] == ["write"]

@@ -1,8 +1,9 @@
 """The int kernels of `linalg` against its generic operator path.
 
-Over QQ and GF(p), `mat_mul`, `vec_mat` and `rref` (so also `inverse` and
-`solve`) run on ints; the `_..._generic` helpers are the reference.  Every
-comparison checks values and element types, entry by entry.
+Over QQ, GF(p) and GF(p)[t]/(t^K), `mat_mul`, `vec_mat` and `rref` (so also
+`inverse` and `solve`) run on ints; the `_..._generic` helpers are the
+reference.  Every comparison checks values and element types, entry by
+entry, down to the coefficients of a TruncPoly.
 """
 from contextlib import contextmanager
 from fractions import Fraction
@@ -18,9 +19,12 @@ FIELDS = [QQ, GF(3), GF(5)]
 
 
 def _typed(x):
-    """Nested structure with every scalar replaced by (type, value)."""
+    """Nested structure with every scalar replaced by (type, value), and
+    every TruncPoly by its field and typed coefficients."""
     if isinstance(x, (list, tuple)):
         return [_typed(y) for y in x]
+    if isinstance(x, TruncPoly):
+        return (TruncPoly, x.field, _typed(x.coeffs))
     return (type(x), x)
 
 
@@ -111,6 +115,76 @@ def test_inverse_and_solve_match_generic_path(data):
         assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(field, n))
 
 
+RINGS = [TruncRing(GF(p), K) for p in (3, 5) for K in (1, 2, 3, 4)]
+
+
+@st.composite
+def ring_elements(draw, R, multiple_of_t=False):
+    """A TruncPoly of R, a multiple of t (so not a unit) if asked."""
+    cs = [draw(st.integers(0, R.field.p - 1)) for _ in range(R.K)]
+    if multiple_of_t:
+        cs[0] = 0
+    return TruncPoly(R.field, [R.field(c) for c in cs], R.K)
+
+
+@st.composite
+def ring_matrices(draw, R, n, m):
+    """An n x m matrix over R: random, sparse, of rank r < min(n, m), or with
+    no unit in its first column."""
+    shape = draw(st.sampled_from(["random", "sparse", "low-rank", "no-unit"]))
+    if shape == "low-rank":
+        r = draw(st.integers(0, min(n, m) - 1))
+        if r == 0:
+            return la.zeros(R, n, m)
+        return la._mat_mul_generic(draw(ring_matrices(R, n, r)),
+                                   draw(ring_matrices(R, r, m)))
+    entry = ring_elements(R)
+    if shape == "sparse":
+        entry = st.one_of(st.just(R.zero), entry)
+    A = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    if shape == "no-unit":
+        for row in A:
+            row[0] = draw(ring_elements(R, multiple_of_t=True))
+    return A
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ring_kernel_matches_generic_path(data):
+    R = data.draw(st.sampled_from(RINGS))
+    n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+    A = data.draw(ring_matrices(R, n, m))
+    B = data.draw(ring_matrices(R, m, k))
+    S = data.draw(ring_matrices(R, n, n))
+    b = [data.draw(ring_elements(R)) for _ in range(n)]
+    assert la._int_kind((A, B)) == (R.field.p, R.K)
+    assert _typed(la.mat_mul(A, B)) == _typed(la._mat_mul_generic(A, B))
+    for v in A:
+        assert _typed(la.vec_mat(v, B)) == \
+            _typed(la._mat_mul_generic([v], B)[0])
+    for M in (A, B, S):
+        assert _typed(la.rref(R, M)) == _typed(la._rref_generic(R, M))
+
+    def run():
+        try:
+            inv = la.inverse(R, S)
+        except ValueError:
+            inv = "singular"
+        sol = la.solve(R, A, b)
+        return inv, sol
+    inv, sol = run()
+    with _generic_rref():
+        inv0, sol0 = run()
+    assert _typed(inv) == _typed(inv0)
+    if sol is None or sol0 is None:
+        assert sol is sol0
+    else:
+        assert _typed(sol.particular) == _typed(sol0.particular)
+        assert _typed(sol.kernel) == _typed(sol0.kernel)
+    if inv != "singular":
+        assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(R, n))
+
+
 def test_kernel_chosen_from_every_entry():
     F3, F5 = GF(3), GF(5)
     q = [[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-1, 3)]]
@@ -123,6 +197,18 @@ def test_kernel_chosen_from_every_entry():
     assert la._int_kind(([[F5(1), Fraction(2)]],)) is None
     assert la._int_kind(([[TruncPoly(F5, [1], 2)]],)) is None
     assert la._int_kind(([], [[]])) is None
+
+
+def test_ring_kernel_needs_one_prime_and_one_precision():
+    F3, F5 = GF(3), GF(5)
+    a = TruncPoly(F5, [F5(1), F5(2)], 2)
+    assert la._int_kind(([[a, a]],)) == (5, 2)
+    # over Q, or with mixed precisions, primes or kinds: the generic path
+    assert la._int_kind(([[TruncPoly(QQ, [Fraction(1), Fraction(2)])]],)) is None
+    assert la._int_kind(([[a]], [[TruncPoly(F5, [F5(1)] * 3)]])) is None
+    assert la._int_kind(([[a]], [[TruncPoly(F3, [F3(1), F3(2)])]])) is None
+    assert la._int_kind(([[a, F5(1)]],)) is None
+    assert la._int_kind(([[a, TruncPoly(F5, [F5(1), F3(1)])]],)) is None
 
 
 def test_fraction_int_mix_takes_generic_path():

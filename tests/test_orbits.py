@@ -74,6 +74,22 @@ def test_image_invariant_under_group():
         assert image_of(x.act(g)).span == image_of(x).span
 
 
+def test_image_memo_matches_fresh_quasi_basis():
+    sp = TensorSpace(F3, (2, 1), diagonal_space(F3, [1, 2]))
+    for x in sp.all_elements():
+        W = image_of(x)
+        span = la.rref_span(F3, f_matrix(x))
+        fresh = quasi_basis(F3, sp.t_minus, sp.K, [list(r) for r in span])
+        assert W.span == fresh.span == span
+        assert W.quasi == fresh.quasi
+        assert W.partition == fresh.partition
+        assert image_of(x) is W
+    # 729 elements, 10 images, one quasi-basis each
+    assert len(sp._images) == 10
+    # the memo belongs to its space
+    assert TensorSpace(F3, (2, 1), diagonal_space(F3, [1, 2]))._images == {}
+
+
 # --------------------------------------------------------------------------
 # normal form
 # --------------------------------------------------------------------------
