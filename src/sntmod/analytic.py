@@ -120,13 +120,6 @@ class IntegralLattice:
     def is_unimodular(self):
         return self.det() == 1
 
-    def min_norm(self):
-        c = self.counts_by_norm(4)
-        for n in range(1, len(c)):
-            if c[n]:
-                return n
-        return None
-
     def counts_by_norm(self, B):
         """Exact vector counts c(n) = #{u : (u,u) = n} for n = 0..B."""
         B = int(B)

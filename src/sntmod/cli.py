@@ -30,7 +30,7 @@ from .analytic import (AUT_E8, IntegralLattice, SiegelPoint, TruncationError,
 from .fields import QQ, GF
 from .orbits import (EnumerationGuardError, OrthSpace, TensorSpace,
                      brute_force_orbits, invariant_partition, orbit_invariant,
-                     same_orbit, transport)
+                     transport)
 from .sntmodule import (InvalidModuleError, decompose, enum_guard_limit,
                         standard_module)
 
@@ -139,10 +139,9 @@ def cmd_orbit(args, report):
     if y is not None:
         if y.space.ks != x.space.ks or y.space.V.gram != x.space.V.gram:
             raise InputError("compare", message="mismatched ambient data")
-        same = same_orbit(x, y)
-        detail = {"same_orbit": same}
-        if same:
-            g = transport(x, y)
+        g = transport(x, y)     # None exactly when the invariants differ
+        detail = {"same_orbit": g is not None}
+        if g is not None:
             detail["transport"] = [[ser.tpoly_to_json(p) for p in row] for row in g]
         report.add("compare", "ok", **detail)
     return 0
@@ -268,8 +267,17 @@ def cmd_gen_fixtures(args, report):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError, so that it reaches the one
+    error path in `main` instead of exiting from inside argparse."""
+
+    def error(self, message):
+        usage = self.format_usage().replace("usage: ", "", 1).strip()
+        raise InputError("usage", message=message, usage=usage)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sntmod",
         description="Exact structure theory of symplectic t-modules and "
                     "numerical Siegel-Weil verification.")
@@ -317,10 +325,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    report = RunReport(args.command, {})
+    argv = list(sys.argv[1:] if argv is None else argv)
+    report = RunReport(next((a for a in argv if not a.startswith("-")), ""), {})
+    as_json = "--json" in argv
     t0 = time.time()
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         with _input_stage("environment"):
             enum_guard_limit()
         code = args.func(args, report)
@@ -335,7 +346,7 @@ def main(argv=None):
                    achieved_tail=exc.achieved)
         code = 4
     report.wall_time = time.time() - t0
-    report.emit(args.json)
+    report.emit(as_json)
     return code
 
 

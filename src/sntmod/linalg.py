@@ -537,14 +537,3 @@ def block_diag(field, blocks):
                 out[off + i][off + j] = B[i][j]
         off += m
     return out
-
-
-def intersect_spans(field, A_rows, B_rows):
-    """Basis of the intersection of two row spans."""
-    if not A_rows or not B_rows:
-        return []
-    a, b = len(A_rows), len(B_rows)
-    M = [list(A_rows[i]) if i < a else [-x for x in B_rows[i - a]]
-         for i in range(a + b)]
-    out = [vec_mat(lam[:a], A_rows) for lam in right_kernel(field, transpose(M))]
-    return [list(r) for r in rref_span(field, out)] if out else []

@@ -124,11 +124,6 @@ class TensorSpace:
         space = cls(field, sub.partition, V)
         return space, chain_rows
 
-    def coords_from_flag(self, chain_rows, coords_minus):
-        """Convert an M_--coordinate matrix to adapted chain coordinates."""
-        Cinv = la.inverse(self.field, chain_rows)
-        return la.mat_mul(la.transpose(Cinv), coords_minus)
-
     # -- elements ------------------------------------------------------------
     def element(self, coords):
         return TensorElement(self, coords)
@@ -243,22 +238,36 @@ def _image_of_matrix(sp, fm):
     return img
 
 
-def normal_form(x, W=None):
-    """Write x = sum_i e_i ⊗ w_i over the quasi-basis of W = Im f_x.
+def _coeffs_over(x, W):
+    """[w_i mod t^{k_i}] for x = sum_i e_i ⊗ w_i over W's quasi-basis e_i.
 
-    Returns (W, [w_i]) with w_i TruncPoly vectors; {w_i} is a basis of a
-    primitive submodule of V[t]/(t^K) and the reconstruction is exact.
-    Pass a larger W to express x over its quasi-basis instead (the w_i are
-    then no longer primitive in general).
+    Column l of x is sum_i w_i[l]·e_i, so its coordinates over the chains
+    t^s e_i (s < k_i) are the coefficients of w_i[l] mod t^{k_i}; the chains
+    are an F-basis of W, so these residues are unique.
+    """
+    sp, ks = x.space, list(W.partition)
+    cols = [module_coords(sp.field, sp.t_minus, sp.K, W.quasi, ks, col)
+            for col in la.transpose(x.coords)]
+    if None in cols:
+        raise ValueError("W does not contain Im f_x")
+    return [[c[i] for c in cols] for i in range(len(ks))]
+
+
+def normal_form(x):
+    """Write x = sum_i e_i ⊗ w_i over the quasi-basis of W = Im f_x, with
+    {w_i} a basis of a primitive submodule of V[t]/(t^K).
+
+    Returns (W, [w_i]) with w_i TruncPoly vectors.  Only `transport` needs
+    this primitive lift, for the Witt lift and the isometry extension; the
+    invariants read w_i mod t^{k_i} from `_coeffs_over`, and the lift is
+    checked against exactly those residues.
     """
     sp = x.space
     R = sp.R
     fm = f_matrix(x)
     img = _image_of_matrix(sp, fm)
     if x.is_zero():
-        if W is None or not W.quasi:
-            return img, []
-        return W, [[R.zero] * sp.V.dim for _ in W.quasi]
+        return img, []
     e_rows, orders = img.quasi, list(img.partition)
     m = len(e_rows)
     field = sp.field
@@ -298,29 +307,11 @@ def normal_form(x, W=None):
     # dual basis via the ring Gram matrix
     Gamma = la.mat_mul(la.mat_mul(basis, sp.Qr), la.transpose(basis))
     ws = la.mat_mul(la.inverse(R, Gamma)[:m], basis)
-    # exact reconstruction check: x = sum over i and s of t^s e_i ⊗ (the
-    # t^s coefficients of w_i)
-    chains = [la.t_chain(sp.t_minus, e) for e in e_rows]
-    rebuilt = la.mat_mul(la.transpose([v for ch in chains for v in ch]),
-                         [[p.coeffs[s] for p in w]
-                          for ch, w in zip(chains, ws) for s in range(len(ch))])
-    if not la.mat_eq(rebuilt, x.coords):
-        raise RuntimeError("normal form failed to reconstruct x")
-    if W is None or W == img:
-        return img, ws
-    # re-express over the quasi-basis of the larger W
-    return W, _reexpress(sp, img, ws, W)
-
-
-def _reexpress(sp, img, ws, W):
-    """Coefficients over W's quasi-basis from those over Im f_x ⊆ W."""
-    C = []      # row k: coordinates of the k-th quasi-basis vector of Im f_x
-    for e_img in img.quasi:
-        coords = module_coords(sp.field, sp.t_minus, sp.K, W.quasi, list(W.partition), e_img)
-        if coords is None:
-            raise ValueError("W does not contain Im f_x")
-        C.append(coords)
-    return la.mat_mul(la.transpose(C), ws)
+    # exact reconstruction check: w_i = x's chain coordinates mod t^{k_i}
+    for w, c, k in zip(ws, _coeffs_over(x, img), orders):
+        if any(p.coeffs[:k] != q.coeffs[:k] for p, q in zip(w, c)):
+            raise RuntimeError("normal form failed to reconstruct x")
+    return img, ws
 
 
 @dataclass(frozen=True)
@@ -333,19 +324,26 @@ class OrbitInvariant:
 
 
 def t_sym(x, W=None):
-    """Coordinates of T(x) in S_t^2(W); W defaults to Im f_x."""
+    """Coordinates of T(x) in S_t^2(W); W defaults to Im f_x.
+
+    The (i, j) coordinate of T(x) = sum (w_i, w_j) e_i ⊗ e_j lives mod
+    t^{min(k_i, k_j)}, where it depends only on w_i mod t^{k_i} and
+    w_j mod t^{k_j}: exactly the chain coordinates that `_coeffs_over`
+    reads off x.  Raises ValueError when W does not contain Im f_x.
+    """
     sp = x.space
-    W_used, ws = normal_form(x, W)
-    ks = list(W_used.partition)
+    W = image_of(x) if W is None else W
+    ws = _coeffs_over(x, W)
+    ks = list(W.partition)
     m = len(ks)
     half = sp.field(1) / sp.field(2)
-    P = la.mat_mul(la.mat_mul(ws, sp.Qr), la.transpose(ws)) if ws else []
+    P = la.mat_mul(la.mat_mul(ws, sp.Qr), la.transpose(ws))
     coords = []
     for i in range(m):
         for j in range(i, m):
             c = P[i][j] if i < j else half * P[i][i]
             coords.append(tuple(c.coeffs[:ks[j]]))
-    return OrbitInvariant(W_used.span, tuple(ks), tuple(coords))
+    return OrbitInvariant(W.span, tuple(ks), tuple(coords))
 
 
 def orbit_invariant(x):
@@ -786,12 +784,15 @@ def tangent_matrix(x, W=None):
 
     Rows: directions t^s e_i ⊗ b_l (i over W's quasi-basis, s < k_i,
     l over the V basis).  Columns: coordinates of S_t^2(W) over the pairs
-    (i <= j) with coefficients mod t^{k_j}.
+    (i <= j) with coefficients mod t^{k_j}.  Raises ValueError when W does
+    not contain Im f_x.
     """
     sp = x.space
-    W_used, ws = normal_form(x, W)
-    ks = list(W_used.partition)
+    W = image_of(x) if W is None else W
+    ws = _coeffs_over(x, W)
+    ks = list(W.partition)
     m = len(ks)
+    WQ = la.mat_mul(ws, sp.Qr)      # WQ[j][l] = (w_j, b_l)
     ncols = _sym_basis_size(ks)
     col_off = {}
     c = 0
@@ -805,23 +806,14 @@ def tangent_matrix(x, W=None):
             for l in range(sp.V.dim):
                 row = [sp.field.zero] * ncols
                 for j in range(m):
-                    if not ws:
-                        continue
-                    pairing = sp.ring_pair(ws[j], _unit_vec(sp, l))
                     a, bb = min(i, j), max(i, j)
                     kb = ks[bb]
-                    for u, coef in enumerate(pairing.coeffs):
+                    for u, coef in enumerate(WQ[j][l].coeffs):
                         if coef and s + u < kb:
                             row[col_off[(a, bb)] + s + u] = \
                                 row[col_off[(a, bb)] + s + u] + coef
                 rows.append(row)
     return rows, ncols
-
-
-def _unit_vec(sp, l):
-    out = [sp.R.zero] * sp.V.dim
-    out[l] = sp.R.one
-    return out
 
 
 def is_submersive(x, W=None):

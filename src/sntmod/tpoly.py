@@ -40,10 +40,6 @@ class TruncPoly:
     def one(cls, field, K):
         return cls(field, [field.one], K)
 
-    @classmethod
-    def t(cls, field, K):
-        return cls(field, [field.zero, field.one], K)
-
     # -- basic queries -----------------------------------------------------
     @property
     def prec(self):

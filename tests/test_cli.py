@@ -138,6 +138,36 @@ def test_orbit_pair_same_orbit_with_transport(fixtures, capsys):
     assert "transport" in cmp_check
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+REPO_FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["census", "--q", "3", "--M", "2", "--V", "hyperbolic2", "--k", "2"],
+     "census_q3_M2_hyperbolic2.json"),                    # 13 classes
+    (["census", "--q", "3", "--M", "2,1", "--V", "diag:1,2", "--k", "2"],
+     "census_q3_M21_diag12.json"),                        # 88 classes
+    (["orbit", os.path.join(REPO_FIXTURES, "orbit_x.json"),
+      os.path.join(REPO_FIXTURES, "orbit_xg.json")],
+     "orbit_x_xg.json"),                                  # W_span, i_coords, transport
+], ids=["census-h2", "census-21-diag12", "orbit-x-xg"])
+def test_json_checks_match_golden(argv, golden, capsys):
+    """The `checks` of these reports are pinned to files under tests/golden;
+    only `config` (file paths) and `wall_time` are left out."""
+    code, data = _run_json(argv, capsys)
+    assert code == 0
+    with open(os.path.join(GOLDEN, golden)) as fh:
+        assert data["checks"] == json.load(fh)
+
+
+def test_orbit_pair_in_distinct_orbits(fixtures, capsys):
+    code, data = _run_json(["orbit",
+                            os.path.join(fixtures, "orbit_x.json"),
+                            os.path.join(fixtures, "orbit_zero.json")], capsys)
+    assert code == 0
+    assert data["checks"][1]["details"] == {"same_orbit": False}
+
+
 def test_orbit_mismatched_ambient(fixtures, tmp_path, capsys):
     other = {
         "field": {"type": "GF", "p": 3},
@@ -350,6 +380,37 @@ def test_verify_sw_gram_file(tmp_path, capsys):
                             "--tau11", "2i", "--tau12", "0", "--tau22", "2i"],
                            capsys)
     assert code == 0
+
+
+# --------------------------------------------------------------------------
+# usage errors
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["verify-sw", "--tau11", "-2i"],       # "-2i" reads as an option
+    ["census", "--q", "three", "--M", "1", "--V", "hyperbolic2", "--k", "1"],
+    ["census", "--q", "3"],
+    ["no-such-command"],
+    [],
+], ids=["option-like-value", "bad-int", "missing-required", "bad-command",
+        "no-command"])
+def test_usage_error_is_one_json_report(argv, capsys):
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out, parse_constant=_reject_constant)
+    assert code == 2
+    assert captured.err == ""
+    assert [c["name"] for c in data["checks"]] == ["usage"]
+    details = data["checks"][0]["details"]
+    assert details["message"] and details["usage"].startswith("sntmod")
+
+
+def test_usage_error_through_entry_point(capsys):
+    code = verify_sw_main(["--tau11", "-2i", "--json"])
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 2
+    assert data["command"] == "verify-sw"
+    assert "--tau11" in data["checks"][0]["details"]["message"]
 
 
 # --------------------------------------------------------------------------

@@ -160,22 +160,28 @@ def test_t_sym_te_in_full_W_reduces_to_zero():
 def _direct_t_sym_full(sp, x, W):
     """Definition-level oracle: T(x) = sum over F-basis pairs of
     (v_r, v_s) u_r ⊗ u_s, re-expanded over W's quasi-basis without ever
-    touching normal_form or dual vectors."""
+    touching normal_form, dual vectors or the chain coordinates of x.
+
+    The u_r are W's echelon F-basis (the unit vectors when W is all of
+    M_-), so x = sum_r u_r ⊗ v_r with v_r the row of x at u_r's pivot.
+    """
     from sntmod.sntmodule import module_coords
     field = sp.field
     ks = list(W.partition)
     m = len(ks)
+    us = [list(u) for u in W.span]
+    vs = [x.coords[next(c for c, e in enumerate(u) if e)] for u in us]
+    if us:
+        assert la.mat_mul(la.transpose(us), vs) == x.coords   # x in W ⊗ V
+    else:
+        assert x.is_zero()
     # u_r = sum_i a[r][i](t) h_i over the quasi-basis rows h_i
-    a = []
-    for r in range(sp.d):
-        u = [field.zero] * sp.d
-        u[r] = field.one
-        a.append(module_coords(field, sp.t_minus, sp.K, W.quasi, ks, u))
+    a = [module_coords(field, sp.t_minus, sp.K, W.quasi, ks, u) for u in us]
     # symmetric coefficient matrix M_{ij} = sum_{r,s} (v_r, v_s) a_ri a_sj
     Mco = la.zeros(sp.R, m, m)
-    for r in range(sp.d):
-        for s in range(sp.d):
-            pr = la.bilinear(x.coords[r], sp.V.gram, x.coords[s])
+    for r in range(len(us)):
+        for s in range(len(us)):
+            pr = la.bilinear(vs[r], sp.V.gram, vs[s])
             if not pr:
                 continue
             for i in range(m):
@@ -199,8 +205,29 @@ def test_t_sym_matches_definition_oracle(field, ks, vdiag):
     rng = random.Random(21)
     for _ in range(25):
         x = sp.random(rng)
-        inv = t_sym(x, Wfull)
-        assert inv.coords == _direct_t_sym_full(sp, x, Wfull)
+        # smaller images too: one column (rank 1), no chain starts (in t·M_-)
+        one_col = sp.element([[c if l == 0 else field.zero for l, c in enumerate(row)]
+                              for row in x.coords])
+        t_div = sp.element([[field.zero] * sp.V.dim if r in sp.offsets else row
+                            for r, row in enumerate(x.coords)])
+        for y in (x, one_col, t_div):
+            assert t_sym(y, Wfull).coords == _direct_t_sym_full(sp, y, Wfull)
+            W = image_of(y)
+            inv = t_sym(y, W)
+            assert inv == orbit_invariant(y)
+            assert inv.coords == _direct_t_sym_full(sp, y, W)
+
+
+def test_t_sym_and_tangent_reject_W_missing_the_image():
+    sp = TensorSpace(F5, (2, 1), diagonal_space(F5, [1, 1]))
+    x = sp.element([[F5(1), F5(0)], [F5(0), F5(0)], [F5(0), F5(1)]])
+    assert image_of(x).partition == (2, 1)
+    first = quasi_basis(F5, sp.t_minus, sp.K, la.identity(F5, 3)[:2])   # chain 1
+    zero = quasi_basis(F5, sp.t_minus, sp.K, [])
+    for W in (first, zero):
+        for fn in (t_sym, tangent_matrix):
+            with pytest.raises(ValueError, match="does not contain Im f_x"):
+                fn(x, W)
 
 
 # --------------------------------------------------------------------------
@@ -575,7 +602,7 @@ def test_tensor_space_from_skew_flag():
     assert sp.ks == (2,)
     rng = random.Random(41)
     X = [[F3.random(rng) for _ in range(2)] for _ in range(2)]
-    x = sp.element(sp.coords_from_flag(chains, X))
+    x = sp.element(la.mat_mul(la.transpose(la.inverse(F3, chains)), X))
     orbit_invariant(x)
     for _ in range(10):
         g = random_orthogonal_ring(sp, rng)
