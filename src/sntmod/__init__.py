@@ -21,7 +21,7 @@ from .orbits import (
     OrthSpace, TensorSpace, TensorElement, OrbitInvariant,
     HypothesisFailedError, IsometryMismatchError,
     hyperbolic_plane, diagonal_space,
-    f_matrix, image_of, normal_form, t_sym, orbit_invariant, same_orbit,
+    f_matrix, image_of, t_sym, orbit_invariant, same_orbit,
     witt_lift, extend_isometry, witt_extend_field, transport,
     tangent_matrix, is_submersive,
     orthogonal_group_ring, brute_force_orbits, invariant_partition,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -99,7 +100,7 @@ def _input_stage(check):
     """Turn a malformed input met inside the block into an InputError."""
     try:
         yield
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, OverflowError) as exc:
         raise InputError(check, message=str(exc)) from exc
 
 
@@ -217,7 +218,6 @@ def cmd_verify_sw(args, report):
 
 
 def cmd_gen_fixtures(args, report):
-    import os
     import random as _random
 
     from .serialize import module_to_json, tensor_element_to_json
@@ -346,7 +346,13 @@ def main(argv=None):
                    achieved_tail=exc.achieved)
         code = 4
     report.wall_time = time.time() - t0
-    report.emit(as_json)
+    try:
+        report.emit(as_json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: the rest of the output, and the flush at exit,
+        # go to devnull instead of ending in a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -5,7 +5,8 @@ on the V-side by two invariants: the image submodule of the attached
 t-linear map f_x(v) = sum_i (v_i, v) u_i, and the symmetric tensor
 T(x) = sum_{i,j} (v_i, v_j) u_i ⊗ u_j read in S_t^2(Im f_x).  Equality of
 both invariants is equivalent to lying in one orbit; `transport` produces an
-explicit group element by Witt lifting followed by isometry extension.
+explicit group element by Witt lifting the chain residues w_i mod t^{k_i},
+from which the invariants are read, followed by isometry extension.
 
 All computations run at working precision K = max k_i of the type of M_-,
 since t^K kills every pairing that matters.
@@ -226,11 +227,8 @@ def f_matrix(x):
 
 def image_of(x):
     """Im f_x as an SntSubmodule of M_- (canonical span + quasi-basis)."""
-    return _image_of_matrix(x.space, f_matrix(x))
-
-
-def _image_of_matrix(sp, fm):
-    span = la.rref_span(sp.field, fm)
+    sp = x.space
+    span = la.rref_span(sp.field, f_matrix(x))
     img = sp._images.get(span)
     if img is None:
         img = sp._images[span] = quasi_basis(sp.field, sp.t_minus, sp.K,
@@ -253,67 +251,6 @@ def _coeffs_over(x, W):
     return [[c[i] for c in cols] for i in range(len(ks))]
 
 
-def normal_form(x):
-    """Write x = sum_i e_i ⊗ w_i over the quasi-basis of W = Im f_x, with
-    {w_i} a basis of a primitive submodule of V[t]/(t^K).
-
-    Returns (W, [w_i]) with w_i TruncPoly vectors.  Only `transport` needs
-    this primitive lift, for the Witt lift and the isometry extension; the
-    invariants read w_i mod t^{k_i} from `_coeffs_over`, and the lift is
-    checked against exactly those residues.
-    """
-    sp = x.space
-    R = sp.R
-    fm = f_matrix(x)
-    img = _image_of_matrix(sp, fm)
-    if x.is_zero():
-        return img, []
-    e_rows, orders = img.quasi, list(img.partition)
-    m = len(e_rows)
-    field = sp.field
-    # v_i with f_x(v_i) = e_i
-    vs = []
-    for e in e_rows:
-        sol = la.solve(field, la.transpose(fm), list(e))
-        if sol is None:
-            raise RuntimeError("quasi-basis row escaped the image of f_x")
-        vec = []
-        for l in range(sp.V.dim):
-            vec.append(TruncPoly(field, sol.particular[l * sp.K:(l + 1) * sp.K]))
-        vs.append(vec)
-    # complete the mod-t reduction to a basis of V by unit vectors
-    vbar = [[v[l].coeffs[0] for l in range(sp.V.dim)] for v in vs]
-    piv = la.rref(field, vbar)[1]
-    if len(piv) != m:
-        raise RuntimeError("lifted vectors are not primitive")
-    comp = []
-    for c in range(sp.V.dim):
-        if c not in piv:
-            u = [R.zero] * sp.V.dim
-            u[c] = R.one
-            comp.append(u)
-    # push the complement into ker f_x:  u' = u - l(u) with f_x(l(u)) = f_x(u)
-    comp_ker = []
-    for u in comp:
-        fu = la.vec_mat([c for poly in u for c in poly.coeffs], fm)   # f_x(u)
-        coords = module_coords(field, sp.t_minus, sp.K, e_rows, orders, fu)
-        if coords is None:
-            raise RuntimeError("f_x(u) escaped Im f_x")
-        comp_ker.append(la.vec_sub(u, la.vec_mat(coords, vs)))
-    basis = vs + comp_ker
-    N = len(basis)
-    if N != sp.V.dim:
-        raise RuntimeError("basis completion failed")
-    # dual basis via the ring Gram matrix
-    Gamma = la.mat_mul(la.mat_mul(basis, sp.Qr), la.transpose(basis))
-    ws = la.mat_mul(la.inverse(R, Gamma)[:m], basis)
-    # exact reconstruction check: w_i = x's chain coordinates mod t^{k_i}
-    for w, c, k in zip(ws, _coeffs_over(x, img), orders):
-        if any(p.coeffs[:k] != q.coeffs[:k] for p, q in zip(w, c)):
-            raise RuntimeError("normal form failed to reconstruct x")
-    return img, ws
-
-
 @dataclass(frozen=True)
 class OrbitInvariant:
     """Canonical (W, i): the image submodule and the symmetric tensor
@@ -331,6 +268,12 @@ def t_sym(x, W=None):
     w_j mod t^{k_j}: exactly the chain coordinates that `_coeffs_over`
     reads off x.  Raises ValueError when W does not contain Im f_x.
     """
+    return _t_sym(x, W)[0]
+
+
+def _t_sym(x, W):
+    """(`t_sym`'s invariant, the chain residues w_i mod t^{k_i} it is read
+    from)."""
     sp = x.space
     W = image_of(x) if W is None else W
     ws = _coeffs_over(x, W)
@@ -343,7 +286,7 @@ def t_sym(x, W=None):
         for j in range(i, m):
             c = P[i][j] if i < j else half * P[i][i]
             coords.append(tuple(c.coeffs[:ks[j]]))
-    return OrbitInvariant(W.span, tuple(ks), tuple(coords))
+    return OrbitInvariant(W.span, tuple(ks), tuple(coords)), ws
 
 
 def orbit_invariant(x):
@@ -753,18 +696,20 @@ def _solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
 
 
 def transport(x, y):
-    """A ring-orthogonal g with x·g = y, or None when the orbits differ."""
+    """A ring-orthogonal g with x·g = y, or None when the orbits differ.
+
+    The witness lifts the chain residues c_i = w_i mod t^{k_i} that the
+    invariants are read from, so x = sum_i e_i ⊗ c_i over W = Im f_x.  As
+    v -> ((c_i, v) mod t^{k_i}) maps onto ⊕ R_{k_i}, the c_i(0) are
+    independent, and equal invariants give y's residues d_i with
+    (c_i, c_j) = (d_i, d_j) mod t^{min(k_i, k_j)}: `witt_lift`'s hypothesis.
+    """
     sp = x.space
-    inv_x = orbit_invariant(x)
-    inv_y = orbit_invariant(y)
+    inv_x, c = _t_sym(x, None)
+    inv_y, d = _t_sym(y, None)
     if inv_x != inv_y:
         return None
-    if x.is_zero():
-        return la.identity(sp.R, sp.V.dim)
-    W, a = normal_form(x)
-    _, b = normal_form(y)
-    bt = witt_lift(sp, a, b, list(W.partition))
-    g = extend_isometry(sp, a, bt)
+    g = extend_isometry(sp, c, witt_lift(sp, c, d, list(inv_x.partition)))
     if x.act(g).key() != y.key():
         raise RuntimeError("transport verification failed")
     return g

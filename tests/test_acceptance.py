@@ -10,10 +10,9 @@ from sntmod.analytic import (AUT_E8, SiegelPoint, e8, eisenstein_lhs,
                              eisenstein_lhs_direct, eisenstein_q, sigma_power, theta_basic,
                              verify_identity)
 from sntmod.orbits import (TensorSpace, brute_force_orbits, diagonal_space,
-                           hyperbolic_plane, invariant_partition, image_of,
-                           is_submersive, normal_form, random_orthogonal_ring,
-                           same_orbit, transport, witt_lift,
-                           _is_primitive_tuple)
+                           hyperbolic_plane, invariant_partition, is_submersive,
+                           random_orthogonal_ring, same_orbit, transport,
+                           witt_lift, _is_primitive_tuple)
 from sntmod.sntmodule import (LagrangianFlag, SntModule, decompose,
                               enumerate_t_lagrangians, jordan_type, rho_of,
                               self_dual_map_space_dim, standard_module)

@@ -1,9 +1,16 @@
 """Command-line interface: subcommands, exit codes, fixtures, JSON output."""
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sntmod
 from sntmod.analytic import sigma_power
 from sntmod.cli import main, verify_sw_main
 from sntmod.sntmodule import SntModule
@@ -361,6 +368,15 @@ def test_verify_sw_gram_file_not_even_unimodular(tmp_path, capsys):
     assert "even unimodular" in data["checks"][0]["details"]["message"]
 
 
+def test_verify_sw_gram_file_infinite_entry_is_input_error(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text("[[1e400]]")             # JSON reads 1e400 as inf
+    code, data = _run_json(["verify-sw", "--gram-file", str(path), "--N", "1",
+                            "--aut", "1"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+
+
 def test_verify_sw_infinite_tail_is_null(capsys):
     # at Im tau = 1e308 no tail can be certified: the achieved tail is inf,
     # which strict JSON writes as null
@@ -431,3 +447,117 @@ def test_gen_fixtures_unwritable_file_is_input_error(tmp_path, capsys):
     code, data = _run_json(["gen-fixtures", "--out", str(tmp_path)], capsys)
     assert code == 2
     assert [c["name"] for c in data["checks"]] == ["write"]
+
+
+# --------------------------------------------------------------------------
+# the contract under any input
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_keeps_the_exit_code(unbuffered):
+    """A reader that leaves early gets no traceback, and the exit code is
+    still the command's own (2 for an unknown command).  Buffered output
+    meets the closed pipe only when it is flushed."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sntmod.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sntmod.cli", "bogus", "--json"],
+                              stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.stderr == b""
+    assert proc.returncode == 2
+
+
+# Each argument takes a value that fits it, or one from the shared pool of
+# malformed and extreme values and paths, or is left out.  Fitting values
+# name files of the `fuzz_paths` directory where they end in ".json".  Every
+# valid combination is cheap (census: at most 3^4 elements; verify-sw:
+# Im tau >= 1), so a huge SNT_MAX_ENUM cannot make an example run long.
+_VALUES = ["0", "1", "2", "3", "8", "-1", "2,1", "H1", "1e400", "nan", "-inf",
+           "9" * 30, "", " ", "x", "\x00", "-2i", "1+1e-300i", "diag:",
+           "diag:1,x", "[[0]]", "{}", "1e-300"]
+_ARGS = {
+    "decompose": {"module_file": ["h2h1_module.json", "basechange_module.json",
+                                  "corrupted_gram.json"],
+                  "--seed": ["0", "7"]},
+    "orbit": {"x_file": ["orbit_x.json", "orbit_zero.json"],
+              "y_file": ["orbit_xg.json", "orbit_zero.json"]},
+    "census": {"--q": ["3"], "--M": ["1", "2", "1,1"],
+               "--V": ["hyperbolic2", "diag:1,2", "[[1]]"], "--k": ["1", "2"]},
+    "verify-sw": {"--lattice": ["e8", "E8"], "--gram-file": ["e8.json"],
+                  "--aut": ["696729600"], "--tau11": ["2i", "i", "1e6i"],
+                  "--tau12": ["0", "0.3", "1e300"], "--tau22": ["2i", "1.1i"],
+                  "--N": ["8"], "--tol": ["1e-8", "1e-12"]},
+    "gen-fixtures": {"--out": ["out"], "--seed": ["0", "7"]},
+    "bogus": {},
+}
+_GUARDS = ["", " ", "0", "1", "50", "-1", "1e3", "x", "١٢"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Paths by name: the generated fixtures, an E8 Gram file, files that
+    are not valid inputs, a directory and a missing file."""
+    from sntmod.analytic import _E8_GRAM
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen-fixtures", "--out", str(out)]) == 0
+    files = {"e8.json": json.dumps(_E8_GRAM), "garbage.json": "{not json",
+             "nan.json": '{"dim": NaN}', "list.json": "[]",
+             "inf_gram.json": "[[1e400]]",
+             "inf_module.json": json.dumps({
+                 "field": {"type": "Q"}, "dim": 2, "gram": [[0, 1], [-1, 0]],
+                 "t_action": [[1e400, 0], [0, 0]]}).replace("Infinity", "1e400")}
+    for name, text in files.items():
+        (out / name).write_text(text)
+    paths = {p.name: str(p) for p in out.iterdir()}
+    paths.update({"dir": str(out), "missing": str(out / "missing.json")})
+    return paths
+
+
+def _weighted(common, rare):
+    """Draws from `common` about four times as often as from `rare`."""
+    return st.sampled_from(common * (4 * len(rare) // len(common) + 1) + rare)
+
+
+@st.composite
+def _cli_args(draw, paths):
+    """argv for one command: each argument fitting, malformed or left out
+    (None); now and then a stray value at the end."""
+    pool = _VALUES + sorted(paths.values())
+    command = draw(st.sampled_from(sorted(_ARGS)))
+    argv = [command]
+    for name, good in _ARGS[command].items():
+        value = draw(_weighted(good, pool + [None]))
+        if value is not None:
+            value = paths.get(value, value)
+            argv += [name, value] if name.startswith("--") else [value]
+    stray = draw(_weighted([None], pool))
+    return argv if stray is None else argv + [stray]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_keep_the_contract(fuzz_paths, tmp_path_factory, data):
+    """Drawn arguments and SNT_MAX_ENUM values: exit 0-4, no exception and
+    no traceback, and one strict-JSON report on stdout."""
+    argv = data.draw(_cli_args(fuzz_paths))
+    guard = data.draw(_weighted([None, "9" * 40], _GUARDS))
+    env = {k: v for k, v in os.environ.items() if k != "SNT_MAX_ENUM"}
+    if guard is not None:
+        env["SNT_MAX_ENUM"] = guard
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cwd"))     # relative --out paths land here
+    try:
+        with mock.patch.dict(os.environ, env, clear=True), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--json"])
+    finally:
+        os.chdir(cwd)
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -12,13 +12,13 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            TensorSpace, brute_force_orbits,
                            diagonal_space, extend_isometry, f_matrix,
                            hyperbolic_plane, image_of, invariant_partition,
-                           is_submersive, normal_form, orbit_invariant,
+                           is_submersive, orbit_invariant,
                            orthogonal_group_ring, random_orthogonal_ring,
                            same_orbit, t_sym, tangent_matrix, transport,
                            witt_extend_field, witt_lift)
 from sntmod.orbits import _is_primitive_tuple
 from sntmod.sntmodule import EnumerationGuardError, quasi_basis
-from sntmod.tpoly import TruncPoly, tp
+from sntmod.tpoly import TruncPoly
 
 F3 = GF(3)
 F5 = GF(5)
@@ -91,37 +91,49 @@ def test_image_memo_matches_fresh_quasi_basis():
 
 
 # --------------------------------------------------------------------------
-# normal form
+# chain residues: the primitive tuple that transport lifts
 # --------------------------------------------------------------------------
 
-def test_normal_form_zero():
-    sp = TensorSpace(QQ, (2,), hyperbolic_plane(QQ))
-    W, ws = normal_form(sp.zero())
-    assert ws == [] and W.partition == ()
+RESIDUE_CASES = [pytest.param(field, ks, id="%s-%s" % (name, "".join(map(str, ks))))
+                 for name, field in (("QQ", QQ), ("F3", F3), ("F5", F5))
+                 for ks in ((2, 1), (3, 1, 1), (3, 2))]
 
 
-def test_normal_form_reconstructs_and_is_primitive():
-    # reconstruction is asserted inside normal_form; primitivity here
+def _residue_elements(sp, rng, n=4):
+    """Zero, then random x, each also cut to one column (rank 1) and to no
+    chain starts (in t·M_-): elements with smaller images."""
+    field = sp.field
+    yield sp.zero()
+    for _ in range(n):
+        x = sp.random(rng)
+        yield x
+        yield sp.element([[c if l == 0 else field.zero for l, c in enumerate(row)]
+                          for row in x.coords])
+        yield sp.element([[field.zero] * sp.V.dim if r in sp.offsets else row
+                          for r, row in enumerate(x.coords)])
+
+
+@pytest.mark.parametrize("field,ks", RESIDUE_CASES)
+def test_chain_residues_over_the_image_are_primitive(field, ks):
+    sp = TensorSpace(field, ks, diagonal_space(field, [1, 2, 1]))
     rng = random.Random(8)
-    for field in (QQ, F5):
-        sp = TensorSpace(field, (2, 1), diagonal_space(field, [1, 1, 1, 1]))
-        for _ in range(15):
-            x = sp.random(rng)
-            if x.is_zero():
-                continue
-            W, ws = normal_form(x)
-            vbar = [[w[l].coeffs[0] for l in range(sp.V.dim)] for w in ws]
-            assert la.rank(field, vbar) == len(ws)
+    for x in _residue_elements(sp, rng):
+        W = image_of(x)
+        cs = orbits._t_sym(x, W)[1]
+        assert len(cs) == len(W.partition)
+        cbar = [[c[l].coeffs[0] for l in range(sp.V.dim)] for c in cs]
+        assert la.rank(field, cbar) == len(cs)
 
 
-def test_normal_form_single_term_bookkeeping():
-    V = diagonal_space(QQ, [1, 1])
-    sp = TensorSpace(QQ, (2,), V)
-    x = sp.from_pairs([(0, tvec(QQ, 2, [1], [0]))])
-    W, ws = normal_form(x)
-    assert len(ws) == 1
-    assert sp.ring_pair(ws[0], ws[0]) == sp.ring_pair(tvec(QQ, 2, [1], [0]),
-                                                      tvec(QQ, 2, [1], [0]))
+@pytest.mark.parametrize("field,ks", RESIDUE_CASES)
+def test_transport_to_translates_of_small_images(field, ks):
+    sp = TensorSpace(field, ks, diagonal_space(field, [1, 2, 1]))
+    rng = random.Random(9)
+    for x in _residue_elements(sp, rng, n=2):
+        y = x.act(random_orthogonal_ring(sp, rng))
+        g = transport(x, y)
+        assert g is not None and x.act(g).key() == y.key()
+        assert orbits._is_ring_orthogonal(g, sp.Qr)
 
 
 # --------------------------------------------------------------------------
@@ -160,7 +172,7 @@ def test_t_sym_te_in_full_W_reduces_to_zero():
 def _direct_t_sym_full(sp, x, W):
     """Definition-level oracle: T(x) = sum over F-basis pairs of
     (v_r, v_s) u_r ⊗ u_s, re-expanded over W's quasi-basis without ever
-    touching normal_form, dual vectors or the chain coordinates of x.
+    touching dual vectors or the chain residues of x.
 
     The u_r are W's echelon F-basis (the unit vectors when W is all of
     M_-), so x = sum_r u_r ⊗ v_r with v_r the row of x at u_r's pivot.
@@ -202,20 +214,12 @@ def _direct_t_sym_full(sp, x, W):
 def test_t_sym_matches_definition_oracle(field, ks, vdiag):
     sp = TensorSpace(field, ks, diagonal_space(field, vdiag))
     Wfull = quasi_basis(field, sp.t_minus, sp.K, la.identity(field, sp.d))
-    rng = random.Random(21)
-    for _ in range(25):
-        x = sp.random(rng)
-        # smaller images too: one column (rank 1), no chain starts (in t·M_-)
-        one_col = sp.element([[c if l == 0 else field.zero for l, c in enumerate(row)]
-                              for row in x.coords])
-        t_div = sp.element([[field.zero] * sp.V.dim if r in sp.offsets else row
-                            for r, row in enumerate(x.coords)])
-        for y in (x, one_col, t_div):
-            assert t_sym(y, Wfull).coords == _direct_t_sym_full(sp, y, Wfull)
-            W = image_of(y)
-            inv = t_sym(y, W)
-            assert inv == orbit_invariant(y)
-            assert inv.coords == _direct_t_sym_full(sp, y, W)
+    for y in _residue_elements(sp, random.Random(21), n=25):
+        assert t_sym(y, Wfull).coords == _direct_t_sym_full(sp, y, Wfull)
+        W = image_of(y)
+        inv = t_sym(y, W)
+        assert inv == orbit_invariant(y)
+        assert inv.coords == _direct_t_sym_full(sp, y, W)
 
 
 def test_t_sym_and_tangent_reject_W_missing_the_image():
