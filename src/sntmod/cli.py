@@ -267,13 +267,21 @@ def cmd_gen_fixtures(args, report):
     return 0
 
 
+class HelpRequested(Exception):
+    """-h/--help was given; the argument is the text argparse would print."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises a usage error as an InputError, so that it reaches the one
-    error path in `main` instead of exiting from inside argparse."""
+    """Raises a usage error as an InputError and a help request as
+    HelpRequested, so that both reach the one report path in `main` instead
+    of exiting from inside argparse."""
 
     def error(self, message):
         usage = self.format_usage().replace("usage: ", "", 1).strip()
         raise InputError("usage", message=message, usage=usage)
+
+    def print_help(self, file=None):
+        raise HelpRequested(self.format_help())
 
 
 def build_parser():
@@ -328,6 +336,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     report = RunReport(next((a for a in argv if not a.startswith("-")), ""), {})
     as_json = "--json" in argv
+    help_text = None
     t0 = time.time()
     try:
         args = build_parser().parse_args(argv)
@@ -335,6 +344,10 @@ def main(argv=None):
         with _input_stage("environment"):
             enum_guard_limit()
         code = args.func(args, report)
+    except HelpRequested as exc:
+        help_text = exc.args[0]
+        report.add("help", "ok", text=help_text)
+        code = 0
     except InputError as exc:
         report.add(exc.check, "error", **exc.details)
         code = 2
@@ -347,7 +360,10 @@ def main(argv=None):
         code = 4
     report.wall_time = time.time() - t0
     try:
-        report.emit(as_json)
+        if help_text is None or as_json:
+            report.emit(as_json)
+        else:           # plain --help prints argparse's text alone
+            sys.stdout.write(help_text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left: the rest of the output, and the flush at exit,

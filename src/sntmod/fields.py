@@ -19,14 +19,34 @@ class CharacteristicTwoError(ValueError):
     """A coefficient field of characteristic 2 was requested."""
 
 
+# Miller-Rabin with the primes up to 37 as bases is exact below this bound,
+# the least strong pseudoprime to all twelve (Sorenson and Webster, Math.
+# Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for p >= _MR_BOUND."""
+    if p >= _MR_BOUND:
+        raise ValueError("%d is too large: p must be below %d" % (p, _MR_BOUND))
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -24,15 +24,17 @@ act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from two primitives: `nilpotent_powers` for
 the whole matrix powers I, A, A², … and `t_chain` for the chain v, vA,
 vA², … of one vector.
+`solve` takes a list of right-hand sides and solves them all from one
+elimination; it returns particular solutions only, and `right_kernel`
+gives kernels.
 Every routine here is exact — no pivoting heuristics beyond "first unit"
 (first nonzero entry over a field).  Over F[t]/(t^K) elimination with unit
 pivots is complete for square invertible matrices (`inverse`) but not for
-general systems: `solve` may then return a vector that does not solve them,
-so callers check A·xᵀ = b.
+general systems: `solve` may then return a non-solution, so callers check
+A·xᵀ = b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -433,33 +435,25 @@ def rank(field, A):
     return len(rref(field, A)[1])
 
 
-@dataclass
-class LinearSolution:
-    particular: list
-    kernel: list
-    rank: int
+def solve(field, A, B):
+    """Solve sum_j A[i][j] x[j] = b[i] exactly for every right-hand side b
+    in B, from one elimination of [A | Bᵀ].
 
-
-def solve(field, A, b):
-    """Solve sum_j A[i][j] x[j] = b[i] exactly.
-
-    Returns a LinearSolution (particular + right-kernel basis of A) or None
-    when the system is inconsistent.
+    Returns the particular solutions, one per b, with the free unknowns set
+    to 0, or None when any of the systems is inconsistent.  Kernels are
+    `right_kernel`'s.  The pivots in A's columns do not depend on B, so each
+    solution is the one a single-b elimination returns.
     """
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    if len(b) != nr:
+    nc = len(A[0]) if A else 0
+    if any(len(b) != len(A) for b in B):
         raise ValueError("dimension mismatch in solve")
-    aug = [A[i][:] + [b[i]] for i in range(nr)]
-    R, pivots = rref(field, aug)
-    if nc in pivots:
+    R, pivots = rref(field, [row + [b[i] for b in B] for i, row in enumerate(A)])
+    if pivots and pivots[-1] >= nc:
         return None
+    at = dict(zip(pivots, R))
     z = field.zero
-    x = [z for _ in range(nc)]
-    for r, c in enumerate(pivots):
-        x[c] = R[r][nc]
-    ker = _kernel_from_rref(field, R, pivots, nc)
-    return LinearSolution(x, ker, len(pivots))
+    return [[at[c][nc + j] if c in at else z for c in range(nc)]
+            for j in range(len(B))]
 
 
 def _kernel_from_rref(field, R, pivots, nc):

@@ -121,9 +121,7 @@ class TensorSpace:
         Tm = flag.t_on_minus()
         d = flag.M.dim // 2
         sub = quasi_basis(field, Tm, flag.M.K, la.identity(field, d))
-        chain_rows = [v for h in sub.quasi for v in la.t_chain(Tm, h)]
-        space = cls(field, sub.partition, V)
-        return space, chain_rows
+        return cls(field, sub.partition, V), sub.chains
 
     # -- elements ------------------------------------------------------------
     def element(self, coords):
@@ -243,12 +241,10 @@ def _coeffs_over(x, W):
     t^s e_i (s < k_i) are the coefficients of w_i[l] mod t^{k_i}; the chains
     are an F-basis of W, so these residues are unique.
     """
-    sp, ks = x.space, list(W.partition)
-    cols = [module_coords(sp.field, sp.t_minus, sp.K, W.quasi, ks, col)
-            for col in la.transpose(x.coords)]
-    if None in cols:
+    cols = module_coords(W, x.space.K, la.transpose(x.coords))
+    if cols is None:
         raise ValueError("W does not contain Im f_x")
-    return [[c[i] for c in cols] for i in range(len(ks))]
+    return [[c[i] for c in cols] for i in range(len(W.partition))]
 
 
 @dataclass(frozen=True)
@@ -315,18 +311,14 @@ def _is_primitive_tuple(V, vecs):
 
 def _dual_vectors(space, bvecs):
     """c_j in V[t]/(t^K) with (b_i, c_j) = delta_ij, for a primitive tuple."""
-    R = space.R
     # P[i][a] = (b_i, basis_a)
     P = la.mat_mul(bvecs, space.Qr)
-    Pt = la.transpose(P)
-    duals = []
-    for target in la.identity(R, len(bvecs)):
-        # unit-pivot elimination can miss an inconsistency of positive
-        # valuation, so the solution is checked
-        sol = la.solve(R, P, target)
-        if sol is None or la.vec_mat(sol.particular, Pt) != target:
-            raise RuntimeError("dual system unsolvable; tuple not primitive?")
-        duals.append(sol.particular)
+    targets = la.identity(space.R, len(bvecs))
+    duals = la.solve(space.R, P, targets)
+    # unit-pivot elimination can miss an inconsistency of positive
+    # valuation, so the solutions are checked
+    if duals is None or la.mat_mul(duals, la.transpose(P)) != targets:
+        raise RuntimeError("dual system unsolvable; tuple not primitive?")
     return duals
 
 
@@ -499,10 +491,10 @@ def _hyperbolic_partners(field, Q, fixed, zs):
                [la.vec_mat(list(v), Q) for v in us]
         rhs = [field.one if j == i else field.zero for j in range(len(zs))] + \
               [field.zero] * (len(fixed) + len(us))
-        sol = la.solve(field, rows, rhs)
+        sol = la.solve(field, rows, [rhs])
         if sol is None:
             raise RuntimeError("hyperbolic completion is unsolvable")
-        u = sol.particular
+        u = sol[0]
         qu = la.bilinear(u, Q, u)
         if qu:
             u = la.vec_sub(u, la.vec_scale(qu / field(2), list(z)))
@@ -689,10 +681,10 @@ def _solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
                     row[j] = row[j] + sign * abar[i][r]
             rows.append(row)
             rhs.append(etas[i][col])
-    sol = la.solve(field, rows, rhs)
+    sol = la.solve(field, rows, [rhs])
     if sol is None:
         raise RuntimeError("layer system inconsistent; inputs not in one orbit?")
-    return _add_skew(field, h0, g0_Qt_inv, sol.particular)
+    return _add_skew(field, h0, g0_Qt_inv, sol[0])
 
 
 def transport(x, y):

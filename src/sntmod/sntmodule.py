@@ -180,19 +180,6 @@ def summand_offsets(ks):
 # structure decomposition
 # --------------------------------------------------------------------------
 
-def _restrict(field, T, basis_rows):
-    """Matrix of T restricted to the span of basis_rows, in those coordinates."""
-    out = []
-    Bt = la.transpose(basis_rows)
-    for v in basis_rows:
-        img = la.vec_mat(v, T)
-        sol = la.solve(field, Bt, img)
-        if sol is None:
-            raise NotTStableError("span is not t-stable")
-        out.append(sol.particular)
-    return out
-
-
 def decompose(M, seed=0):
     """Split M into standard planes.
 
@@ -218,10 +205,10 @@ def decompose(M, seed=0):
         GCt = la.mat_mul(G, la.transpose(C))
         target = [field.zero] * N
         target[N - 1] = field.one
-        sol = la.solve(field, la.mat_mul(chain1, GCt), target)
+        sol = la.solve(field, la.mat_mul(chain1, GCt), [target])
         if sol is None:
             raise ValueError("gram is degenerate on a t-cyclic subspace")
-        chain2 = la.t_chain(T, la.vec_mat(sol.particular, C))
+        chain2 = la.t_chain(T, la.vec_mat(sol[0], C))
         # orthogonal complement of the new plane inside span C
         C = la.mat_mul(la.right_kernel(field, la.mat_mul(chain1 + chain2, GCt)), C)
         parts.append((N, chain1, chain2))
@@ -265,14 +252,17 @@ class SntSubmodule:
     """A t-stable subspace with quasi-basis and type partition.
 
     `span` is the canonical reduced-echelon basis of the underlying
-    subspace; equality of submodules is equality of those tuples.
+    subspace; equality of submodules is equality of those tuples.  `quasi`
+    holds the quasi-basis rows e_i, of orders `partition` = (k_i), and
+    `chains` the F-basis t^s·e_i (s < k_i) they generate, chain by chain.
     """
 
-    def __init__(self, field, span, quasi, partition):
+    def __init__(self, field, span, quasi, partition, chains):
         self.field = field
         self.span = tuple(tuple(r) for r in span)
         self.quasi = [list(r) for r in quasi]
         self.partition = tuple(partition)
+        self.chains = [list(r) for r in chains]
 
     @property
     def dim(self):
@@ -302,16 +292,16 @@ def quasi_basis(field, T, K, generators):
     """Extract a quasi-basis of the F[t]-span of `generators`.
 
     T is the ambient t-action and K a precision with t^K = 0.  Returns an
-    SntSubmodule whose `quasi` rows have orders k_1 >= ... >= k_m; its
-    cardinality equals dim(span / t·span).  Raises NotTStableError when the
-    plain linear span is not t-stable.
+    SntSubmodule whose `quasi` rows have orders k_1 >= ... >= k_m, with
+    their t-chains as `chains`; its cardinality equals dim(span / t·span).
+    Raises NotTStableError when the plain linear span is not t-stable.
     """
     span = la.rref_span(field, [list(g) for g in generators])
     gens = [list(r) for r in span]
     if not _stable_basis(field, T, gens):
         raise NotTStableError("generators span a non-t-stable subspace")
     if not span:
-        return SntSubmodule(field, (), [], ())
+        return SntSubmodule(field, (), [], (), [])
     r = len(gens)
     # presentation R_K^r -> span; F-basis of the domain indexed by (i, s)
     dom = [row for v in gens for row in padded_chain(field, T, v, K)]
@@ -337,23 +327,23 @@ def quasi_basis(field, T, K, generators):
             h = la.vec_mat([c for a in Vinv[j] for c in a.coeffs], dom)
         quasi.append((d, h))
     quasi.sort(key=lambda p: -p[0])
-    parts = [d for d, _ in quasi]
-    rows = [h for _, h in quasi]
-    sub = SntSubmodule(field, span, rows, parts)
-    _check_quasi(field, T, sub)
+    chains = [la.t_chain(T, h) for _, h in quasi]
+    sub = SntSubmodule(field, span, [h for _, h in quasi], [d for d, _ in quasi],
+                       [v for c in chains for v in c])
+    _check_quasi(field, T, sub, [len(c) for c in chains])
     return sub
 
 
-def _check_quasi(field, T, sub):
+def _check_quasi(field, T, sub, orders):
+    """Raise unless `sub` is a quasi-basis; `orders` are the lengths of the
+    t-chains in `sub.chains`, i.e. the exact orders of the rows."""
     span = [list(r) for r in sub.span]
     tspan = la.rref_span(field, [la.vec_mat(r, T) for r in span]) if span else ()
     expect = len(span) - len(tspan)
     if len(sub.quasi) != expect:
         raise RuntimeError("quasi-basis has wrong cardinality")
-    # orders are exact
-    for k, h in zip(sub.partition, sub.quasi):
-        if len(la.t_chain(T, h)) != k:
-            raise RuntimeError("quasi-basis row has the wrong order")
+    if orders != list(sub.partition):
+        raise RuntimeError("quasi-basis row has the wrong order")
     # residues independent mod t·span
     if sub.quasi:
         base = [list(r) for r in tspan]
@@ -361,25 +351,24 @@ def _check_quasi(field, T, sub):
             raise RuntimeError("quasi-basis residues are dependent")
 
 
-def module_coords(field, T, K, quasi_rows, orders, v):
-    """Coordinates of v in a quasi-basis: v = sum_i a_i(t)·e_i, a_i in R_{k_i}.
+def module_coords(W, K, vs):
+    """Coordinates of each v in vs over W's quasi-basis: v = sum_i a_i(t)·e_i,
+    a_i in R_{k_i}.
 
-    Returns a list of TruncPoly (precision K, reduced mod t^{k_i}), or None
-    if v is not in the submodule.
+    Returns, per v, a list of TruncPoly (precision K, reduced mod t^{k_i}),
+    from one elimination over the chain basis `W.chains`; None if some v is
+    not in W.
     """
-    cols = [row for e, k in zip(quasi_rows, orders)
-            for row in padded_chain(field, T, e, k)]
-    if not cols:
-        return None if any(bool(c) for c in v) else []
-    sol = la.solve(field, la.transpose(cols), list(v))
-    if sol is None:
+    if not vs:
+        return []
+    # the chains as columns, len(v) rows even when W = 0 has no chains
+    sols = la.solve(W.field, [[c[r] for c in W.chains] for r in range(len(vs[0]))],
+                    vs)
+    if sols is None:
         return None
-    out, pos = [], 0
-    for i in range(len(quasi_rows)):
-        k = orders[i]
-        out.append(TruncPoly(field, sol.particular[pos:pos + k], K))
-        pos += k
-    return out
+    offs = list(itertools.accumulate(W.partition, initial=0))
+    return [[TruncPoly(W.field, x[a:b], K) for a, b in zip(offs, offs[1:])]
+            for x in sols]
 
 
 # --------------------------------------------------------------------------
@@ -611,25 +600,20 @@ def rho_of(flag, U_rows):
     M, field = flag.M, flag.M.field
     if not is_t_lagrangian(M, U_rows):
         raise ValueError("U is not a t-Lagrangian subspace")
-    d = M.dim // 2
     U = [list(r) for r in la.rref_span(field, [list(r) for r in U_rows])]
     Uc = [flag.split_coords(u) for u in U]
     W_rows = la.rref_span(field, [a for a, _ in Uc])
     Tm = flag.t_on_minus()
     W_sub = quasi_basis(field, Tm, M.K, [list(r) for r in W_rows])
     Wperp, reps = _perp_and_reps(flag, W_rows)
-    # rho on the canonical span basis of W
-    quot_basis = reps + Wperp
-    rho = []
-    Umat = [a + b for a, b in Uc]  # U rows in (minus, plus) coordinates
-    for w in W_sub.span:
-        sol = la.solve(field, la.transpose([r[:d] for r in Umat]), list(w))
-        if sol is None:
-            raise RuntimeError("projection of U misses W")
-        lift_plus = la.vec_mat(sol.particular, [u[d:] for u in Umat])
-        qsol = la.solve(field, la.transpose(quot_basis), lift_plus)
-        rho.append(qsol.particular[:len(reps)])
-    return W_sub, Wperp, reps, rho
+    # rho on the canonical span basis of W: lift each w to U, then read the
+    # M_+ part of the lift in the basis reps + W^⊥ of M_+
+    lifts = la.solve(field, la.transpose([a for a, _ in Uc]), W_sub.span)
+    if lifts is None:
+        raise RuntimeError("projection of U misses W")
+    coords = la.solve(field, la.transpose(reps + Wperp),
+                      la.mat_mul(lifts, [b for _, b in Uc]))
+    return W_sub, Wperp, reps, [c[:len(reps)] for c in coords]
 
 
 def _perp_and_reps(flag, W_rows):
@@ -679,21 +663,14 @@ def self_dual_map_basis(flag, W_sub, Wperp, reps):
     r = len(reps)
     if w == 0 or r == 0:
         return []
-    Tm_full = flag.t_on_minus()
+    span = [list(x) for x in W_sub.span]
     # t-action on W in span coordinates
-    TW = _restrict(field, Tm_full, [list(x) for x in W_sub.span])
+    TW = la.solve(field, la.transpose(span), la.mat_mul(span, flag.t_on_minus()))
     # t-action on the quotient in rep coordinates
-    Tp = flag.t_on_plus()
-    quot_basis = reps + Wperp
-    TQ = []
-    for rep in reps:
-        img = la.vec_mat(rep, Tp)
-        sol = la.solve(field, la.transpose(quot_basis), img)
-        TQ.append(sol.particular[:r])
+    TQ = [c[:r] for c in la.solve(field, la.transpose(reps + Wperp),
+                                   la.mat_mul(reps, flag.t_on_plus()))]
     # pairing W x M_+/W^perp
-    Pi = flag.pairing_minus_plus()
-    P = la.mat_mul(la.mat_mul([list(x) for x in W_sub.span], Pi),
-                   la.transpose(reps))
+    P = la.mat_mul(la.mat_mul(span, flag.pairing_minus_plus()), la.transpose(reps))
     # unknown R (w x r): t-linear  TW·R = R·TQ ; self-dual  P·Rᵀ symmetric
     eqs, nvar = [], w * r
 

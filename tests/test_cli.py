@@ -34,6 +34,15 @@ def _run_json(argv, capsys):
     return code, data
 
 
+def _cli_env(**extra):
+    """The environment for a CLI subprocess: this checkout's package on the
+    path, no SNT_MAX_ENUM."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sntmod.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "SNT_MAX_ENUM"}
+    env.update(PYTHONPATH=src, **extra)
+    return env
+
+
 # --------------------------------------------------------------------------
 # decompose
 # --------------------------------------------------------------------------
@@ -421,6 +430,43 @@ def test_usage_error_is_one_json_report(argv, capsys):
     assert details["message"] and details["usage"].startswith("sntmod")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["census", "--help"], ["census", "-h"]],
+                         ids=["top", "census", "census-short"])
+def test_help_with_json_is_one_report(argv, capsys):
+    code = main(argv + ["--json"])
+    captured = capsys.readouterr()
+    data = json.loads(captured.out, parse_constant=_reject_constant)
+    assert code == 0
+    assert captured.err == ""
+    assert [(c["name"], c["status"]) for c in data["checks"]] == [("help", "ok")]
+    text = data["checks"][0]["details"]["text"]
+    assert text.startswith("usage: sntmod")
+    assert ("--q" in text) == (argv[0] == "census")
+
+
+def test_plain_help_is_argparse_text():
+    proc = subprocess.run([sys.executable, "-m", "sntmod.cli", "census", "--help"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: sntmod census")
+    assert "--q Q" in proc.stdout
+
+
+def test_census_over_a_large_prime_stops_at_the_element_guard():
+    """q = 2^61 - 1 is prime, and its census space has q elements: the
+    element guard rejects it at once, after a primality test that does not
+    divide up to sqrt(q)."""
+    proc = subprocess.run([sys.executable, "-m", "sntmod.cli", "census",
+                           "--q", str(2 ** 61 - 1), "--M", "1", "--V", "diag:1",
+                           "--k", "1", "--json"],
+                          capture_output=True, text=True, env=_cli_env(), timeout=30)
+    data = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert proc.returncode == 3
+    assert [c["name"] for c in data["checks"]] == ["guard"]
+    assert data["wall_time"] < 1.0
+
+
 def test_usage_error_through_entry_point(capsys):
     code = verify_sw_main(["--tau11", "-2i", "--json"])
     data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
@@ -458,9 +504,7 @@ def test_closed_stdout_pipe_keeps_the_exit_code(unbuffered):
     """A reader that leaves early gets no traceback, and the exit code is
     still the command's own (2 for an unknown command).  Buffered output
     meets the closed pipe only when it is flushed."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sntmod.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    env = _cli_env(PYTHONUNBUFFERED=unbuffered)
     r, w = os.pipe()
     os.close(r)
     try:
@@ -476,7 +520,9 @@ def test_closed_stdout_pipe_keeps_the_exit_code(unbuffered):
 # malformed and extreme values and paths, or is left out.  Fitting values
 # name files of the `fuzz_paths` directory where they end in ".json".  Every
 # valid combination is cheap (census: at most 3^4 elements; verify-sw:
-# Im tau >= 1), so a huge SNT_MAX_ENUM cannot make an example run long.
+# Im tau >= 1), so a huge SNT_MAX_ENUM cannot make an example run long.  No
+# large prime is in the pool for that reason: a census over F_q has at least
+# q elements.
 _VALUES = ["0", "1", "2", "3", "8", "-1", "2,1", "H1", "1e400", "nan", "-inf",
            "9" * 30, "", " ", "x", "\x00", "-2i", "1+1e-300i", "diag:",
            "diag:1,x", "[[0]]", "{}", "1e-300"]

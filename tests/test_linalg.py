@@ -1,9 +1,11 @@
 """The int kernels of `linalg` against its generic operator path.
 
 Over QQ, GF(p) and GF(p)[t]/(t^K), `mat_mul`, `vec_mat` and `rref` (so also
-`inverse` and `solve`) run on ints; the `_..._generic` helpers are the
-reference.  Every comparison checks values and element types, entry by
-entry, down to the coefficients of a TruncPoly.
+`inverse`, `solve`, `rank` and `right_kernel`) run on ints; the
+`_..._generic` helpers are the reference.  Every comparison checks values
+and element types, entry by entry, down to the coefficients of a TruncPoly.
+A many-right-hand-side `solve` is also checked against single-right-hand-side
+solves.
 """
 from contextlib import contextmanager
 from fractions import Fraction
@@ -30,7 +32,8 @@ def _typed(x):
 
 @contextmanager
 def _generic_rref():
-    """Route `inverse`, `solve` and the rest through the generic rref."""
+    """Route `inverse`, `solve`, `rank`, `right_kernel` and the rest through
+    the generic rref."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(la, "rref", la._rref_generic)
         yield
@@ -99,18 +102,18 @@ def test_inverse_and_solve_match_generic_path(data):
             inv = la.inverse(field, S)
         except ValueError:
             inv = "singular"
-        sol = la.solve(field, A, b)
-        return inv, sol
-    inv, sol = run()
+        return (inv, la.solve(field, A, [b]), la.right_kernel(field, A),
+                la.rank(field, A))
+    inv, sol, ker, rk = run()
     with _generic_rref():
-        inv0, sol0 = run()
+        inv0, sol0, ker0, rk0 = run()
     assert _typed(inv) == _typed(inv0)
     if sol is None or sol0 is None:
         assert sol is sol0
     else:
-        assert _typed(sol.particular) == _typed(sol0.particular)
-        assert _typed(sol.kernel) == _typed(sol0.kernel)
-        assert sol.rank == sol0.rank
+        assert _typed(sol) == _typed(sol0)
+    assert _typed(ker) == _typed(ker0)
+    assert rk == rk0
     if inv != "singular":
         assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(field, n))
 
@@ -170,19 +173,80 @@ def test_ring_kernel_matches_generic_path(data):
             inv = la.inverse(R, S)
         except ValueError:
             inv = "singular"
-        sol = la.solve(R, A, b)
-        return inv, sol
-    inv, sol = run()
+        return inv, la.solve(R, A, [b]), la.right_kernel(R, A)
+    inv, sol, ker = run()
     with _generic_rref():
-        inv0, sol0 = run()
+        inv0, sol0, ker0 = run()
     assert _typed(inv) == _typed(inv0)
     if sol is None or sol0 is None:
         assert sol is sol0
     else:
-        assert _typed(sol.particular) == _typed(sol0.particular)
-        assert _typed(sol.kernel) == _typed(sol0.kernel)
+        assert _typed(sol) == _typed(sol0)
+    assert _typed(ker) == _typed(ker0)
     if inv != "singular":
         assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(R, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_many_matches_single_solves(data):
+    """One elimination for every right-hand side gives what one generic
+    elimination per right-hand side gives, and None exactly when one of the
+    systems is inconsistent."""
+    R = data.draw(st.sampled_from(FIELDS + [TruncRing(GF(5), 3)]))
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    if isinstance(R, TruncRing):
+        A = data.draw(ring_matrices(R, n, m))
+        entry, matrix = ring_elements(R), ring_matrices
+    else:
+        A = data.draw(matrices(R, n, m))
+        entry, matrix = scalars(R), matrices
+    B = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        if data.draw(st.booleans()):      # consistent: b = A·xᵀ
+            x = data.draw(matrix(R, m, 1))
+            B.append([row[0] for row in la._mat_mul_generic(A, x)])
+        else:
+            B.append([data.draw(entry) for _ in range(n)])
+    sols = la.solve(R, A, B)
+    with _generic_rref():
+        singles = [la.solve(R, A, [b]) for b in B]
+    if None in singles:
+        assert sols is None
+    else:
+        assert _typed(sols) == _typed([s[0] for s in singles])
+
+
+def test_solve_edge_cases():
+    F5 = GF(5)
+    A = [[F5(1), F5(2)], [F5(2), F5(4)]]
+    assert la.solve(F5, A, []) == []                 # no right-hand sides
+    assert la.solve(F5, [], [[], []]) == [[], []]    # zero rows
+    assert la.solve(F5, [], []) == []
+    # no unknowns: only the zero vector is solvable
+    assert la.solve(F5, [[], []], [[F5(0), F5(0)]]) == [[]]
+    assert la.solve(F5, [[], []], [[F5(0), F5(0)], [F5(0), F5(1)]]) is None
+    # one inconsistent system among consistent ones
+    good, bad = [F5(1), F5(2)], [F5(1), F5(0)]
+    assert la.solve(F5, A, [good, good]) == [[F5(1), F5(0)]] * 2
+    assert la.solve(F5, A, [good, bad]) is None
+    assert la.solve(F5, A, [bad, good]) is None
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        la.solve(F5, A, [good, [F5(1)]])
+
+
+def test_module_coords_over_the_empty_submodule():
+    from sntmod.sntmodule import module_coords, quasi_basis
+    F3 = GF(3)
+    T = [[F3(0), F3(1)], [F3(0), F3(0)]]
+    W = quasi_basis(F3, T, 2, [])
+    assert W.chains == []
+    assert module_coords(W, 2, []) == []
+    assert module_coords(W, 2, [[F3(0), F3(0)]]) == [[]]
+    assert module_coords(W, 2, [[F3(0), F3(0)], [F3(0), F3(2)]]) is None
+    full = quasi_basis(F3, T, 2, la.identity(F3, 2))
+    assert module_coords(full, 2, [[F3(1), F3(2)]]) == \
+        [[TruncPoly(F3, [F3(1), F3(2)], 2)]]
 
 
 def test_kernel_chosen_from_every_entry():

@@ -81,7 +81,7 @@ def test_image_memo_matches_fresh_quasi_basis():
         span = la.rref_span(F3, f_matrix(x))
         fresh = quasi_basis(F3, sp.t_minus, sp.K, [list(r) for r in span])
         assert W.span == fresh.span == span
-        assert W.quasi == fresh.quasi
+        assert W.quasi == fresh.quasi and W.chains == fresh.chains
         assert W.partition == fresh.partition
         assert image_of(x) is W
     # 729 elements, 10 images, one quasi-basis each
@@ -188,7 +188,7 @@ def _direct_t_sym_full(sp, x, W):
     else:
         assert x.is_zero()
     # u_r = sum_i a[r][i](t) h_i over the quasi-basis rows h_i
-    a = [module_coords(field, sp.t_minus, sp.K, W.quasi, ks, u) for u in us]
+    a = module_coords(W, sp.K, us)
     # symmetric coefficient matrix M_{ij} = sum_{r,s} (v_r, v_s) a_ri a_sj
     Mco = la.zeros(sp.R, m, m)
     for r in range(len(us)):

@@ -28,6 +28,33 @@ def test_non_prime_rejected():
         GF(9)
 
 
+def test_gf_agrees_with_trial_division():
+    def is_prime(p):
+        return p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    for p in range(-3, 2000):
+        if p == 2:
+            continue
+        if is_prime(p):
+            assert GF(p).p == p
+        else:
+            with pytest.raises(ValueError, match="not prime"):
+                GF(p)
+
+
+def test_gf_decides_large_p_below_the_bound():
+    from sntmod.fields import _MR_BOUND
+    for p in (2 ** 19 - 1, 2 ** 31 - 1, 2 ** 61 - 1):     # Mersenne primes
+        assert GF(p).p == p
+    # strong pseudoprimes to the bases 2; 2, 3, 5, 7; and 2, ..., 23
+    for n in (2047, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError, match="not prime"):
+            GF(n)
+    # at and above the bound the bases no longer decide
+    for n in (_MR_BOUND, _MR_BOUND + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            GF(n)
+
+
 def test_fp_arithmetic():
     a, b = F5(3), F5(4)
     assert a + b == F5(2)
@@ -60,14 +87,14 @@ def _random_matrix(field, rng, r, c):
 def test_solve_identity():
     A = la.identity(QQ, 4)
     b = [QQ(i) for i in range(4)]
-    sol = la.solve(QQ, A, b)
-    assert sol.particular == b and sol.kernel == [] and sol.rank == 4
+    assert la.solve(QQ, A, [b]) == [b]
+    assert la.right_kernel(QQ, A) == [] and la.rank(QQ, A) == 4
 
 
 def test_solve_inconsistent():
     A = la.zeros(QQ, 3, 3)
     b = [QQ(1), QQ(0), QQ(0)]
-    assert la.solve(QQ, A, b) is None
+    assert la.solve(QQ, A, [b]) is None
 
 
 @pytest.mark.parametrize("field", [QQ, F5])
@@ -77,16 +104,17 @@ def test_solve_substitution_oracle(field):
         A = _random_matrix(field, rng, 4, 6)
         x0 = [field.random(rng, 4) for _ in range(6)]
         b = [sum((A[i][j] * x0[j] for j in range(6)), field.zero) for i in range(4)]
-        sol = la.solve(field, A, b)
+        sol = la.solve(field, A, [b])
         assert sol is not None
-        resid = [sum((A[i][j] * sol.particular[j] for j in range(6)), field.zero)
+        resid = [sum((A[i][j] * sol[0][j] for j in range(6)), field.zero)
                  - b[i] for i in range(4)]
         assert all(not r for r in resid)
-        for k in sol.kernel:
+        ker = la.right_kernel(field, A)
+        for k in ker:
             img = [sum((A[i][j] * k[j] for j in range(6)), field.zero)
                    for i in range(4)]
             assert all(not r for r in img)
-        assert len(sol.kernel) == 6 - sol.rank
+        assert len(ker) == 6 - la.rank(field, A)
 
 
 def test_inverse_roundtrip():
@@ -279,25 +307,25 @@ def test_tmat_solve_right_unit_pivots(field):
         A = _random_full_row_rank_tmat(field, rng, r, c, 3)
         b = [TruncPoly(field, [field.random(rng) for _ in range(3)])
              for _ in range(r)]
-        sol = la.solve(R, A, b)
+        sol = la.solve(R, A, [b])
         assert sol is not None
-        y = sol.particular
+        y = sol[0]
         assert la.mat_eq(la.mat_mul(A, [[v] for v in y]), [[v] for v in b])
         # t·(row 0) · yᵀ lies in (t), so it never equals the unit t·b_0 + 1
         A_bad = A + [[t * x for x in A[0]]]
         b_bad = b + [t * b[0] + 1]
-        assert la.solve(R, A_bad, b_bad) is None
+        assert la.solve(R, A_bad, [b_bad]) is None
         # an inconsistency of positive valuation is no unit pivot: the
         # returned vector fails A·yᵀ = b, which callers must check
         b_bad = b + [t * b[0] + t * t]
-        y = la.solve(R, A_bad, b_bad).particular
+        y = la.solve(R, A_bad, [b_bad])[0]
         assert not la.mat_eq(la.mat_mul(A_bad, [[v] for v in y]),
                              [[v] for v in b_bad])
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        la.solve(QQ, la.identity(QQ, 3), [QQ(1)] * 4)
+        la.solve(QQ, la.identity(QQ, 3), [[QQ(1)] * 4])
 
 
 @settings(max_examples=40, deadline=None)

@@ -246,6 +246,21 @@ def test_quasi_basis_type_independent_of_generators():
         assert t1 == t2
 
 
+def test_quasi_basis_chains_are_an_F_basis():
+    rng = random.Random(8)
+    M = direct_sum(make_H(F3, 3), make_H(F3, 2))
+    assert quasi_basis(F3, M.t, M.K, []).chains == []
+    for _ in range(10):
+        vecs = [[F3.random(rng) for _ in range(M.dim)] for _ in range(2)]
+        span = la.rref_span(F3, [w for v in vecs for w in la.t_chain(M.t, v)])
+        sub = quasi_basis(F3, M.t, M.K, span)
+        # the t-chains of the quasi-basis rows, of lengths k_i, chain by chain
+        assert sub.chains == [w for h in sub.quasi for w in la.t_chain(M.t, h)]
+        assert [len(la.t_chain(M.t, h)) for h in sub.quasi] == list(sub.partition)
+        assert len(sub.chains) == sub.dim
+        assert la.rref_span(F3, sub.chains) == sub.span
+
+
 # --------------------------------------------------------------------------
 # t-Lagrangian subspaces
 # --------------------------------------------------------------------------
@@ -470,16 +485,16 @@ def test_rho_is_t_linear_and_self_dual():
         # t-linearity: rho(t w) = t rho(w) in the quotient
         for wi, w in enumerate(W.span):
             tw = la.vec_mat(list(w), Tm)
-            sol = la.solve(F3, la.transpose([list(r) for r in W.span]), tw)
+            [sol] = la.solve(F3, la.transpose([list(r) for r in W.span]), [tw])
             lhs = [F3.zero] * len(reps)
-            for c, row in zip(sol.particular, rho):
+            for c, row in zip(sol, rho):
                 lhs = la.vec_add(lhs, la.vec_scale(c, row))
             rho_w_plus = [F3.zero] * (M.dim // 2)
             for c, rep in zip(rho[wi], reps):
                 rho_w_plus = la.vec_add(rho_w_plus, la.vec_scale(c, rep))
             t_rho_w = la.vec_mat(rho_w_plus, Tp)
-            qsol = la.solve(F3, la.transpose(quot_basis), t_rho_w)
-            assert qsol.particular[:len(reps)] == lhs
+            [qsol] = la.solve(F3, la.transpose(quot_basis), [t_rho_w])
+            assert qsol[:len(reps)] == lhs
 
 
 # --------------------------------------------------------------------------
