@@ -121,13 +121,17 @@ class IntegralLattice:
         return self.det() == 1
 
     def counts_by_norm(self, B):
-        """Exact vector counts c(n) = #{u : (u,u) = n} for n = 0..B."""
+        """Exact vector counts c(n) = #{u : (u,u) = n} for n = 0..B.
+
+        Two exact identities keep the walk small.  The theta series of an
+        orthogonal sum is the product of the summands' theta series, so the
+        counts are the convolution of the orthogonal summands' counts.
+        Within a summand x and -x have the same norm, so the walker visits
+        only zero and the vectors whose highest-index nonzero coordinate is
+        positive, and c = 2·half - [1, 0, ...]."""
         B = int(B)
         if self._counts is None or self._counts_upto < B:
-            counts = np.zeros(B + 1, dtype=np.int64)
-            for _, norms in _shell_chunks(self.gram, B):
-                counts += np.bincount(norms, minlength=B + 1)
-            self._counts = counts.tolist()
+            self._counts = _shell_counts(self.gram, B)
             self._counts_upto = B
         return list(self._counts[:B + 1])
 
@@ -183,17 +187,23 @@ def _cholesky_upper(gram):
 _CHUNK = 4096
 
 
-def _shell_chunks(gram, B):
+def _shell_chunks(gram, B, half=False):
     """Yield (X, norms) for all x in Z^N with xᵀGx <= B, chunk by chunk.
 
     Depth-first Cholesky-pruned enumeration, coordinates from the last to
     the first: a level step fixes coordinate i below at most _CHUNK
     prefixes that fix coordinates i+1..N-1, and pending prefixes wait on a
     stack in order, so the rows come out in lexicographic order of
-    (x_{N-1}, ..., x_0).  Float bounds are inflated and every survivor is
-    re-checked with exact integer arithmetic, so the output is exact.
+    (x_{N-1}, ..., x_0).  Float bounds are inflated, and every prefix
+    carries its exact int64 norm alongside, which each leaf is re-checked
+    against, so the output is exact.
     Raises EnumerationGuardError before a step would take a level's
     candidate count, summed over its chunks, past the enumeration guard.
+
+    With `half`, only zero and the x whose highest-index nonzero coordinate
+    is positive are yielded, one of each pair ±x: x and -x have the same
+    norm, and x = -x only for x = 0.  Each prefix carries whether it is
+    still all zero, and below such a prefix x_i starts at 0.
     """
     limit = enum_guard_limit()
     G = np.array(gram, dtype=np.int64)
@@ -201,21 +211,26 @@ def _shell_chunks(gram, B):
     R = _cholesky_upper(gram)
     bound = B + 0.5
     seen = [0] * N
-    # (i, X, pn): prefixes X fixing coordinates i..N-1, their other columns
-    # still 0, with float partial norms pn
-    stack = [(N, np.zeros((1, N), dtype=np.int64), np.zeros(1))]
+    # (i, X, pn, en, z): prefixes X fixing coordinates i..N-1, their other
+    # columns still 0, with float partial norms pn, exact norms en, and
+    # z = "prefix is 0"
+    stack = [(N, np.zeros((1, N), dtype=np.int64), np.zeros(1),
+              np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))]
     while stack:
-        i, X, pn = stack.pop()
-        if len(X) > _CHUNK:
-            stack.append((i, X[_CHUNK:], pn[_CHUNK:]))
-            X, pn = X[:_CHUNK], pn[:_CHUNK]
+        i, *level = stack.pop()
+        if len(level[0]) > _CHUNK:
+            stack.append((i, *(a[_CHUNK:] for a in level)))
+            level = [a[:_CHUNK] for a in level]
+        X, pn, en, z = level
         i -= 1
         rii = R[i, i]
         t = X @ R[i]   # R is upper triangular and X[:, :i+1] is 0
-        half = np.sqrt(np.maximum(bound - pn, 0.0)) / rii
+        width = np.sqrt(np.maximum(bound - pn, 0.0)) / rii
         center = -t / rii
-        lo = np.ceil(center - half).astype(np.int64)
-        hi = np.floor(center + half).astype(np.int64)
+        lo = np.ceil(center - width).astype(np.int64)
+        hi = np.floor(center + width).astype(np.int64)
+        if half:
+            lo = np.where(z, np.maximum(lo, 0), lo)
         cnt = np.where(pn <= bound, np.maximum(hi - lo + 1, 0), 0)
         total = int(cnt.sum())
         seen[i] += total
@@ -231,14 +246,51 @@ def _shell_chunks(gram, B):
         xi = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
         y = rii * xi + t[rows]
         pn = pn[rows] + y * y
+        # (x + x_i e_i)ᵀG(x + x_i e_i) = xᵀGx + x_i (2 (Gx)_i + G_ii x_i)
+        en = en[rows] + xi * (2 * (X @ G[i])[rows] + G[i, i] * xi)
+        z = z[rows] & (xi == 0)
         X = X.take(rows, axis=0)
         X[:, i] = xi
         if i:
-            stack.append((i, X, pn))
+            stack.append((i, X, pn, en, z))
         else:
-            norms = np.einsum("ij,ij->i", X @ G, X)
-            ok = norms <= B
-            yield X[ok], norms[ok]
+            ok = en <= B
+            yield X[ok], en[ok]
+
+
+def _orthogonal_components(gram):
+    """The coordinate index lists of the connected components of the
+    gram's nonzero pattern, each ascending, ordered by their least index:
+    the lattice is the orthogonal sum of the sublattices they span."""
+    n = len(gram)
+    seen, comps = set(), []
+    for root in range(n):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp = [root]
+        for i in comp:   # comp grows while it is read
+            new = [j for j in range(n) if gram[i][j] and j not in seen]
+            seen.update(new)
+            comp += new
+        comps.append(sorted(comp))
+    return comps
+
+
+def _shell_counts(gram, B):
+    """counts_by_norm's c(0..B) as Python ints: each orthogonal component
+    walked by half, c = 2·half - [1, 0, ...], and convolved over them."""
+    counts = [1] + [0] * B
+    for comp in _orthogonal_components(gram):
+        sub = [[gram[i][j] for j in comp] for i in comp]
+        half = np.zeros(B + 1, dtype=np.int64)
+        for _, norms in _shell_chunks(sub, B, half=True):
+            half += np.bincount(norms, minlength=B + 1)
+        c = (2 * half).tolist()
+        c[0] -= 1
+        counts = [sum(counts[k] * c[n - k] for k in range(n + 1))
+                  for n in range(B + 1)]
+    return counts
 
 
 def primitive_counts(counts):
@@ -688,7 +740,8 @@ def verify_identity(lattices, aut_orders, pt, N, tol=1e-8, mass=None,
         # read the shell counts theta_colinear has just cached up to B
         per.append({"lattice": L.name, "aut": int(aut),
                     "theta_colinear": [th.real, th.imag], "tail": tl,
-                    "norm_bound": B, "vectors": sum(L._counts[:B + 1])})
+                    "norm_bound": B, "vectors": sum(L._counts[:B + 1]),
+                    "components": [len(c) for c in _orthogonal_components(L.gram)]})
     abs_diff = abs(lhs - rhs)
     rel_diff = abs_diff / max(abs(lhs), 1e-300)
     return IdentityReport(

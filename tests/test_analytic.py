@@ -1,5 +1,6 @@
 """Lattice enumeration, theta series, Eisenstein evaluators, and the
 identity harness."""
+import functools
 import itertools
 import math
 import os
@@ -168,6 +169,85 @@ def test_enumeration_guard_sums_chunks(monkeypatch):
     assert sum(e8().counts_by_norm(4)) == 2401
 
 
+def test_enumeration_guard_counts_half_walk(monkeypatch):
+    # the shell counts walk one of each pair ±x: E8's largest level to norm
+    # 4 is its last, 1 + 2400/2 = 1201 candidates.  One below, the guard
+    # raises before any step builds more rows than the limit
+    built = []
+    repeat = np.repeat
+    monkeypatch.setattr(np, "repeat",
+                        lambda a, r, *args: built.append(int(np.sum(r)))
+                        or repeat(a, r, *args))
+    monkeypatch.setenv("SNT_MAX_ENUM", "1200")
+    with pytest.raises(EnumerationGuardError):
+        e8().counts_by_norm(4)
+    assert built and max(built) <= 1200
+    monkeypatch.setenv("SNT_MAX_ENUM", "1201")
+    assert sum(e8().counts_by_norm(4)) == 2401
+    # the full walk behind vectors_by_norm still counts every vector
+    with pytest.raises(EnumerationGuardError):
+        e8().vectors_by_norm(4)
+
+
+def _orthogonal_sum(grams, rng):
+    """The block-diagonal sum of `grams` with its coordinates shuffled."""
+    n = sum(len(g) for g in grams)
+    big = [[0] * n for _ in range(n)]
+    off = 0
+    for g in grams:
+        for i, row in enumerate(g):
+            big[off + i][off:off + len(g)] = row
+        off += len(g)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[big[p][q] for q in perm] for p in perm]
+
+
+def _count_cases():
+    """(id, gram, B): E8 for B <= 10, both rank-16 classes at B = 4, seeded
+    random grams of rank 2-6, and shuffled orthogonal sums of small ones."""
+    rng = random.Random(2024)
+    cases = [("E8-%d" % B, analytic._E8_GRAM, B) for B in range(11)]
+    cases += [("E8+E8-4", analytic.e8e8().gram, 4),
+              ("D16+-4", analytic._D16_PLUS_GRAM, 4)]
+    grams = [("rank%d-%d" % (n, k), _random_gram(rng, n))
+             for n in range(2, 7) for k in range(2)]
+    grams += [("sum-%d" % k, _orthogonal_sum(
+        [_random_gram(rng, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))],
+        rng)) for k in range(6)]
+    for name, gram in grams:
+        cases.append((name, gram, max(gram[i][i] for i in range(len(gram)))
+                      + rng.randint(0, 8)))
+    return cases
+
+
+_COUNT_CASES = {name: (gram, B) for name, gram, B in _count_cases()}
+
+
+@functools.lru_cache(maxsize=None)
+def _full_walk_counts(name):
+    gram, B = _COUNT_CASES[name]
+    _, norms = IntegralLattice(gram).vectors_by_norm(B)
+    return np.bincount(norms, minlength=B + 1).tolist()
+
+
+@pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
+@pytest.mark.parametrize("name", list(_COUNT_CASES))
+def test_counts_match_full_walk(name, chunk, monkeypatch):
+    # the split-and-half-walk counts against the bincount of every vector
+    # the full walk enumerates
+    want = _full_walk_counts(name)
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    gram, B = _COUNT_CASES[name]
+    assert IntegralLattice(gram).counts_by_norm(B) == want
+
+
+def test_orthogonal_components_interleaved():
+    # a summand's coordinates need not be adjacent
+    gram = [[2, 0, 0, 1], [0, 2, 1, 0], [0, 1, 2, 0], [1, 0, 0, 2]]
+    assert analytic._orthogonal_components(gram) == [[0, 3], [1, 2]]
+
+
 def _rank16_closed_form(B):
     # the theta series of the rank-16 genus is the weight-8 Eisenstein
     # series: 480 sigma_7(m) vectors of norm 2m
@@ -179,8 +259,11 @@ def test_rank16_counts_in_bounded_memory():
     # holding all 1.1M vectors of norm <= 6 at once took ~740 MB of address
     # space; counting chunk by chunk fits in 400 MB with room to spare
     limit = 400 * 2 ** 20
-    code = ("from sntmod.analytic import e8e8\n"
-            "print(e8e8().counts_by_norm(6))\n")
+    # both classes: E8+E8 splits into two rank-8 walks, D16+ is one rank-16
+    # walk
+    code = ("from sntmod.analytic import d16_plus, e8e8\n"
+            "print(e8e8().counts_by_norm(6))\n"
+            "print(d16_plus().counts_by_norm(6))\n")
     src = os.path.dirname(os.path.dirname(sntmod.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -190,7 +273,7 @@ def test_rank16_counts_in_bounded_memory():
         timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == str(_rank16_closed_form(6))
+    assert out.stdout.splitlines() == [str(_rank16_closed_form(6))] * 2
 
 
 # --------------------------------------------------------------------------
@@ -468,3 +551,4 @@ def test_rank16_identity():
     lats, auts = rank16_genus()
     rep = verify_identity(lats, auts, SiegelPoint(3j, 0.3j, 3j), 16, tol=1e-8)
     assert rep.passed and len(rep.per_lattice) == 2
+    assert [e["components"] for e in rep.per_lattice] == [[8, 8], [16]]

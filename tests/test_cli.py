@@ -271,6 +271,8 @@ def test_verify_sw_reports_norm_bound(capsys):
     assert code == 0
     entry = data["checks"][0]["details"]["per_lattice"][0]
     assert {"lattice", "aut", "theta_colinear", "tail"} <= set(entry)
+    # E8 is a single orthogonal summand
+    assert entry["components"] == [8]
     B = entry["norm_bound"]
     assert B >= 4 and B % 2 == 0
     # 1 + 240 sigma_3(m) vectors of norm 2m, summed up to the bound
