@@ -279,9 +279,15 @@ def _orthogonal_components(gram):
 
 def _shell_counts(gram, B):
     """counts_by_norm's c(0..B) as Python ints: each orthogonal component
-    walked by half, c = 2·half - [1, 0, ...], and convolved over them."""
+    walked by half, c = 2·half - [1, 0, ...], and convolved over them.
+
+    A component's coordinates are walked stably sorted by their diagonal
+    entry, largest last, so that the walker fixes them first: a coordinate
+    of large norm takes few values, and fixing it early keeps the inner
+    levels narrow.  A permutation of the coordinates keeps every count."""
     counts = [1] + [0] * B
     for comp in _orthogonal_components(gram):
+        comp = sorted(comp, key=lambda i: gram[i][i])
         sub = [[gram[i][j] for j in comp] for i in comp]
         half = np.zeros(B + 1, dtype=np.int64)
         for _, norms in _shell_chunks(sub, B, half=True):

@@ -266,19 +266,28 @@ def _primitive(row):
 
 
 def _int_rref(kind, rows):
-    """`rref` for all-Fraction (kind 0) or all-F_p (kind p) rows.
-
-    Over F_p the rows are residues and each pivot row is scaled by
-    pow(pivot, -1, p).  Over Q the rows are scaled to primitive integer rows,
-    eliminated without fractions (a·row_i − b·row_r, then divided by its
-    content), and each pivot row is divided by its pivot only at the end.
-    Over F_p[t]/(t^K) (kind (p, K)) this is `_ring_rref`."""
+    """`rref` for all-Fraction (kind 0) or all-F_p (kind p) rows, by
+    `_rref_ints` on their integer rows.  Over F_p[t]/(t^K) (kind (p, K))
+    this is `_ring_rref`."""
     if type(kind) is tuple:
         return _ring_rref(kind, rows)
     if kind:
-        R = [[x.v for x in row] for row in rows]
-    else:
-        R = [_primitive(row) for row in _scaled_rows(rows)[0]]
+        R, pivots = _rref_ints(kind, [[x.v for x in row] for row in rows])
+        return [[FpElement(kind, x) for x in row] for row in R], pivots
+    R, pivots = _rref_ints(0, [_primitive(row) for row in _scaled_rows(rows)[0]])
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(R, pivots)]
+    return out + [[Fraction(0)] * len(R[0]) for _ in R[len(pivots):]], pivots
+
+
+def _rref_ints(kind, R):
+    """The elimination of `_int_rref` on int rows R, in place; returns
+    (R, pivot columns).
+
+    For kind p the rows are residues mod p and each pivot row is scaled by
+    pow(pivot, -1, p): R is then the reduced echelon form mod p.  For kind 0
+    the rows are primitive integer rows, eliminated without fractions
+    (a·row_i − b·row_r, then divided by its content); the pivot rows are
+    left undivided by their pivots."""
     nr, nc = len(R), len(R[0])
     pivots = []
     r = 0
@@ -302,10 +311,7 @@ def _int_rref(kind, rows):
         r += 1
         if r == nr:
             break
-    if kind:
-        return [[FpElement(kind, x) for x in row] for row in R], pivots
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(R, pivots)]
-    return out + [[Fraction(0)] * nc for _ in range(r, nr)], pivots
+    return R, pivots
 
 
 def mat_add(A, B):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg as la
 from .fields import PrimeField
@@ -146,18 +147,30 @@ class TensorSpace:
                                     for _ in range(self.d)])
 
     def all_elements(self):
+        residues = self._residues()
+        box = self._boxer()
+        for x in residues:
+            yield TensorElement(self, box(x))
+
+    def _residues(self):
+        """Every coordinate matrix over F_p as a tuple of int residue rows,
+        in `all_elements`' order; raises EnumerationGuardError first when
+        there are more than the guard allows."""
         if not isinstance(self.field, PrimeField):
             raise ValueError("exhaustive element lists need a finite field")
         q = self.field.p
         total = q ** (self.d * self.V.dim)
         if total > enum_guard_limit():
             raise EnumerationGuardError("element space of size %d exceeds guard" % total)
-        elems = list(self.field.elements())
-        cells = self.d * self.V.dim
-        for vals in itertools.product(elems, repeat=cells):
-            coords = [list(vals[r * self.V.dim:(r + 1) * self.V.dim])
-                      for r in range(self.d)]
-            yield TensorElement(self, coords)
+        rows = itertools.product(range(q), repeat=self.V.dim)
+        return itertools.product(rows, repeat=self.d)
+
+    def _boxer(self):
+        """The map from rows of int residues to tuples of FpElements (an
+        element's key from its residue rows), through one FpElement per
+        residue."""
+        box = list(self.field.elements()).__getitem__
+        return lambda rows: tuple(tuple(map(box, row)) for row in rows)
 
     def ring_pair(self, u, v):
         """(u, v) in V[t]/(t^K) for TruncPoly vectors u, v."""
@@ -842,32 +855,134 @@ def _level0_group(field, Q, limit):
 def brute_force_orbits(space):
     """Exact orbit partition of M_- ⊗ V under O(V)(F_q[t]/(t^K)).
 
-    Returns a list of frozensets of coordinate keys.
+    Returns a list of frozensets of coordinate keys, in the order of the
+    orbits' first elements.  The action runs on int residues, as
+    `TensorElement.act` does on TruncPolys: row s of chain i of x·g is the
+    sum over b <= s of (row s - b of chain i of x)·g_b, g_b the t^b
+    coefficient matrix of g, read once per g.  The guard counts these
+    products, |group| per orbit, as they accrue.
     """
     sp = space
     group = orthogonal_group_ring(sp.V, sp.K)
-    seen = set()
-    orbits = []
-    for x in sp.all_elements():
-        kx = x.key()
-        if kx in seen:
+    residues = sp._residues()
+    p, n, limit = sp.field.p, sp.V.dim, enum_guard_limit()
+    chain_pos = [s for k in sp.ks for s in range(k)]
+    acts = []
+    for g in group:
+        # cols[s][c]: column c of g_0, g_1, ..., g_s stacked, whose product
+        # with the history of row s of a chain (below) is entry c of row s
+        # of that chain of x·g
+        cols = [[tuple(g[l][c].coeffs[b].v for b in range(s + 1) for l in range(n))
+                 for c in range(n)] for s in range(sp.K)]
+        acts.append([cols[s] for s in chain_pos])
+    seen, orbits, products = set(), [], 0
+    for x in residues:
+        if x in seen:
             continue
-        orb = set()
-        for g in group:
-            orb.add(x.act(g).key())
+        products += len(acts)
+        if products > limit:
+            raise EnumerationGuardError(
+                "orbit products of %d exceed the guard %d" % (products, limit))
+        # the history of row s of a chain: rows s, s - 1, ..., 0 of it
+        hist = []
+        for o, k in zip(sp.offsets, sp.ks):
+            h = ()
+            for r in x[o:o + k]:
+                h = r + h
+                hist.append(h)
+        orb = {tuple(tuple(sum(map(mul, h, c)) % p for c in cs)
+                     for h, cs in zip(hist, act)) for act in acts}
         seen |= orb
-        orbits.append(frozenset(orb))
-    return orbits
+        orbits.append(orb)
+    box = sp._boxer()
+    return [frozenset(map(box, orb)) for orb in orbits]
 
 
 def invariant_partition(space):
-    """Partition of all elements by the orbit invariant (W, i)."""
+    """Partition of all elements by the orbit invariant (W, i): a dict from
+    each `OrbitInvariant` to the frozenset of its members' keys, in the order
+    the classes are first met.
+
+    It runs on int residues, step for step as `orbit_invariant`: f_x is x·Q
+    followed by its t-chains, t shifting each chain of M_- coordinates by
+    one; W = Im f_x is keyed by the reduced echelon form of those rows; each
+    new W goes once through `quasi_basis` in a `_ChainSolver`, which reads
+    x's chain residues over W and T(x).  FpElements are built only for each
+    class's invariant and its members' keys.
+    """
     sp = space
-    classes = {}
-    for x in sp.all_elements():
-        inv = orbit_invariant(x)
-        classes.setdefault(inv, set()).add(x.key())
-    return {inv: frozenset(v) for inv, v in classes.items()}
+    residues = sp._residues()
+    p, box = sp.field.p, sp._boxer()
+    Qcols = list(zip(*([x.v for x in row] for row in sp.V.gram)))
+    # t^s on M_- coordinates: entry j takes entry shifts[s][j] (-1: zero)
+    shifts = [[o + a - s if a >= s else -1 for o, k in zip(sp.offsets, sp.ks)
+               for a in range(k)] for s in range(sp.K)]
+    images, classes = {}, {}
+    for x in residues:
+        xQ = [[sum(map(mul, row, c)) % p for c in Qcols] for row in x]
+        f = [[col[j] for j in idx] for col in (c + (0,) for c in zip(*xQ))
+             for idx in shifts]
+        R, pivots = la._rref_ints(p, f)
+        span = tuple(map(tuple, R[:len(pivots)]))
+        W = images.get(span)
+        if W is None:
+            W = images[span] = _ChainSolver(sp, box(span), Qcols)
+        classes.setdefault((span, W.t_sym(x)), []).append(x)
+    return {OrbitInvariant(images[span].W.span, images[span].W.partition,
+                           box(coords)): frozenset(map(box, members))
+            for (span, coords), members in classes.items()}
+
+
+class _ChainSolver:
+    """An image W ⊆ M_- over F_p for `invariant_partition`: its
+    `quasi_basis`, with all its self-checks, and the int data that read an
+    element's chain residues and T(x) off its residue rows.
+
+    W's chains C are an F_p-basis of W, so each column v of x has unique
+    coordinates a over them, a·C = v; these are the residues
+    w_i mod t^{k_i} that `_coeffs_over` reads.  With P the pivot columns of
+    C and E = C[:, P]⁻¹, both from one reduction of [C | I], a = v_P·E, and
+    a·C = v is checked for every column as `_coeffs_over` checks it.
+    """
+
+    def __init__(self, sp, span, Qcols):
+        """W from its reduced echelon rows `span` (FpElements); Qcols are
+        the columns of V's Gram matrix as int residues."""
+        p, d = sp.field.p, sp.d
+        self.W = quasi_basis(sp.field, sp.t_minus, sp.K, [list(r) for r in span])
+        C = [[x.v for x in row] for row in self.W.chains]
+        m = len(C)
+        self.P, E = [], []
+        if m:
+            R, self.P = la._rref_ints(p, [row + [int(i == j) for j in range(m)]
+                                          for i, row in enumerate(C)])
+            if self.P[-1] >= d:
+                raise RuntimeError("the chains of W are dependent")
+            E = [row[d:] for row in R]
+        self.p, self.n, self.Qcols = p, sp.V.dim, Qcols
+        self.Et = list(zip(*E))
+        self.Ct = list(zip(*C)) if m else [()] * d
+        # the (i, j) coordinate of T(x), i <= j, at t^e (e < k_j) is the sum
+        # of G[o_i + a][o_j + e - a] over a, G the Gram matrix of the chain
+        # coordinates; the diagonal ones are halved
+        ks = self.W.partition
+        offs = list(itertools.accumulate(ks, initial=0))
+        half = (p + 1) // 2
+        self.pairs = [(offs[i], offs[j], ks[j], half if i == j else 1)
+                      for i in range(len(ks)) for j in range(i, len(ks))]
+
+    def t_sym(self, x):
+        """T(x)'s coordinates as int tuples, for the residue rows x."""
+        p = self.p
+        cols = list(zip(*(x[j] for j in self.P)))
+        ws = [[sum(map(mul, e, c)) % p for c in cols] for e in self.Et]
+        wcols = list(zip(*ws)) if ws else [()] * self.n
+        if [tuple(sum(map(mul, c, w)) % p for w in wcols) for c in self.Ct] != list(x):
+            raise ValueError("W does not contain Im f_x")
+        U = [[sum(map(mul, w, c)) for c in self.Qcols] for w in ws]
+        G = [[sum(map(mul, u, w)) for w in ws] for u in U]
+        return tuple(tuple(h * sum(G[oi + a][oj + e - a] for a in range(e + 1)) % p
+                           for e in range(kj)) for oi, oj, kj, h in self.pairs)
 
 
 # --------------------------------------------------------------------------

@@ -255,6 +255,15 @@ def _rank16_closed_form(B):
                   for n in range(1, B + 1)]
 
 
+def test_d16_counts_in_any_coordinate_order():
+    # each component is walked in its coordinates sorted by diagonal, so a
+    # shuffled copy of D16+ is walked in another order, to the same counts
+    shuffled = _orthogonal_sum([analytic._D16_PLUS_GRAM], random.Random(16))
+    assert shuffled != analytic._D16_PLUS_GRAM
+    for gram in (analytic._D16_PLUS_GRAM, shuffled):
+        assert IntegralLattice(gram).counts_by_norm(6) == _rank16_closed_form(6)
+
+
 def test_rank16_counts_in_bounded_memory():
     # holding all 1.1M vectors of norm <= 6 at once took ~740 MB of address
     # space; counting chunk by chunk fits in 400 MB with room to spare

@@ -228,6 +228,20 @@ def test_census_guard_exceeded(capsys, monkeypatch):
     assert code == 3
 
 
+def test_census_guard_counts_brute_force_products(capsys, monkeypatch):
+    # (2,1) ⊗ diag(1, 2) over F_3: 3^6 = 729 elements, a level-0 search of
+    # 27 rows and a group of 12; its 88 orbits each take all 12 group
+    # elements, 1056 products, which the guard counts
+    argv = ["census", "--q", "3", "--M", "2,1", "--V", "diag:1,2", "--k", "2"]
+    monkeypatch.setenv("SNT_MAX_ENUM", "1055")
+    code, data = _run_json(argv, capsys)
+    assert code == 3
+    assert data["checks"][-1]["name"] == "guard"
+    assert "1056" in data["checks"][-1]["details"]["message"]
+    monkeypatch.setenv("SNT_MAX_ENUM", "1056")
+    assert _run_json(argv, capsys)[0] == 0
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_bad_guard_limit_is_input_error(value, capsys, monkeypatch):
     monkeypatch.setenv("SNT_MAX_ENUM", value)

@@ -591,6 +591,38 @@ def test_invariants_constant_on_brute_orbits():
         assert len(invs) == 1
 
 
+# the census runs on int residues; the boxed per-element orbit_invariant and
+# TensorElement.act are its oracle.  Every space with at most 3^6 elements
+# among these types and forms
+_DIAGS = {1: [1], 2: [1, 2], 3: [1, 1, 2]}
+_CENSUS_CASES = [(q, ks, form) for q in (3, 5)
+                 for ks in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2)]
+                 for form in (1, 2, 3, "hyperbolic2")
+                 if q ** (sum(ks) * (2 if form == "hyperbolic2" else form)) <= 3 ** 6]
+
+
+@pytest.mark.parametrize("q,ks,form", _CENSUS_CASES, ids=[
+    "F%d-%s-%s" % (q, "".join(map(str, ks)), form) for q, ks, form in _CENSUS_CASES])
+def test_census_matches_boxed_oracle(q, ks, form):
+    F = GF(q)
+    V = hyperbolic_plane(F) if form == "hyperbolic2" else diagonal_space(F, _DIAGS[form])
+    sp = TensorSpace(F, ks, V)
+    want = {}
+    for x in sp.all_elements():
+        want.setdefault(orbit_invariant(x), set()).add(x.key())
+    # the same classes, in the order they are first met
+    assert list(invariant_partition(sp).items()) == \
+        [(inv, frozenset(keys)) for inv, keys in want.items()]
+    group = orthogonal_group_ring(V, sp.K)
+    seen, orbs = set(), []
+    for x in sp.all_elements():
+        if x.key() not in seen:
+            orbs.append(frozenset(x.act(g).key() for g in group))
+            seen |= orbs[-1]
+    assert sum(map(len, orbs)) == q ** (sp.d * V.dim)
+    assert brute_force_orbits(sp) == orbs
+
+
 # --------------------------------------------------------------------------
 # flags with a non-t-stable minus part (induced action through M/M_+)
 # --------------------------------------------------------------------------
