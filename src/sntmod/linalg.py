@@ -6,19 +6,21 @@ F[t]/(t^K)) supplies ``zero``, ``one``, element construction and the pivot
 test ``is_unit``.
 `mat_mul`, `vec_mat` and `rref` (and so `bilinear`, `inverse`, `solve`,
 `rank`, `right_kernel` and `rref_span`) look at every entry first and run
-on ints for three kinds of input:
+on ints for these kinds of input:
 - all `Fraction`s: integer rows over common denominators, with
   fraction-free elimination;
 - all `FpElement`s of one prime p: int residues mod p;
 - all `TruncPoly`s of one precision K whose coefficients are all
-  `FpElement`s of one p, i.e. F_p[t]/(t^K): int coefficient lists, with
-  products by Kronecker substitution and elimination by int power series.
+  `FpElement`s of one p, i.e. F_p[t]/(t^K): products only, by Kronecker
+  substitution on int coefficient lists; elimination over F_p[t]/(t^K)
+  takes the operator path.
 Any other input (`TruncPoly` over Q, int entries or coefficients, mixed
 primes, precisions or kinds) goes through the elements' operators, in the
-`_..._generic` helpers.  Both paths return the same values and element
-types, since `Fraction`, `FpElement` and `TruncPoly` are normalised, the
-reduced echelon form over a field is canonical, and over F_p[t]/(t^K) the
-int elimination takes the same pivots and row operations as the generic one.
+`_..._generic` helpers.  So there is one elimination per scalar kind:
+`_rref_ints` for Q and F_p, `_rref_generic` for every other ring.  Both
+paths return the same values and element types, since `Fraction`,
+`FpElement` and `TruncPoly` are normalised and the reduced echelon form
+over a field is canonical.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from two primitives: `nilpotent_powers` for
@@ -213,53 +215,6 @@ def _ring_mat_mul(kind, A, B):
             for r in ([pack(x) for x in row] for row in A)]
 
 
-def _series_mul(a, b, p):
-    """Product of two coefficient lists of one length K, mod t^K and p."""
-    return [sum(a[i] * b[n - i] for i in range(n + 1)) % p
-            for n in range(len(a))]
-
-
-def _series_inv(a, p):
-    """Inverse mod t^K and p of a coefficient list with a[0] != 0."""
-    c0inv = pow(a[0], -1, p)
-    out = [c0inv]
-    for n in range(1, len(a)):
-        out.append(-c0inv * sum(a[i] * out[n - i] for i in range(1, n + 1)) % p)
-    return out
-
-
-def _ring_rref(kind, rows):
-    """`rref` over F_p[t]/(t^K) on int coefficient lists, step for step as
-    `_rref_generic`: the pivot is the first row whose constant term is
-    nonzero, it is scaled by its power-series inverse, and every other row
-    with a nonzero entry in the column becomes row_i - f·row_r."""
-    p = kind[0]
-    field = _first_entry((rows,)).field
-    R = [[[c.v for c in x.coeffs] for x in row] for row in rows]
-    nr, nc = len(R), len(R[0])
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if R[i][c][0]), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = _series_inv(R[r][c], p)
-        piv = R[r] = [_series_mul(inv, x, p) for x in R[r]]
-        for i in range(nr):
-            f = R[i][c]
-            if i != r and any(f):
-                R[i] = [[(u - v) % p for u, v in zip(x, _series_mul(f, y, p))]
-                        for x, y in zip(R[i], piv)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    poly = _truncpoly()
-    return [[poly(field, [FpElement(p, v) for v in x]) for x in row]
-            for row in R], pivots
-
-
 def _primitive(row):
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
@@ -267,10 +222,7 @@ def _primitive(row):
 
 def _int_rref(kind, rows):
     """`rref` for all-Fraction (kind 0) or all-F_p (kind p) rows, by
-    `_rref_ints` on their integer rows.  Over F_p[t]/(t^K) (kind (p, K))
-    this is `_ring_rref`."""
-    if type(kind) is tuple:
-        return _ring_rref(kind, rows)
+    `_rref_ints` on their integer rows."""
     if kind:
         R, pivots = _rref_ints(kind, [[x.v for x in row] for row in rows])
         return [[FpElement(kind, x) for x in row] for row in R], pivots
@@ -393,7 +345,7 @@ def rref(field, rows):
     a field, units only over a local ring such as F[t]/(t^K).
     """
     kind = _int_kind((rows,))
-    if kind is None:
+    if kind is None or type(kind) is tuple:
         return _rref_generic(field, rows)
     return _int_rref(kind, rows)
 

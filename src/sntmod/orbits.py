@@ -131,16 +131,6 @@ class TensorSpace:
     def zero(self):
         return TensorElement(self, la.zeros(self.field, self.d, self.V.dim))
 
-    def from_pairs(self, pairs):
-        """Element sum_i f_{c_i} ⊗ w_i from (chain index, TruncPoly vector) pairs."""
-        coords = la.zeros(self.field, self.d, self.V.dim)
-        for ci, w in pairs:
-            o, k = self.offsets[ci], self.ks[ci]
-            for l, poly in enumerate(w):
-                for s in range(min(k, poly.prec)):
-                    coords[o + s][l] = coords[o + s][l] + poly.coeffs[s]
-        return TensorElement(self, coords)
-
     def random(self, rng):
         return TensorElement(self, [[self.field.random(rng, 3)
                                      for _ in range(self.V.dim)]

@@ -90,16 +90,27 @@ def module_to_json(M, meta=None):
     return out
 
 
+def _partition_from_json(val):
+    """A partition claim as a tuple: it must be a JSON list of integers
+    (booleans are not integers here)."""
+    if type(val) is not list or any(type(k) is not int for k in val):
+        raise ValueError("partition must be a list of integers, got %r" % (val,))
+    return tuple(val)
+
+
 def module_from_json(obj):
     field = field_from_json(obj["field"])
     T = matrix_from_json(field, obj["t_action"])
     G = matrix_from_json(field, obj["gram"])
     if not T:
         raise ValueError("a module must have positive dimension")
+    if "dim" in obj and (type(obj["dim"]) is not int or obj["dim"] != len(T)):
+        raise ValueError("dim %r is not the size %d of t_action"
+                         % (obj["dim"], len(T)))
     part = None
     if "partition" in obj:
         # a claimed partition must give exactly the standard module's matrices
-        part = tuple(int(k) for k in obj["partition"])
+        part = _partition_from_json(obj["partition"])
         std = standard_module(field, part) if part and min(part) >= 1 \
             and 2 * sum(part) == len(T) else None
         if std is None or not (mat_eq(T, std.t) and mat_eq(G, std.gram)):
@@ -122,5 +133,5 @@ def tensor_element_from_json(obj):
     from .orbits import OrthSpace, TensorSpace
     field = field_from_json(obj["field"])
     V = OrthSpace(field, matrix_from_json(field, obj["v_gram"]))
-    sp = TensorSpace(field, tuple(obj["partition"]), V)
+    sp = TensorSpace(field, _partition_from_json(obj["partition"]), V)
     return sp.element(matrix_from_json(field, obj["coords"]))

@@ -90,10 +90,6 @@ class SntModule:
             self._K = max(len(la.nilpotent_powers(self.field, self.t)), 1)
         return self._K
 
-    def element_order(self, x):
-        """Least k with x·t^k = 0; the zero vector has order 0."""
-        return len(la.t_chain(self.t, x))
-
     def validate(self):
         """Return the list of violated invariants (empty = valid)."""
         bad = []
@@ -486,7 +482,7 @@ def enumerate_t_lagrangians(M):
                 if len(U) != d or not is_isotropic(M, U):
                     raise RuntimeError("a fiber point is not a Lagrangian subspace")
                 found.append(U)
-    found.sort(key=lambda rows: [[_scalar_key(x) for x in r] for r in rows])
+    found.sort(key=lambda rows: [[x.v for x in r] for r in rows])
     return found
 
 
@@ -497,13 +493,6 @@ def _gaussian_binomial(n, d, q):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
-
-
-def _scalar_key(x):
-    v = getattr(x, "v", None)
-    if v is not None:
-        return v
-    return (x.numerator, x.denominator)
 
 
 # --------------------------------------------------------------------------

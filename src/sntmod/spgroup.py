@@ -87,10 +87,6 @@ class HomogeneousRingIso:
             J[2 * j + 1][2 * j] = -R.one
         return J
 
-    def is_ring_member(self, ghat):
-        J = self.ring_gram()
-        return la.mat_eq(la.mat_mul(la.mat_mul(ghat, J), la.transpose(ghat)), J)
-
     def from_ring(self, ghat):
         """F-matrix of the R_k-linear right action of ghat."""
         f, k, n = self.field, self.k, self.n
@@ -124,14 +120,14 @@ class HomogeneousRingIso:
 # --------------------------------------------------------------------------
 
 class BlockProfile:
-    """Blocks of g over the homogeneous levels of a standard module,
-    plus their reductions mod t."""
+    """The reductions mod t of g's blocks over the homogeneous levels of a
+    standard module, with the levels' residue Gram matrices."""
 
-    def __init__(self, levels, mults, blocks, reduced, bar_grams):
+    def __init__(self, levels, mults, reduced, bar_grams):
         self.levels = tuple(levels)
         self.mults = tuple(mults)
-        self.blocks = blocks      # blocks[i][j]: rows level i -> cols level j
-        self.reduced = reduced    # same indexing, generator coordinates
+        # reduced[i][j]: generator rows of level i -> generator cols of level j
+        self.reduced = reduced
         self.bar_grams = bar_grams
 
     def upper_triangular_ok(self):
@@ -190,21 +186,16 @@ def _level_layout(ks):
 
 
 def block_profile(M, g):
-    """Block decomposition of a member over the homogeneous levels."""
+    """The reduced blocks of a member over the homogeneous levels."""
     ks = M.partition
     if ks is None:
         raise ValueError("block_profile needs a standard module")
     if not is_member(M, g):
         raise NotAMemberError("not an element of Sp(M,t)")
     field = M.field
-    levels, mults, starts, lvl_gens = zip(*_level_layout(ks))
-    lvl_rows = [range(s, s + 2 * lv * m) for lv, m, s in zip(levels, mults, starts)]
-    blocks = [[None] * len(levels) for _ in levels]
-    reduced = [[None] * len(levels) for _ in levels]
-    for i in range(len(levels)):
-        for j in range(len(levels)):
-            blocks[i][j] = [[g[r][c] for c in lvl_rows[j]] for r in lvl_rows[i]]
-            reduced[i][j] = [[g[r][c] for c in lvl_gens[j]] for r in lvl_gens[i]]
+    levels, mults, _, lvl_gens = zip(*_level_layout(ks))
+    reduced = [[[[g[r][c] for c in cols] for r in rows] for cols in lvl_gens]
+               for rows in lvl_gens]
     bar_grams = []
     for i, lv in enumerate(levels):
         gens = lvl_gens[i]
@@ -217,7 +208,7 @@ def block_profile(M, g):
                 eb[rb] = field.one
                 Gb[a][b] = M.pair(ea, M.apply_t(eb, lv - 1))
         bar_grams.append(Gb)
-    return BlockProfile(levels, mults, blocks, reduced, bar_grams)
+    return BlockProfile(levels, mults, reduced, bar_grams)
 
 
 def unipotent_radical_test(M, g):

@@ -89,6 +89,11 @@ def test_decompose_base_changed_matches_metadata(fixtures, capsys):
     ("h2h1_module.json", "partition", 5),
     ("h2h1_module.json", "t_action", 5),
     ("h2h1_module.json", "field", "GF(3)"),      # descriptor not an object
+    ("h2h1_module.json", "partition", "21"),     # not a list
+    ("h2h1_module.json", "partition", [2.9, 1]),
+    ("h2h1_module.json", "partition", [2, True]),
+    ("h2h1_module.json", "dim", 99),             # not len(t_action)
+    ("h2h1_module.json", "dim", 6.0),
 ])
 def test_decompose_rejected_module_entry(name, key, value, fixtures, tmp_path,
                                          capsys):
@@ -182,6 +187,23 @@ def test_orbit_pair_in_distinct_orbits(fixtures, capsys):
                             os.path.join(fixtures, "orbit_zero.json")], capsys)
     assert code == 0
     assert data["checks"][1]["details"] == {"same_orbit": False}
+
+
+@pytest.mark.parametrize("partition", [[True], [1, True], [1.0, 1], "11"])
+def test_orbit_partition_not_a_list_of_ints(partition, fixtures, tmp_path,
+                                            capsys):
+    """Claims that would read as type (1,) or (1, 1), with as many rows of
+    coordinates, are not a list of ints."""
+    with open(os.path.join(fixtures, "orbit_x.json")) as fh:
+        obj = json.load(fh)
+    obj["partition"] = partition
+    obj["coords"] = obj["coords"][:len(partition)]
+    path = str(tmp_path / "bad_partition.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    code, data = _run_json(["orbit", path], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "parse"
 
 
 def test_orbit_mismatched_ambient(fixtures, tmp_path, capsys):

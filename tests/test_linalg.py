@@ -1,7 +1,8 @@
 """The int kernels of `linalg` against its generic operator path.
 
-Over QQ, GF(p) and GF(p)[t]/(t^K), `mat_mul`, `vec_mat` and `rref` (so also
-`inverse`, `solve`, `rank` and `right_kernel`) run on ints; the
+Over QQ and GF(p), `mat_mul`, `vec_mat` and `rref` (so also `inverse`,
+`solve`, `rank` and `right_kernel`) run on ints; over GF(p)[t]/(t^K) only
+`mat_mul` and `vec_mat` do, and elimination takes the operator path.  The
 `_..._generic` helpers are the reference.  Every comparison checks values
 and element types, entry by entry, down to the coefficients of a TruncPoly.
 A many-right-hand-side `solve` is also checked against single-right-hand-side
@@ -154,37 +155,25 @@ def ring_matrices(draw, R, n, m):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_ring_kernel_matches_generic_path(data):
+    """Products over GF(p)[t]/(t^K) run on ints; elimination takes the
+    operator path, so `inverse` is checked on its own: S is invertible
+    exactly when S mod t is, and then S·S⁻¹ = I."""
     R = data.draw(st.sampled_from(RINGS))
     n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
     A = data.draw(ring_matrices(R, n, m))
     B = data.draw(ring_matrices(R, m, k))
     S = data.draw(ring_matrices(R, n, n))
-    b = [data.draw(ring_elements(R)) for _ in range(n)]
     assert la._int_kind((A, B)) == (R.field.p, R.K)
     assert _typed(la.mat_mul(A, B)) == _typed(la._mat_mul_generic(A, B))
     for v in A:
         assert _typed(la.vec_mat(v, B)) == \
             _typed(la._mat_mul_generic([v], B)[0])
-    for M in (A, B, S):
-        assert _typed(la.rref(R, M)) == _typed(la._rref_generic(R, M))
-
-    def run():
-        try:
-            inv = la.inverse(R, S)
-        except ValueError:
-            inv = "singular"
-        return inv, la.solve(R, A, [b]), la.right_kernel(R, A)
-    inv, sol, ker = run()
-    with _generic_rref():
-        inv0, sol0, ker0 = run()
-    assert _typed(inv) == _typed(inv0)
-    if sol is None or sol0 is None:
-        assert sol is sol0
-    else:
-        assert _typed(sol) == _typed(sol0)
-    assert _typed(ker) == _typed(ker0)
-    if inv != "singular":
-        assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(R, n))
+    if la.rank(R.field, [[x.coeffs[0] for x in row] for row in S]) < n:
+        with pytest.raises(ValueError, match="singular"):
+            la.inverse(R, S)
+        return
+    inv = la.inverse(R, S)
+    assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(R, n))
 
 
 @settings(max_examples=200, deadline=None)

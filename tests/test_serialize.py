@@ -63,6 +63,17 @@ def test_module_partition_claim_is_verified():
         obj["partition"] = claim
         with pytest.raises(ValueError):
             module_from_json(obj)
+    # on a standard module, claims that only int() would turn into (2, 1),
+    # and a dim that is not the size of t_action
+    with open(os.path.join(os.path.dirname(path), "h2h1_module.json")) as fh:
+        obj = json.load(fh)
+    assert module_from_json(obj).partition == (2, 1)
+    for key, claim in [("partition", "21"), ("partition", [2.9, 1]),
+                       ("partition", [2, True]), ("partition", (2, 1)),
+                       ("dim", 99), ("dim", 6.0), ("dim", "6"), ("dim", None)]:
+        bad = dict(obj, **{key: claim})
+        with pytest.raises(ValueError):
+            module_from_json(bad)
 
 
 def test_tensor_element_roundtrip():
