@@ -26,6 +26,13 @@ act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from two primitives: `nilpotent_powers` for
 the whole matrix powers I, A, A², … and `t_chain` for the chain v, vA,
 vA², … of one vector.
+Code that keeps a Q or F_p matrix on ints between steps uses the int-row
+helpers beside the kernels: `_to_ints` (a matrix as int rows over one
+common denominator d, or residues with d = 1), `_from_ints` (the way back,
+boxing each entry once), `_ints_mul` (a product of int rows) and
+`_int_kernel` (a kernel read off `_rref_ints`).  `isometry_lie_basis`
+builds its commutation and form equations on them, as int rows over the
+scaled T and G.
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.
@@ -169,6 +176,33 @@ def _scaled_rows(rows):
         out.append([x.numerator * (d // e) for x, e in zip(row, ds)])
         dens.append(d)
     return out, dens
+
+
+def _to_ints(kind, A):
+    """A matrix as (int rows, d) with A = rows / d: for kind 0 (Fractions,
+    or ints) d is the lcm of every denominator, for kind p (FpElements) the
+    rows are residues and d = 1."""
+    if kind:
+        return [[x.v for x in row] for row in A], 1
+    d = lcm(*(x.denominator for row in A for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
+
+
+def _from_ints(kind, rows, d=1):
+    """The matrix rows / d boxed once: Fractions for kind 0, FpElements of
+    p for kind p (d = 1)."""
+    if kind:
+        return [[FpElement(kind, x) for x in row] for row in rows]
+    return [[Fraction(x, d) for x in row] for row in rows]
+
+
+def _ints_mul(kind, A, B):
+    """A·B for int rows, reduced mod p for kind p.  Over Q the product of
+    (A, d) and (B, e) is (A·B, d·e)."""
+    Bt = list(zip(*B))
+    if kind:
+        return [[sum(map(mul, r, c)) % kind for c in Bt] for r in A]
+    return [[sum(map(mul, r, c)) for c in Bt] for r in A]
 
 
 def _int_mat_mul(kind, A, B):
@@ -436,37 +470,75 @@ def right_kernel(field, A):
 
 
 def isometry_lie_basis(field, G, T=None):
-    """Basis of {S : S·G + G·Sᵀ = 0}, with also S·T = T·S when T is given.
+    """Basis of {S : S·G + G·Sᵀ = 0}, with also S·T = T·S when T is given,
+    for G and T over QQ or GF(p).
 
     The unknowns are the entries of S, var(i, j) = i·n + j.  The kernel is
-    read off the reduced echelon form of the equations, which is canonical,
-    so the basis does not depend on the order the equations are listed in.
+    `_lie_kernel`'s, boxed once; it is read off the reduced echelon form of
+    the equations, which is canonical, so the basis depends neither on the
+    order the equations are listed in nor on their scaling.
     """
     n = len(G)
+    kind = field.char
+    return [[row[i * n:(i + 1) * n] for i in range(n)]
+            for row in _from_ints(kind, *_lie_kernel(kind, G, T))]
+
+
+def _lie_kernel(kind, G, T=None):
+    """`isometry_lie_basis` on ints: its basis as flattened (rows, d).
+
+    G and T are scaled to int matrices by their common denominators (taken
+    as residues for kind p), which multiplies each equation by a nonzero
+    constant and leaves the kernel as it is."""
+    n = len(G)
+    Gi = _to_ints(kind, G)[0]
     eqs = []
-
-    def var(i, j):
-        return i * n + j
-
     if T is not None:
+        Ti = _to_ints(kind, T)[0]
         # commutation: (S T - T S)[i][j] = 0
         for i in range(n):
             for j in range(n):
-                row = [field.zero] * (n * n)
+                row = [0] * (n * n)
                 for l in range(n):
-                    row[var(i, l)] = row[var(i, l)] + T[l][j]
-                    row[var(l, j)] = row[var(l, j)] - T[i][l]
+                    row[i * n + l] += Ti[l][j]
+                    row[l * n + j] -= Ti[i][l]
                 eqs.append(row)
     # infinitesimal form preservation: (S G + G Sᵀ)[i][j] = 0
     for i in range(n):
         for j in range(n):
-            row = [field.zero] * (n * n)
+            row = [0] * (n * n)
             for l in range(n):
-                row[var(i, l)] = row[var(i, l)] + G[l][j]
-                row[var(j, l)] = row[var(j, l)] + G[i][l]
+                row[i * n + l] += Gi[l][j]
+                row[j * n + l] += Gi[i][l]
             eqs.append(row)
-    ker = right_kernel(field, eqs)
-    return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in ker]
+    return _int_kernel(kind, eqs)
+
+
+def _int_kernel(kind, A):
+    """Basis of {x : A xᵀ = 0} for an int matrix A (residues for kind p) as
+    (rows, d): the vectors `right_kernel` returns for A, times d.
+
+    Free unknown f gives the vector with 1 at f and −R[r][f] / R[r][c] at
+    each pivot (r, c) of the reduced echelon form R; over Q the pivot rows
+    of `_rref_ints` are undivided, so d is the lcm of their pivots."""
+    if not A:
+        return [], 1
+    nc = len(A[0])
+    if kind:
+        R, pivots = _rref_ints(kind, [[x % kind for x in row] for row in A])
+        scale, d = [1] * len(pivots), 1
+    else:
+        R, pivots = _rref_ints(0, [_primitive(row) for row in A])
+        d = lcm(*(R[r][c] for r, c in enumerate(pivots)))
+        scale = [d // R[r][c] for r, c in enumerate(pivots)]
+    ker = []
+    for f in sorted(set(range(nc)).difference(pivots)):
+        v = [0] * nc
+        v[f] = d
+        for r, c in enumerate(pivots):
+            v[c] = -R[r][f] * scale[r]
+        ker.append([x % kind for x in v] if kind else v)
+    return ker, d
 
 
 def inverse(field, A):

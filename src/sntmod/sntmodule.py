@@ -57,8 +57,10 @@ class SntModule:
 
     Values are immutable by convention: no method mutates the matrices, so
     instances may be shared freely across threads.  Two derived values are
-    cached on first use: the nilpotency degree `K` and the radical Lie
-    basis that `spgroup.random_element` samples from.
+    cached on first use: the nilpotency degree `K` and, in
+    `_radical_cache`, the radical Lie basis that `spgroup.random_element`
+    samples from, as `linalg._to_ints` rows (each basis matrix flattened)
+    with their common denominator.
     """
 
     def __init__(self, field, t_action, gram, partition=None):

@@ -13,10 +13,11 @@ and Cayley transforms otherwise; both land in the group exactly.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import factorial, lcm
+from operator import mul
 
 from . import linalg as la
-from .sntmodule import EnumerationGuardError, standard_module, summand_offsets
+from .sntmodule import EnumerationGuardError, summand_offsets
 from .tpoly import TruncPoly, TruncRing
 
 
@@ -192,22 +193,15 @@ def block_profile(M, g):
         raise ValueError("block_profile needs a standard module")
     if not is_member(M, g):
         raise NotAMemberError("not an element of Sp(M,t)")
-    field = M.field
     levels, mults, _, lvl_gens = zip(*_level_layout(ks))
     reduced = [[[[g[r][c] for c in cols] for r in rows] for cols in lvl_gens]
                for rows in lvl_gens]
-    bar_grams = []
-    for i, lv in enumerate(levels):
-        gens = lvl_gens[i]
-        Gb = la.zeros(field, len(gens), len(gens))
-        for a, ra in enumerate(gens):
-            ea = [field.zero] * M.dim
-            ea[ra] = field.one
-            for b, rb in enumerate(gens):
-                eb = [field.zero] * M.dim
-                eb[rb] = field.one
-                Gb[a][b] = M.pair(ea, M.apply_t(eb, lv - 1))
-        bar_grams.append(Gb)
+    # the bar Gram of level lv is <e_a, t^(lv-1) e_b> = (G·(T^(lv-1))ᵀ)[a][b]
+    # at the level's generator rows a, b
+    powers = la.nilpotent_powers(M.field, M.t)
+    bar_grams = [la.mat_mul([M.gram[r] for r in gens],
+                            la.transpose([powers[lv - 1][r] for r in gens]))
+                 for lv, gens in zip(levels, lvl_gens)]
     return BlockProfile(levels, mults, reduced, bar_grams)
 
 
@@ -230,49 +224,57 @@ def radical_lie_basis(M):
     ks = M.partition
     if ks is None:
         raise ValueError("radical_lie_basis needs a standard module")
-    field, n = M.field, M.dim
-    lvl_gens = [gens for _, _, _, gens in _level_layout(ks)]
-    basis = lie_algebra_basis(M)
+    kind, n = M.field.char, M.dim
+    basis, d = la._lie_kernel(kind, M.gram, M.t)
     if not basis:
         return []
-    # impose vanishing of generator-to-generator entries within each level
-    rows = []
-    for S in basis:
-        row = []
-        for g in lvl_gens:
-            for a in g:
-                for b in g:
-                    row.append(S[a][b])
-        rows.append(row)
-    # kernel of the reduction map, in coordinates of the Lie basis:
-    # right_kernel works on the transpose (combinations of basis elements)
-    ker = la.right_kernel(field, la.transpose(rows))
-    out = []
-    for lam in ker:
-        S = la.zeros(field, n, n)
-        for c, B in zip(lam, basis):
-            if c:
-                S = la.mat_add(S, la.scal_mul(c, B))
-        out.append(S)
-    return out
+    # the kernel of the reduction map (the generator-to-generator entries
+    # within each level), in coordinates of the Lie basis
+    idx = [a * n + b for _, _, _, gens in _level_layout(ks)
+           for a in gens for b in gens]
+    lam, e = la._int_kernel(kind, [[B[i] for B in basis] for i in idx])
+    rad = la._from_ints(kind, la._ints_mul(kind, lam, basis), d * e)
+    return [[row[i * n:(i + 1) * n] for i in range(n)] for row in rad]
 
 
 def exp_nilpotent(field, S):
     """Exact exp of a nilpotent matrix; None if the factorials are not
-    invertible in the field."""
-    powers = la.nilpotent_powers(field, S)
-    if field.char and len(powers) - 1 >= field.char:
-        return None
-    out = la.identity(field, len(S))
-    fact = 1
-    for m, P in enumerate(powers[1:], 1):
-        fact *= m
-        if field.char:
-            coef = field(1) / field(fact % field.char)
-        else:
-            coef = Fraction(1, fact)
-        out = la.mat_add(out, la.scal_mul(coef, P))
-    return out
+    invertible in the field.  Over QQ or GF(p), by `_exp_ints`."""
+    kind = field.char
+    e = _exp_ints(kind, *la._to_ints(kind, S))
+    return None if e is None else la._from_ints(kind, *e)
+
+
+def _exp_ints(kind, S, d):
+    """exp(S/d) as (int rows, denominator) for a nilpotent int matrix S
+    (residues and d = 1 for kind p); None when ν−1 ≥ p, ν the nilpotency
+    index.  Raises ValueError when S is not nilpotent.
+
+    With the powers Sᵐ, m < ν, exp(S/d) is
+    Σ Sᵐ·((ν−1)!/m!)·d^(ν−1−m) over (ν−1)!·d^(ν−1) on Q, and Σ Sᵐ·(m!)⁻¹
+    mod p."""
+    n = len(S)
+    powers, P = [], [[int(i == j) for j in range(n)] for i in range(n)]
+    while any(map(any, P)):
+        if len(powers) == n:
+            raise ValueError("matrix is not nilpotent")
+        powers.append(P)
+        P = la._ints_mul(kind, P, S)
+    top = len(powers) - 1
+    if kind:
+        if top >= kind:
+            return None
+        coef = [pow(factorial(m), -1, kind) for m in range(top + 1)]
+        den = 1
+    else:
+        coef = [factorial(top) // factorial(m) * d ** (top - m)
+                for m in range(top + 1)]
+        den = factorial(top) * d ** top
+    out = [[sum(map(mul, coef, col)) for col in zip(*(Pm[i] for Pm in powers))]
+           for i in range(n)]
+    if kind:
+        out = [[x % kind for x in row] for row in out]
+    return out, den
 
 
 def cayley(field, S):
@@ -285,22 +287,38 @@ def cayley(field, S):
     return la.mat_mul(la.mat_add(I, A), la.inverse(field, la.mat_sub(I, A)))
 
 
-def _level_submodule(M, level_index):
-    ks = M.partition
-    levels, mults = _levels(ks)
-    lv = levels[level_index]
-    return standard_module(M.field, (lv,) * mults[level_index])
+def _transvection_ints(kind, v, lam):
+    """The ring matrix I + lam·(J·vᵀ)·v of the transvection
+    x -> x + lam·<x, v>^ v on R^{2m} as (int rows, d), for constant v and
+    lam; J is the standard symplectic gram on the pairs (2j, 2j+1), so
+    (J·vᵀ)[2j] = v[2j+1] and (J·vᵀ)[2j+1] = −v[2j].  Over Q, v and lam are
+    int over one denominator e, so the matrix is int over e³."""
+    (row,), e = la._to_ints(kind, [list(v) + [lam]])
+    *vi, li = row
+    d = e ** 3
+    Jv = [vi[a + 1] if a % 2 == 0 else -vi[a - 1] for a in range(len(vi))]
+    rows = [[li * x * y + (d if a == b else 0) for b, y in enumerate(vi)]
+            for a, x in enumerate(Jv)]
+    return ([[x % kind for x in row] for row in rows] if kind else rows), d
 
 
-def _embed_block(M, level_index, block):
-    """Embed a level-block matrix as a block-diagonal member candidate."""
-    lv, m, start, _ = _level_layout(M.partition)[level_index]
-    g = la.identity(M.field, M.dim)
-    size = 2 * lv * m
-    for a in range(size):
-        for b in range(size):
-            g[start + a][start + b] = block[a][b]
-    return g
+def _lift_levels(kind, n, blocks):
+    """The n x n block-diagonal matrix, as (int rows, d), that acts on each
+    listed level by a constant ring matrix and as the identity elsewhere.
+
+    blocks holds (lv, first row, (ring rows, d)) per level; ring basis
+    vector a of the level sits at row first + a·lv, and its t-layers s < lv
+    at the rows below, so entry (a, b) repeats at (first + a·lv + s,
+    first + b·lv + s) for every s."""
+    d = lcm(*(e for _, _, (_, e) in blocks))
+    out = [[d * (i == j) for j in range(n)] for i in range(n)]
+    for lv, first, (ring, e) in blocks:
+        c = d // e
+        for a, row in enumerate(ring):
+            for b, x in enumerate(row):
+                for s in range(lv):
+                    out[first + a * lv + s][first + b * lv + s] = c * x
+    return out, d
 
 
 def levi_transvection(M, level_index, v_coeffs, lam):
@@ -310,19 +328,11 @@ def levi_transvection(M, level_index, v_coeffs, lam):
     transvection x -> x + lam * <x, v>^ v is R-linear, preserves the
     R-valued form, and reduces to the residue transvection.
     """
-    sub = _level_submodule(M, level_index)
-    iso = HomogeneousRingIso(sub)
-    R, n2 = iso.R, 2 * iso.n
-    J = iso.ring_gram()
-    v = [R(c) for c in v_coeffs]
-    ghat = la.identity(R, n2)
-    Jv = la.vec_mat(v, la.transpose(J))     # J·vᵀ
-    lam = iso.field(lam)
-    for a in range(n2):
-        for b in range(n2):
-            ghat[a][b] = ghat[a][b] + lam * Jv[a] * v[b]
-    block = iso.from_ring(ghat)
-    return _embed_block(M, level_index, block)
+    field = M.field
+    kind = field.char
+    lv, _, first, _ = _level_layout(M.partition)[level_index]
+    tau = _transvection_ints(kind, [field(c) for c in v_coeffs], field(lam))
+    return la._from_ints(kind, *_lift_levels(kind, M.dim, [(lv, first, tau)]))
 
 
 def random_element(M, seed):
@@ -330,33 +340,44 @@ def random_element(M, seed):
 
     Returns exp(S)·h with S a random radical Lie element (Cayley transform
     when the characteristic is too small for the exact exponential) and h a
-    block-diagonal product of lifted residue transvections.
+    block-diagonal product of lifted residue transvections.  S, exp(S), h
+    and the product are computed on ints and boxed once.
     """
     ks = M.partition
     if ks is None:
         raise ValueError("random_element needs a standard module")
     rng = random.Random(seed)
-    field = M.field
+    field, n = M.field, M.dim
+    kind = field.char
     if M._radical_cache is None:
-        M._radical_cache = radical_lie_basis(M)
-    S = la.zeros(field, M.dim, M.dim)
-    for B in M._radical_cache:
-        c = field.random(rng, 3)
+        rad = radical_lie_basis(M)
+        M._radical_cache = la._to_ints(kind, [sum(B, []) for B in rad])
+    basis, d = M._radical_cache
+    (cs,), e = la._to_ints(kind, [[field.random(rng, 3) for _ in basis]])
+    S = [0] * (n * n)
+    for c, B in zip(cs, basis):
         if c:
-            S = la.mat_add(S, la.scal_mul(c, B))
-    r = exp_nilpotent(field, S)
+            S = [x + c * y for x, y in zip(S, B)]
+    S = [S[i * n:(i + 1) * n] for i in range(n)]
+    if kind:
+        S = [[x % kind for x in row] for row in S]
+    r = _exp_ints(kind, S, d * e)
     if r is None:
-        r = cayley(field, S)
-    levels, mults = _levels(ks)
-    h = la.identity(field, M.dim)
-    for i, m in enumerate(mults):
+        r = la._to_ints(kind, cayley(field, la._from_ints(kind, S, d * e)))
+    r, dr = r
+    blocks = []
+    for lv, m, first, _ in _level_layout(ks):
+        ghat, dg = [[int(a == b) for b in range(2 * m)] for a in range(2 * m)], 1
         for _ in range(3):
             v = [field.random(rng, 2) for _ in range(2 * m)]
             if not any(bool(c) for c in v):
                 v[rng.randrange(2 * m)] = field.one
             lam = field.random_nonzero(rng, 2)
-            h = la.mat_mul(h, levi_transvection(M, i, v, lam))
-    g = la.mat_mul(r, h)
+            tau, dt = _transvection_ints(kind, v, lam)
+            ghat, dg = la._ints_mul(kind, ghat, tau), dg * dt
+        blocks.append((lv, first, (ghat, dg)))
+    h, dh = _lift_levels(kind, n, blocks)
+    g = la._from_ints(kind, la._ints_mul(kind, r, h), dr * dh)
     if not is_member(M, g):
         raise RuntimeError("sampled matrix failed the membership identities")
     return g

@@ -1,5 +1,6 @@
 """Orbit invariants, Witt lifting, isometry extension, transport, and the
 brute-force cross-checks over small finite fields."""
+import hashlib
 import itertools
 import random
 
@@ -74,6 +75,25 @@ def test_image_plus_t_part_gives_full_type():
     # x = e ⊗ u1 + te ⊗ u2
     x = sp.element([[QQ.one, QQ.zero], [QQ.zero, QQ.one]])
     assert image_of(x).partition == (2,)
+
+
+def test_random_orthogonal_ring_outputs_are_pinned():
+    # a seeded SHA-256 of the samples, recorded before isometry_lie_basis
+    # moved onto int equations: its Lie basis, and so every sample, is the
+    # same value for value and type for type
+    h = hashlib.sha256()
+    for field in (QQ, GF(3), GF(5), GF(7)):
+        for ks, entries in (((2, 1), [1, 1, 2]), ((3, 1), [1, 2]),
+                            ((3, 2), [2, 1, 1])):
+            sp = TensorSpace(field, ks, diagonal_space(field, entries))
+            rng = random.Random(17)
+            for _ in range(3):
+                g = random_orthogonal_ring(sp, rng)
+                h.update(repr([[(type(x).__name__,
+                                 [(type(c).__name__, str(c)) for c in x.coeffs])
+                                for x in row] for row in g]).encode())
+    assert h.hexdigest() == \
+        "96059941500f52b3d704d5bdbc46aabd13ae9669623b08379a39316b30dfb72f"
 
 
 def test_image_invariant_under_group():

@@ -1,4 +1,9 @@
-"""Sp(M,t): membership, ring model, block structure, Lie algebra, sampling."""
+"""Sp(M,t): membership, ring model, block structure, Lie algebra, sampling.
+
+`isometry_lie_basis`, `exp_nilpotent` and `random_element` run on ints;
+their boxed versions, built on field elements, are kept here as references
+and compared value for value and type for type.
+"""
 import random
 
 import pytest
@@ -7,14 +12,22 @@ from sntmod import linalg as la
 from sntmod.fields import QQ, GF
 from sntmod.sntmodule import direct_sum, make_H, standard_module
 from sntmod.spgroup import (HomogeneousRingIso, NotAMemberError,
-                            SntAutomorphism, block_profile, cayley,
-                            exp_nilpotent, group_closure, is_member,
+                            SntAutomorphism, _level_layout, _levels,
+                            block_profile, cayley, exp_nilpotent,
+                            group_closure, is_member, levi_transvection,
                             lie_algebra_basis, radical_lie_basis,
                             random_element, sp_group_order,
                             sp_ring_generators, unipotent_radical_test)
 from sntmod.tpoly import TruncRing, tmat_key, tp
 
 F3 = GF(3)
+
+
+def _typed(x):
+    """Nested lists with every scalar replaced by (type, value)."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return (type(x), x)
 
 
 def unit(field, n, i):
@@ -142,10 +155,23 @@ def test_block_profile_of_samples(field, ks, seeds):
         assert bp.diagonal_symplectic_ok()
 
 
+@pytest.mark.parametrize("field,ks", [(QQ, (2, 1)), (QQ, (3, 2, 1)),
+                                      (GF(5), (2, 2, 1))])
+def test_bar_grams_match_unit_vector_pairings(field, ks):
+    # the bar Gram of level lv pairs generator unit vectors e_a, t^(lv-1) e_b
+    M = standard_module(field, ks)
+    for seed in range(3):
+        bp = block_profile(M, random_element(M, seed))
+        for (lv, _, _, gens), Gb in zip(_level_layout(ks), bp.bar_grams):
+            want = [[M.pair(unit(field, M.dim, a),
+                            M.apply_t(unit(field, M.dim, b), lv - 1))
+                     for b in gens] for a in gens]
+            assert _typed(Gb) == _typed(want)
+
+
 def test_levi_element_fails_radical_test():
     M = standard_module(QQ, (2, 1))
     # a nontrivial residue transvection on the level-2 block
-    from sntmod.spgroup import levi_transvection
     g = levi_transvection(M, 0, [QQ(1), QQ(1)], QQ(1))
     assert is_member(M, g)
     assert not unipotent_radical_test(M, g)
@@ -183,6 +209,87 @@ def test_lie_basis_satisfies_identities():
                                          la.mat_mul(G, la.transpose(S))))
 
 
+def boxed_isometry_lie_basis(field, G, T=None):
+    """`isometry_lie_basis` with its equations built entry by entry on field
+    elements and solved by `right_kernel`."""
+    n = len(G)
+    eqs = []
+
+    def var(i, j):
+        return i * n + j
+
+    if T is not None:
+        for i in range(n):
+            for j in range(n):
+                row = [field.zero] * (n * n)
+                for l in range(n):
+                    row[var(i, l)] = row[var(i, l)] + T[l][j]
+                    row[var(l, j)] = row[var(l, j)] - T[i][l]
+                eqs.append(row)
+    for i in range(n):
+        for j in range(n):
+            row = [field.zero] * (n * n)
+            for l in range(n):
+                row[var(i, l)] = row[var(i, l)] + G[l][j]
+                row[var(j, l)] = row[var(j, l)] + G[i][l]
+            eqs.append(row)
+    ker = la.right_kernel(field, eqs)
+    return [[vec[i * n:(i + 1) * n] for i in range(n)] for vec in ker]
+
+
+def boxed_radical_lie_basis(M):
+    """`radical_lie_basis` on field elements over the boxed Lie basis."""
+    field, n = M.field, M.dim
+    lvl_gens = [gens for _, _, _, gens in _level_layout(M.partition)]
+    basis = boxed_isometry_lie_basis(field, M.gram, M.t)
+    if not basis:
+        return []
+    rows = [[S[a][b] for g in lvl_gens for a in g for b in g] for S in basis]
+    out = []
+    for lam in la.right_kernel(field, la.transpose(rows)):
+        S = la.zeros(field, n, n)
+        for c, B in zip(lam, basis):
+            if c:
+                S = la.mat_add(S, la.scal_mul(c, B))
+        out.append(S)
+    return out
+
+
+def _conjugated(field, M, rng):
+    """(P·T·P⁻¹, P·G·Pᵀ) for a random invertible P: a module with the
+    denominators of P, P⁻¹ in its matrices."""
+    n = M.dim
+    while True:
+        P = [[field.random(rng, 2) for _ in range(n)] for _ in range(n)]
+        if la.rank(field, P) == n:
+            break
+    T = la.mat_mul(la.mat_mul(P, M.t), la.inverse(field, P))
+    return T, la.mat_mul(la.mat_mul(P, M.gram), la.transpose(P))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7)])
+def test_isometry_lie_basis_matches_boxed_equations(field):
+    rng = random.Random(4)
+    for ks in [(1,), (2,), (1, 1), (2, 1), (3, 1), (3, 2, 1)]:
+        M = standard_module(field, ks)
+        cases = [(M.gram, M.t), (M.gram,)]
+        if M.dim <= 8:
+            T, G = _conjugated(field, M, rng)
+            cases += [(G, T), (G,)]
+        for args in cases:
+            assert _typed(la.isometry_lie_basis(field, *args)) == \
+                _typed(boxed_isometry_lie_basis(field, *args))
+        assert _typed(radical_lie_basis(M)) == _typed(boxed_radical_lie_basis(M))
+    # a symmetric, non-integral Gram: the orthogonal Lie algebra
+    entries = ([QQ(1, 2), QQ(3), QQ(-2, 3)] if field == QQ
+               else [field.one / field(2), field.one, field(-2)])
+    G = [[x if i == j else field.zero for j in range(3)]
+         for i, x in enumerate(entries)]
+    assert len(la.isometry_lie_basis(field, G)) == 3
+    assert _typed(la.isometry_lie_basis(field, G)) == \
+        _typed(boxed_isometry_lie_basis(field, G))
+
+
 def test_exp_and_cayley_land_in_group():
     M = standard_module(QQ, (2, 1))
     rng = random.Random(3)
@@ -194,6 +301,59 @@ def test_exp_and_cayley_land_in_group():
     assert e is not None and is_member(M, e)
     c = cayley(QQ, S)
     assert is_member(M, c)
+
+
+def boxed_exp(field, S):
+    """The Taylor sum of exp(S) over `nilpotent_powers` on field elements;
+    None when a factorial is not invertible."""
+    powers = la.nilpotent_powers(field, S)
+    if field.char and len(powers) - 1 >= field.char:
+        return None
+    out, fact = la.identity(field, len(S)), 1
+    for m, P in enumerate(powers[1:], 1):
+        fact *= m
+        out = la.mat_add(out, la.scal_mul(field.one / field(fact), P))
+    return out
+
+
+def _radical_samples(field, ks, rng):
+    """Radical Lie elements of the standard module of type ks: zero, each
+    basis element times a random scalar, and random combinations."""
+    M = standard_module(field, ks)
+    rad = radical_lie_basis(M)
+    out = [la.zeros(field, M.dim, M.dim)]
+    out += [la.scal_mul(field.random_nonzero(rng, 3), B) for B in rad]
+    for _ in range(6):
+        S = la.zeros(field, M.dim, M.dim)
+        for B in rad:
+            S = la.mat_add(S, la.scal_mul(field.random(rng, 3), B))
+        out.append(S)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_exp_nilpotent_matches_taylor_sum(field):
+    rng = random.Random(8)
+    for ks in [(2, 1), (3, 2, 1), (4, 2)]:
+        for S in _radical_samples(field, ks, rng):
+            e = exp_nilpotent(field, S)
+            assert e is not None
+            assert _typed(e) == _typed(boxed_exp(field, S))
+
+
+def test_exp_nilpotent_none_exactly_when_factorials_vanish():
+    rng = random.Random(9)
+    seen = set()
+    for ks in [(2, 1), (3, 2, 1), (4, 2)]:
+        for S in _radical_samples(F3, ks, rng):
+            nu = len(la.nilpotent_powers(F3, S))
+            e = exp_nilpotent(F3, S)
+            assert (e is None) == (nu - 1 >= 3)
+            assert _typed(e) == _typed(boxed_exp(F3, S))
+            seen.add(e is None)
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        exp_nilpotent(QQ, la.identity(QQ, 2))
 
 
 # --------------------------------------------------------------------------
@@ -227,6 +387,77 @@ def test_samples_are_members_and_closed():
         assert is_member(M, g)
     for a, b in zip(gs, gs[1:]):
         assert is_member(M, la.mat_mul(a, b))
+
+
+def boxed_levi_transvection(M, level_index, v_coeffs, lam):
+    """`levi_transvection` through the ring model: the transvection as a
+    matrix over R = F[t]/(t^lv) on the level's submodule, mapped by
+    `HomogeneousRingIso.from_ring` and embedded block-diagonally."""
+    lv, m, start, _ = _level_layout(M.partition)[level_index]
+    iso = HomogeneousRingIso(standard_module(M.field, (lv,) * m))
+    R, n2 = iso.R, 2 * m
+    J = iso.ring_gram()
+    v = [R(c) for c in v_coeffs]
+    ghat = la.identity(R, n2)
+    Jv = la.vec_mat(v, la.transpose(J))
+    lam = iso.field(lam)
+    for a in range(n2):
+        for b in range(n2):
+            ghat[a][b] = ghat[a][b] + lam * Jv[a] * v[b]
+    block = iso.from_ring(ghat)
+    g = la.identity(M.field, M.dim)
+    for a in range(len(block)):
+        for b in range(len(block)):
+            g[start + a][start + b] = block[a][b]
+    return g
+
+
+def boxed_random_element(M, seed, rad):
+    """`random_element` on field elements, over the radical basis rad."""
+    rng = random.Random(seed)
+    field = M.field
+    S = la.zeros(field, M.dim, M.dim)
+    for B in rad:
+        c = field.random(rng, 3)
+        if c:
+            S = la.mat_add(S, la.scal_mul(c, B))
+    r = boxed_exp(field, S)
+    if r is None:
+        r = cayley(field, S)
+    h = la.identity(field, M.dim)
+    for i, m in enumerate(_levels(M.partition)[1]):
+        for _ in range(3):
+            v = [field.random(rng, 2) for _ in range(2 * m)]
+            if not any(bool(c) for c in v):
+                v[rng.randrange(2 * m)] = field.one
+            lam = field.random_nonzero(rng, 2)
+            h = la.mat_mul(h, boxed_levi_transvection(M, i, v, lam))
+    return la.mat_mul(r, h)
+
+
+@pytest.mark.parametrize("field,ks", [
+    (QQ, (2, 1)), (QQ, (3, 2, 1)), (QQ, (4, 2)),
+    (GF(5), (2, 2, 1)), (GF(5), (3, 1)), (GF(5), (4, 2, 1)),
+    (GF(7), (4, 1)),
+    (F3, (3, 2, 1)),        # ν reaches 5 > 3: the Cayley fallback
+])
+def test_random_element_matches_boxed_reference(field, ks):
+    M = standard_module(field, ks)
+    rad = boxed_radical_lie_basis(M)
+    for seed in range(12):
+        assert _typed(random_element(M, seed)) == \
+            _typed(boxed_random_element(M, seed, rad))
+
+
+def test_levi_transvection_matches_ring_model():
+    rng = random.Random(6)
+    for field, ks in [(QQ, (2, 2, 1)), (GF(5), (3, 1, 1)), (F3, (2, 1))]:
+        M = standard_module(field, ks)
+        for i, m in enumerate(_levels(ks)[1]):
+            v = [field.random(rng, 2) for _ in range(2 * m)]
+            lam = field.random_nonzero(rng, 2)
+            assert _typed(levi_transvection(M, i, v, lam)) == \
+                _typed(boxed_levi_transvection(M, i, v, lam))
 
 
 # --------------------------------------------------------------------------
