@@ -170,8 +170,10 @@ def cmd_census(args, report):
         if args.k != max(ks):
             raise ValueError("k must equal the largest part of the type of M")
         sp = TensorSpace(field, ks, V)
-    inv_classes = invariant_partition(sp)
+    # the brute-force side first: its guard counts products as they accrue,
+    # so an oversized census stops before any invariant is computed
     bf = brute_force_orbits(sp)
+    inv_classes = invariant_partition(sp)
     table = []
     for inv, members in sorted(inv_classes.items(),
                                key=lambda kv: (-len(kv[1]), kv[0].partition)):

@@ -7,8 +7,9 @@ test ``is_unit``.
 `mat_mul`, `vec_mat` and `rref` (and so `bilinear`, `inverse`, `solve`,
 `rank`, `right_kernel` and `rref_span`) look at every entry first and run
 on ints for these kinds of input:
-- all `Fraction`s: integer rows over common denominators, with
-  fraction-free elimination;
+- all `Fraction`s: integer rows over one common denominator per matrix,
+  from `_to_ints` (the one way Q rows are scaled), with fraction-free
+  elimination;
 - all `FpElement`s of one prime p: int residues mod p;
 - all `TruncPoly`s of one precision K whose coefficients are all
   `FpElement`s of one p, i.e. F_p[t]/(t^K): products only, by Kronecker
@@ -167,17 +168,6 @@ def _poly_kind(x):
     return p, len(cs)
 
 
-def _scaled_rows(rows):
-    """Integer rows with their lcm denominators d: row = int_row / d."""
-    out, dens = [], []
-    for row in rows:
-        ds = [x.denominator for x in row]
-        d = lcm(*ds)
-        out.append([x.numerator * (d // e) for x, e in zip(row, ds)])
-        dens.append(d)
-    return out, dens
-
-
 def _to_ints(kind, A):
     """A matrix as (int rows, d) with A = rows / d: for kind 0 (Fractions,
     or ints) d is the lcm of every denominator, for kind p (FpElements) the
@@ -214,10 +204,8 @@ def _int_mat_mul(kind, A, B):
         Bt = [[x.v for x in col] for col in zip(*B)]
         return [[FpElement(kind, sum(map(mul, r, c))) for c in Bt]
                 for r in ([x.v for x in row] for row in A)]
-    Ai, da = _scaled_rows(A)
-    Bt, eb = _scaled_rows(zip(*B))
-    return [[Fraction(sum(map(mul, r, c)), d * e) for c, e in zip(Bt, eb)]
-            for r, d in zip(Ai, da)]
+    (Ai, d), (Bi, e) = _to_ints(0, A), _to_ints(0, B)
+    return _from_ints(0, _ints_mul(0, Ai, Bi), d * e)
 
 
 def _first_entry(blocks):
@@ -260,7 +248,7 @@ def _int_rref(kind, rows):
     if kind:
         R, pivots = _rref_ints(kind, [[x.v for x in row] for row in rows])
         return [[FpElement(kind, x) for x in row] for row in R], pivots
-    R, pivots = _rref_ints(0, [_primitive(row) for row in _scaled_rows(rows)[0]])
+    R, pivots = _rref_ints(0, [_primitive(row) for row in _to_ints(0, rows)[0]])
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(R, pivots)]
     return out + [[Fraction(0)] * len(R[0]) for _ in R[len(pivots):]], pivots
 

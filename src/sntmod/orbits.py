@@ -815,20 +815,22 @@ def _level0_group(field, Q, limit):
     the candidates of each row come in `itertools.product` order.  The work
     is done on int residues, with v·Q computed once per vector.  The guard
     counts the partial solutions times q^d, summed over the rows, and is
-    checked before each row is searched.
+    checked before each row is searched; row 0's q^d candidates are counted
+    before they are built.
     """
     q, d = field.p, len(Q)
     Qv = [[x.v for x in row] for row in Q]
-    vecs = list(itertools.product(range(q), repeat=d))
-    vQ = [[sum(v[l] * Qv[l][c] for l in range(d)) % q for c in range(d)]
-          for v in vecs]
-    norms = [sum(a * b for a, b in zip(w, v)) % q for v, w in zip(vecs, vQ)]
     partial, visited = [()], 0
     for i in range(d):
-        visited += len(partial) * len(vecs)
+        visited += len(partial) * q ** d
         if visited > limit:
             raise EnumerationGuardError(
                 "level-0 search of %d candidate rows exceeds guard %d" % (visited, limit))
+        if i == 0:
+            vecs = list(itertools.product(range(q), repeat=d))
+            vQ = [[sum(v[l] * Qv[l][c] for l in range(d)) % q for c in range(d)]
+                  for v in vecs]
+            norms = [sum(a * b for a, b in zip(w, v)) % q for v, w in zip(vecs, vQ)]
         same_norm = [n for n, c in enumerate(norms) if c == Qv[i][i]]
         nxt = []
         for rows in partial:
@@ -853,8 +855,8 @@ def brute_force_orbits(space):
     products, |group| per orbit, as they accrue.
     """
     sp = space
+    residues = sp._residues()       # the element guard, before the group
     group = orthogonal_group_ring(sp.V, sp.K)
-    residues = sp._residues()
     p, n, limit = sp.field.p, sp.V.dim, enum_guard_limit()
     chain_pos = [s for k in sp.ks for s in range(k)]
     acts = []

@@ -10,7 +10,11 @@ row vectors from the right, so the defining matrix identities are
 The standard plane H_k is F[t]/(t^k) ⊕ F[t]/(t^k) with both summands
 isotropic and <t^i e1, t^j e2> = 1 exactly when i + j = k - 1; every
 snt-module splits (uniquely up to order) as a direct sum of such planes,
-and `decompose` computes that splitting constructively.
+and `decompose` computes that splitting constructively.  One function,
+`plane_rows`, lays out the basis of such a sum: per plane the chain t^s·e1,
+then the chain t^s·e2.  The standard module, its standard flag and
+t-Lagrangians, the flag read off `decompose` and the levels of Sp(M,t) in
+`spgroup` all read their rows from it.
 """
 from __future__ import annotations
 
@@ -123,21 +127,42 @@ class SntModule:
 # standard planes and sums
 # --------------------------------------------------------------------------
 
+def plane_rows(ks):
+    """The layout of H_{k_1} ⊕ ... ⊕ H_{k_n}: per summand H_k, the rows of
+    its e1 chain and of its e2 chain, as ranges (t^s·e1 at e1[s], t^s·e2 at
+    e2[s]); the summands follow one another."""
+    out, off = [], 0
+    for k in ks:
+        out.append((range(off, off + k), range(off + k, off + 2 * k)))
+        off += 2 * k
+    return out
+
+
+def standard_module(field, ks):
+    """H_{k_1} ⊕ ... ⊕ H_{k_n} with k_1 >= ... >= k_n on the rows of
+    `plane_rows`: t shifts each chain, and <e1[i], e2[k-1-i]> = 1."""
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("empty partition")
+    if list(ks) != sorted(ks, reverse=True):
+        raise ValueError("partition must be nonincreasing")
+    if ks[-1] <= 0:
+        raise ValueError("k must be positive")
+    n, one = 2 * sum(ks), field.one
+    T, G = la.zeros(field, n, n), la.zeros(field, n, n)
+    for e1, e2 in plane_rows(ks):
+        for chain in (e1, e2):
+            for a, b in zip(chain, chain[1:]):
+                T[a][b] = one
+        for a, b in zip(e1, reversed(e2)):
+            G[a][b] = one
+            G[b][a] = -one
+    return SntModule(field, T, G, partition=ks)
+
+
 def make_H(field, k):
     """The standard plane H_k on basis e1, te1, ..., t^{k-1}e1, e2, ..., t^{k-1}e2."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    n = 2 * k
-    T = la.zeros(field, n, n)
-    for s in range(k - 1):
-        T[s][s + 1] = field.one
-        T[k + s][k + s + 1] = field.one
-    G = la.zeros(field, n, n)
-    for i in range(k):
-        j = k - 1 - i
-        G[i][k + j] = field.one
-        G[k + j][i] = -field.one
-    return SntModule(field, T, G, partition=(k,))
+    return standard_module(field, (k,))
 
 
 def direct_sum(M1, M2):
@@ -150,28 +175,6 @@ def direct_sum(M1, M2):
     if M1.partition is not None and M2.partition is not None:
         part = M1.partition + M2.partition
     return SntModule(M1.field, T, G, partition=part)
-
-
-def standard_module(field, ks):
-    """direct sum of H_{k_1} ⊕ ... ⊕ H_{k_n} with k_1 >= ... >= k_n."""
-    ks = tuple(ks)
-    if not ks:
-        raise ValueError("empty partition")
-    if list(ks) != sorted(ks, reverse=True):
-        raise ValueError("partition must be nonincreasing")
-    M = make_H(field, ks[0])
-    for k in ks[1:]:
-        M = direct_sum(M, make_H(field, k))
-    return M
-
-
-def summand_offsets(ks):
-    """Row offset of each H_{k_i} block inside the standard module."""
-    out, off = [], 0
-    for k in ks:
-        out.append(off)
-        off += 2 * k
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -212,10 +215,7 @@ def decompose(M, seed=0):
         parts.append((N, chain1, chain2))
     parts.sort(key=lambda p: -p[0])
     ks = tuple(p[0] for p in parts)
-    B = []
-    for _, c1, c2 in parts:
-        B.extend(c1)
-        B.extend(c2)
+    B = [row for _, c1, c2 in parts for row in c1 + c2]     # as `plane_rows`
     std = standard_module(M.field, ks)
     if not la.mat_eq(la.mat_mul(B, M.t), la.mat_mul(std.t, B)):
         raise RuntimeError("decompose failed to intertwine t")
@@ -406,18 +406,11 @@ def standard_t_lagrangian(M, indices):
         raise ValueError("standard_t_lagrangian needs a standard module")
     if len(indices) != len(ks):
         raise ValueError("need one index per summand")
-    rows = []
-    for off, k, i in zip(summand_offsets(ks), ks, indices):
+    I, rows = M.basis(), []
+    for (e1, e2), k, i in zip(plane_rows(ks), ks, indices):
         if not 0 <= i <= k - 1:
             raise ValueError("index %d out of range for H_%d" % (i, k))
-        for s in range(i, k):
-            e = [M.field.zero] * M.dim
-            e[off + s] = M.field.one
-            rows.append(e)
-        for s in range(k - i, k):
-            e = [M.field.zero] * M.dim
-            e[off + k + s] = M.field.one
-            rows.append(e)
+        rows += [I[r] for r in e1[i:]] + [I[r] for r in e2[k - i:]]
     return rows
 
 
@@ -533,29 +526,13 @@ class LagrangianFlag:
         ks = M.partition
         if ks is None:
             raise ValueError("standard flag needs a standard module")
-        minus, plus = [], []
-        for off, k in zip(summand_offsets(ks), ks):
-            for s in range(k):
-                e = [M.field.zero] * M.dim
-                e[off + s] = M.field.one
-                minus.append(e)
-            for s in range(k):
-                e = [M.field.zero] * M.dim
-                e[off + k + s] = M.field.one
-                plus.append(e)
-        return cls(M, minus, plus)
+        return cls(M, *_chain_rows(ks, M.basis()))
 
     @classmethod
     def from_decomposition(cls, M):
         """The flag read off `decompose(M)`: M_- is spanned by the e1 chains
         of the standard basis it finds, M_+ by the e2 chains."""
-        ks, B = decompose(M)
-        minus, plus, off = [], [], 0
-        for k in ks:
-            minus += B[off:off + k]
-            plus += B[off + k:off + 2 * k]
-            off += 2 * k
-        return cls(M, minus, plus)
+        return cls(M, *_chain_rows(*decompose(M)))
 
     def split_coords(self, v):
         """(a, b) with v = a·minus + b·plus."""
@@ -577,6 +554,14 @@ class LagrangianFlag:
     def pairing_minus_plus(self):
         """d x d matrix <minus_i, plus_j> (invertible by nondegeneracy)."""
         return self._pairing
+
+
+def _chain_rows(ks, B):
+    """(e1 chain rows, e2 chain rows) of a matrix B laid out by
+    `plane_rows(ks)`."""
+    planes = plane_rows(ks)
+    return ([B[r] for e1, _ in planes for r in e1],
+            [B[r] for _, e2 in planes for r in e2])
 
 
 def rho_of(flag, U_rows):

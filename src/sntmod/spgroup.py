@@ -13,11 +13,12 @@ and Cayley transforms otherwise; both land in the group exactly.
 from __future__ import annotations
 
 import random
+from itertools import groupby
 from math import factorial, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg as la
-from .sntmodule import EnumerationGuardError, summand_offsets
+from .sntmodule import EnumerationGuardError, plane_rows
 from .tpoly import TruncPoly, TruncRing
 
 
@@ -71,13 +72,10 @@ class HomogeneousRingIso:
         self.n = len(ks)
         self.field = M.field
         self.R = TruncRing(M.field, self.k)
-        offs = summand_offsets(ks)
-        # F-basis row index of t^s * eps_a
-        self._row = {}
-        for j in range(self.n):
-            for s in range(self.k):
-                self._row[(2 * j, s)] = offs[j] + s
-                self._row[(2 * j + 1, s)] = offs[j] + self.k + s
+        # F-basis row index of t^s * eps_a: eps_2j and eps_2j+1 are the e1
+        # and e2 of plane j, so t^s * eps_a is row s of the a-th chain
+        chains = [c for plane in plane_rows(ks) for c in plane]
+        self._row = {(a, s): r for a, c in enumerate(chains) for s, r in enumerate(c)}
 
     def ring_gram(self):
         """The R_k-valued symplectic gram on R_k^{2n} (pairs (2j-1, 2j))."""
@@ -161,29 +159,26 @@ class BlockProfile:
 
 
 def _levels(ks):
-    levels, mults = [], []
-    for k in ks:
-        if levels and levels[-1] == k:
-            mults[-1] += 1
-        else:
-            levels.append(k)
-            mults.append(1)
-    return levels, mults
+    """(levels, multiplicities): the distinct parts of ks and their counts."""
+    groups = [(k, len(list(g))) for k, g in groupby(ks)]
+    return [k for k, _ in groups], [m for _, m in groups]
+
+
+def _level_chains(ks):
+    """The chains of each homogeneous level of the standard module of type
+    ks: the planes of `plane_rows` grouped by k, each plane giving its e1
+    chain and then its e2 chain."""
+    return [[c for _, plane in planes for c in plane]
+            for _, planes in groupby(zip(ks, plane_rows(ks)), key=itemgetter(0))]
 
 
 def _level_layout(ks):
     """(k, multiplicity, first row, generator rows) per homogeneous level of
-    the standard module of type ks.  A level owns the 2·k·multiplicity rows
-    from its first row on; its generator rows are the e1 and e2 rows of
-    each of its planes."""
-    levels, mults = _levels(ks)
-    offs = summand_offsets(ks)
-    out, pos = [], 0
-    for lv, m in zip(levels, mults):
-        gens = [r for off in offs[pos:pos + m] for r in (off, off + lv)]
-        out.append((lv, m, offs[pos], gens))
-        pos += m
-    return out
+    the standard module of type ks, read off the `plane_rows` chains that
+    `_level_chains` groups: its generator rows are the chain heads, the e1
+    and e2 rows of each of its planes."""
+    return [(len(cs[0]), len(cs) // 2, cs[0][0], [c[0] for c in cs])
+            for cs in _level_chains(ks)]
 
 
 def block_profile(M, g):
@@ -306,18 +301,18 @@ def _lift_levels(kind, n, blocks):
     """The n x n block-diagonal matrix, as (int rows, d), that acts on each
     listed level by a constant ring matrix and as the identity elsewhere.
 
-    blocks holds (lv, first row, (ring rows, d)) per level; ring basis
-    vector a of the level sits at row first + a·lv, and its t-layers s < lv
-    at the rows below, so entry (a, b) repeats at (first + a·lv + s,
-    first + b·lv + s) for every s."""
-    d = lcm(*(e for _, _, (_, e) in blocks))
+    blocks holds (chains, (ring rows, d)) per level, its chains as
+    `_level_chains` gives them: ring basis vector a of the level is the
+    head of chain a, and its t-layers run down that chain of `plane_rows`,
+    so entry (a, b) repeats at (chains[a][s], chains[b][s]) for every s."""
+    d = lcm(*(e for _, (_, e) in blocks))
     out = [[d * (i == j) for j in range(n)] for i in range(n)]
-    for lv, first, (ring, e) in blocks:
+    for chains, (ring, e) in blocks:
         c = d // e
-        for a, row in enumerate(ring):
-            for b, x in enumerate(row):
-                for s in range(lv):
-                    out[first + a * lv + s][first + b * lv + s] = c * x
+        for ca, row in zip(chains, ring):
+            for cb, x in zip(chains, row):
+                for r, s in zip(ca, cb):
+                    out[r][s] = c * x
     return out, d
 
 
@@ -330,9 +325,11 @@ def levi_transvection(M, level_index, v_coeffs, lam):
     """
     field = M.field
     kind = field.char
-    lv, _, first, _ = _level_layout(M.partition)[level_index]
+    chains = _level_chains(M.partition)[level_index]
+    if len(v_coeffs) != len(chains):
+        raise ValueError("level %d needs %d coordinates" % (level_index, len(chains)))
     tau = _transvection_ints(kind, [field(c) for c in v_coeffs], field(lam))
-    return la._from_ints(kind, *_lift_levels(kind, M.dim, [(lv, first, tau)]))
+    return la._from_ints(kind, *_lift_levels(kind, M.dim, [(chains, tau)]))
 
 
 def random_element(M, seed):
@@ -366,7 +363,8 @@ def random_element(M, seed):
         r = la._to_ints(kind, cayley(field, la._from_ints(kind, S, d * e)))
     r, dr = r
     blocks = []
-    for lv, m, first, _ in _level_layout(ks):
+    for chains in _level_chains(ks):
+        m = len(chains) // 2
         ghat, dg = [[int(a == b) for b in range(2 * m)] for a in range(2 * m)], 1
         for _ in range(3):
             v = [field.random(rng, 2) for _ in range(2 * m)]
@@ -375,7 +373,7 @@ def random_element(M, seed):
             lam = field.random_nonzero(rng, 2)
             tau, dt = _transvection_ints(kind, v, lam)
             ghat, dg = la._ints_mul(kind, ghat, tau), dg * dt
-        blocks.append((lv, first, (ghat, dg)))
+        blocks.append((chains, (ghat, dg)))
     h, dh = _lift_levels(kind, n, blocks)
     g = la._from_ints(kind, la._ints_mul(kind, r, h), dr * dh)
     if not is_member(M, g):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sntmod
+from sntmod import cli
 from sntmod.analytic import sigma_power
 from sntmod.cli import main, verify_sw_main
 from sntmod.sntmodule import SntModule
@@ -262,6 +263,19 @@ def test_census_guard_counts_brute_force_products(capsys, monkeypatch):
     assert "1056" in data["checks"][-1]["details"]["message"]
     monkeypatch.setenv("SNT_MAX_ENUM", "1056")
     assert _run_json(argv, capsys)[0] == 0
+
+
+def test_census_guard_stops_before_the_invariants(capsys, monkeypatch):
+    # the brute-force side runs first, so the census above stops at its
+    # 1056th product without computing a single invariant
+    calls = []
+    monkeypatch.setattr(cli, "invariant_partition", calls.append)
+    monkeypatch.setenv("SNT_MAX_ENUM", "1055")
+    code, data = _run_json(["census", "--q", "3", "--M", "2,1", "--V", "diag:1,2",
+                            "--k", "2"], capsys)
+    assert code == 3
+    assert [c["name"] for c in data["checks"]] == ["guard"]
+    assert calls == []
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])
@@ -645,3 +659,50 @@ def test_fuzzed_arguments_keep_the_contract(fuzz_paths, tmp_path_factory, data):
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
     json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# Breaking one argument at a time: each valid argv below with one of its
+# arguments (an option name or a value) replaced by each hostile value, or
+# by each path of `fuzz_paths` that is not a valid input.
+_HOSTILE = ["", "-1", "0", "1e400", "inf", "nan", "18446744073709551617", "9" * 400,
+            "abc", "diag:", "diag:1,,1", "[[1]]", "1e-400i"]
+_HOSTILE_PATHS = ["garbage.json", "nan.json", "list.json", "inf_gram.json",
+                  "inf_module.json", "dir", "missing"]
+_VALID = {
+    "decompose": ["decompose", "h2h1_module.json", "--seed", "0"],
+    "orbit": ["orbit", "orbit_x.json", "orbit_xg.json"],
+    "census": ["census", "--q", "3", "--M", "2,1", "--V", "diag:1,2", "--k", "2"],
+    "verify-sw": ["verify-sw", "--lattice", "e8", "--aut", "696729600",
+                  "--tau11", "2i", "--tau12", "0.3", "--tau22", "2i",
+                  "--N", "8", "--tol", "1e-8"],
+    "verify-sw-gram-file": ["verify-sw", "--gram-file", "e8.json",
+                            "--aut", "696729600"],
+    "gen-fixtures": ["gen-fixtures", "--out", "out", "--seed", "0"],
+}
+
+
+def _contract_run(argv):
+    """Exit code of `main` on argv; asserts the contract: exit 0-4, one
+    strict-JSON report on stdout, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    assert code in range(5), argv
+    assert "Traceback" not in err.getvalue(), argv
+    json.loads(out.getvalue(), parse_constant=_reject_constant)
+    return code
+
+
+@pytest.mark.parametrize("name", sorted(_VALID))
+def test_breaking_one_argument_keeps_the_contract(name, fuzz_paths, tmp_path,
+                                                  monkeypatch):
+    """The guard of 5000 lets each valid run finish (the census takes 1056
+    products, the identity at tau22 = 2i a level of 2550 lattice
+    candidates) and keeps every broken one short."""
+    monkeypatch.setenv("SNT_MAX_ENUM", "5000")
+    monkeypatch.chdir(tmp_path)         # the relative --out paths land here
+    argv = [fuzz_paths.get(a, a) for a in _VALID[name]]
+    assert _contract_run(argv) == 0
+    for i in range(1, len(argv)):
+        for value in _HOSTILE + [fuzz_paths[p] for p in _HOSTILE_PATHS]:
+            _contract_run(argv[:i] + [value] + argv[i + 1:])

@@ -3,6 +3,7 @@ brute-force cross-checks over small finite fields."""
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -600,6 +601,21 @@ def test_level0_guard_counts_visited_rows(monkeypatch):
     monkeypatch.setenv("SNT_MAX_ENUM", "1295")
     with pytest.raises(EnumerationGuardError):
         orthogonal_group_ring(V, 2)
+
+
+def test_level0_guard_before_the_candidates(monkeypatch):
+    # diag(1, 1) over F_503: row 0 alone has 503^2 = 253 009 candidates,
+    # over the guard of 100, so none of them is built
+    V = diagonal_space(GF(503), [1, 1])
+    monkeypatch.setenv("SNT_MAX_ENUM", "100")
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationGuardError, match="253009"):
+            orthogonal_group_ring(V, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_element_guard_follows_the_limit(monkeypatch):

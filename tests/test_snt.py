@@ -88,6 +88,26 @@ def test_direct_sum_field_mismatch():
         direct_sum(make_H(QQ, 1), make_H(F3, 1))
 
 
+@pytest.mark.parametrize("ks", [(1, 1, 1), (2, 1), (3, 2, 2, 1)])
+def test_standard_module_is_the_sum_of_its_planes(ks):
+    # built on the plane rows directly, it is the block sum of its planes
+    M = make_H(F3, ks[0])
+    for k in ks[1:]:
+        M = direct_sum(M, make_H(F3, k))
+    S = standard_module(F3, ks)
+    assert (S.t, S.gram, S.partition) == (M.t, M.gram, M.partition)
+
+
+@pytest.mark.parametrize("ks,message", [
+    ((), "empty partition"), ((1, 2), "partition must be nonincreasing"),
+    ((0,), "k must be positive"), ((2, 0), "k must be positive"),
+    ((-1,), "k must be positive"),
+])
+def test_standard_module_rejects_bad_partitions(ks, message):
+    with pytest.raises(ValueError, match=message):
+        standard_module(QQ, ks)
+
+
 def _one_block_transposed(H):
     """H_2 with the t-action transposed on the e1 chain only."""
     T = [row[:] for row in H.t]

@@ -177,6 +177,14 @@ def test_levi_element_fails_radical_test():
     assert not unipotent_radical_test(M, g)
 
 
+def test_levi_transvection_needs_the_level_rank():
+    # level 0 of (2, 1) has one plane, so two coordinates
+    M = standard_module(QQ, (2, 1))
+    for v in ([1], [1, 2, 3], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="needs 2 coordinates"):
+            levi_transvection(M, 0, [QQ(c) for c in v], QQ(1))
+
+
 def test_radical_closure_under_products():
     M = standard_module(QQ, (2, 1))
     rng = random.Random(7)
