@@ -131,7 +131,7 @@ def cmd_orbit(args, report):
     with _input_stage("parse"):
         x = ser.tensor_element_from_json(_load_json(args.x_file))
         y = ser.tensor_element_from_json(_load_json(args.y_file)) \
-            if args.y_file else None
+            if args.y_file is not None else None
     inv = orbit_invariant(x)
     report.add("invariant", "ok",
                W_type=list(inv.partition),
@@ -192,7 +192,7 @@ def cmd_verify_sw(args, report):
     with _input_stage("setup"):
         if args.aut is not None and args.aut <= 0:
             raise ValueError("--aut must be a positive integer, got %d" % args.aut)
-        if args.gram_file:
+        if args.gram_file is not None:
             lat = IntegralLattice(_load_json(args.gram_file), name=args.gram_file)
             if not (lat.is_even() and lat.is_unimodular()):
                 raise ValueError("the lattice must be even unimodular")
@@ -208,9 +208,11 @@ def cmd_verify_sw(args, report):
                              % (lat.rank, args.N))
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise ValueError("--tol must be positive and finite, got %r" % args.tol)
-        pt = SiegelPoint(_parse_complex(args.tau11),
-                         _parse_complex(args.tau12),
-                         _parse_complex(args.tau22))
+        tau = [_parse_complex(getattr(args, name))
+               for name in ("tau11", "tau12", "tau22")]
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in tau):
+            raise ValueError("tau entries must be finite, got %r" % tau)
+        pt = SiegelPoint(*tau)
     rep = verify_identity([lat], [aut], pt, args.N, tol=args.tol)
     detail = rep.to_dict()
     if pt.is_diagonal:

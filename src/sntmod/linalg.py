@@ -24,16 +24,22 @@ paths return the same values and element types, since `Fraction`,
 over a field is canonical.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
-Powers of a nilpotent t come from two primitives: `nilpotent_powers` for
-the whole matrix powers I, A, A², … and `t_chain` for the chain v, vA,
-vA², … of one vector.
+Powers of a nilpotent t come from one helper, `_power_rows`: rows·A^j
+for j = 0, 1, … until the product vanishes, with ValueError when
+rows·A^n != 0.  `nilpotent_powers` reads it with rows = I (the matrix
+powers I, A, A², …) and `t_chain` with rows = [v] (the chain v, vA, vA², …,
+v itself first, [] for v = 0).  Over Q and F_p it converts rows and A once,
+multiplies on ints in `_int_powers` and boxes each power once; any other
+kind multiplies by `mat_mul`.
 Code that keeps a Q or F_p matrix on ints between steps uses the int-row
 helpers beside the kernels: `_to_ints` (a matrix as int rows over one
 common denominator d, or residues with d = 1), `_from_ints` (the way back,
-boxing each entry once), `_ints_mul` (a product of int rows) and
-`_int_kernel` (a kernel read off `_rref_ints`).  `isometry_lie_basis`
-builds its commutation and form equations on them, as int rows over the
-scaled T and G.
+boxing each entry once), `_ints_mul` (a product of int rows),
+`_int_powers` (the powers above), `_int_echelon` (`_rref_ints` on a copy)
+and `_int_kernel` (a kernel read off it).  `isometry_lie_basis` builds its
+commutation and form equations on them, as int rows over the scaled T and
+G.  `sntmodule.decompose`, `SntModule.validate`, `spgroup.is_member` and
+`spgroup.block_profile` convert their matrices once and run on them.
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.
@@ -326,13 +332,7 @@ def nilpotent_powers(field, A):
 
     Stops at the first zero power; raises ValueError when A^n != 0.
     """
-    out, P = [], identity(field, len(A))
-    while not is_zero_mat(P):
-        if len(out) == len(A):
-            raise ValueError("matrix is not nilpotent")
-        out.append(P)
-        P = mat_mul(P, A)
-    return out
+    return _power_rows(identity(field, len(A)), A)
 
 
 def t_chain(A, v):
@@ -340,12 +340,50 @@ def t_chain(A, v):
 
     Raises ValueError when vA^n != 0 for n = len(A) (A is not nilpotent).
     """
-    out, v = [], list(v)
-    while any(v):
+    v = list(v)
+    if not any(v):
+        return []
+    return [P[0] for P in _power_rows([v], A)]
+
+
+def _power_rows(rows, A):
+    """[rows, rows·A, rows·A², ...] up to the last nonzero product, rows
+    itself first; ValueError when rows·A^n != 0 for n = len(A).
+
+    For Q and F_p (the kinds `_rref_ints` takes) rows and A are converted
+    once and each power is boxed once, from `_int_powers`; any other kind
+    multiplies by `mat_mul`."""
+    kind = _int_kind((rows, A))
+    if kind is None or type(kind) is tuple:
+        out, P = [], rows
+        while not is_zero_mat(P):
+            if len(out) == len(A):
+                raise ValueError("matrix is not nilpotent")
+            out.append(P)
+            P = mat_mul(P, A)
+        return out
+    (R, d), (Ai, e) = _to_ints(kind, rows), _to_ints(kind, A)
+    powers = _int_powers(kind, R, Ai)
+    if not powers:
+        return []
+    return [rows] + [_from_ints(kind, P, d * e ** j)
+                     for j, P in enumerate(powers[1:], 1)]
+
+
+def _int_powers(kind, R, A):
+    """[R, R·A, R·A², ...] for int rows R and an int matrix A (residues for
+    kind p), up to the last nonzero product; over Q, power j is over
+    d·e^j when R is over d and A over e.  Raises ValueError when
+    R·A^n != 0 for n = len(A)."""
+    At, out = list(zip(*A)), []
+    while any(map(any, R)):
         if len(out) == len(A):
             raise ValueError("matrix is not nilpotent")
-        out.append(v)
-        v = vec_mat(v, A)
+        out.append(R)
+        if kind:
+            R = [[sum(map(mul, r, c)) % kind for c in At] for r in R]
+        else:
+            R = [[sum(map(mul, r, c)) for c in At] for r in R]
     return out
 
 
@@ -477,9 +515,17 @@ def _lie_kernel(kind, G, T=None):
 
     G and T are scaled to int matrices by their common denominators (taken
     as residues for kind p), which multiplies each equation by a nonzero
-    constant and leaves the kernel as it is."""
+    constant and leaves the kernel as it is.
+
+    When Gᵀ = εG with ε = ±1 (the alternating and symmetric Grams of the
+    callers), only the form equations with i ≤ j are built: the transpose
+    of S·G + G·Sᵀ is S·Gᵀ + Gᵀ·Sᵀ = ε(S·G + G·Sᵀ), so equation (j, i) is ε
+    times equation (i, j).  Dropping them leaves the row space of the
+    equations as it is, hence its reduced echelon form, which is canonical,
+    and the kernel read off it.  Any other G keeps all n² equations."""
     n = len(G)
     Gi = _to_ints(kind, G)[0]
+    half = _has_symmetry(kind, Gi, 1) or _has_symmetry(kind, Gi, -1)
     eqs = []
     if T is not None:
         Ti = _to_ints(kind, T)[0]
@@ -493,13 +539,33 @@ def _lie_kernel(kind, G, T=None):
                 eqs.append(row)
     # infinitesimal form preservation: (S G + G Sᵀ)[i][j] = 0
     for i in range(n):
-        for j in range(n):
+        for j in range(i if half else 0, n):
             row = [0] * (n * n)
             for l in range(n):
                 row[i * n + l] += Gi[l][j]
                 row[j * n + l] += Gi[i][l]
             eqs.append(row)
     return _int_kernel(kind, eqs)
+
+
+def _int_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _int_echelon(kind, A):
+    """`_rref_ints` on a copy of the int matrix A, its rows reduced mod p
+    for kind p or made primitive for kind 0; (A, []) when A has no rows."""
+    if not A:
+        return A, []
+    if kind:
+        return _rref_ints(kind, [[x % kind for x in row] for row in A])
+    return _rref_ints(0, [_primitive(row) for row in A])
+
+
+def _has_symmetry(kind, A, sign):
+    """Whether Aᵀ = sign·A for an int matrix A (residues for kind p)."""
+    return not any((b - sign * a) % kind if kind else b - sign * a
+                   for row, col in zip(A, zip(*A)) for a, b in zip(row, col))
 
 
 def _int_kernel(kind, A):
@@ -512,11 +578,10 @@ def _int_kernel(kind, A):
     if not A:
         return [], 1
     nc = len(A[0])
+    R, pivots = _int_echelon(kind, A)
     if kind:
-        R, pivots = _rref_ints(kind, [[x % kind for x in row] for row in A])
         scale, d = [1] * len(pivots), 1
     else:
-        R, pivots = _rref_ints(0, [_primitive(row) for row in A])
         d = lcm(*(R[r][c] for r, c in enumerate(pivots)))
         scale = [d // R[r][c] for r, c in enumerate(pivots)]
     ker = []

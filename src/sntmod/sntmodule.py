@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from math import lcm
 
 from . import linalg as la
 from .fields import PrimeField
@@ -63,8 +64,8 @@ class SntModule:
     instances may be shared freely across threads.  Two derived values are
     cached on first use: the nilpotency degree `K` and, in
     `_radical_cache`, the radical Lie basis that `spgroup.random_element`
-    samples from, as `linalg._to_ints` rows (each basis matrix flattened)
-    with their common denominator.
+    samples from, as `spgroup._radical_ints` gives it: int rows (each basis
+    matrix flattened) with their common denominator.
     """
 
     def __init__(self, field, t_action, gram, partition=None):
@@ -97,20 +98,24 @@ class SntModule:
         return self._K
 
     def validate(self):
-        """Return the list of violated invariants (empty = valid)."""
+        """Return the list of violated invariants (empty = valid), checked
+        on T and G as `linalg._to_ints` rows."""
         bad = []
-        G, T, n = self.gram, self.t, self.dim
-        if not la.mat_eq(la.transpose(G), la.mat_neg(G)):
+        kind, n = self.field.char, self.dim
+        (T, _), (G, _) = la._to_ints(kind, self.t), la._to_ints(kind, self.gram)
+        if not la._has_symmetry(kind, G, -1):
             bad.append("not alternating")
-        if any(bool(G[i][i]) for i in range(n)):
+        if any(G[i][i] for i in range(n)):
             bad.append("nonzero diagonal in gram")
-        if la.rank(self.field, G) < n:
+        if len(la._int_echelon(kind, G)[1]) < n:
             bad.append("degenerate gram")
         try:
-            la.nilpotent_powers(self.field, T)
+            # T·T^n = 0 exactly when the n x n matrix T is nilpotent
+            la._int_powers(kind, T, T)
         except ValueError:
             bad.append("t_action not nilpotent")
-        if not la.mat_eq(la.mat_mul(T, G), la.mat_mul(G, la.transpose(T))):
+        # both products are over the same denominator
+        if la._ints_mul(kind, T, G) != la._ints_mul(kind, G, la.transpose(T)):
             bad.append("t not self-dual")
         if n % 2 != 0:
             bad.append("odd dimension")
@@ -190,38 +195,60 @@ def decompose(M, seed=0):
         B · M.t = T_std · B      and      B · M.gram · Bᵀ = G_std.
 
     The construction is deterministic; `seed` is accepted for compatibility.
+    It runs on `linalg._to_ints` rows: T over e, G over g, the complement C
+    of the planes found so far over c, and each chain row over its own
+    denominator; B is boxed once, over the lcm L of those.  Both identities
+    are checked on ints, as B·T = e·T_std·B and B·G·Bᵀ = L²·g·G_std.
     """
     bad = M.validate()
     if bad:
         raise InvalidModuleError(bad)
-    field, T, G = M.field, M.t, M.gram
-    C = M.basis()   # basis of the complement of the planes found so far
+    kind = M.field.char
+    (T, e), (G, g) = la._to_ints(kind, M.t), la._to_ints(kind, M.gram)
+    C, c = la._int_identity(M.dim), 1
     parts = []
     while C:
         # C spans a t-stable subspace, so one of its rows attains the
-        # maximal order N there: t^(N-1) restricted to it has a nonzero row
-        chain1 = max((la.t_chain(T, c) for c in C), key=len)
-        N = len(chain1)
-        # eta in span C with <t^{N-1} xi, eta> = 1, <t^j xi, eta> = 0 for j < N-1
-        GCt = la.mat_mul(G, la.transpose(C))
-        target = [field.zero] * N
-        target[N - 1] = field.one
-        sol = la.solve(field, la.mat_mul(chain1, GCt), [target])
-        if sol is None:
+        # maximal order N there; the order of a row of C is the first power
+        # C·T^j (over c·e^j) at which it vanishes
+        powers = la._int_powers(kind, C, T)
+        orders = [sum(1 for P in powers if any(P[i])) for i in range(len(C))]
+        N = max(orders)
+        i = orders.index(N)
+        chain1 = [(P[i], c * e ** j) for j, P in enumerate(powers[:N])]
+        GCt = la._ints_mul(kind, G, la.transpose(C))        # over g·c
+        # eta = x·C with <t^{N-1} xi, eta> = 1, <t^j xi, eta> = 0 for j < N-1;
+        # row j of A is over c·e^j·g·c, so the 1 is scaled alike.  x is the
+        # kernel vector of [A | −target] whose last entry is nonzero: the
+        # solution with the free unknowns 0, as `linalg.solve` returns it
+        A = la._ints_mul(kind, [r for r, _ in chain1], GCt)
+        target = [0] * (N - 1) + [chain1[-1][1] * g * c]
+        ker, dx = la._int_kernel(kind, [row + [-y] for row, y in zip(A, target)])
+        if not ker or not ker[-1][-1]:
             raise ValueError("gram is degenerate on a t-cyclic subspace")
-        chain2 = la.t_chain(T, la.vec_mat(sol[0], C))
+        (v,) = la._ints_mul(kind, [ker[-1][:-1]], C)         # over dx·c
+        chain2 = [(P[0], dx * c * e ** j)
+                  for j, P in enumerate(la._int_powers(kind, [v], T))]
+        plane = chain1 + chain2
         # orthogonal complement of the new plane inside span C
-        C = la.mat_mul(la.right_kernel(field, la.mat_mul(chain1 + chain2, GCt)), C)
-        parts.append((N, chain1, chain2))
+        K, dk = la._int_kernel(kind, la._ints_mul(kind, [r for r, _ in plane], GCt))
+        C, c = la._ints_mul(kind, K, C), dk * c
+        parts.append((N, plane))
     parts.sort(key=lambda p: -p[0])
     ks = tuple(p[0] for p in parts)
-    B = [row for _, c1, c2 in parts for row in c1 + c2]     # as `plane_rows`
+    L = lcm(*(d for _, rows in parts for _, d in rows))
+    # laid out as `plane_rows`, over L
+    B = [[x * (L // d) for x in r] for _, rows in parts for r, d in rows]
+    # the two identities over L·e and L²·g (over F_p, e = g = L = 1)
     std = standard_module(M.field, ks)
-    if not la.mat_eq(la.mat_mul(B, M.t), la.mat_mul(std.t, B)):
+    (Ts, _), (Gs, _) = la._to_ints(kind, std.t), la._to_ints(kind, std.gram)
+    if la._ints_mul(kind, B, T) != \
+            [[e * x for x in row] for row in la._ints_mul(kind, Ts, B)]:
         raise RuntimeError("decompose failed to intertwine t")
-    if not la.mat_eq(la.mat_mul(la.mat_mul(B, M.gram), la.transpose(B)), std.gram):
+    if la._ints_mul(kind, la._ints_mul(kind, B, G), la.transpose(B)) != \
+            [[L * L * g * x for x in row] for row in Gs]:
         raise RuntimeError("decompose failed to transport the gram")
-    return ks, B
+    return ks, la._from_ints(kind, B, L)
 
 
 def jordan_type(field, T):

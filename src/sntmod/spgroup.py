@@ -27,12 +27,19 @@ class NotAMemberError(ValueError):
 
 
 def is_member(M, g):
-    """Exact test: g·T = T·g and g·G·gᵀ = G."""
+    """Exact test: g·T = T·g and g·G·gᵀ = G.
+
+    Checked on `linalg._to_ints` rows, g over d, T over e and G over f:
+    g·T = T·g over d·e on both sides, and g·G·gᵀ = d²·G over d²·f (over
+    F_p every denominator is 1)."""
     if len(g) != M.dim or any(len(r) != M.dim for r in g):
         raise ValueError("size mismatch")
-    if not la.mat_eq(la.mat_mul(g, M.t), la.mat_mul(M.t, g)):
+    kind = M.field.char
+    (gi, d), (T, _), (G, _) = (la._to_ints(kind, A) for A in (g, M.t, M.gram))
+    if la._ints_mul(kind, gi, T) != la._ints_mul(kind, T, gi):
         return False
-    return la.mat_eq(la.mat_mul(la.mat_mul(g, M.gram), la.transpose(g)), M.gram)
+    return la._ints_mul(kind, la._ints_mul(kind, gi, G), la.transpose(gi)) == \
+        [[d * d * x for x in row] for row in G]
 
 
 class SntAutomorphism:
@@ -192,11 +199,15 @@ def block_profile(M, g):
     reduced = [[[[g[r][c] for c in cols] for r in rows] for cols in lvl_gens]
                for rows in lvl_gens]
     # the bar Gram of level lv is <e_a, t^(lv-1) e_b> = (G·(T^(lv-1))ᵀ)[a][b]
-    # at the level's generator rows a, b
-    powers = la.nilpotent_powers(M.field, M.t)
-    bar_grams = [la.mat_mul([M.gram[r] for r in gens],
-                            la.transpose([powers[lv - 1][r] for r in gens]))
-                 for lv, gens in zip(levels, lvl_gens)]
+    # at the level's generator rows a, b, over f·e^(lv-1)
+    kind = M.field.char
+    (T, e), (G, f) = la._to_ints(kind, M.t), la._to_ints(kind, M.gram)
+    powers = la._int_powers(kind, la._int_identity(M.dim), T)
+    bar_grams = []
+    for lv, gens in zip(levels, lvl_gens):
+        bar = la._ints_mul(kind, [G[r] for r in gens],
+                           la.transpose([powers[lv - 1][r] for r in gens]))
+        bar_grams.append(la._from_ints(kind, bar, f * e ** (lv - 1)))
     return BlockProfile(levels, mults, reduced, bar_grams)
 
 
@@ -216,20 +227,26 @@ def lie_algebra_basis(M):
 
 def radical_lie_basis(M):
     """Lie elements whose reduced diagonal blocks vanish (standard M)."""
+    n = M.dim
+    rad = la._from_ints(M.field.char, *_radical_ints(M))
+    return [[row[i * n:(i + 1) * n] for i in range(n)] for row in rad]
+
+
+def _radical_ints(M):
+    """`radical_lie_basis` on ints: its matrices flattened, as (rows, d)."""
     ks = M.partition
     if ks is None:
         raise ValueError("radical_lie_basis needs a standard module")
     kind, n = M.field.char, M.dim
     basis, d = la._lie_kernel(kind, M.gram, M.t)
     if not basis:
-        return []
+        return [], 1
     # the kernel of the reduction map (the generator-to-generator entries
     # within each level), in coordinates of the Lie basis
     idx = [a * n + b for _, _, _, gens in _level_layout(ks)
            for a in gens for b in gens]
     lam, e = la._int_kernel(kind, [[B[i] for B in basis] for i in idx])
-    rad = la._from_ints(kind, la._ints_mul(kind, lam, basis), d * e)
-    return [[row[i * n:(i + 1) * n] for i in range(n)] for row in rad]
+    return la._ints_mul(kind, lam, basis), d * e
 
 
 def exp_nilpotent(field, S):
@@ -249,12 +266,7 @@ def _exp_ints(kind, S, d):
     Σ Sᵐ·((ν−1)!/m!)·d^(ν−1−m) over (ν−1)!·d^(ν−1) on Q, and Σ Sᵐ·(m!)⁻¹
     mod p."""
     n = len(S)
-    powers, P = [], [[int(i == j) for j in range(n)] for i in range(n)]
-    while any(map(any, P)):
-        if len(powers) == n:
-            raise ValueError("matrix is not nilpotent")
-        powers.append(P)
-        P = la._ints_mul(kind, P, S)
+    powers = la._int_powers(kind, la._int_identity(n), S)
     top = len(powers) - 1
     if kind:
         if top >= kind:
@@ -347,8 +359,7 @@ def random_element(M, seed):
     field, n = M.field, M.dim
     kind = field.char
     if M._radical_cache is None:
-        rad = radical_lie_basis(M)
-        M._radical_cache = la._to_ints(kind, [sum(B, []) for B in rad])
+        M._radical_cache = _radical_ints(M)
     basis, d = M._radical_cache
     (cs,), e = la._to_ints(kind, [[field.random(rng, 3) for _ in basis]])
     S = [0] * (n * n)

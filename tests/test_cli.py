@@ -150,6 +150,14 @@ def test_orbit_zero_fixture(fixtures, capsys):
     assert inv["W_type"] == [] and inv["i_coords"] == []
 
 
+def test_orbit_empty_second_path_is_input_error(fixtures, capsys):
+    # an empty path names no file; it is not read as "no y"
+    code, data = _run_json(["orbit", os.path.join(fixtures, "orbit_zero.json"), ""],
+                           capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "parse"
+
+
 def test_orbit_pair_same_orbit_with_transport(fixtures, capsys):
     code, data = _run_json(["orbit",
                             os.path.join(fixtures, "orbit_x.json"),
@@ -434,6 +442,22 @@ def test_verify_sw_gram_file_infinite_entry_is_input_error(tmp_path, capsys):
     path.write_text("[[1e400]]")             # JSON reads 1e400 as inf
     code, data = _run_json(["verify-sw", "--gram-file", str(path), "--N", "1",
                             "--aut", "1"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+
+
+@pytest.mark.parametrize("tau12", ["1e400", "nan"])
+def test_verify_sw_non_finite_tau_is_input_error(tau12, capsys):
+    # 1e400 parses to inf: a setup error, not an infinite q-expansion tail
+    code, data = _run_json(["verify-sw", "--tau12", tau12], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+
+
+def test_verify_sw_empty_gram_file_is_input_error(capsys):
+    # an empty path names no file; it is not read as "no --gram-file"
+    code, data = _run_json(["verify-sw", "--gram-file", "", "--aut", "696729600"],
+                           capsys)
     assert code == 2
     assert data["checks"][0]["name"] == "setup"
 

@@ -6,8 +6,10 @@ Over QQ and GF(p), `mat_mul`, `vec_mat` and `rref` (so also `inverse`,
 `_..._generic` helpers are the reference.  Every comparison checks values
 and element types, entry by entry, down to the coefficients of a TruncPoly.
 A many-right-hand-side `solve` is also checked against single-right-hand-side
-solves.
+solves, and `nilpotent_powers` and `t_chain` against loops of boxed
+`mat_mul` and `vec_mat` products.
 """
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -297,3 +299,74 @@ def test_truncring_matrix_takes_generic_path():
     with _generic_rref():
         assert _typed(inv) == _typed(la.inverse(R, A))
     assert la.mat_eq(la.mat_mul(A, inv), la.identity(R, 2))
+
+
+# --------------------------------------------------------------------------
+# powers of a nilpotent matrix
+# --------------------------------------------------------------------------
+
+def boxed_nilpotent_powers(field, A):
+    out, P = [], la.identity(field, len(A))
+    while not la.is_zero_mat(P):
+        if len(out) == len(A):
+            raise ValueError("matrix is not nilpotent")
+        out.append(P)
+        P = la.mat_mul(P, A)
+    return out
+
+
+def boxed_t_chain(A, v):
+    out, v = [], list(v)
+    while any(v):
+        if len(out) == len(A):
+            raise ValueError("matrix is not nilpotent")
+        out.append(v)
+        v = la.vec_mat(v, A)
+    return out
+
+
+def _nilpotent(field, n, rng):
+    """P·N·P⁻¹ for a random strictly upper triangular N and invertible P."""
+    N = [[field(rng.randint(-2, 2)) if j > i else field.zero for j in range(n)]
+         for i in range(n)]
+    while True:
+        P = [[field(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if la.rank(field, P) == n:
+            return la.mat_mul(la.mat_mul(P, N), la.inverse(field, P))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_powers_match_boxed_loops(field):
+    rng = random.Random(12)
+    for n in (1, 2, 4, 7):
+        A = _nilpotent(field, n, rng)
+        assert _typed(la.nilpotent_powers(field, A)) == \
+            _typed(boxed_nilpotent_powers(field, A))
+        for _ in range(5):
+            v = [field(rng.randint(-2, 2)) for _ in range(n)]
+            chain = la.t_chain(A, v)
+            assert _typed(chain) == _typed(boxed_t_chain(A, v))
+            # the first row is v's own entries, not copies of them
+            assert all(a is b for a, b in zip(chain[0] if chain else [], v))
+        assert la.t_chain(A, [field.zero] * n) == []
+    A = la.identity(field, 3)
+    A[0][1] = field.one
+    for run in (lambda: la.nilpotent_powers(field, A),
+                lambda: la.t_chain(A, [field.zero, field.zero, field.one])):
+        with pytest.raises(ValueError, match="not nilpotent"):
+            run()
+    assert la.nilpotent_powers(field, []) == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_powers_of_ring_matrices_match_boxed_loops(field):
+    # TruncPoly entries (F_p[t]/(t^K) or Q[t]/(t^K)) take the operator path
+    R = TruncRing(field, 2)
+    t = R.one.shift(1)
+    A = [[R.zero, R.one + t, t], [R.zero, R.zero, R(2)], [R.zero, R.zero, R.zero]]
+    assert _typed(la.nilpotent_powers(R, A)) == _typed(boxed_nilpotent_powers(R, A))
+    assert len(la.nilpotent_powers(R, A)) == 3
+    for v in ([R.one, R.zero, t], [R.zero, t, R.one], [R.zero] * 3):
+        assert _typed(la.t_chain(A, v)) == _typed(boxed_t_chain(A, v))
+    with pytest.raises(ValueError, match="not nilpotent"):
+        la.t_chain([[R.one]], [t])

@@ -128,6 +128,54 @@ def test_validate_reports_problems():
         not_nilpotent.K
 
 
+def boxed_validate(M):
+    """`SntModule.validate` by boxed products and entrywise comparisons."""
+    bad = []
+    G, T, n = M.gram, M.t, M.dim
+    if not la.mat_eq(la.transpose(G), la.mat_neg(G)):
+        bad.append("not alternating")
+    if any(bool(G[i][i]) for i in range(n)):
+        bad.append("nonzero diagonal in gram")
+    if la.rank(M.field, G) < n:
+        bad.append("degenerate gram")
+    try:
+        la.nilpotent_powers(M.field, T)
+    except ValueError:
+        bad.append("t_action not nilpotent")
+    if not la.mat_eq(la.mat_mul(T, G), la.mat_mul(G, la.transpose(T))):
+        bad.append("t not self-dual")
+    if n % 2 != 0:
+        bad.append("odd dimension")
+    return bad
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_validate_matches_boxed_reference(field):
+    # every single-entry perturbation of t and of the gram of a scrambled
+    # module (about half of the gram ones mirrored, so that G stays
+    # alternating), and a degenerate, an odd and an empty module: the same
+    # violations in the same order
+    rng = random.Random(5)
+    M = base_change(standard_module(field, (2, 1)), random_invertible(field, 6, rng))
+    z, o = field.zero, field.one
+    modules = [SntModule(field, M.t, la.zeros(field, 6, 6)),    # degenerate
+               SntModule(field, [[z]], [[o]]), SntModule(field, [], [])]
+    for which in range(2):
+        for a in range(6):
+            for b in range(6):
+                T, G = [r[:] for r in M.t], [r[:] for r in M.gram]
+                X = (T, G)[which]
+                X[a][b] = X[a][b] + field.random_nonzero(rng, 2)
+                if which and a != b and rng.random() < 0.5:
+                    G[b][a] = -G[a][b]                  # keep G alternating
+                modules.append(SntModule(field, T, G))
+    seen = set()
+    for N in modules:
+        assert N.validate() == boxed_validate(N)
+        seen.update(N.validate())
+    assert len(seen) == 6
+
+
 def element_order(M, x):
     """Least k with x·t^k = 0; the zero vector has order 0."""
     return len(la.t_chain(M.t, x))
@@ -221,6 +269,67 @@ def test_decompose_base_changed_vs_jordan_oracle(field, seed):
         assert la.mat_eq(la.mat_mul(B, M.t), la.mat_mul(std.t, B))
         assert la.mat_eq(la.mat_mul(la.mat_mul(B, M.gram), la.transpose(B)),
                          std.gram)
+
+
+def _typed(x):
+    """Nested lists with every scalar replaced by (type, value)."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    return (type(x), x)
+
+
+def boxed_t_chain(T, v):
+    out = []
+    while any(v):
+        out.append(v)
+        v = la.vec_mat(v, T)
+    return out
+
+
+def boxed_decompose(M):
+    """`decompose` on field elements: each pass builds a boxed chain for
+    every row of C and solves by `solve` and `right_kernel`."""
+    field, T, G = M.field, M.t, M.gram
+    C = M.basis()
+    parts = []
+    while C:
+        chain1 = max((boxed_t_chain(T, c) for c in C), key=len)
+        N = len(chain1)
+        GCt = la.mat_mul(G, la.transpose(C))
+        target = [field.zero] * N
+        target[N - 1] = field.one
+        sol = la.solve(field, la.mat_mul(chain1, GCt), [target])
+        chain2 = boxed_t_chain(T, la.vec_mat(sol[0], C))
+        C = la.mat_mul(la.right_kernel(field, la.mat_mul(chain1 + chain2, GCt)), C)
+        parts.append((N, chain1, chain2))
+    parts.sort(key=lambda p: -p[0])
+    return (tuple(p[0] for p in parts),
+            [row for _, c1, c2 in parts for row in c1 + c2])
+
+
+def _seeded_partition(n, rng):
+    """A partition of n into at most three parts."""
+    parts = []
+    while sum(parts) < n and len(parts) < 2:
+        parts.append(rng.randint(1, n - sum(parts)))
+    if sum(parts) < n:
+        parts.append(n - sum(parts))
+    return tuple(sorted(parts, reverse=True))
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_decompose_matches_boxed_reference(field):
+    # 30 scrambled modules per field, dims 6-16: (ks, B) value for value and
+    # entry type for entry type
+    rng = random.Random(97)
+    for i in range(30):
+        ks = _seeded_partition(3 + i % 6, rng)
+        M = base_change(standard_module(field, ks),
+                        random_invertible(field, 2 * sum(ks), rng))
+        got_ks, got_B = decompose(M)
+        ref_ks, ref_B = boxed_decompose(M)
+        assert got_ks == ref_ks == ks
+        assert _typed(got_B) == _typed(ref_B)
 
 
 def test_decompose_rejects_invalid():

@@ -10,7 +10,7 @@ import pytest
 
 from sntmod import linalg as la
 from sntmod.fields import QQ, GF
-from sntmod.sntmodule import direct_sum, make_H, standard_module
+from sntmod.sntmodule import SntModule, direct_sum, make_H, standard_module
 from sntmod.spgroup import (HomogeneousRingIso, NotAMemberError,
                             SntAutomorphism, _level_layout, _levels,
                             block_profile, cayley, exp_nilpotent,
@@ -77,6 +77,47 @@ def test_member_size_mismatch():
     M = make_H(QQ, 2)
     with pytest.raises(ValueError):
         is_member(M, la.identity(QQ, 2))
+
+
+def boxed_is_member(M, g):
+    """`is_member` by boxed products and entrywise comparisons."""
+    if not la.mat_eq(la.mat_mul(g, M.t), la.mat_mul(M.t, g)):
+        return False
+    return la.mat_eq(la.mat_mul(la.mat_mul(g, M.gram), la.transpose(g)), M.gram)
+
+
+@pytest.mark.parametrize("field,ks", [(QQ, (2, 1)), (QQ, (3, 2, 1)),
+                                      (GF(5), (2, 2, 1)), (GF(3), (3, 1))])
+def test_is_member_matches_boxed_reference(field, ks):
+    # each single-entry perturbation of sampled members, in the standard
+    # module and in a basis with denominators in T and G
+    rng = random.Random(8)
+    M = standard_module(field, ks)
+    n = M.dim
+    while True:
+        P = [[field.random(rng, 2) for _ in range(n)] for _ in range(n)]
+        if la.rank(field, P) == n:
+            break
+    Pinv = la.inverse(field, P)
+    Mp = SntModule(field, la.mat_mul(la.mat_mul(P, M.t), Pinv),
+                   la.mat_mul(la.mat_mul(P, M.gram), la.transpose(P)))
+    seen = set()
+    for seed in range(2):
+        g = random_element(M, seed)
+        for N, h in ((M, g), (Mp, la.mat_mul(la.mat_mul(P, g), Pinv))):
+            assert is_member(N, h) and boxed_is_member(N, h)
+            for a in range(n):
+                for b in range(n):
+                    k = [row[:] for row in h]
+                    k[a][b] = k[a][b] + field.random_nonzero(rng, 2)
+                    got = is_member(N, k)
+                    assert got == boxed_is_member(N, k)
+                    seen.add(got)
+        if field == QQ:
+            # 2·g commutes with t and scales G by 4
+            scaled = la.scal_mul(field(2), g)
+            assert not is_member(M, scaled) and not boxed_is_member(M, scaled)
+    assert False in seen
 
 
 def test_automorphism_wrapper():
@@ -296,6 +337,14 @@ def test_isometry_lie_basis_matches_boxed_equations(field):
     assert len(la.isometry_lie_basis(field, G)) == 3
     assert _typed(la.isometry_lie_basis(field, G)) == \
         _typed(boxed_isometry_lie_basis(field, G))
+    # Grams that are neither symmetric nor skew keep all n² form equations;
+    # with only those of i <= j the kernels would have 3 and 6 elements
+    for rows, dim in [([[1, 2, 0], [0, 1, 3], [1, 0, 2]], 1),
+                      ([[0, 1, 0, 2], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]], 2)]:
+        G = [[field(x) for x in row] for row in rows]
+        assert len(la.isometry_lie_basis(field, G)) == dim
+        assert _typed(la.isometry_lie_basis(field, G)) == \
+            _typed(boxed_isometry_lie_basis(field, G))
 
 
 def test_exp_and_cayley_land_in_group():
@@ -377,8 +426,8 @@ def test_sampling_keeps_module_attributes(monkeypatch):
     # the radical basis is cached in a slot the module declares, once
     from sntmod import spgroup
     calls = []
-    basis = spgroup.radical_lie_basis
-    monkeypatch.setattr(spgroup, "radical_lie_basis",
+    basis = spgroup._radical_ints
+    monkeypatch.setattr(spgroup, "_radical_ints",
                         lambda M: calls.append(M) or basis(M))
     M = standard_module(QQ, (2, 1))
     names = set(vars(M))
