@@ -40,6 +40,9 @@ and `_int_kernel` (a kernel read off it).  `isometry_lie_basis` builds its
 commutation and form equations on them, as int rows over the scaled T and
 G.  `sntmodule.decompose`, `SntModule.validate`, `spgroup.is_member` and
 `spgroup.block_profile` convert their matrices once and run on them.
+Two more serve `sntmodule.enumerate_t_lagrangians`: `_affine_family`
+(the points A_0 + Σ c_k·A_k mod p of an affine family over F_p) and
+`_isotropy_test` (U·G·Uᵀ ≡ 0 mod p by Kronecker substitution).
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 from .fields import FpElement, PrimeField
 
@@ -385,6 +388,40 @@ def _int_powers(kind, R, A):
         else:
             R = [[sum(map(mul, r, c)) for c in At] for r in R]
     return out
+
+
+def _affine_family(p, A0, As):
+    """The int matrices (A0 + Σ c_k·As[k]) mod p, each as fresh rows, for c
+    over F_p^len(As) in `itertools.product(range(p), repeat=len(As))`
+    order: c_0 varies slowest."""
+    if not As:
+        yield [[x % p for x in row] for row in A0]
+        return
+    *outer, A = As
+    for B in _affine_family(p, A0, outer) if outer else [A0]:
+        for c in range(p):
+            yield [[(x + c * y) % p for x, y in zip(r, s)] for r, s in zip(B, A)]
+
+
+def _isotropy_test(p, G):
+    """A test of U·G·Uᵀ ≡ 0 mod p for int rows U, G an n x n matrix of
+    residues, by Kronecker substitution as in `_ring_mat_mul`.
+
+    With X = 2^b above n²(p−1)³, row k of G packs, reversed, into
+    Σ_c G[k][c]·X^(n−1−c), so u·G packs into the one int Σ_k u_k·(row k);
+    times v packed as Σ_c v_c·X^c it carries (u·G)·vᵀ as the coefficient of
+    X^(n−1), with no carries between coefficients."""
+    n = len(G)
+    b = (n * n * (p - 1) ** 3).bit_length()
+    shifts = [b * c for c in range(n)]
+    rows = [sum(x << (b * (n - 1 - c)) for c, x in enumerate(row)) for row in G]
+    top, mask = b * (n - 1), (1 << b) - 1
+
+    def isotropic(U):
+        V = [sum(map(lshift, u, shifts)) for u in U]
+        return not any((a * v >> top & mask) % p
+                       for a in [sum(map(mul, u, rows)) for u in U] for v in V)
+    return isotropic
 
 
 def is_zero_mat(A):

@@ -92,9 +92,16 @@ class SntModule:
 
     @property
     def K(self):
-        """Nilpotency degree of t (= max element order; t^K = 0 on M)."""
+        """Nilpotency degree of t (= max element order; t^K = 0 on M),
+        counted on int rows for Q and F_p: T, T², ... up to the last
+        nonzero power, as `validate` runs them."""
         if self._K is None:
-            self._K = max(len(la.nilpotent_powers(self.field, self.t)), 1)
+            kind = la._int_kind((self.t,))
+            if kind is None or type(kind) is tuple:
+                self._K = max(len(la.nilpotent_powers(self.field, self.t)), 1)
+            else:
+                T = la._to_ints(kind, self.t)[0]
+                self._K = len(la._int_powers(kind, T, T)) + 1
         return self._K
 
     def validate(self):
@@ -417,10 +424,18 @@ def _stable_basis(field, T, basis):
 
 
 def is_t_lagrangian(M, rows):
-    span = la.rref_span(M.field, [list(r) for r in rows])
-    if 2 * len(span) != M.dim:
-        return False
-    return is_isotropic(M, span) and is_t_stable(M, span)
+    return _lagrangian_span(M, rows) is not None
+
+
+def _lagrangian_span(M, rows):
+    """The canonical basis of the span of `rows`, as lists, when that span
+    is a t-Lagrangian subspace of M, else None; the span is reduced once
+    and every check reads it."""
+    span = [list(r) for r in la.rref_span(M.field, [list(r) for r in rows])]
+    if 2 * len(span) == M.dim and is_isotropic(M, span) and \
+            _stable_basis(M.field, M.t, span):
+        return span
+    return None
 
 
 def standard_t_lagrangian(M, indices):
@@ -470,6 +485,17 @@ def enumerate_t_lagrangians(M):
     The guard counts the subspaces of M_- scanned plus the subspaces
     emitted, and is checked before the scan and before each fiber.  An
     invalid module raises InvalidModuleError, from `decompose`.
+
+    Each fiber is an affine family on int rows.  In (M_-, M_+) coordinates
+    the graph of rho = Σ c_k·R_k, R_k the `self_dual_map_basis`, has rows
+    [w_i | (rho·reps)_i] and [0 | W^⊥]; mapped to M through minus + plus
+    they are A_0 + Σ c_k·A_k, with A_0 from [w | 0] and [0 | W^⊥] and A_k
+    from [0 | R_k·reps] (zero on the W^⊥ rows).  Each point is one int
+    combination mod p, in `itertools.product` order, and one int
+    reduction; the rows are boxed once, after the sort.  Every point is
+    still checked, on ints, to have rank dim/2 and U·G·Uᵀ ≡ 0 mod p: the
+    checks look at the subspaces emitted, so a fault in the basis, the
+    flag or the int arithmetic shows at the first point it spoils.
     """
     field = M.field
     if not isinstance(field, PrimeField):
@@ -482,30 +508,35 @@ def enumerate_t_lagrangians(M):
             "%d subspaces of M_- exceed the enumeration guard %d" % (visited, limit))
     flag = LagrangianFlag.from_decomposition(M)
     Tm = flag.t_on_minus()
+    full = la._to_ints(q, flag._full)[0]
+    isotropic = la._isotropy_test(q, la._to_ints(q, M.gram)[0])
+    zero = [field.zero] * d
+
+    def graph(rows):
+        """Rows in (M_-, M_+) coordinates as int rows of M."""
+        return la._ints_mul(q, la._to_ints(q, rows)[0], full)
     found = []
     for j in range(d + 1):
         for W in _all_rref_subspaces(field, d, j):
             if la.rank(field, W + la.mat_mul(W, Tm)) != j:
                 continue
-            W_sub = quasi_basis(field, Tm, M.K, W)
-            Wperp, reps = _perp_and_reps(flag, W)
-            basis = self_dual_map_basis(flag, W_sub, Wperp, reps)
+            _, Wperp, reps, basis = flag._fiber(W, maps=True)
             visited += q ** len(basis)
             if visited > limit:
                 raise EnumerationGuardError(
                     "%d subspaces scanned or emitted exceed the enumeration guard %d"
                     % (visited, limit))
-            for coeffs in itertools.product(field.elements(), repeat=len(basis)):
-                rho = la.zeros(field, j, len(reps))
-                for c, R in zip(coeffs, basis):
-                    if c:
-                        rho = la.mat_add(rho, la.scal_mul(c, R))
-                U = graph_of_rho(flag, W_sub, Wperp, reps, rho)
-                if len(U) != d or not is_isotropic(M, U):
+            A0 = graph([w + zero for w in W] + [zero + wp for wp in Wperp])
+            As = [graph([zero + r for r in la.mat_mul(R, reps)] +
+                        [zero + zero] * len(Wperp)) for R in basis]
+            for U in la._affine_family(q, A0, As):
+                U, pivots = la._rref_ints(q, U)
+                if len(pivots) != d or not isotropic(U):
                     raise RuntimeError("a fiber point is not a Lagrangian subspace")
                 found.append(U)
-    found.sort(key=lambda rows: [[x.v for x in r] for r in rows])
-    return found
+    found.sort()
+    box = list(field.elements()).__getitem__
+    return [tuple(tuple(map(box, r)) for r in U) for U in found]
 
 
 def _gaussian_binomial(n, d, q):
@@ -526,6 +557,12 @@ class LagrangianFlag:
 
     M_- need not be t-stable; it then carries the t-action induced by the
     identification M_- ≅ M / M_+.
+
+    The flag caches, per t-stable W ⊆ M_-, what the fiber of U -> pi_-(U)
+    over W depends on: W's quasi-basis, W^⊥, the reps of M_+/W^⊥ and, once
+    the enumeration asks for it, `self_dual_map_basis`.  The key is W's
+    canonical reduced-echelon basis in M_- coordinates; the cache lives as
+    long as the flag and no longer, and callers hand out copies of it.
     """
 
     def __init__(self, M, minus_rows, plus_rows):
@@ -547,6 +584,7 @@ class LagrangianFlag:
         self._t_plus = [self.split_coords(la.vec_mat(r, M.t))[1] for r in self.plus]
         self._pairing = la.mat_mul(la.mat_mul(self.minus, M.gram),
                                    la.transpose(self.plus))
+        self._fibers = {}
 
     @classmethod
     def standard(cls, M):
@@ -582,6 +620,19 @@ class LagrangianFlag:
         """d x d matrix <minus_i, plus_j> (invertible by nondegeneracy)."""
         return self._pairing
 
+    def _fiber(self, W_rows, maps=False):
+        """The cache entry [W_sub, Wperp, reps, maps] of the t-stable W with
+        canonical basis W_rows, as `rho_of` and `self_dual_map_basis` give
+        them; maps is None until asked for."""
+        key = tuple(map(tuple, W_rows))
+        fiber = self._fibers.get(key)
+        if fiber is None:
+            W_sub = quasi_basis(self.M.field, self._t_minus, self.M.K, W_rows)
+            fiber = self._fibers[key] = [W_sub, *_perp_and_reps(self, W_rows), None]
+        if maps and fiber[3] is None:
+            fiber[3] = self_dual_map_basis(self, *fiber[:3])
+        return fiber
+
 
 def _chain_rows(ks, B):
     """(e1 chain rows, e2 chain rows) of a matrix B laid out by
@@ -598,25 +649,26 @@ def rho_of(flag, U_rows):
     SntSubmodule in M_- coordinates, Wperp_rows is a basis of W^⊥ ⊆ M_+ in
     M_+ coordinates, quot_reps are representative basis vectors of M_+/W^⊥
     (M_+ coordinates), and rho is the matrix of the classifying map in the
-    bases (W_sub.span) -> (quot_reps).
+    bases (W_sub.span) -> (quot_reps).  U is reduced once; what depends on
+    W alone comes from the flag's cache, and is returned as copies.
     """
-    M, field = flag.M, flag.M.field
-    if not is_t_lagrangian(M, U_rows):
+    field = flag.M.field
+    U = _lagrangian_span(flag.M, U_rows)
+    if U is None:
         raise ValueError("U is not a t-Lagrangian subspace")
-    U = [list(r) for r in la.rref_span(field, [list(r) for r in U_rows])]
-    Uc = [flag.split_coords(u) for u in U]
-    W_rows = la.rref_span(field, [a for a, _ in Uc])
-    Tm = flag.t_on_minus()
-    W_sub = quasi_basis(field, Tm, M.K, [list(r) for r in W_rows])
-    Wperp, reps = _perp_and_reps(flag, W_rows)
+    d = len(U)
+    Uc = la.mat_mul(U, flag._full_inv)
+    Ua, Ub = [c[:d] for c in Uc], [c[d:] for c in Uc]
+    W, Wperp, reps, _ = flag._fiber(la.rref_span(field, Ua))
     # rho on the canonical span basis of W: lift each w to U, then read the
     # M_+ part of the lift in the basis reps + W^⊥ of M_+
-    lifts = la.solve(field, la.transpose([a for a, _ in Uc]), W_sub.span)
+    lifts = la.solve(field, la.transpose(Ua), W.span)
     if lifts is None:
         raise RuntimeError("projection of U misses W")
-    coords = la.solve(field, la.transpose(reps + Wperp),
-                      la.mat_mul(lifts, [b for _, b in Uc]))
-    return W_sub, Wperp, reps, [c[:len(reps)] for c in coords]
+    coords = la.solve(field, la.transpose(reps + Wperp), la.mat_mul(lifts, Ub))
+    return (SntSubmodule(field, W.span, W.quasi, W.partition, W.chains),
+            [r[:] for r in Wperp], [r[:] for r in reps],
+            [c[:len(reps)] for c in coords])
 
 
 def _perp_and_reps(flag, W_rows):

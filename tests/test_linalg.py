@@ -9,6 +9,7 @@ A many-right-hand-side `solve` is also checked against single-right-hand-side
 solves, and `nilpotent_powers` and `t_chain` against loops of boxed
 `mat_mul` and `vec_mat` products.
 """
+import itertools
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -370,3 +371,45 @@ def test_powers_of_ring_matrices_match_boxed_loops(field):
         assert _typed(la.t_chain(A, v)) == _typed(boxed_t_chain(A, v))
     with pytest.raises(ValueError, match="not nilpotent"):
         la.t_chain([[R.one]], [t])
+
+
+# --------------------------------------------------------------------------
+# int helpers of the t-Lagrangian enumeration
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_affine_family_runs_in_product_order(p):
+    rng = random.Random(p)
+    for b in range(4):
+        A0, *As = [[[rng.randrange(-9, 9) for _ in range(4)] for _ in range(3)]
+                   for _ in range(b + 1)]
+        expect = [[[(x + sum(c * A[i][j] for c, A in zip(cs, As))) % p
+                    for j, x in enumerate(row)] for i, row in enumerate(A0)]
+                  for cs in itertools.product(range(p), repeat=b)]
+        inputs, points = repr((A0, As)), []
+        for P in la._affine_family(p, A0, As):
+            points.append([r[:] for r in P])
+            P[0][0] = P[-1].pop()       # each point is fresh
+        assert points == expect and repr((A0, As)) == inputs
+    assert list(la._affine_family(p, [], [[], []])) == [[]] * p * p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_isotropy_test_matches_boxed_product(data):
+    """The packed test of U·G·Uᵀ ≡ 0 mod p against the boxed product, on
+    random U and on U inside the left kernel of G (where it must hold)."""
+    p = data.draw(st.sampled_from([3, 5, 7, 101]))
+    F = GF(p)
+    n = data.draw(st.integers(1, 6))
+    residues = st.integers(0, p - 1)
+    G = data.draw(st.lists(st.lists(residues, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    U = data.draw(st.lists(st.lists(residues, min_size=n, max_size=n), max_size=4))
+    isotropic = la._isotropy_test(p, G)
+    for rows in (U, [[x.v for x in v]
+                     for v in la.right_kernel(F, la.transpose(la.change_ring(F, G)))]):
+        boxed = la.change_ring(F, rows)
+        expect = not rows or la.is_zero_mat(
+            la.mat_mul(la.mat_mul(boxed, la.change_ring(F, G)), la.transpose(boxed)))
+        assert isotropic(rows) == expect

@@ -1,6 +1,7 @@
 """Structure theory: standard planes, decomposition, submodules,
 t-Lagrangian subspaces and the projection fibration."""
 import functools
+import itertools
 import random
 from collections import Counter
 
@@ -16,7 +17,7 @@ from sntmod.sntmodule import (InvalidModuleError, LagrangianFlag,
                               rho_of, self_dual_map_basis,
                               self_dual_map_space_dim, standard_module,
                               standard_t_lagrangian)
-from sntmod.sntmodule import _all_rref_subspaces
+from sntmod.sntmodule import _all_rref_subspaces, _perp_and_reps
 
 F3 = GF(3)
 F5 = GF(5)
@@ -206,6 +207,18 @@ def test_t_chain_against_nilpotent_powers(field):
         assert la.t_chain(M.t, [field.zero] * M.dim) == []
     with pytest.raises(ValueError):
         la.t_chain(la.identity(field, 3), [field.one, field.zero, field.zero])
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5])
+def test_K_counts_the_powers_of_t(field):
+    # K is counted on int rows; it is the number of nonzero powers of T
+    rng = random.Random(17)
+    for ks in ((1,), (2,), (2, 1), (3, 1, 1), (4, 2)):
+        M = standard_module(field, ks)
+        for N in (M, base_change(M, random_invertible(field, M.dim, rng))):
+            assert N.K == len(la.nilpotent_powers(field, N.t)) == ks[0]
+    with pytest.raises(ValueError, match="not nilpotent"):
+        SntModule(field, la.identity(field, 2), make_H(field, 1).gram).K
 
 
 def test_self_duality_pairing_form():
@@ -518,6 +531,82 @@ def test_fibration_enumeration_matches_scan_scrambled(q, ks):
     assert enumerate_t_lagrangians(base_change(M, P)) == expect
 
 
+def _module(q, ks, scrambled):
+    """The standard module of type ks over F_q, or its base change by the
+    matrix the scrambled scan test uses."""
+    F = GF(q)
+    M = standard_module(F, ks)
+    if not scrambled:
+        return M
+    return base_change(M, random_invertible(F, M.dim, random.Random(sum(ks) * q)))
+
+
+def _typed(x):
+    """Nested structure with container and entry types kept."""
+    if isinstance(x, (list, tuple)):
+        return type(x), [_typed(y) for y in x]
+    return type(x), x
+
+
+def boxed_enumerate_t_lagrangians(M):
+    """`enumerate_t_lagrangians` point by point on boxed matrices: rho =
+    Σ c_k·R_k by `mat_add` and `scal_mul`, its graph by `graph_of_rho`, and
+    `is_isotropic` on each graph; the guard is left out."""
+    field, d = M.field, M.dim // 2
+    flag = LagrangianFlag.from_decomposition(M)
+    Tm = flag.t_on_minus()
+    found = []
+    for j in range(d + 1):
+        for W in _all_rref_subspaces(field, d, j):
+            if la.rank(field, W + la.mat_mul(W, Tm)) != j:
+                continue
+            W_sub = quasi_basis(field, Tm, M.K, W)
+            Wperp, reps = _perp_and_reps(flag, W)
+            basis = self_dual_map_basis(flag, W_sub, Wperp, reps)
+            for coeffs in itertools.product(field.elements(), repeat=len(basis)):
+                rho = la.zeros(field, j, len(reps))
+                for c, R in zip(coeffs, basis):
+                    if c:
+                        rho = la.mat_add(rho, la.scal_mul(c, R))
+                U = graph_of_rho(flag, W_sub, Wperp, reps, rho)
+                assert len(U) == d and is_isotropic(M, U)
+                found.append(U)
+    return sorted(found, key=_lagrangian_key)
+
+
+@pytest.mark.parametrize("scrambled", [False, True])
+@pytest.mark.parametrize("q,ks", [(q, ks) for q in (3, 5)
+                                  for ks in ((1,), (1, 1), (2,), (2, 1), (2, 2))])
+def test_affine_emission_matches_boxed_reference(q, ks, scrambled):
+    M = _module(q, ks, scrambled)
+    assert _typed(enumerate_t_lagrangians(M)) == \
+        _typed(boxed_enumerate_t_lagrangians(M))
+
+
+@pytest.mark.parametrize("q,ks,scrambled", [(5, (2, 1), False), (3, (2, 2), False),
+                                            (3, (2, 1), True)])
+def test_fiber_cache_matches_fresh_flag(q, ks, scrambled):
+    # rho_of on one flag, whose cache fills as it goes, against rho_of on a
+    # flag with an empty cache; what it returns is the caller's to mutate
+    M = _module(q, ks, scrambled)
+    flag = (LagrangianFlag.from_decomposition if scrambled
+            else LagrangianFlag.standard)(M)
+
+    def run(flag, U):
+        W, Wperp, reps, rho = rho_of(flag, U)
+        return _typed((W.span, W.quasi, W.partition, W.chains, Wperp, reps, rho))
+    for U in enumerate_t_lagrangians(M):
+        U = [list(r) for r in U]
+        expect = run(LagrangianFlag(M, flag.minus, flag.plus), U)
+        assert run(flag, U) == expect
+        W, Wperp, reps, _ = rho_of(flag, U)
+        for rows in (Wperp, reps, W.quasi, W.chains):
+            if rows:
+                rows[0][0] = rows[0][0] + 1
+            rows.append([])
+        assert run(flag, U) == expect
+
+
 def test_fiber_sizes_sum_to_gr_21_over_f5():
     # beyond the scan: Σ_W q^dim F_W over the projections W to M_- of the
     # standard flag equals the number of subspaces found
@@ -563,6 +652,22 @@ def test_rho_of_minus_side_is_zero():
     W, Wperp, reps, rho = rho_of(flag, flag.minus)
     assert len(W.span) == 2 and not Wperp
     assert all(not c for row in rho for c in row)
+
+
+def test_rho_of_rejects_non_lagrangians():
+    # in (2, 1): rows 0, 1 are e1, te1 and rows 2, 3 are e2, te2 of H_2;
+    # rows 4, 5 are e1, e2 of H_1
+    M = standard_module(F3, (2, 1))
+    flag = LagrangianFlag.standard(M)
+    wrong_dim = [unit(F3, 6, 1)]
+    not_stable = [unit(F3, 6, i) for i in (0, 2, 4)]
+    not_isotropic = [unit(F3, 6, i) for i in (1, 4, 5)]
+    assert is_isotropic(M, not_stable) and not is_t_stable(M, not_stable)
+    assert is_t_stable(M, not_isotropic) and not is_isotropic(M, not_isotropic)
+    for U in (wrong_dim, not_stable, not_isotropic):
+        assert not is_t_lagrangian(M, U)
+        with pytest.raises(ValueError, match="not a t-Lagrangian"):
+            rho_of(flag, U)
 
 
 def test_rho_graph_roundtrip():
