@@ -41,8 +41,11 @@ commutation and form equations on them, as int rows over the scaled T and
 G.  `sntmodule.decompose`, `SntModule.validate`, `spgroup.is_member` and
 `spgroup.block_profile` convert their matrices once and run on them.
 Two more serve `sntmodule.enumerate_t_lagrangians`: `_affine_family`
-(the points A_0 + Σ c_k·A_k mod p of an affine family over F_p) and
-`_isotropy_test` (U·G·Uᵀ ≡ 0 mod p by Kronecker substitution).
+(the points A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the
+layer lifts of `orbits.orthogonal_group_ring`) and `_isotropy_test`
+(U·G·Uᵀ ≡ 0 mod p by Kronecker substitution).  `_kronecker` packs
+polynomials over F_p[t]/(t^K) into ints for `_ring_mat_mul` and
+`spgroup.group_closure`.
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.
@@ -222,28 +225,38 @@ def _first_entry(blocks):
 
 
 def _ring_mat_mul(kind, A, B):
-    """A·B over F_p[t]/(t^K) by Kronecker substitution.
-
-    A polynomial with coefficients c_s in [0, p) becomes the int
-    sum c_s·2^(b·s), with 2^b above every coefficient a dot product of
-    length len(B) can reach.  Then one int product per term and one sum give
-    every coefficient of a dot product at once, with no carries between
-    them; those of t^K and above are dropped and the rest reduced mod p."""
+    """A·B over F_p[t]/(t^K) by the Kronecker substitution of `_kronecker`:
+    one int product per term and one sum give every coefficient of a dot
+    product at once."""
     p, K = kind
-    b = (max(len(B), 1) * K * (p - 1) ** 2).bit_length()
+    pack, unpack = _kronecker(p, K, len(B))
+    poly, field = _truncpoly(), _first_entry((A, B)).field
+    Bt = [[pack([c.v for c in x.coeffs]) for x in col] for col in zip(*B)]
+    return [[poly(field, [FpElement(p, v) for v in unpack(sum(map(mul, r, col)))])
+             for col in Bt]
+            for r in ([pack([c.v for c in x.coeffs]) for x in row] for row in A)]
+
+
+def _kronecker(p, K, m):
+    """(pack, unpack): the Kronecker substitution for dot products of length
+    m over F_p[t]/(t^K).
+
+    pack maps the K coefficients c_s in [0, p) of a polynomial to the int
+    Σ c_s·2^(b·s), with 2^b above every coefficient a dot product of length
+    m can reach, so a sum of m products of packed ints carries no bits
+    between coefficients.  unpack maps such a sum to its coefficients of
+    t^0 … t^(K−1) reduced mod p (those of t^K and above are dropped); on a
+    packed polynomial it gives back its coefficients."""
+    b = (max(m, 1) * K * (p - 1) ** 2).bit_length()
     shifts = [b * s for s in range(K)]
     mask = (1 << b) - 1
 
-    def pack(x):
-        n = 0
-        for c, s in zip(x.coeffs, shifts):
-            n |= c.v << s
-        return n
-    poly, field = _truncpoly(), _first_entry((A, B)).field
-    Bt = [[pack(x) for x in col] for col in zip(*B)]
-    return [[poly(field, [FpElement(p, n >> s & mask) for s in shifts])
-             for n in (sum(map(mul, r, c)) for c in Bt)]
-            for r in ([pack(x) for x in row] for row in A)]
+    def pack(cs):
+        return sum(map(lshift, cs, shifts))
+
+    def unpack(n):
+        return [(n >> s & mask) % p for s in shifts]
+    return pack, unpack
 
 
 def _primitive(row):
@@ -405,7 +418,7 @@ def _affine_family(p, A0, As):
 
 def _isotropy_test(p, G):
     """A test of U·G·Uᵀ ≡ 0 mod p for int rows U, G an n x n matrix of
-    residues, by Kronecker substitution as in `_ring_mat_mul`.
+    residues, by Kronecker substitution as in `_kronecker`.
 
     With X = 2^b above n²(p−1)³, row k of G packs, reversed, into
     Σ_c G[k][c]·X^(n−1−c), so u·G packs into the one int Σ_k u_k·(row k);

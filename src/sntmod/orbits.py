@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from . import linalg as la
-from .fields import PrimeField
+from .fields import FpElement, PrimeField
 from .sntmodule import (EnumerationGuardError, enum_guard_limit,
                         module_coords, padded_chain, quasi_basis)
 from .spgroup import cayley
@@ -611,11 +612,6 @@ def _layer_residual(g, Qr, layer):
             for rx, rq in zip(gQgT, Qr)]
 
 
-def _layer_particular(field, Delta, g0_Qt_inv):
-    """h0 = -Delta/2 · (Q·g0ᵀ)⁻¹."""
-    return la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
-
-
 def _upper_pairs(d):
     return [(r, s) for r in range(d) for s in range(r + 1, d)]
 
@@ -654,7 +650,7 @@ def _solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
     """
     d = len(Q)
     m = len(abar)
-    h0 = _layer_particular(field, Delta, g0_Qt_inv)
+    h0 = la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
     if m == 0:
         return h0
     # skew u with abar_i · u · g0_Qt_inv = eta_i
@@ -775,7 +771,19 @@ def is_submersive(x, W=None):
 # --------------------------------------------------------------------------
 
 def orthogonal_group_ring(V, k):
-    """All of O(V)(F_q[t]/(t^k)) by kernel lifting through t-adic layers."""
+    """All of O(V)(F_q[t]/(t^k)) by kernel lifting through t-adic layers:
+    `_group_layers`' elements boxed once, one TruncPoly per coefficient
+    tuple."""
+    fps = cache(lambda c: FpElement(V.field.p, c))
+    polys = cache(lambda cs: TruncPoly(V.field, [fps(c) for c in cs]))
+    return [[[polys(cs) for cs in zip(*rows)] for rows in zip(*g)]
+            for g in _group_layers(V, k)]
+
+
+def _group_layers(V, k):
+    """O(V)(F_q[t]/(t^k)) with each element g = Σ g_s·t^s as its layers
+    g_0, …, g_{k−1} of int residues: the lifts of each element of level 0,
+    in `_level0_group`'s order, by `_lifts`."""
     field = V.field
     if not isinstance(field, PrimeField):
         raise ValueError("group enumeration needs a finite field")
@@ -786,25 +794,46 @@ def orthogonal_group_ring(V, k):
     if not all(la.mat_eq(la.mat_mul(la.mat_mul(g, Q), la.transpose(g)), Q)
                for g in base):
         raise RuntimeError("a level-0 element does not preserve the form")
-    elems = list(field.elements())
     skew_dim = d * (d - 1) // 2
     total = len(base) * q ** ((k - 1) * skew_dim)
     if total > limit:
         raise EnumerationGuardError("group of size %d exceeds guard" % total)
-    R = TruncRing(field, k)
-    sols = [la.change_ring(R, g) for g in base]
-    Qr = la.change_ring(R, Q)
+    Qi = la._to_ints(q, Q)[0]
+    return [g for g0 in base for g in _lifts(q, Qi, la._to_ints(q, g0)[0], k)]
+
+
+def _lifts(p, Q, g0, k):
+    """The lifts of g0 in O(V)(F_p) to O(V)(F_p[t]/(t^k)) as lists of k
+    int layer matrices, Q the Gram matrix of V as residues.
+
+    A lift g mod t^layer goes on to g + h·t^layer exactly when
+    h·Q·g0ᵀ + g0·Q·hᵀ = −Δ, Δ = Σ g_a·Q·g_bᵀ over a + b = layer, a, b ≥ 1
+    (the t^layer coefficient of g·Q·gᵀ).  So h·Q·g0ᵀ is −Δ/2 plus a skew
+    matrix: h runs over h0 + Σ v_j·S_j, h0 = −Δ/2·(Q·g0ᵀ)⁻¹ and
+    S_j = E_j·(Q·g0ᵀ)⁻¹, E_j = e_r·e_sᵀ − e_s·e_rᵀ for the j-th pair (r, s)
+    of `_upper_pairs`, v in `itertools.product` order (`_affine_family`).
+    Siblings share their lower layers."""
+    d = len(Q)
+    Qg0t = la._ints_mul(p, Q, la.transpose(g0))
+    R, _ = la._rref_ints(p, [row + e for row, e in zip(Qg0t, la._int_identity(d))])
+    inv = [row[d:] for row in R]
+    # S_j = E_j·(Q·g0ᵀ)⁻¹: row r is row s of the inverse, row s minus row r
+    S = [[inv[s] if i == r else [-x for x in inv[r]] if i == s else [0] * d
+          for i in range(d)] for r, s in _upper_pairs(d)]
+    minus_half = (p - 1) // 2      # −1/2 mod p
+    lifts = [[g0]]
     for layer in range(1, k):
         nxt = []
-        for g in sols:
-            g0 = [[x.coeffs[0] for x in row] for row in g]
-            g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
-            h0 = _layer_particular(field, _layer_residual(g, Qr, layer), g0_Qt_inv)
-            for skew_vals in itertools.product(elems, repeat=skew_dim):
-                h = _add_skew(field, h0, g0_Qt_inv, skew_vals)
-                nxt.append(_add_layer(g, h, layer))
-        sols = nxt
-    return sols
+        for g in lifts:
+            Delta = [[0] * d for _ in range(d)]
+            for a in range(1, layer):
+                P = la._ints_mul(p, la._ints_mul(p, g[a], Q),
+                                 la.transpose(g[layer - a]))
+                Delta = [[x + y for x, y in zip(r, s)] for r, s in zip(Delta, P)]
+            h0 = la._ints_mul(p, [[minus_half * x for x in r] for r in Delta], inv)
+            nxt += [g + [h] for h in la._affine_family(p, h0, S)]
+        lifts = nxt
+    return lifts
 
 
 def _level0_group(field, Q, limit):
@@ -850,13 +879,13 @@ def brute_force_orbits(space):
     Returns a list of frozensets of coordinate keys, in the order of the
     orbits' first elements.  The action runs on int residues, as
     `TensorElement.act` does on TruncPolys: row s of chain i of x·g is the
-    sum over b <= s of (row s - b of chain i of x)·g_b, g_b the t^b
-    coefficient matrix of g, read once per g.  The guard counts these
-    products, |group| per orbit, as they accrue.
+    sum over b <= s of (row s - b of chain i of x)·g_b, g_b the t^b layer
+    of g from `_group_layers`.  The guard counts these products, |group|
+    per orbit, as they accrue.
     """
     sp = space
     residues = sp._residues()       # the element guard, before the group
-    group = orthogonal_group_ring(sp.V, sp.K)
+    group = _group_layers(sp.V, sp.K)
     p, n, limit = sp.field.p, sp.V.dim, enum_guard_limit()
     chain_pos = [s for k in sp.ks for s in range(k)]
     acts = []
@@ -864,8 +893,9 @@ def brute_force_orbits(space):
         # cols[s][c]: column c of g_0, g_1, ..., g_s stacked, whose product
         # with the history of row s of a chain (below) is entry c of row s
         # of that chain of x·g
-        cols = [[tuple(g[l][c].coeffs[b].v for b in range(s + 1) for l in range(n))
-                 for c in range(n)] for s in range(sp.K)]
+        gt = [list(zip(*layer)) for layer in g]
+        cols = [[sum((t[c] for t in gt[:s + 1]), ()) for c in range(n)]
+                for s in range(sp.K)]
         acts.append([cols[s] for s in chain_pos])
     seen, orbits, products = set(), [], 0
     for x in residues:

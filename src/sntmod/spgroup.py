@@ -13,11 +13,14 @@ and Cayley transforms otherwise; both land in the group exactly.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import groupby
 from math import factorial, lcm
 from operator import itemgetter, mul
 
 from . import linalg as la
+from . import tpoly
+from .fields import FpElement
 from .sntmodule import EnumerationGuardError, plane_rows
 from .tpoly import TruncPoly, TruncRing
 
@@ -420,25 +423,62 @@ def sp_ring_generators(field, n, k):
 
 
 def group_closure(gens, mul, key, max_size):
-    """BFS closure of a generator list under multiplication."""
-    seen = {}
-    frontier = []
-    for g in gens:
-        kk = key(g)
-        if kk not in seen:
-            seen[kk] = g
-            frontier.append(g)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = mul(a, b)
-                kk = key(c)
-                if kk not in seen:
-                    seen[kk] = c
-                    nxt.append(c)
-                    if len(seen) > max_size:
-                        raise EnumerationGuardError(
-                            "closure exceeded %d elements" % max_size)
-        frontier = nxt
-    return list(seen.values())
+    """BFS closure of a generator list under multiplication: the distinct
+    generators, then each new layer's products a·b with every generator b,
+    in order, told apart by `key`.  EnumerationGuardError as soon as more
+    than max_size distinct elements are met, generators included.
+
+    n x n matrices over F_p[t]/(t^K) with `mul` `linalg.mat_mul` (that is
+    `tpoly.tmat_mul`) and `key` `tpoly.tmat_key` take the int path of
+    `_packed_closure`; any other call runs the BFS on `mul` and `key`, the
+    reference for that path: both give the same matrices in the same order."""
+    if mul is la.mat_mul and key is tpoly.tmat_key:
+        kind, n = la._int_kind(gens), len(gens[0]) if gens else 0
+        if type(kind) is tuple and all(len(r) == n for g in gens for r in (g, *g)):
+            return _packed_closure(kind, gens, max_size)
+    return _bfs(gens, gens, mul, key, max_size)
+
+
+def _bfs(gens, right, mul, key, max_size):
+    """The BFS closure of gens under x -> mul(x, b) for b in right, in the
+    order met; key None keys each element by itself."""
+    seen, layer = {}, gens
+    while True:
+        frontier = []
+        for c in layer:
+            kk = key(c) if key else c
+            if kk not in seen:
+                seen[kk] = c
+                frontier.append(c)
+                if len(seen) > max_size:
+                    raise EnumerationGuardError(
+                        "closure exceeded %d elements" % max_size)
+        if not frontier:
+            return list(seen.values())
+        layer = (mul(a, b) for a in frontier for b in right)
+
+
+def _packed_closure(kind, gens, max_size):
+    """`group_closure` on ints for kind (p, K).  An element is the tuple of
+    its n² entries, row by row, packed by `linalg._kronecker` with their
+    coefficients in [0, p): a canonical form, so it is its own key.  The
+    generators' columns are packed once, each distinct sum of packed
+    products is unpacked and packed again once, and the closure is boxed
+    once, one TruncPoly per packed value and one FpElement per residue."""
+    p, K = kind
+    n = len(gens[0])
+    pack, unpack = la._kronecker(p, K, n)
+    packed = [tuple(pack([c.v for c in x.coeffs]) for row in g for x in row)
+              for g in gens]
+    cols = [[g[j::n] for j in range(n)] for g in packed]
+    reduced = cache(lambda s: pack(unpack(s)))
+    starts = range(0, n * n, n)
+
+    def times(a, bcols):
+        return tuple([reduced(sum(map(mul, r, c)))
+                      for r in [a[i:i + n] for i in starts] for c in bcols])
+    field = gens[0][0][0].field
+    fps = cache(lambda c: FpElement(p, c))
+    polys = cache(lambda x: TruncPoly(field, [fps(c) for c in unpack(x)]))
+    return [[[polys(x) for x in e[i:i + n]] for i in starts]
+            for e in _bfs(packed, cols, times, None, max_size)]

@@ -5,8 +5,10 @@ Gaussian elimination with unit pivots and a t-local Smith normal form are
 available.  A TruncPoly always carries exactly K coefficients; arithmetic
 silently truncates at t^K.  Matrices over R_K are handled by `linalg` with
 the ring descriptor `TruncRing(field, K)`; this module adds what needs
-valuations (the t-local Smith normal form) and the hashable matrix key
-`tmat_key` for group closures.
+valuations (the t-local Smith normal form).  `tmat_mul` (which is
+`linalg.mat_mul`) and the hashable matrix key `tmat_key` are the pair that
+sends `spgroup.group_closure` over F_p[t]/(t^K) to its packed-int path;
+with any other pair it runs its generic BFS.
 """
 from __future__ import annotations
 
@@ -201,7 +203,7 @@ class TruncRing:
         return "TruncRing(%r, %d)" % (self.field, self.K)
 
 
-# the product that callers pass to `spgroup.group_closure` with `tmat_key`
+# with `tmat_key`, the pair that `spgroup.group_closure` runs on packed ints
 tmat_mul = mat_mul
 
 

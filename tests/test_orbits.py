@@ -20,7 +20,7 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            witt_extend_field, witt_lift)
 from sntmod.orbits import _is_primitive_tuple
 from sntmod.sntmodule import EnumerationGuardError, quasi_basis
-from sntmod.tpoly import TruncPoly
+from sntmod.tpoly import TruncPoly, TruncRing
 
 F3 = GF(3)
 F5 = GF(5)
@@ -560,19 +560,66 @@ def _scan_level0(field, Q, limit):
     return out
 
 
-@pytest.mark.parametrize("q,form,k", [
+_GROUP_CASES = [
     (3, [1, 2, 1], 1), (3, [1, 1], 1), (3, [1, 2], 2), (3, [2, 2], 3),
     (5, [1, 2], 1), (5, [1, 1], 2), (5, [3], 3),
     (3, "hyperbolic", 2), (5, "hyperbolic", 1),
-])
+]
+
+
+def _group_space(q, form):
+    F = GF(q)
+    return hyperbolic_plane(F) if form == "hyperbolic" else diagonal_space(F, form)
+
+
+@pytest.mark.parametrize("q,form,k", _GROUP_CASES)
 def test_group_rows_match_scan(q, form, k, monkeypatch):
     # element for element and in order: the layer lifting after level 0 is
     # the same on both routes
-    F = GF(q)
-    V = hyperbolic_plane(F) if form == "hyperbolic" else diagonal_space(F, form)
+    V = _group_space(q, form)
     rows = orthogonal_group_ring(V, k)
     monkeypatch.setattr(orbits, "_level0_group", _scan_level0)
     assert orthogonal_group_ring(V, k) == rows
+
+
+def boxed_orthogonal_group_ring(V, k):
+    """Oracle for the int layers of `orthogonal_group_ring`: the same
+    lifting on boxed matrices over F_q[t]/(t^k), one `_add_skew` and
+    `_add_layer` per lift, with (Q·g0ᵀ)⁻¹ and Delta per element."""
+    field, Q = V.field, V.gram
+    R = TruncRing(field, k)
+    sols = [la.change_ring(R, g) for g in orbits._level0_group(field, Q, 10 ** 7)]
+    Qr = la.change_ring(R, Q)
+    skew_dim = V.dim * (V.dim - 1) // 2
+    for layer in range(1, k):
+        nxt = []
+        for g in sols:
+            g0 = [[x.coeffs[0] for x in row] for row in g]
+            g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
+            Delta = orbits._layer_residual(g, Qr, layer)
+            h0 = la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
+            for vals in itertools.product(list(field.elements()), repeat=skew_dim):
+                h = orbits._add_skew(field, h0, g0_Qt_inv, vals)
+                nxt.append(orbits._add_layer(g, h, layer))
+        sols = nxt
+    return sols
+
+
+def _typed_ring(mats):
+    return [[[(type(x), x.field, [(type(c), c.p, c.v) for c in x.coeffs])
+              for x in row] for row in g] for g in mats]
+
+
+@pytest.mark.parametrize("q,form,k", _GROUP_CASES + [(3, [1, 1, 1], 2),
+                                                     (5, "hyperbolic", 3)])
+def test_group_layers_match_boxed_lifting(q, form, k):
+    # element for element, in order and type for type
+    V = _group_space(q, form)
+    group = orthogonal_group_ring(V, k)
+    assert _typed_ring(group) == _typed_ring(boxed_orthogonal_group_ring(V, k))
+    # the layers are the coefficients of the boxed group
+    assert orbits._group_layers(V, k) == [
+        [[[x.coeffs[s].v for x in row] for row in g] for s in range(k)] for g in group]
 
 
 @pytest.mark.parametrize("q,entries,order", [

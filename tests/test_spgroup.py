@@ -2,15 +2,19 @@
 
 `isometry_lie_basis`, `exp_nilpotent` and `random_element` run on ints;
 their boxed versions, built on field elements, are kept here as references
-and compared value for value and type for type.
+and compared value for value and type for type.  `group_closure` over
+F_p[t]/(t^K) runs on packed ints; its generic BFS, reached through any
+other product, is the reference.
 """
 import random
 
 import pytest
 
 from sntmod import linalg as la
+from sntmod import spgroup
 from sntmod.fields import QQ, GF
-from sntmod.sntmodule import SntModule, direct_sum, make_H, standard_module
+from sntmod.sntmodule import (EnumerationGuardError, SntModule, direct_sum,
+                              make_H, standard_module)
 from sntmod.spgroup import (HomogeneousRingIso, NotAMemberError,
                             SntAutomorphism, _level_layout, _levels,
                             block_profile, cayley, exp_nilpotent,
@@ -18,7 +22,7 @@ from sntmod.spgroup import (HomogeneousRingIso, NotAMemberError,
                             lie_algebra_basis, radical_lie_basis,
                             random_element, sp_group_order,
                             sp_ring_generators, unipotent_radical_test)
-from sntmod.tpoly import TruncRing, tmat_key, tp
+from sntmod.tpoly import TruncRing, tmat_key, tmat_mul, tp
 
 F3 = GF(3)
 
@@ -533,3 +537,85 @@ def test_pi0_surjectivity_via_closure():
     grp = group_closure(gens, la.mat_mul, tmat_key, 10 ** 4)
     reduced = {tuple(tuple(x.coeffs[0].v for x in row) for row in g) for g in grp}
     assert len(reduced) == sp_group_order(3, 1, 1) == 24
+
+
+# --------------------------------------------------------------------------
+# the packed closure against the generic BFS
+# --------------------------------------------------------------------------
+
+def _boxed_mul(a, b):
+    # not `la.mat_mul` itself, so the closure takes its generic BFS
+    return la.mat_mul(a, b)
+
+
+def _closure_gens(q, K, which):
+    """Generators of Sp_2(F_q[t]/(t^K)) ("all"), of the subgroup of the
+    upper transvections by t^s and the lower ones by t^s, s >= 1
+    ("iwahori"), or of the upper one by 1 and the lower one by t^(K-1)
+    ("top")."""
+    gens = sp_ring_generators(GF(q), 1, K)
+    upper, lower = gens[0:-1:2], gens[1:-1:2]
+    return {"all": gens, "iwahori": upper + lower[1:],
+            "top": upper[:1] + lower[-1:]}[which]
+
+
+def _typed_ring(mats):
+    """Ring matrices with every entry as (type, field, its coefficients as
+    (type, p, residue))."""
+    return [[[(type(x), x.field, [(type(c), c.p, c.v) for c in x.coeffs])
+              for x in row] for row in g] for g in mats]
+
+
+# the closures have 24, 648, 81, 120, 625 and 625 elements
+_CLOSURE_CASES = [(3, 1, "all"), (3, 2, "all"), (3, 3, "top"),
+                  (5, 1, "all"), (5, 2, "iwahori"), (5, 3, "top")]
+
+
+@pytest.mark.parametrize("q,K,which", _CLOSURE_CASES)
+def test_packed_closure_matches_generic_bfs(q, K, which):
+    # element for element, in order and type for type, under several
+    # orders of the generators
+    for seed in range(3):
+        gens = _closure_gens(q, K, which)
+        random.Random(seed).shuffle(gens)
+        want = group_closure(gens, _boxed_mul, tmat_key, 10 ** 4)
+        got = group_closure(gens, tmat_mul, tmat_key, 10 ** 4)
+        assert _typed_ring(got) == _typed_ring(want)
+    # the guard: the same error one element short, the group at its order
+    for mul in (tmat_mul, _boxed_mul):
+        with pytest.raises(EnumerationGuardError) as exc:
+            group_closure(gens, mul, tmat_key, len(want) - 1)
+        assert str(exc.value) == "closure exceeded %d elements" % (len(want) - 1)
+        assert group_closure(gens, mul, tmat_key, len(want)) == want
+
+
+def test_closure_guard_counts_the_generators():
+    # a group's elements as generators: the guard is over before a product
+    for K, order in ((2, 648), (1, 24)):
+        gens = sp_ring_generators(F3, 1, K)
+        grp = group_closure(gens, tmat_mul, tmat_key, 10 ** 4)
+        assert len(grp) == order
+        for mul in (tmat_mul, _boxed_mul):
+            with pytest.raises(EnumerationGuardError,
+                               match="closure exceeded 10 elements"):
+                group_closure(grp, mul, tmat_key, 10)
+    # and no element is counted twice
+    for mul in (tmat_mul, _boxed_mul):
+        assert group_closure(grp + grp, mul, tmat_key, 24) == grp
+
+
+def test_closure_path_by_ring(monkeypatch):
+    calls = []
+    packed = spgroup._packed_closure
+    monkeypatch.setattr(spgroup, "_packed_closure",
+                        lambda *a: calls.append(a[0]) or packed(*a))
+    gens = sp_ring_generators(F3, 1, 1)
+    assert len(group_closure(gens, tmat_mul, tmat_key, 100)) == 24
+    assert calls == [(3, 1)]
+    # over Q[t]/(t^2) the closure takes the generic BFS: J has order 4
+    R = TruncRing(QQ, 2)
+    J = [[R.zero, R.one], [-R.one, R.zero]]
+    grp = group_closure([J], tmat_mul, tmat_key, 100)
+    assert calls == [(3, 1)]
+    assert grp == group_closure([J], _boxed_mul, tmat_key, 100)
+    assert len(grp) == 4
