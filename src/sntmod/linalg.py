@@ -35,15 +35,17 @@ Code that keeps a Q or F_p matrix on ints between steps uses the int-row
 helpers beside the kernels: `_to_ints` (a matrix as int rows over one
 common denominator d, or residues with d = 1), `_from_ints` (the way back,
 boxing each entry once), `_ints_mul` (a product of int rows),
-`_int_powers` (the powers above), `_int_echelon` (`_rref_ints` on a copy)
-and `_int_kernel` (a kernel read off it).  `isometry_lie_basis` builds its
-commutation and form equations on them, as int rows over the scaled T and
-G.  `sntmodule.decompose`, `SntModule.validate`, `spgroup.is_member` and
-`spgroup.block_profile` convert their matrices once and run on them.
-Two more serve `sntmodule.enumerate_t_lagrangians`: `_affine_family`
-(the points A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the
-layer lifts of `orbits.orthogonal_group_ring`) and `_isotropy_test`
-(U·G·Uᵀ ≡ 0 mod p by Kronecker substitution).  `_kronecker` packs
+`_int_powers` (the powers above), `_int_echelon` (`_rref_ints` on a copy),
+`_box_echelon` (its rows boxed) and `_int_kernel` (a kernel read off it).
+`isometry_lie_basis` builds its commutation and form equations on them, as
+int rows over the scaled T and G.  `sntmodule.decompose`,
+`SntModule.validate`, `spgroup.is_member`, `spgroup.block_profile`,
+`sntmodule.rho_of`, `is_t_lagrangian` and `LagrangianFlag` (its checks,
+fiber data and `self_dual_map_basis`) convert their matrices once and run
+on them.  Two more serve the t-Lagrangians: `_affine_family` (the points
+A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the layer lifts
+of `orbits.orthogonal_group_ring`) and `_isotropy_test` (U·G·Uᵀ ≡ 0 mod p
+by Kronecker substitution, or U·G·Uᵀ = 0 over Q).  `_kronecker` packs
 polynomials over F_p[t]/(t^K) into ints for `_ring_mat_mul` and
 `spgroup.group_closure`.
 `solve` takes a list of right-hand sides and solves them all from one
@@ -269,10 +271,23 @@ def _int_rref(kind, rows):
     `_rref_ints` on their integer rows."""
     if kind:
         R, pivots = _rref_ints(kind, [[x.v for x in row] for row in rows])
-        return [[FpElement(kind, x) for x in row] for row in R], pivots
-    R, pivots = _rref_ints(0, [_primitive(row) for row in _to_ints(0, rows)[0]])
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(R, pivots)]
-    return out + [[Fraction(0)] * len(R[0]) for _ in R[len(pivots):]], pivots
+    else:
+        R, pivots = _rref_ints(0, [_primitive(row) for row in _to_ints(0, rows)[0]])
+    zero = FpElement(kind, 0) if kind else Fraction(0)
+    return _box_echelon(kind, R, pivots) + [[zero] * len(R[0]) for _ in R[len(pivots):]], \
+        pivots
+
+
+def _box_echelon(kind, R, pivots, cols=None):
+    """The pivot rows of R, as `_rref_ints` leaves them, boxed once as the
+    reduced echelon rows they stand for (over Q each row over its pivot
+    entry), cut to the columns `cols` when given."""
+    rows = R[:len(pivots)]
+    if cols is not None:
+        rows = [[row[c] for c in cols] for row in rows]
+    if kind:
+        return [[FpElement(kind, x) for x in row] for row in rows]
+    return [[Fraction(x, r[c]) for x in row] for row, r, c in zip(rows, R, pivots)]
 
 
 def _rref_ints(kind, R):
@@ -406,24 +421,35 @@ def _int_powers(kind, R, A):
 def _affine_family(p, A0, As):
     """The int matrices (A0 + Σ c_k·As[k]) mod p, each as fresh rows, for c
     over F_p^len(As) in `itertools.product(range(p), repeat=len(As))`
-    order: c_0 varies slowest."""
+    order: c_0 varies slowest.  Each point is the one before it plus the
+    last step mod p (rows the step leaves unchanged are copied), computed
+    before that one is yielded, so callers cannot reach later points."""
     if not As:
         yield [[x % p for x in row] for row in A0]
         return
     *outer, A = As
-    for B in _affine_family(p, A0, outer) if outer else [A0]:
-        for c in range(p):
-            yield [[(x + c * y) % p for x, y in zip(r, s)] for r, s in zip(B, A)]
+    A = [[y % p for y in row] if any(y % p for y in row) else None for row in A]
+    for cur in _affine_family(p, A0, outer):
+        for _ in range(p - 1):
+            nxt = [r[:] if s is None else [(x + y) % p for x, y in zip(r, s)]
+                   for r, s in zip(cur, A)]
+            yield cur
+            cur = nxt
+        yield cur
 
 
 def _isotropy_test(p, G):
     """A test of U·G·Uᵀ ≡ 0 mod p for int rows U, G an n x n matrix of
-    residues, by Kronecker substitution as in `_kronecker`.
+    residues, by Kronecker substitution as in `_kronecker`; for p = 0 (Q,
+    G and U int rows over any denominators) a test of U·G·Uᵀ = 0.
 
     With X = 2^b above n²(p−1)³, row k of G packs, reversed, into
     Σ_c G[k][c]·X^(n−1−c), so u·G packs into the one int Σ_k u_k·(row k);
     times v packed as Σ_c v_c·X^c it carries (u·G)·vᵀ as the coefficient of
     X^(n−1), with no carries between coefficients."""
+    if not p:       # over Q (kind 0): the products themselves
+        return lambda U: not any(sum(map(mul, a, v))
+                                 for a in _ints_mul(0, U, G) for v in U)
     n = len(G)
     b = (n * n * (p - 1) ** 3).bit_length()
     shifts = [b * c for c in range(n)]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from functools import partial
 from math import lcm
 
 from . import linalg as la
@@ -412,11 +413,6 @@ def is_isotropic(M, rows):
     return la.is_zero_mat(la.mat_mul(la.mat_mul(B, M.gram), la.transpose(B)))
 
 
-def is_t_stable(M, rows):
-    span = la.rref_span(M.field, [list(r) for r in rows])
-    return _stable_basis(M.field, M.t, [list(r) for r in span])
-
-
 def _stable_basis(field, T, basis):
     """Whether the span of the independent rows `basis` is t-stable:
     basis·T lies in it exactly when it adds nothing to the rank."""
@@ -424,18 +420,22 @@ def _stable_basis(field, T, basis):
 
 
 def is_t_lagrangian(M, rows):
-    return _lagrangian_span(M, rows) is not None
+    """Whether `rows` span a t-Lagrangian subspace of M, on int rows."""
+    kind = M.field.char
+    U, T, G = (la._to_ints(kind, A)[0] for A in (rows, M.t, M.gram))
+    return _spans_t_lagrangian(kind, T, la._isotropy_test(kind, G), U, _rank(kind, U))
 
 
-def _lagrangian_span(M, rows):
-    """The canonical basis of the span of `rows`, as lists, when that span
-    is a t-Lagrangian subspace of M, else None; the span is reduced once
-    and every check reads it."""
-    span = [list(r) for r in la.rref_span(M.field, [list(r) for r in rows])]
-    if 2 * len(span) == M.dim and is_isotropic(M, span) and \
-            _stable_basis(M.field, M.t, span):
-        return span
-    return None
+def _rank(kind, rows):
+    return len(la._int_echelon(kind, rows)[1])
+
+
+def _spans_t_lagrangian(kind, T, isotropic, U, rank):
+    """Whether the int rows U, of rank `rank`, span a t-Lagrangian subspace
+    of a module with int t-action T and isotropy test `isotropic`: of
+    dimension dim/2, isotropic, and U·T adds nothing to the rank."""
+    return 2 * rank == len(T) and isotropic(U) and \
+        _rank(kind, U + la._ints_mul(kind, U, T)) == rank
 
 
 def standard_t_lagrangian(M, indices):
@@ -507,9 +507,8 @@ def enumerate_t_lagrangians(M):
         raise EnumerationGuardError(
             "%d subspaces of M_- exceed the enumeration guard %d" % (visited, limit))
     flag = LagrangianFlag.from_decomposition(M)
-    Tm = flag.t_on_minus()
+    Tm = flag._tm[0]
     full = la._to_ints(q, flag._full)[0]
-    isotropic = la._isotropy_test(q, la._to_ints(q, M.gram)[0])
     zero = [field.zero] * d
 
     def graph(rows):
@@ -518,9 +517,10 @@ def enumerate_t_lagrangians(M):
     found = []
     for j in range(d + 1):
         for W in _all_rref_subspaces(field, d, j):
-            if la.rank(field, W + la.mat_mul(W, Tm)) != j:
+            Wi = la._to_ints(q, W)[0]
+            if _rank(q, Wi + la._ints_mul(q, Wi, Tm)) != j:
                 continue
-            _, Wperp, reps, basis = flag._fiber(W, maps=True)
+            Wperp, reps, basis = flag._fiber(Wi, maps=True)[1:4]
             visited += q ** len(basis)
             if visited > limit:
                 raise EnumerationGuardError(
@@ -531,7 +531,7 @@ def enumerate_t_lagrangians(M):
                         [zero + zero] * len(Wperp)) for R in basis]
             for U in la._affine_family(q, A0, As):
                 U, pivots = la._rref_ints(q, U)
-                if len(pivots) != d or not isotropic(U):
+                if len(pivots) != d or not flag._isotropic(U):
                     raise RuntimeError("a fiber point is not a Lagrangian subspace")
                 found.append(U)
     found.sort()
@@ -558,11 +558,16 @@ class LagrangianFlag:
     M_- need not be t-stable; it then carries the t-action induced by the
     identification M_- ≅ M / M_+.
 
+    What every fiber reads is computed once, as `linalg._to_ints` rows over
+    denominators: T, an isotropy test (`linalg._isotropy_test`), the
+    inverse `_full_inv` of minus + plus, and t on M_-, t on M_+ and the
+    pairing (boxed for `t_on_minus` etc.).  The flag's checks run on them.
+
     The flag caches, per t-stable W ⊆ M_-, what the fiber of U -> pi_-(U)
     over W depends on: W's quasi-basis, W^⊥, the reps of M_+/W^⊥ and, once
     the enumeration asks for it, `self_dual_map_basis`.  The key is W's
-    canonical reduced-echelon basis in M_- coordinates; the cache lives as
-    long as the flag and no longer, and callers hand out copies of it.
+    canonical echelon basis in M_- coordinates as int rows; the cache lives
+    as long as the flag and no longer, and callers hand out copies of it.
     """
 
     def __init__(self, M, minus_rows, plus_rows):
@@ -572,18 +577,24 @@ class LagrangianFlag:
         d = M.dim // 2
         if len(self.minus) != d or len(self.plus) != d:
             raise ValueError("flag parts must have dimension dim/2")
-        if not is_isotropic(M, self.minus) or not is_isotropic(M, self.plus):
+        kind = self._kind = M.field.char
+        mul = partial(la._ints_mul, kind)
+        (T, e), (G, g), (minus, dm), (plus, dp) = (
+            la._to_ints(kind, A) for A in (M.t, M.gram, self.minus, self.plus))
+        self._t, self._isotropic = T, la._isotropy_test(kind, G)
+        if not self._isotropic(minus) or not self._isotropic(plus):
             raise ValueError("flag parts must be isotropic")
-        if not is_t_stable(M, self.plus):
+        if _rank(kind, plus + mul(plus, T)) != _rank(kind, plus):
             raise ValueError("M_+ must be t-stable")
-        self.minus_t_stable = is_t_stable(M, self.minus)
+        self.minus_t_stable = _rank(kind, minus + mul(minus, T)) == _rank(kind, minus)
         self._full = self.minus + self.plus
-        self._full_inv = la.inverse(M.field, self._full)
-        # read once per fiber by the enumeration, so computed once here
-        self._t_minus = [self.project_minus(la.vec_mat(r, M.t)) for r in self.minus]
-        self._t_plus = [self.split_coords(la.vec_mat(r, M.t))[1] for r in self.plus]
-        self._pairing = la.mat_mul(la.mat_mul(self.minus, M.gram),
-                                   la.transpose(self.plus))
+        inv, f = self._full_inv = la._to_ints(kind, la.inverse(M.field, self._full))
+        # t on M_- (via M/M_+), t on M_+ and the pairing, over their denominators
+        self._tm = [r[:d] for r in mul(mul(minus, T), inv)], dm * e * f
+        self._tp = [r[d:] for r in mul(mul(plus, T), inv)], dp * e * f
+        self._pair = mul(mul(minus, G), la.transpose(plus)), dm * g * dp
+        self._t_minus, self._t_plus, self._pairing = (
+            la._from_ints(kind, *A) for A in (self._tm, self._tp, self._pair))
         self._fibers = {}
 
     @classmethod
@@ -601,7 +612,8 @@ class LagrangianFlag:
 
     def split_coords(self, v):
         """(a, b) with v = a·minus + b·plus."""
-        c = la.vec_mat(list(v), self._full_inv)
+        ((v,), dv), (inv, f) = la._to_ints(self._kind, [list(v)]), self._full_inv
+        (c,) = la._from_ints(self._kind, la._ints_mul(self._kind, [v], inv), dv * f)
         d = self.M.dim // 2
         return c[:d], c[d:]
 
@@ -620,18 +632,28 @@ class LagrangianFlag:
         """d x d matrix <minus_i, plus_j> (invertible by nondegeneracy)."""
         return self._pairing
 
-    def _fiber(self, W_rows, maps=False):
-        """The cache entry [W_sub, Wperp, reps, maps] of the t-stable W with
-        canonical basis W_rows, as `rho_of` and `self_dual_map_basis` give
-        them; maps is None until asked for."""
-        key = tuple(map(tuple, W_rows))
-        fiber = self._fibers.get(key)
+    def _fiber(self, W, maps=False):
+        """The cache entry [W_sub, Wperp, reps, maps, perp, cols] of W, given
+        as reduced echelon int rows (over Q up to row factors); maps is None
+        until asked for, perp holds Wperp's pivots and cols the reps'."""
+        if not self._kind:      # over Q each row primitive, led by a positive entry
+            W = [la._primitive(r if next(filter(None, r)) > 0 else [-x for x in r])
+                 for r in W]
+        fiber = self._fibers.get(key := tuple(map(tuple, W)))
         if fiber is None:
-            W_sub = quasi_basis(self.M.field, self._t_minus, self.M.K, W_rows)
-            fiber = self._fibers[key] = [W_sub, *_perp_and_reps(self, W_rows), None]
+            span = la._box_echelon(self._kind, W, list(map(_lead, W)))
+            Wperp, reps = _perp_and_reps(self, span)
+            perp = list(map(_lead, Wperp))
+            fiber = self._fibers[key] = [
+                quasi_basis(self.M.field, self._t_minus, self.M.K, span), Wperp, reps,
+                None, perp, [c for c in range(self.M.dim // 2) if c not in perp]]
         if maps and fiber[3] is None:
             fiber[3] = self_dual_map_basis(self, *fiber[:3])
         return fiber
+
+
+def _lead(row):
+    return next(c for c, x in enumerate(row) if x)
 
 
 def _chain_rows(ks, B):
@@ -649,47 +671,38 @@ def rho_of(flag, U_rows):
     SntSubmodule in M_- coordinates, Wperp_rows is a basis of W^⊥ ⊆ M_+ in
     M_+ coordinates, quot_reps are representative basis vectors of M_+/W^⊥
     (M_+ coordinates), and rho is the matrix of the classifying map in the
-    bases (W_sub.span) -> (quot_reps).  U is reduced once; what depends on
-    W alone comes from the flag's cache, and is returned as copies.
+    bases (W_sub.span) -> (quot_reps).  What depends on W alone comes from
+    the flag's cache, and is returned as copies.
+
+    U runs on int rows, its rank, isotropy and t-stability checked.  The
+    echelon form of U·(minus + plus)⁻¹ has rows [w | lift of w], w the
+    basis of W, then [0 | W^⊥]: rho is the lifts at the reps' columns.
     """
-    field = flag.M.field
-    U = _lagrangian_span(flag.M, U_rows)
-    if U is None:
+    kind, d = flag._kind, flag.M.dim // 2
+    U = la._to_ints(kind, U_rows)[0]
+    R, piv = la._int_echelon(kind, la._ints_mul(kind, U, flag._full_inv[0]))
+    if not _spans_t_lagrangian(kind, flag._t, flag._isotropic, U, len(piv)):
         raise ValueError("U is not a t-Lagrangian subspace")
-    d = len(U)
-    Uc = la.mat_mul(U, flag._full_inv)
-    Ua, Ub = [c[:d] for c in Uc], [c[d:] for c in Uc]
-    W, Wperp, reps, _ = flag._fiber(la.rref_span(field, Ua))
-    # rho on the canonical span basis of W: lift each w to U, then read the
-    # M_+ part of the lift in the basis reps + W^⊥ of M_+
-    lifts = la.solve(field, la.transpose(Ua), W.span)
-    if lifts is None:
-        raise RuntimeError("projection of U misses W")
-    coords = la.solve(field, la.transpose(reps + Wperp), la.mat_mul(lifts, Ub))
-    return (SntSubmodule(field, W.span, W.quasi, W.partition, W.chains),
+    w = sum(c < d for c in piv)
+    W, Wperp, reps, _, perp, cols = flag._fiber([r[:d] for r in R[:w]])
+    if [c - d for c in piv[w:]] != perp:
+        raise RuntimeError("U ∩ M_+ differs from W^⊥")
+    return (SntSubmodule(W.field, W.span, W.quasi, W.partition, W.chains),
             [r[:] for r in Wperp], [r[:] for r in reps],
-            [c[:len(reps)] for c in coords])
+            la._box_echelon(kind, R, piv[:w], [d + c for c in cols]))
 
 
 def _perp_and_reps(flag, W_rows):
     """(W^⊥, reps) for W ⊆ M_- given by rows in M_- coordinates: the
     canonical basis of W^⊥ ⊆ M_+, and the unit vectors away from its pivots
-    as representatives of a basis of M_+/W^⊥, both in M_+ coordinates."""
-    field, d = flag.M.field, flag.M.dim // 2
-    if W_rows:
-        Wperp = la.right_kernel(
-            field, la.mat_mul([list(r) for r in W_rows], flag.pairing_minus_plus()))
-    else:
-        Wperp = la.identity(field, d)
-    Wperp = [list(r) for r in la.rref_span(field, Wperp)]
-    piv = {next(c for c, x in enumerate(r) if x) for r in Wperp}
-    reps = []
-    for c in range(d):
-        if c not in piv:
-            e = [field.zero] * d
-            e[c] = field.one
-            reps.append(e)
-    return Wperp, reps
+    as representatives of a basis of M_+/W^⊥, both in M_+ coordinates.
+    W^⊥ is the kernel of W·<minus, plus> on int rows; both are boxed once."""
+    kind, d = flag._kind, flag.M.dim // 2
+    W = la._to_ints(kind, W_rows)[0]
+    Wp, piv = la._int_echelon(kind, la._int_kernel(
+        kind, la._ints_mul(kind, W, flag._pair[0]))[0] if W else la._int_identity(d))
+    return la._box_echelon(kind, Wp, piv), la._from_ints(
+        kind, [[int(c == j) for j in range(d)] for c in range(d) if c not in piv])
 
 
 def graph_of_rho(flag, W_sub, Wperp, reps, rho):
@@ -712,40 +725,34 @@ def self_dual_map_space_dim(flag, W_sub, Wperp, reps):
 
 def self_dual_map_basis(flag, W_sub, Wperp, reps):
     """A basis of the t-linear self-dual maps W -> M_+/W^⊥, each a w × r
-    matrix in the bases (W_sub.span) -> (reps), as `rho_of` returns rho."""
-    field = flag.M.field
-    w = len(W_sub.span)
-    r = len(reps)
+    matrix in the bases (W_sub.span) -> (reps), as `rho_of` returns rho.
+
+    reps must be the unit vectors away from the pivots of the reduced
+    echelon Wperp, as `rho_of` gives them (ValueError otherwise), so t on W
+    (TW) and on M_+/W^⊥ (TQ) are read at pivots.  The equations for R,
+    t-linear and self-dual, are int rows; `linalg._int_kernel` solves them,
+    boxed once.
+    """
+    kind, d = flag._kind, flag.M.dim // 2
+    w, r = len(W_sub.span), len(reps)
     if w == 0 or r == 0:
         return []
-    span = [list(x) for x in W_sub.span]
-    # t-action on W in span coordinates
-    TW = la.solve(field, la.transpose(span), la.mat_mul(span, flag.t_on_minus()))
-    # t-action on the quotient in rep coordinates
-    TQ = [c[:r] for c in la.solve(field, la.transpose(reps + Wperp),
-                                   la.mat_mul(reps, flag.t_on_plus()))]
-    # pairing W x M_+/W^perp
-    P = la.mat_mul(la.mat_mul(span, flag.pairing_minus_plus()), la.transpose(reps))
-    # unknown R (w x r): t-linear  TW·R = R·TQ ; self-dual  P·Rᵀ symmetric
-    eqs, nvar = [], w * r
-
-    def var(i, j):
-        return i * r + j
-
-    for i in range(w):
-        for j in range(r):
-            row = [field.zero] * nvar
-            for l in range(w):
-                row[var(l, j)] = row[var(l, j)] + TW[i][l]
-            for l in range(r):
-                row[var(i, l)] = row[var(i, l)] - TQ[l][j]
-            eqs.append(row)
-    for i in range(w):
-        for jj in range(i + 1, w):
-            row = [field.zero] * nvar
-            for l in range(r):
-                row[var(jj, l)] = row[var(jj, l)] + P[i][l]
-                row[var(i, l)] = row[var(i, l)] - P[jj][l]
-            eqs.append(row)
+    (S, s), (Wp, e) = la._to_ints(kind, W_sub.span), la._to_ints(kind, Wperp)
+    perp = list(map(_lead, Wp))
+    cols = [c for c in range(d) if c not in perp]
+    if la._to_ints(kind, reps)[0] != [[int(c == j) for j in range(d)] for c in cols]:
+        raise ValueError("reps must be the unit vectors away from the pivots of W^⊥")
+    (Tm, tm), (Tp, tp), (P, _) = flag._tm, flag._tp, flag._pair
+    # TW over s·tm, TQ over e·tp (W^⊥'s pivot entries are e): both to s·tm·e·tp
+    piv = list(map(_lead, S))
+    TW = [[x[c] * e * tp for c in piv] for x in la._ints_mul(kind, S, Tm)]
+    TQ = [[(e * y[c] - sum(y[k] * row[c] for k, row in zip(perp, Wp))) * s * tm
+           for c in cols] for y in (Tp[c] for c in cols)]
+    P = [[x[c] for c in cols] for x in la._ints_mul(kind, S, P)]
+    # unknown R[a][b] at a·r + b; rows (TW·R − R·TQ)[i][j], (P·Rᵀ)[i][j] − (P·Rᵀ)[j][i]
+    eqs = [[TW[i][a] * (b == j) - TQ[b][j] * (a == i) for a in range(w) for b in range(r)]
+           for i in range(w) for j in range(r)]
+    eqs += [[P[i][b] * (a == j) - P[j][b] * (a == i) for a in range(w) for b in range(r)]
+            for i in range(w) for j in range(i + 1, w)]
     return [[vec[i * r:(i + 1) * r] for i in range(w)]
-            for vec in la.right_kernel(field, eqs)]
+            for vec in la._from_ints(kind, *la._int_kernel(kind, eqs))]

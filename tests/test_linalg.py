@@ -383,6 +383,8 @@ def test_affine_family_runs_in_product_order(p):
     for b in range(4):
         A0, *As = [[[rng.randrange(-9, 9) for _ in range(4)] for _ in range(3)]
                    for _ in range(b + 1)]
+        for A in As[::2]:
+            A[1] = [p, -2 * p, 0, p]        # a step row that is 0 mod p
         expect = [[[(x + sum(c * A[i][j] for c, A in zip(cs, As))) % p
                     for j, x in enumerate(row)] for i, row in enumerate(A0)]
                   for cs in itertools.product(range(p), repeat=b)]

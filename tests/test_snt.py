@@ -13,7 +13,7 @@ from sntmod.sntmodule import (InvalidModuleError, LagrangianFlag,
                               NotTStableError, SntModule,
                               decompose, direct_sum, enumerate_t_lagrangians,
                               graph_of_rho, is_isotropic, is_t_lagrangian,
-                              is_t_stable, jordan_type, make_H, quasi_basis,
+                              jordan_type, make_H, quasi_basis,
                               rho_of, self_dual_map_basis,
                               self_dual_map_space_dim, standard_module,
                               standard_t_lagrangian)
@@ -37,6 +37,13 @@ def random_invertible(field, n, rng):
             return A
         except ValueError:
             continue
+
+
+def is_t_stable(M, rows):
+    """The boxed stability check: the span of `rows` is t-stable exactly
+    when its basis times T adds nothing to its rank."""
+    span = [list(r) for r in la.rref_span(M.field, [list(r) for r in rows])]
+    return la.rank(M.field, span + la.mat_mul(span, M.t)) == len(span)
 
 
 def base_change(M, P):
@@ -548,21 +555,245 @@ def _typed(x):
     return type(x), x
 
 
+# --------------------------------------------------------------------------
+# the boxed reference of the fibration: `LagrangianFlag`'s data, `rho_of`,
+# `_perp_and_reps` and `self_dual_map_basis` on boxed matrices
+# --------------------------------------------------------------------------
+
+class BoxedFlag:
+    """The checks and data of `LagrangianFlag` on boxed matrices, with the
+    same ValueErrors: t on M_- through M/M_+, t on M_+ and the pairing."""
+
+    def __init__(self, M, minus, plus):
+        self.M = M
+        self.minus, self.plus = [list(r) for r in minus], [list(r) for r in plus]
+        d = M.dim // 2
+        if len(self.minus) != d or len(self.plus) != d:
+            raise ValueError("flag parts must have dimension dim/2")
+        if not is_isotropic(M, self.minus) or not is_isotropic(M, self.plus):
+            raise ValueError("flag parts must be isotropic")
+        if not is_t_stable(M, self.plus):
+            raise ValueError("M_+ must be t-stable")
+        self.minus_t_stable = is_t_stable(M, self.minus)
+        self.full_inv = la.inverse(M.field, self.minus + self.plus)
+        self.t_minus = [self.split_coords(la.vec_mat(r, M.t))[0] for r in self.minus]
+        self.t_plus = [self.split_coords(la.vec_mat(r, M.t))[1] for r in self.plus]
+        self.pairing = la.mat_mul(la.mat_mul(self.minus, M.gram),
+                                  la.transpose(self.plus))
+
+    def split_coords(self, v):
+        c = la.vec_mat(list(v), self.full_inv)
+        d = self.M.dim // 2
+        return c[:d], c[d:]
+
+
+def boxed_lagrangian_span(M, rows):
+    """The canonical basis of the span of `rows` when it is a t-Lagrangian
+    subspace of M, else None: rank, `is_isotropic` and t-stability."""
+    span = [list(r) for r in la.rref_span(M.field, [list(r) for r in rows])]
+    if 2 * len(span) == M.dim and is_isotropic(M, span) and is_t_stable(M, span):
+        return span
+    return None
+
+
+def boxed_rho_of(ref, U_rows):
+    """`rho_of` on boxed matrices and without a cache: lift each w of W's
+    canonical basis to U, then read the M_+ part of the lift in the basis
+    reps + W^⊥ of M_+."""
+    field = ref.M.field
+    U = boxed_lagrangian_span(ref.M, U_rows)
+    if U is None:
+        raise ValueError("U is not a t-Lagrangian subspace")
+    d = len(U)
+    Uc = la.mat_mul(U, ref.full_inv)
+    Ua, Ub = [c[:d] for c in Uc], [c[d:] for c in Uc]
+    W = quasi_basis(field, ref.t_minus, ref.M.K, la.rref_span(field, Ua))
+    Wperp, reps = boxed_perp_and_reps(ref, W.span)
+    lifts = la.solve(field, la.transpose(Ua), W.span)
+    coords = la.solve(field, la.transpose(reps + Wperp), la.mat_mul(lifts, Ub))
+    return W, Wperp, reps, [c[:len(reps)] for c in coords]
+
+
+def boxed_perp_and_reps(ref, W_rows):
+    field, d = ref.M.field, ref.M.dim // 2
+    if W_rows:
+        Wperp = la.right_kernel(field, la.mat_mul([list(r) for r in W_rows], ref.pairing))
+    else:
+        Wperp = la.identity(field, d)
+    Wperp = [list(r) for r in la.rref_span(field, Wperp)]
+    piv = {next(c for c, x in enumerate(r) if x) for r in Wperp}
+    return Wperp, [unit(field, d, c) for c in range(d) if c not in piv]
+
+
+def boxed_self_dual_map_basis(ref, W_sub, Wperp, reps):
+    """The equations TW·R = R·TQ and P·Rᵀ symmetric built entry by entry
+    on boxed scalars, TW and TQ from `solve`, the kernel from
+    `right_kernel`."""
+    field = ref.M.field
+    w, r = len(W_sub.span), len(reps)
+    if w == 0 or r == 0:
+        return []
+    span = [list(x) for x in W_sub.span]
+    TW = la.solve(field, la.transpose(span), la.mat_mul(span, ref.t_minus))
+    TQ = [c[:r] for c in la.solve(field, la.transpose(reps + Wperp),
+                                   la.mat_mul(reps, ref.t_plus))]
+    P = la.mat_mul(la.mat_mul(span, ref.pairing), la.transpose(reps))
+    eqs = []
+    for i in range(w):
+        for j in range(r):
+            row = [field.zero] * (w * r)
+            for l in range(w):
+                row[l * r + j] = row[l * r + j] + TW[i][l]
+            for l in range(r):
+                row[i * r + l] = row[i * r + l] - TQ[l][j]
+            eqs.append(row)
+    for i in range(w):
+        for jj in range(i + 1, w):
+            row = [field.zero] * (w * r)
+            for l in range(r):
+                row[jj * r + l] = row[jj * r + l] + P[i][l]
+                row[i * r + l] = row[i * r + l] - P[jj][l]
+            eqs.append(row)
+    return [[vec[i * r:(i + 1) * r] for i in range(w)]
+            for vec in la.right_kernel(field, eqs)]
+
+
+def _flag_data(flag):
+    """What a flag computes once, by the public accessors of either kind."""
+    split = [flag.split_coords(r) for r in flag.M.basis()]
+    if isinstance(flag, BoxedFlag):
+        return _typed((flag.t_minus, flag.t_plus, flag.pairing, flag.minus_t_stable, split))
+    return _typed((flag.t_on_minus(), flag.t_on_plus(), flag.pairing_minus_plus(),
+                   flag.minus_t_stable, split))
+
+
+def _check_fibration(flag, ref, points):
+    """The int flag against the boxed one: its data, and at each point U
+    `rho_of`, then once per W `_perp_and_reps` and `self_dual_map_basis`,
+    values and entry types.  The flag's cache, empty at the start, ends
+    with one entry per W.  Returns the W's seen."""
+    assert _flag_data(flag) == _flag_data(ref)
+    seen = set()
+    for U in points:
+        W, Wperp, reps, rho = rho_of(flag, U)
+        eW, eWperp, ereps, erho = boxed_rho_of(ref, U)
+        assert _typed((W.span, W.quasi, W.partition, W.chains, Wperp, reps, rho)) == \
+            _typed((eW.span, eW.quasi, eW.partition, eW.chains, eWperp, ereps, erho))
+        if W.span not in seen:
+            seen.add(W.span)
+            assert _typed(_perp_and_reps(flag, W.span)) == _typed((eWperp, ereps))
+            assert _typed(self_dual_map_basis(flag, W, Wperp, reps)) == \
+                _typed(boxed_self_dual_map_basis(ref, eW, eWperp, ereps))
+    assert len(flag._fibers) == len(seen)
+    return seen
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrangians(q, ks, scrambled):
+    M = _module(q, ks, scrambled)
+    return M, [[list(r) for r in U] for U in enumerate_t_lagrangians(M)]
+
+
+@pytest.mark.parametrize("scrambled", [False, True])
+@pytest.mark.parametrize("q,ks", [(3, (1, 1)), (3, (2, 1)), (3, (2, 2)), (5, (2, 1))])
+def test_int_fibration_matches_boxed_reference(q, ks, scrambled):
+    # every t-Lagrangian, through the standard flag or the one `decompose`
+    # reads off the scrambled module
+    M, points = _lagrangians(q, ks, scrambled)
+    flag = (LagrangianFlag.from_decomposition if scrambled
+            else LagrangianFlag.standard)(M)
+    _check_fibration(flag, BoxedFlag(M, flag.minus, flag.plus), points)
+
+
+def test_int_fibration_matches_boxed_reference_on_a_skew_flag():
+    # H_2 = <e1, te1, e2, te2> with M_- = <e1, te1 + e2>, which t does not keep
+    M = make_H(F3, 2)
+    minus, plus = ([[F3(x) for x in r] for r in A] for A in (
+        [[1, 0, 0, 0], [0, 1, 1, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]))
+    flag = LagrangianFlag(M, minus, plus)
+    assert not flag.minus_t_stable
+    _check_fibration(flag, BoxedFlag(M, minus, plus),
+                     [[list(r) for r in U] for U in enumerate_t_lagrangians(M)])
+
+
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_flag_checks_match_boxed_reference(field):
+    # in (2, 1) the e1 chains are rows 0, 1, 4 and the e2 chains 2, 3, 5;
+    # a part is a list of rows, each the sum of the basis rows named.  Both
+    # flags accept the same parts with the same data (M_- t-stable or not),
+    # or raise the same ValueError (dimension, isotropy, M_+ not t-stable,
+    # singular)
+    M = standard_module(field, (2, 1))
+    I = M.basis()
+    parts = [("0 1 4", "2 3 5"), ("2 3 5", "0 1 4"), ("0 12 4", "2 3 5"),
+             ("0 1", "2 3 5"), ("0 1 4", "0 3 5"), ("1 3 5", "0 2 4"),
+             ("2 3 5", "2 3 5")]
+    for minus, plus in parts:
+        minus, plus = ([functools.reduce(la.vec_add, (I[int(i)] for i in r))
+                        for r in part.split()] for part in (minus, plus))
+        out = []
+        for cls in (LagrangianFlag, BoxedFlag):
+            try:
+                out.append(_flag_data(cls(M, minus, plus)))
+            except ValueError as e:
+                out.append(str(e))
+        assert out[0] == out[1]
+
+
+def _graph_points(flag, ref, rng):
+    """t-Lagrangians over Q as graphs: for t-stable W ⊆ M_- spanned by the
+    t-chains of random vectors, U = `graph_of_rho` of random rational
+    combinations R of the boxed self-dual map basis, three per W, each
+    basis of U mixed by a random invertible matrix; pairs (U, R)."""
+    field, d = flag.M.field, flag.M.dim // 2
+    points = []
+    for n in (0, 1, 1, 1, 2, 2, d):
+        gens = [[field(rng.randint(-2, 2)) for _ in range(d)] for _ in range(n)]
+        span = la.rref_span(field, [v for g in gens for v in la.t_chain(ref.t_minus, g)])
+        W = quasi_basis(field, ref.t_minus, flag.M.K, [list(r) for r in span])
+        Wperp, reps = boxed_perp_and_reps(ref, W.span)
+        for _ in range(3):
+            R = la.zeros(field, len(W.span), len(reps))
+            for B in boxed_self_dual_map_basis(ref, W, Wperp, reps):
+                R = la.mat_add(R, la.scal_mul(field(rng.randint(-3, 3)) / rng.randint(1, 3), B))
+            U = [list(r) for r in graph_of_rho(flag, W, Wperp, reps, R)]
+            points.append((la.mat_mul(random_invertible(field, d, rng), U), R))
+    return points
+
+
+@pytest.mark.parametrize("scrambled", [False, True])
+def test_int_fibration_over_q_matches_boxed_reference(scrambled):
+    # graphs are t-Lagrangians when M_- is t-stable, as both flags' are
+    rng = random.Random(11)
+    M = standard_module(QQ, (2, 1))
+    if scrambled:
+        M = base_change(M, random_invertible(QQ, 6, rng))
+    flag = (LagrangianFlag.from_decomposition if scrambled
+            else LagrangianFlag.standard)(M)
+    ref = BoxedFlag(M, flag.minus, flag.plus)
+    points = _graph_points(flag, ref, rng)
+    assert len(_check_fibration(flag, ref, [U for U, _ in points])) >= 3
+    for U, R in points:
+        assert _typed(rho_of(flag, U)[3]) == _typed(R)
+
+
 def boxed_enumerate_t_lagrangians(M):
-    """`enumerate_t_lagrangians` point by point on boxed matrices: rho =
-    Σ c_k·R_k by `mat_add` and `scal_mul`, its graph by `graph_of_rho`, and
-    `is_isotropic` on each graph; the guard is left out."""
+    """`enumerate_t_lagrangians` point by point on boxed matrices, with the
+    boxed flag data and fiber bases: rho = Σ c_k·R_k by `mat_add` and
+    `scal_mul`, its graph by `graph_of_rho`, and `is_isotropic` on each
+    graph; the guard is left out."""
     field, d = M.field, M.dim // 2
     flag = LagrangianFlag.from_decomposition(M)
-    Tm = flag.t_on_minus()
+    ref = BoxedFlag(M, flag.minus, flag.plus)
+    Tm = ref.t_minus
     found = []
     for j in range(d + 1):
         for W in _all_rref_subspaces(field, d, j):
             if la.rank(field, W + la.mat_mul(W, Tm)) != j:
                 continue
             W_sub = quasi_basis(field, Tm, M.K, W)
-            Wperp, reps = _perp_and_reps(flag, W)
-            basis = self_dual_map_basis(flag, W_sub, Wperp, reps)
+            Wperp, reps = boxed_perp_and_reps(ref, W)
+            basis = boxed_self_dual_map_basis(ref, W_sub, Wperp, reps)
             for coeffs in itertools.product(field.elements(), repeat=len(basis)):
                 rho = la.zeros(field, j, len(reps))
                 for c, R in zip(coeffs, basis):
@@ -656,18 +887,26 @@ def test_rho_of_minus_side_is_zero():
 
 def test_rho_of_rejects_non_lagrangians():
     # in (2, 1): rows 0, 1 are e1, te1 and rows 2, 3 are e2, te2 of H_2;
-    # rows 4, 5 are e1, e2 of H_1
-    M = standard_module(F3, (2, 1))
-    flag = LagrangianFlag.standard(M)
-    wrong_dim = [unit(F3, 6, 1)]
-    not_stable = [unit(F3, 6, i) for i in (0, 2, 4)]
-    not_isotropic = [unit(F3, 6, i) for i in (1, 4, 5)]
-    assert is_isotropic(M, not_stable) and not is_t_stable(M, not_stable)
-    assert is_t_stable(M, not_isotropic) and not is_isotropic(M, not_isotropic)
-    for U in (wrong_dim, not_stable, not_isotropic):
-        assert not is_t_lagrangian(M, U)
-        with pytest.raises(ValueError, match="not a t-Lagrangian"):
-            rho_of(flag, U)
+    # rows 4, 5 are e1, e2 of H_1.  Over F_5 the module is scrambled to
+    # P·M·P⁻¹, with the flag `decompose` reads off it, and each row set is
+    # moved to its rows times P⁻¹
+    for field, scrambled in ((F3, False), (F5, True), (QQ, False)):
+        M = standard_module(field, (2, 1))
+        move = la.identity(field, 6)
+        if scrambled:
+            P = random_invertible(field, 6, random.Random(5))
+            M, move = base_change(M, P), la.inverse(field, P)
+        flag = (LagrangianFlag.from_decomposition if scrambled
+                else LagrangianFlag.standard)(M)
+        wrong_dim, not_stable, not_isotropic = (
+            la.mat_mul([unit(field, 6, i) for i in rows], move)
+            for rows in ((1,), (0, 2, 4), (1, 4, 5)))
+        assert is_isotropic(M, not_stable) and not is_t_stable(M, not_stable)
+        assert is_t_stable(M, not_isotropic) and not is_isotropic(M, not_isotropic)
+        for U in (wrong_dim, not_stable, not_isotropic):
+            assert not is_t_lagrangian(M, U)
+            with pytest.raises(ValueError, match="not a t-Lagrangian"):
+                rho_of(flag, U)
 
 
 def test_rho_graph_roundtrip():
@@ -830,3 +1069,25 @@ def test_graph_of_given_self_dual_map_returns_same_rho():
         W2, Wp2, reps2, rho2 = rho_of(flag, [list(r) for r in U])
         assert W2.span == Wfull.span and not Wp2
         assert la.mat_eq(rho2, rho)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_t_lagrangian_matches_boxed_checks(data):
+    """`is_t_lagrangian` on int rows against the boxed rank, `is_isotropic`
+    and `is_t_stable`: rows are random combinations of a t-Lagrangian's
+    rows or of random rows, sometimes with one random row added."""
+    q = data.draw(st.sampled_from([3, 5]))
+    ks = data.draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1)]))
+    M, lagr = _lagrangians(q, ks, data.draw(st.booleans()))
+    n, field = M.dim, M.field
+    vec = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    base = data.draw(st.one_of(st.sampled_from(lagr),
+                               st.lists(vec.map(lambda v: [field(x) for x in v]),
+                                        min_size=1, max_size=n)))
+    coeffs = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=len(base),
+                                         max_size=len(base)), max_size=n))
+    U = la.mat_mul([[field(c) for c in row] for row in coeffs], base) if coeffs else []
+    U += [[field(x) for x in v] for v in data.draw(st.lists(vec, max_size=1))]
+    expect = 2 * la.rank(field, U) == n and is_isotropic(M, U) and is_t_stable(M, U)
+    assert is_t_lagrangian(M, U) == expect
