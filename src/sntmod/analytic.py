@@ -10,8 +10,10 @@ symmetric matrix with positive definite imaginary part, and the identity
 
 holds with Q(m,n) = m^2 tau11 + 2mn tau12 + n^2 tau22 and the mass constant
 C fixed by 1 = C sum_j |Aut_j|^{-1}.  Both sides are evaluated with
-certified truncation tails; lattice shell counts are exact integers from
-recursive Cholesky-bounded enumeration.
+certified truncation tails; lattice shell counts are exact integers from a
+depth-first Cholesky-pruned walk whose prefixes carry shrinking partial
+sums, not coordinates, and a Gram is checked positive definite by
+fraction-free elimination on ints.
 """
 from __future__ import annotations
 
@@ -76,40 +78,54 @@ _D16_PLUS_GRAM = [
 ]
 
 
+def _gram_entry(x, i, j):
+    """Gram entry (i, j) as an int: an integer (not a bool) or a finite
+    float of integer value, such as JSON's 2.0; ValueError otherwise, so
+    that no input is rounded into another lattice."""
+    if (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            or isinstance(x, float) and x.is_integer()):
+        return int(x)
+    raise ValueError("gram entry (%d, %d) must be an integer, got %r"
+                     % (i, j, x))
+
+
+def _leading_minors(gram):
+    """The leading principal minors d_1, d_2, ... of an int gram, up to the
+    first that is not positive, as the pivots of fraction-free (Bareiss)
+    elimination without row swaps.  All are positive exactly when the gram
+    is positive definite (Sylvester's criterion), and the last is then det."""
+    A = [row[:] for row in gram]
+    out, prev = [], 1
+    for k, pivot_row in enumerate(A):
+        d = pivot_row[k]
+        out.append(d)
+        if d <= 0:
+            break
+        for row in A[k + 1:]:
+            row[k + 1:] = [(a * d - row[k] * c) // prev
+                           for a, c in zip(row[k + 1:], pivot_row[k + 1:])]
+        prev = d
+    return out
+
+
 class IntegralLattice:
     """Positive definite integral lattice given by its Gram matrix."""
 
     def __init__(self, gram, name=""):
-        self.gram = [[int(x) for x in row] for row in gram]
+        self.gram = [[_gram_entry(x, i, j) for j, x in enumerate(row)]
+                     for i, row in enumerate(gram)]
         self.rank = len(self.gram)
         self.name = name
         if any(len(r) != self.rank for r in self.gram):
             raise ValueError("gram must be square")
         if self.gram != [list(r) for r in zip(*self.gram)]:
             raise ValueError("gram must be symmetric")
-        pivots = self._pivots()
-        if not all(p > 0 for p in pivots):
+        minors = _leading_minors(self.gram)
+        if not all(d > 0 for d in minors):
             raise ValueError("gram must be positive definite")
-        self._det = int(math.prod(pivots))
+        self._det = minors[-1] if minors else 1
         self._counts = None
         self._counts_upto = -1
-
-    def _pivots(self):
-        """Pivots of exact Gaussian elimination without row swaps, up to
-        and including the first non-positive one.  All are positive exactly
-        when the gram is positive definite, and their product is then det."""
-        A = [[Fraction(x) for x in row] for row in self.gram]
-        n = self.rank
-        out = []
-        for i in range(n):
-            piv = A[i][i]
-            out.append(piv)
-            if piv <= 0:
-                break
-            for r in range(i + 1, n):
-                f = A[r][i] / piv
-                A[r] = [x - f * y for x, y in zip(A[r], A[i])]
-        return out
 
     def det(self):
         return self._det
@@ -175,12 +191,6 @@ def rank16_genus():
     return [e8e8(), d16_plus()], [AUT_E8E8, AUT_D16_PLUS]
 
 
-def _cholesky_upper(gram):
-    G = np.array(gram, dtype=np.float64)
-    L = np.linalg.cholesky(G)
-    return L.T.copy()  # upper triangular R with RᵀR = G
-
-
 # prefixes expanded by one level step.  The walker holds one expanded step
 # per level, at most _CHUNK times the ~2√B / R_ii values one coordinate can
 # take, so its memory does not follow the number of vectors of norm <= B
@@ -194,39 +204,42 @@ def _shell_chunks(gram, B, half=False):
     the first: a level step fixes coordinate i below at most _CHUNK
     prefixes that fix coordinates i+1..N-1, and pending prefixes wait on a
     stack in order, so the rows come out in lexicographic order of
-    (x_{N-1}, ..., x_0).  Float bounds are inflated, and every prefix
-    carries its exact int64 norm alongside, which each leaf is re-checked
-    against, so the output is exact.
+    (x_{N-1}, ..., x_0).  A prefix carries no coordinates, only the partial
+    sums S[j] = Σ_k R[j,k] x_k (floats) and E[j] = Σ_k G[j,k] x_k (exact)
+    over its fixed k, for the j <= i still free: S[i] centers x_i, E[i] =
+    (Gx)_i updates the norm, and the step adds x_i times column i of R and
+    G to rows j < i, so level i holds at most _CHUNK × width × i of each.
+    Float bounds are inflated, and each leaf is re-checked against the
+    exact int64 norm every prefix carries, so the output is exact.
     Raises EnumerationGuardError before a step would take a level's
     candidate count, summed over its chunks, past the enumeration guard.
 
-    With `half`, only zero and the x whose highest-index nonzero coordinate
-    is positive are yielded, one of each pair ±x: x and -x have the same
-    norm, and x = -x only for x = 0.  Each prefix carries whether it is
-    still all zero, and below such a prefix x_i starts at 0.
+    With `half`, only the norms are yielded, of zero and the x whose
+    highest-index nonzero coordinate is positive, one of each pair ±x: x
+    and -x have the same norm, and x = -x only for x = 0.  Below a prefix
+    still all zero, x_i starts at 0.  The full walk's prefixes carry X.
     """
     limit = enum_guard_limit()
     G = np.array(gram, dtype=np.int64)
     N = len(gram)
-    R = _cholesky_upper(gram)
+    R = np.linalg.cholesky(G.astype(float)).T   # upper triangular, RᵀR = G
     bound = B + 0.5
     seen = [0] * N
-    # (i, X, pn, en, z): prefixes X fixing coordinates i..N-1, their other
-    # columns still 0, with float partial norms pn, exact norms en, and
-    # z = "prefix is 0"
-    stack = [(N, np.zeros((1, N), dtype=np.int64), np.zeros(1),
-              np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool))]
+    # (i, pn, en, z, S, E[, X]): prefixes fixing x_i..x_{N-1}, one per column,
+    # with float and exact norms, z = "prefix is 0", S, E and X by rows
+    stack = [(N, np.zeros(1), np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
+              np.zeros((N, 1)), np.zeros((N, 1), dtype=np.int64))
+             + (() if half else (np.zeros((0, 1), dtype=np.int64),))]
     while stack:
         i, *level = stack.pop()
         if len(level[0]) > _CHUNK:
-            stack.append((i, *(a[_CHUNK:] for a in level)))
-            level = [a[:_CHUNK] for a in level]
-        X, pn, en, z = level
+            stack.append((i, *(a[..., _CHUNK:] for a in level)))
+            level = [a[..., :_CHUNK] for a in level]
+        pn, en, z, S, E, *X = level
         i -= 1
         rii = R[i, i]
-        t = X @ R[i]   # R is upper triangular and X[:, :i+1] is 0
         width = np.sqrt(np.maximum(bound - pn, 0.0)) / rii
-        center = -t / rii
+        center = -S[i] / rii
         lo = np.ceil(center - width).astype(np.int64)
         hi = np.floor(center + width).astype(np.int64)
         if half:
@@ -240,22 +253,21 @@ def _shell_chunks(gram, B, half=False):
                 % (seen[i], limit))
         if not total:
             continue
-        rows = np.repeat(np.arange(len(X)), cnt)
+        rows = np.repeat(np.arange(len(pn)), cnt)
         # x_i runs over lo..hi below each prefix: its offset in the prefix's
         # run is the position minus the run's start
         xi = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-        y = rii * xi + t[rows]
-        pn = pn[rows] + y * y
         # (x + x_i e_i)ᵀG(x + x_i e_i) = xᵀGx + x_i (2 (Gx)_i + G_ii x_i)
-        en = en[rows] + xi * (2 * (X @ G[i])[rows] + G[i, i] * xi)
-        z = z[rows] & (xi == 0)
-        X = X.take(rows, axis=0)
-        X[:, i] = xi
-        if i:
-            stack.append((i, X, pn, en, z))
-        else:
+        en = en[rows] + xi * (2 * E[i].take(rows) + G[i, i] * xi)
+        X = [np.vstack((xi, x.take(rows, axis=1))) for x in X]
+        if not i:
             ok = en <= B
-            yield X[ok], en[ok]
+            yield (X[0][:, ok].T, en[ok]) if X else en[ok]
+            continue
+        pn = pn[rows] + (rii * xi + S[i].take(rows)) ** 2
+        S = S[:i].take(rows, axis=1) + np.multiply.outer(R[:i, i], xi)
+        E = E[:i].take(rows, axis=1) + np.multiply.outer(G[:i, i], xi)
+        stack.append((i, pn, en, z[rows] & (xi == 0), S, E, *X))
 
 
 def _orthogonal_components(gram):
@@ -290,7 +302,7 @@ def _shell_counts(gram, B):
         comp = sorted(comp, key=lambda i: gram[i][i])
         sub = [[gram[i][j] for j in comp] for i in comp]
         half = np.zeros(B + 1, dtype=np.int64)
-        for _, norms in _shell_chunks(sub, B, half=True):
+        for norms in _shell_chunks(sub, B, half=True):
             half += np.bincount(norms, minlength=B + 1)
         c = (2 * half).tolist()
         c[0] -= 1

@@ -2,6 +2,7 @@
 identity harness."""
 import functools
 import itertools
+import json
 import math
 import os
 import random
@@ -72,12 +73,88 @@ def test_rejects_bad_grams():
 def test_lattice_eliminates_once(monkeypatch):
     # the positive-definite check and det() share one exact elimination
     calls = []
-    pivots = IntegralLattice._pivots
-    monkeypatch.setattr(IntegralLattice, "_pivots",
-                        lambda self: calls.append(1) or pivots(self))
+    minors = analytic._leading_minors
+    monkeypatch.setattr(analytic, "_leading_minors",
+                        lambda gram: calls.append(1) or minors(gram))
     L = IntegralLattice([[2, 1], [1, 2]], name="A2")
     assert L.det() == 3 and not L.is_unimodular()
     assert len(calls) == 1
+
+
+def _fraction_pivots(gram):
+    """Reference for _leading_minors: the pivots of exact Gaussian
+    elimination over Fractions without row swaps, up to and including the
+    first non-positive one.  All are positive exactly when the gram is
+    positive definite, and their product is then det."""
+    A = [[Fraction(x) for x in row] for row in gram]
+    n = len(A)
+    out = []
+    for i in range(n):
+        piv = A[i][i]
+        out.append(piv)
+        if piv <= 0:
+            break
+        for r in range(i + 1, n):
+            f = A[r][i] / piv
+            A[r] = [x - f * y for x, y in zip(A[r], A[i])]
+    return out
+
+
+def _oracle_gram(rng, kind, n):
+    """A seeded symmetric int gram of rank n: positive definite (MᵀM + I),
+    singular (MᵀM with a dependent row in M) or indefinite (MᵀM + I with one
+    diagonal entry pushed below 0, or a random symmetric matrix)."""
+    M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        coeffs = [rng.choice((-1, 1)) for _ in range(n - 1)]
+        M[-1] = [sum(c * row[j] for c, row in zip(coeffs, M)) for j in range(n)]
+    shift = kind != "singular"
+    gram = [[sum(M[k][i] * M[k][j] for k in range(n)) + shift * (i == j)
+             for j in range(n)] for i in range(n)]
+    if kind == "indefinite":
+        if rng.random() < 0.5:
+            k = rng.randrange(n)
+            gram[k][k] -= gram[k][k] + rng.randint(1, 5)
+        else:
+            for i in range(n):
+                for j in range(i + 1):
+                    gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+    return gram
+
+
+@pytest.mark.parametrize("kind", ["definite", "singular", "indefinite"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_leading_minors_match_fraction_pivots(kind, n):
+    # 3 kinds x 8 ranks x 8 seeds: 192 grams against the Fraction reference
+    rng = random.Random("%s-%d" % (kind, n))
+    for _ in range(8):
+        gram = _oracle_gram(rng, kind, n)
+        pivots = _fraction_pivots(gram)
+        minors = analytic._leading_minors(gram)
+        assert minors == [math.prod(pivots[:k + 1]) for k in range(len(pivots))]
+        definite = all(p > 0 for p in pivots)
+        assert kind != "definite" or definite
+        assert kind != "singular" or not definite
+        if definite:
+            assert IntegralLattice(gram).det() == math.prod(pivots)
+        else:
+            with pytest.raises(ValueError, match="positive definite"):
+                IntegralLattice(gram)
+
+
+def test_gram_entries_must_be_integers():
+    # an entry is never rounded into another lattice: E8 with one 2 read as
+    # 2.9 or "2" is not E8.  Integer-valued floats, as JSON may write them,
+    # and numpy integers are read as the integers they are
+    for bad in (2.9, 2.5, "2", True, None, math.inf, math.nan, Fraction(2)):
+        gram = [row[:] for row in analytic._E8_GRAM]
+        gram[3][3] = bad
+        with pytest.raises(ValueError, match=r"gram entry \(3, 3\)"):
+            IntegralLattice(gram)
+    for good in ([[float(x) for x in row] for row in analytic._E8_GRAM],
+                 np.array(analytic._E8_GRAM)):
+        L = IntegralLattice(good)
+        assert L.gram == analytic._E8_GRAM and L.det() == 1
 
 
 def test_primitive_counts_moebius(E8):
@@ -262,6 +339,75 @@ def test_d16_counts_in_any_coordinate_order():
     assert shuffled != analytic._D16_PLUS_GRAM
     for gram in (analytic._D16_PLUS_GRAM, shuffled):
         assert IntegralLattice(gram).counts_by_norm(6) == _rank16_closed_form(6)
+
+
+def _scrambled(gram, seed, steps):
+    """P·G·Pᵀ for a seeded unimodular P, a product of `steps` elementary
+    row operations row_r += ±row_c: the same lattice in a basis with mixed
+    diagonals and dense off-diagonal entries."""
+    rng = random.Random(seed)
+    n = len(gram)
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        r, c = rng.sample(range(n), 2)
+        s = rng.choice((-1, 1))
+        P[r] = [a + s * b for a, b in zip(P[r], P[c])]
+    PG = [[sum(P[i][k] * gram[k][j] for k in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[sum(PG[i][k] * P[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _e8_closed_form(B):
+    return [1] + [240 * sigma_power(n // 2, 3) if n % 2 == 0 else 0
+                  for n in range(1, B + 1)]
+
+
+# (gram, B of the closed-form check, B of the full-walk check): the full
+# walk runs in the given coordinate order, which a scrambled basis makes
+# wide, so it is compared at a smaller bound
+_SCRAMBLED = {"E8-%d" % seed: (_scrambled(analytic._E8_GRAM, seed, 16), 12, 6)
+              for seed in (0, 1)}
+_SCRAMBLED.update({"D16+-%d" % seed: (
+    _scrambled(analytic._D16_PLUS_GRAM, seed, 24), 4, 2) for seed in (0, 1)})
+
+
+@pytest.mark.parametrize("name", list(_SCRAMBLED))
+def test_scrambled_basis_counts_match_closed_form(name):
+    gram, B, _ = _SCRAMBLED[name]
+    L = IntegralLattice(gram)
+    assert L.det() == 1 and L.is_even()
+    assert len({gram[i][i] for i in range(L.rank)}) > 2
+    closed = _e8_closed_form if L.rank == 8 else _rank16_closed_form
+    assert L.counts_by_norm(B) == closed(B)
+
+
+@functools.lru_cache(maxsize=None)
+def _scrambled_full_walk_counts(name):
+    gram, _, B = _SCRAMBLED[name]
+    _, norms = IntegralLattice(gram).vectors_by_norm(B)
+    return np.bincount(norms, minlength=B + 1).tolist()
+
+
+@pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
+@pytest.mark.parametrize("name", list(_SCRAMBLED))
+def test_scrambled_basis_half_walk_matches_full_walk(name, chunk, monkeypatch):
+    want = _scrambled_full_walk_counts(name)
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    gram, _, B = _SCRAMBLED[name]
+    assert IntegralLattice(gram).counts_by_norm(B) == want
+
+
+def test_scrambled_e8_fixture():
+    # the Gram file that CI runs through `verify-sw` to norm bound 16
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "e8_scrambled_gram.json")
+    with open(path) as fh:
+        gram = json.load(fh)
+    assert gram != analytic._E8_GRAM
+    L = IntegralLattice(gram)
+    assert L.det() == 1 and L.is_even()
+    assert L.counts_by_norm(16) == _e8_closed_form(16)
 
 
 def test_rank16_counts_in_bounded_memory():

@@ -446,6 +446,31 @@ def test_verify_sw_gram_file_infinite_entry_is_input_error(tmp_path, capsys):
     assert data["checks"][0]["name"] == "setup"
 
 
+@pytest.mark.parametrize("entry", [2.9, "2", None])
+def test_verify_sw_gram_file_non_integer_entry_is_input_error(entry, tmp_path,
+                                                             capsys):
+    # E8 with a 2 changed to 2.9 or "2" was read as E8 and checked, exit 0
+    from sntmod.analytic import _E8_GRAM
+    gram = [row[:] for row in _E8_GRAM]
+    gram[0][0] = entry
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(gram))
+    code, data = _run_json(["verify-sw", "--gram-file", str(path),
+                            "--aut", "696729600"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+    assert "gram entry (0, 0)" in data["checks"][0]["details"]["message"]
+
+
+def test_verify_sw_fractional_gram_fixture_is_input_error(capsys):
+    # the fixture CI runs through the installed entry point: E8 with a 2.5
+    code, data = _run_json(["verify-sw", "--gram-file",
+                            os.path.join(REPO_FIXTURES, "gram_fractional.json"),
+                            "--aut", "696729600"], capsys)
+    assert code == 2
+    assert "must be an integer" in data["checks"][0]["details"]["message"]
+
+
 @pytest.mark.parametrize("tau12", ["1e400", "nan"])
 def test_verify_sw_non_finite_tau_is_input_error(tau12, capsys):
     # 1e400 parses to inf: a setup error, not an infinite q-expansion tail
