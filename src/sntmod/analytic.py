@@ -156,7 +156,10 @@ class IntegralLattice:
         (coordinates, norms) arrays."""
         chunks = [(np.zeros((0, self.rank), dtype=np.int64),
                    np.zeros(0, dtype=np.int64))]
-        chunks += _shell_chunks(self.gram, B)
+        if self.rank:
+            chunks += _shell_chunks(self.gram, B)
+        elif B >= 0:        # Z^0 holds the zero vector alone
+            chunks.append((np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)))
         return tuple(np.concatenate(part) for part in zip(*chunks))
 
     def __repr__(self):

@@ -140,6 +140,8 @@ def cmd_orbit(args, report):
     if y is not None:
         if y.space.ks != x.space.ks or y.space.V.gram != x.space.V.gram:
             raise InputError("compare", message="mismatched ambient data")
+        # in x's space, Im f_y is looked up in the images memo of x's
+        y = x.space.element(y.coords)
         g = transport(x, y)     # None exactly when the invariants differ
         detail = {"same_orbit": g is not None}
         if g is not None:

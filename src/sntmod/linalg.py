@@ -13,15 +13,17 @@ on ints for these kinds of input:
 - all `FpElement`s of one prime p: int residues mod p;
 - all `TruncPoly`s of one precision K whose coefficients are all
   `FpElement`s of one p, i.e. F_p[t]/(t^K): products only, by Kronecker
-  substitution on int coefficient lists; elimination over F_p[t]/(t^K)
-  takes the operator path.
-Any other input (`TruncPoly` over Q, int entries or coefficients, mixed
-primes, precisions or kinds) goes through the elements' operators, in the
-`_..._generic` helpers.  So there is one elimination per scalar kind:
-`_rref_ints` for Q and F_p, `_rref_generic` for every other ring.  Both
-paths return the same values and element types, since `Fraction`,
-`FpElement` and `TruncPoly` are normalised and the reduced echelon form
-over a field is canonical.
+  substitution on int coefficient lists;
+- all `TruncPoly`s of one precision K over Q whose coefficients are all
+  `Fraction`s, i.e. Q[t]/(t^K): products only, on the int layers of
+  `_to_layers` (one common denominator per matrix) by `_lmul`.
+Elimination over F[t]/(t^K) takes the operator path.  Any other input (int
+entries or coefficients, mixed primes, precisions or kinds) goes through
+the elements' operators, in the `_..._generic` helpers.  So there is one
+elimination per scalar kind: `_rref_ints` for Q and F_p, `_rref_generic`
+for every other ring.  Both paths return the same values and element
+types, since `Fraction`, `FpElement` and `TruncPoly` are normalised and
+the reduced echelon form over a field is canonical.
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from one helper, `_power_rows`: rows·A^j
@@ -47,7 +49,10 @@ A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the layer lifts
 of `orbits.orthogonal_group_ring`) and `_isotropy_test` (U·G·Uᵀ ≡ 0 mod p
 by Kronecker substitution, or U·G·Uᵀ = 0 over Q).  `_kronecker` packs
 polynomials over F_p[t]/(t^K) into ints for `_ring_mat_mul` and
-`spgroup.group_closure`.
+`spgroup.group_closure`.  A matrix over F[t]/(t^K) kept on ints between
+steps is a pair (K int layer matrices, one denominator), from `_to_layers`
+and boxed by `_from_layers`; the `_l…` helpers (`_lmul`, `_lsum`, `_gram`,
+…) compute with such pairs, and `orbits.transport` runs on them.
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.
@@ -63,7 +68,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import lshift, mul
 
-from .fields import FpElement, PrimeField
+from .fields import FpElement, PrimeField, RationalField
 
 
 def zeros(field, r, c):
@@ -126,15 +131,17 @@ def _dot(u, v):
 
 
 # --------------------------------------------------------------------------
-# int kernels for Q, F_p and F_p[t]/(t^K)
+# int kernels for Q, F_p, Q[t]/(t^K) and F_p[t]/(t^K)
 # --------------------------------------------------------------------------
 
 def _int_kind(blocks):
     """The int kernel that can take every entry of these matrices: 0 when
     all are Fractions, p when all are FpElements of F_p, (p, K) when all are
-    TruncPolys over F_p of precision K with FpElement coefficients, None
-    otherwise (no entries, ints, other rings, mixed kinds, primes or
-    precisions).  Stops at the first entry that rules a kernel out."""
+    TruncPolys over F_p of precision K with FpElement coefficients, (0, K)
+    when all are TruncPolys over Q of precision K with Fraction
+    coefficients, None otherwise (no entries, ints, other rings, mixed
+    kinds, primes or precisions).  Stops at the first entry that rules a
+    kernel out."""
     kind = None
     for rows in blocks:
         for row in rows:
@@ -171,15 +178,15 @@ def _truncpoly():
 
 def _poly_kind(x):
     """(p, K) for a TruncPoly over F_p whose K coefficients are all
-    FpElements of p, else None."""
+    FpElements of p, (0, K) for one over Q whose K coefficients are all
+    Fractions, else None."""
     cs, f = x.coeffs, x.field
-    if not cs or type(f) is not PrimeField:
-        return None
-    p = f.p
-    for c in cs:
-        if type(c) is not FpElement or c.p != p:
-            return None
-    return p, len(cs)
+    if cs and type(f) is RationalField and all(type(c) is Fraction for c in cs):
+        return 0, len(cs)
+    if cs and type(f) is PrimeField and \
+            all(type(c) is FpElement and c.p == f.p for c in cs):
+        return f.p, len(cs)
+    return None
 
 
 def _to_ints(kind, A):
@@ -210,8 +217,8 @@ def _ints_mul(kind, A, B):
 
 
 def _int_mat_mul(kind, A, B):
-    """A·B for all-Fraction (kind 0), all-F_p (kind p) or all-F_p[t]/(t^K)
-    (kind (p, K)) matrices."""
+    """A·B for all-Fraction (kind 0), all-F_p (kind p), all-Q[t]/(t^K)
+    (kind (0, K)) or all-F_p[t]/(t^K) (kind (p, K)) matrices."""
     if type(kind) is tuple:
         return _ring_mat_mul(kind, A, B)
     if kind:
@@ -229,14 +236,124 @@ def _first_entry(blocks):
 def _ring_mat_mul(kind, A, B):
     """A·B over F_p[t]/(t^K) by the Kronecker substitution of `_kronecker`:
     one int product per term and one sum give every coefficient of a dot
-    product at once."""
+    product at once.  Over Q[t]/(t^K) (p = 0) by `_lmul` on the int layers
+    of A and B, boxed once."""
     p, K = kind
-    pack, unpack = _kronecker(p, K, len(B))
     poly, field = _truncpoly(), _first_entry((A, B)).field
+    if not p:
+        return _from_layers(kind, field,
+                            *_lmul(0, _to_layers(kind, A), _to_layers(kind, B)))
+    pack, unpack = _kronecker(p, K, len(B))
     Bt = [[pack([c.v for c in x.coeffs]) for x in col] for col in zip(*B)]
     return [[poly(field, [FpElement(p, v) for v in unpack(sum(map(mul, r, col)))])
              for col in Bt]
             for r in ([pack([c.v for c in x.coeffs]) for x in row] for row in A)]
+
+
+def _to_layers(kind, A):
+    """A matrix over F[t]/(t^K) of kind (p, K) or (0, K) as (layers, d):
+    the K int matrices L_s with A = Σ_s L_s·t^s / d, from `_to_ints` on its
+    coefficients (residues and d = 1 over F_p, one common denominator d
+    over Q)."""
+    p, K = kind
+    rows, d = _to_ints(p, [[c for x in row for c in x.coeffs] for row in A])
+    return [[r[s::K] for r in rows] for s in range(K)], d
+
+
+def _from_layers(kind, field, L, d=1):
+    """The matrix Σ_s L_s·t^s / d boxed once, as `_from_ints` boxes each
+    layer: one TruncPoly per entry, with FpElement coefficients for kind
+    (p, K) and Fraction ones for (0, K)."""
+    poly = _truncpoly()
+    return [[poly(field, cs) for cs in zip(*rows)]
+            for rows in zip(*(_from_ints(kind[0], M, d) for M in L))]
+
+
+# A matrix over F[t]/(t^K) kept on ints is a pair (layers, d): the K int
+# matrices L_s of Σ_s L_s·t^s / d, as `_to_layers` gives them.  Over F_p
+# (p > 0) the layers hold residues and d = 1; over Q (p = 0) d is a common
+# denominator.  A matrix over F is the same with one layer.
+
+def _lmul(p, X, Y):
+    """X·Y for pairs (layers, d), truncated at t^K: entry (r, c) of layer s
+    is one dot product of row r of A_0, …, A_s, end to end, with column c
+    of B_s, …, B_0."""
+    (A, d), (B, e) = X, Y
+    Bt = [list(zip(*L)) for L in B]
+    rows = [sum(r, []) for r in zip(*A)]
+    cols = [[sum(c, ()) for c in zip(*Bt[s::-1])] for s in range(len(A))]
+    out = [[[sum(map(mul, r, c)) for c in cs] for r in rows] for cs in cols]
+    return _lnorm(p, out, d * e) if p else (out, d * e)
+
+
+def _lnorm(p, L, d):
+    """(L, d) with its layers reduced mod p, or over Q in lowest terms."""
+    if p:
+        return [[[x % p for x in r] for r in M] for M in L], 1
+    g = gcd(d, *(x for M in L for r in M for x in r))
+    if g > 1:
+        return [[[x // g for x in r] for r in M] for M in L], d // g
+    return L, d
+
+
+def _lsum(p, X, Y, sign=1):
+    """X + sign·Y."""
+    (A, d), (B, e) = X, Y
+    f = lcm(d, e)
+    a, b = f // d, sign * (f // e)
+    return _lnorm(p, [[[x * a + y * b for x, y in zip(r, s)] for r, s in zip(M, N)]
+                      for M, N in zip(A, B)], f)
+
+
+def _lscale(p, X, num, den):
+    """X·num/den for ints num and den > 0 (a unit mod p)."""
+    L, d = X
+    if p:
+        num, den = num * pow(den, -1, p), 1
+    return _lnorm(p, [[[x * num for x in r] for r in M] for M in L], d * den)
+
+
+def _lput(p, X, i, R):
+    """X with row i replaced by the one row of R."""
+    (A, d), (B, e) = X, R
+    f = lcm(d, e)
+    a, b = f // d, f // e
+    return _lnorm(p, [[[x * b for x in N[0]] if r == i else [x * a for x in row]
+                       for r, row in enumerate(M)] for M, N in zip(A, B)], f)
+
+
+def _leq(p, X, Y):
+    return not any(any(map(any, M)) for M in _lsum(p, X, Y, -1)[0])
+
+
+def _lT(X):
+    return [transpose(M) for M in X[0]], X[1]
+
+
+def _lrows(X, rows):
+    return [[M[i] for i in rows] for M in X[0]], X[1]
+
+
+def _layer(X, s):
+    """The t^s coefficient of X, as a one-layer matrix."""
+    return [X[0][s]], X[1]
+
+
+def _gram(p, U, Q, V):
+    """U·Q·Vᵀ."""
+    return _lmul(p, _lmul(p, U, Q), _lT(V))
+
+
+def _valuation(D, i, j):
+    """The t-adic valuation of entry (i, j) of the layers D (K when it is
+    zero)."""
+    return next((s for s, M in enumerate(D) if M[i][j]), len(D))
+
+
+def _independent(p, X):
+    """Whether the rows of X are independent mod t."""
+    M = X[0][0]
+    return len(_int_echelon(p, M)[1]) == len(M)
 
 
 def _kronecker(p, K, m):
@@ -668,6 +785,22 @@ def _int_kernel(kind, A):
             v[c] = -R[r][f] * scale[r]
         ker.append([x % kind for x in v] if kind else v)
     return ker, d
+
+
+def _int_solve(kind, A):
+    """The solution `solve` returns for the augmented int system A = [M | b]
+    (residues for kind p) as (x, d), x / d with the free unknowns 0; None
+    when the system is inconsistent.  Unknown c at pivot (r, c) is
+    R[r][−1] / R[r][c], so over Q d is the lcm of the pivots."""
+    nc = len(A[0]) - 1
+    R, pivots = _int_echelon(kind, A)
+    if pivots and pivots[-1] >= nc:
+        return None
+    d = 1 if kind else lcm(*(R[r][c] for r, c in enumerate(pivots)))
+    x = [0] * nc
+    for r, c in enumerate(pivots):
+        x[c] = R[r][nc] if kind else R[r][nc] * (d // R[r][c])
+    return x, d
 
 
 def inverse(field, A):

@@ -273,20 +273,18 @@ def t_sym(x, W=None):
 
 def _t_sym(x, W):
     """(`t_sym`'s invariant, the chain residues w_i mod t^{k_i} it is read
-    from)."""
+    from as int layers (layers, d)).  The residues are converted once and
+    T(x) is their Gram matrix over R_K, computed on them and boxed once."""
     sp = x.space
     W = image_of(x) if W is None else W
-    ws = _coeffs_over(x, W)
-    ks = list(W.partition)
-    m = len(ks)
+    p, ks = sp.field.char, W.partition
+    ws = la._to_layers((p, sp.K), _coeffs_over(x, W))
+    P = la._from_layers((p, sp.K), sp.field,
+                        *la._gram(p, ws, la._to_layers((p, sp.K), sp.Qr), ws))
     half = sp.field(1) / sp.field(2)
-    P = la.mat_mul(la.mat_mul(ws, sp.Qr), la.transpose(ws))
-    coords = []
-    for i in range(m):
-        for j in range(i, m):
-            c = P[i][j] if i < j else half * P[i][i]
-            coords.append(tuple(c.coeffs[:ks[j]]))
-    return OrbitInvariant(W.span, tuple(ks), tuple(coords)), ws
+    coords = tuple(tuple((P[i][j] if i < j else half * P[i][i]).coeffs[:ks[j]])
+                   for i in range(len(ks)) for j in range(i, len(ks)))
+    return OrbitInvariant(W.span, tuple(ks), coords), ws
 
 
 def orbit_invariant(x):
@@ -305,25 +303,21 @@ def same_orbit(x, y):
 # Witt lifting
 # --------------------------------------------------------------------------
 
-def _is_primitive_tuple(V, vecs):
-    if not vecs:
-        return True
-    field = V.field
-    vbar = [[v[l].coeffs[0] for l in range(V.dim)] for v in vecs]
-    return la.rank(field, vbar) == len(vecs)
-
-
-def _dual_vectors(space, bvecs):
-    """c_j in V[t]/(t^K) with (b_i, c_j) = delta_ij, for a primitive tuple."""
-    # P[i][a] = (b_i, basis_a)
-    P = la.mat_mul(bvecs, space.Qr)
-    targets = la.identity(space.R, len(bvecs))
-    duals = la.solve(space.R, P, targets)
+def _dual_vectors(sp, B, Q):
+    """c_j in V[t]/(t^K) with (b_i, c_j) = delta_ij, for a primitive tuple B,
+    as (layers, d).  P = B·Q is boxed once and solved over R_K by
+    `linalg.solve`, whose elimination takes the operator path; the duals
+    are converted once and C·Pᵀ = I is checked on ints."""
+    p, kind = sp.field.char, (sp.field.char, sp.K)
+    P, targets = la._lmul(p, B, Q), la.identity(sp.R, len(B[0][0]))
+    duals = la.solve(sp.R, la._from_layers(kind, sp.field, *P), targets)
     # unit-pivot elimination can miss an inconsistency of positive
     # valuation, so the solutions are checked
-    if duals is None or la.mat_mul(duals, la.transpose(P)) != targets:
-        raise RuntimeError("dual system unsolvable; tuple not primitive?")
-    return duals
+    if duals is not None:
+        C = la._to_layers(kind, duals)
+        if la._leq(p, la._lmul(p, C, la._lT(P)), la._to_layers(kind, targets)):
+            return C
+    raise RuntimeError("dual system unsolvable; tuple not primitive?")
 
 
 def witt_lift(space, avecs, bvecs, ks):
@@ -332,61 +326,72 @@ def witt_lift(space, avecs, bvecs, ks):
     Requires (a_i, a_j) = (b_i, b_j) mod t^{min(k_i, k_j)} with
     k_1 >= ... >= k_m >= 1 and both tuples primitive.  The result satisfies
     b~_i = b_i mod t^{k_i}, (b~_i, b~_j) = (a_i, a_j) exactly, and stays a
-    primitive basis.
+    primitive basis.  The tuples are converted to int layers once and the
+    result is boxed once (`_witt_lift_ints`).
     """
-    m = len(avecs)
-    if len(bvecs) != m or len(ks) != m:
+    kind = (space.field.char, space.K)
+    b = _witt_lift_ints(space, la._to_layers(kind, avecs), la._to_layers(kind, bvecs), ks)
+    return la._from_layers(kind, space.field, *b)
+
+
+def _witt_lift_ints(sp, A, B, ks):
+    """`witt_lift` for the tuples A and B as (layers, d) rows; returns b~ the
+    same way.  Every check of `witt_lift` is made here, in its order."""
+    m = len(A[0][0])
+    if len(B[0][0]) != m or len(ks) != m:
         raise ValueError("mismatched tuple lengths")
     if m == 0:
-        return []
+        return B
     if list(ks) != sorted(ks, reverse=True) or min(ks) < 1:
         raise ValueError("orders must satisfy k_1 >= ... >= k_m >= 1")
-    sp = space
-    K = sp.K
-    if not _is_primitive_tuple(sp.V, avecs) or not _is_primitive_tuple(sp.V, bvecs):
+    p, K = sp.field.char, sp.K
+    Q = la._to_layers((p, K), sp.Qr)
+    if not la._independent(p, A) or not la._independent(p, B):
         raise ValueError("tuples must be primitive bases")
+    GA = la._gram(p, A, Q, A)
+    D = la._lsum(p, GA, la._gram(p, B, Q, B), -1)[0]
     for i in range(m):
         for j in range(m):
-            d = sp.ring_pair(avecs[i], avecs[j]) - sp.ring_pair(bvecs[i], bvecs[j])
-            if d.valuation() < min(ks[i], ks[j]):
+            if la._valuation(D, i, j) < min(ks[i], ks[j]):
                 raise HypothesisFailedError(
                     "products differ below t^min(k_i,k_j) at (%d,%d)" % (i, j))
-    field = sp.field
-    b = [list(v) for v in bvecs]
+    b = B
     for i in range(m):
         k = ks[i]
-        duals = _dual_vectors(sp, b[:i + 1])
-        # linear corrections against the earlier vectors
-        hs = []
-        for j in range(i):
-            delta = sp.ring_pair(avecs[j], avecs[i]) - sp.ring_pair(b[j], b[i])
-            hs.append(delta.divide_t(k))
-        hs.append(sp.R.zero)  # h_i, solved degree by degree
+        C = _dual_vectors(sp, la._lrows(b, range(i + 1)), Q)
+        bi = la._lrows(b, [i])
+        # b_i + Σ_j h_j·t^k·c_j: h_j·t^k = (a_j, a_i) - (b_j, b_i), which
+        # vanishes mod t^k, against the earlier vectors, then h_i·t^k, fixed
+        # degree by degree
+        delta, dd = la._lsum(p, ([[[M[j][i]] for j in range(i)] for M in GA[0]], GA[1]),
+                             la._gram(p, la._lrows(b, range(i)), Q, bi), -1)
+        if any(map(any, itertools.chain(*delta[:k]))):
+            raise ValueError("not divisible by t^%d" % k)
+        H = [[[r[0] for r in M] + [0]] for M in delta], dd
 
         def updated():
-            return la.vec_add(b[i], la.vec_mat([h.shift(k) for h in hs], duals))
-        target = sp.ring_pair(avecs[i], avecs[i])
-        for s in range(K - k):
+            return la._lsum(p, bi, la._lmul(p, H, C))
+        target = ([[[M[i][i]]] for M in GA[0]], GA[1])
+        for s in range(k, K):
             cur = updated()
-            resid = sp.ring_pair(cur, cur) - target
-            coef = resid.coeffs[k + s]
-            if coef:
-                fix = [field.zero] * K
-                fix[s] = -coef / field(2)
-                hs[i] = hs[i] + TruncPoly(field, fix)
-        b[i] = updated()
-        resid = sp.ring_pair(b[i], b[i]) - target
-        if resid:
+            resid, e = la._lsum(p, la._gram(p, cur, Q, cur), target, -1)
+            if resid[s][0][0]:
+                fix = [[[0] * (i + 1)] for _ in range(K)]
+                fix[s][0][i] = resid[s][0][0]
+                H = la._lsum(p, H, la._lscale(p, (fix, e), -1, 2))
+        bi = updated()
+        if not la._leq(p, la._gram(p, bi, Q, bi), target):
             raise RuntimeError("diagonal correction failed to converge")
+        b = la._lput(p, b, i, bi)
     # exact postconditions
+    GB = la._lsum(p, la._gram(p, b, Q, b), GA, -1)[0]
+    E = la._lsum(p, b, B, -1)[0]
     for i in range(m):
-        for j in range(m):
-            if sp.ring_pair(b[i], b[j]) != sp.ring_pair(avecs[i], avecs[j]):
-                raise RuntimeError("witt_lift postcondition (products) failed")
-        diff = [b[i][l] - bvecs[i][l] for l in range(sp.V.dim)]
-        if any(d.valuation() < ks[i] for d in diff if d):
+        if any(la._valuation(GB, i, j) < K for j in range(m)):
+            raise RuntimeError("witt_lift postcondition (products) failed")
+        if any(la._valuation(E, i, l) < ks[i] for l in range(sp.V.dim)):
             raise RuntimeError("witt_lift postcondition (congruence) failed")
-    if not _is_primitive_tuple(sp.V, b):
+    if not la._independent(p, b):
         raise RuntimeError("witt_lift postcondition (primitivity) failed")
     return b
 
@@ -560,39 +565,44 @@ def extend_isometry(space, avecs, bvecs):
     Requires (a_i, a_j) = (b_i, b_j) exactly and both tuples primitive.
     Residue-field Witt extension followed by one linear solve per t-adic
     layer (valid because 2 is invertible and the orthogonal group is smooth
-    over the truncated ring).
+    over the truncated ring).  The tuples are converted to int layers once
+    and g is boxed once (`_extend_ints`).
     """
-    sp = space
+    kind = (space.field.char, space.K)
+    g = _extend_ints(space, la._to_layers(kind, avecs), la._to_layers(kind, bvecs))
+    return la._from_layers(kind, space.field, *g)
+
+
+def _extend_ints(sp, A, B):
+    """`extend_isometry` for the tuples A and B as (layers, d) rows; returns
+    g the same way.  Every check of `extend_isometry` is made here, in its
+    order.  The residue-field extension g0 runs boxed, once; each layer
+    h of g = g0 + Σ h·t^layer is `_solve_layer`'s, on ints."""
     field, V, K = sp.field, sp.V, sp.K
-    m = len(avecs)
-    for i in range(m):
-        for j in range(m):
-            if sp.ring_pair(avecs[i], avecs[j]) != sp.ring_pair(bvecs[i], bvecs[j]):
-                raise IsometryMismatchError("tuples have unequal products")
-    if not _is_primitive_tuple(V, avecs) or not _is_primitive_tuple(V, bvecs):
+    p, n, m = field.char, V.dim, len(A[0][0])
+    Q = la._to_layers((p, K), sp.Qr)
+    if not la._leq(p, la._gram(p, A, Q, A), la._gram(p, B, Q, B)):
+        raise IsometryMismatchError("tuples have unequal products")
+    if not la._independent(p, A) or not la._independent(p, B):
         raise IsometryMismatchError("tuples must be primitive bases")
-    Q = V.gram
-    abar = [[v[l].coeffs[0] for l in range(V.dim)] for v in avecs]
-    bbar = [[v[l].coeffs[0] for l in range(V.dim)] for v in bvecs]
-    g0 = witt_extend_field(field, Q, abar, bbar) if m else la.identity(field, V.dim)
-    g = la.change_ring(sp.R, g0)
-    g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
+    abar, bbar = (la._from_ints(p, X[0][0], X[1]) for X in (A, B))
+    g0 = witt_extend_field(field, V.gram, abar, bbar) if m else la.identity(field, n)
+    g0i, d0 = la._to_ints(p, g0)
+    Qg0t = la._lmul(p, la._layer(Q, 0), ([la.transpose(g0i)], d0))
+    inv, e = la._to_ints(p, la.inverse(field, la._from_ints(p, Qg0t[0][0], Qg0t[1])))
+    zero = [[0] * n for _ in range(n)]
+    g = [g0i] + [zero] * (K - 1), d0
     for layer in range(1, K):
-        # residuals of the vector conditions
-        deltas = []
-        for a, b in zip(avecs, bvecs):
-            img = la.vec_mat(a, g)
-            deltas.append([img[l].coeffs[layer] - b[l].coeffs[layer]
-                           for l in range(V.dim)])
-        h = _solve_layer(field, Q, g0, g0_Qt_inv, abar,
-                         _layer_residual(g, sp.Qr, layer), deltas)
-        g = _add_layer(g, h, layer)
+        # the t^layer coefficients of g·Q·gᵀ - Q and of a_i·g - b_i
+        h = _solve_layer(p, ([inv], e), Qg0t, la._layer(A, 0),
+                         la._layer(la._gram(p, g, Q, g), layer),
+                         la._layer(la._lsum(p, la._lmul(p, A, g), B, -1), layer))
+        g = la._lsum(p, g, ([zero] * layer + h[0] + [zero] * (K - 1 - layer), h[1]))
     # exact postconditions
-    if not _is_ring_orthogonal(g, sp.Qr):
+    if not la._leq(p, la._gram(p, g, Q, g), Q):
         raise RuntimeError("isometry extension lost orthogonality over the ring")
-    for a, b in zip(avecs, bvecs):
-        if la.vec_mat(a, g) != list(b):
-            raise RuntimeError("isometry extension failed a vector condition")
+    if not la._leq(p, la._lmul(p, A, g), B):
+        raise RuntimeError("isometry extension failed a vector condition")
     return g
 
 
@@ -605,85 +615,49 @@ def _is_ring_orthogonal(g, Qr):
 # h·Q·g0ᵀ + g0·Q·hᵀ = -Delta.  Writing u = h·Q·g0ᵀ, the solutions are
 # u = -Delta/2 + (any skew matrix).
 
-def _layer_residual(g, Qr, layer):
-    """Delta: the t^layer coefficient of g·Q·gᵀ - Q."""
-    gQgT = la.mat_mul(la.mat_mul(g, Qr), la.transpose(g))
-    return [[x.coeffs[layer] - q.coeffs[layer] for x, q in zip(rx, rq)]
-            for rx, rq in zip(gQgT, Qr)]
-
-
 def _upper_pairs(d):
     return [(r, s) for r in range(d) for s in range(r + 1, d)]
 
 
-def _add_skew(field, h0, g0_Qt_inv, vals):
-    """h0 + u·(Q·g0ᵀ)⁻¹ for the skew u whose upper entries, row by row, are
-    `vals`."""
-    d = len(h0)
-    u = la.zeros(field, d, d)
-    for (r, s), v in zip(_upper_pairs(d), vals):
-        u[r][s] = v
-        u[s][r] = -v
-    return la.mat_add(h0, la.mat_mul(u, g0_Qt_inv))
-
-
-def _add_layer(g, h, layer):
-    """g + h·t^layer for g over R_K and h over F, as a new matrix."""
-    out = [row[:] for row in g]
-    for r, hrow in enumerate(h):
-        for c, x in enumerate(hrow):
-            if x:
-                p = out[r][c]
-                add = [p.field.zero] * p.prec
-                add[layer] = x
-                out[r][c] = p + TruncPoly(p.field, add)
-    return out
-
-
-def _solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
+def _solve_layer(p, inv, Qg0t, abar, Delta, deltas):
     """One t-adic layer of the lifting: find h over F with
 
-        h·Q·g0ᵀ + g0·Q·hᵀ = -Delta      and      abar_i · h = -delta_i.
+        h·Q·g0ᵀ + g0·Q·hᵀ = -Delta      and      abar_i · h = -delta_i,
 
-    The skew freedom is fixed by the vector conditions, whose compatibility
-    is guaranteed by the exact product equalities.
+    for (Q·g0ᵀ)⁻¹ = inv, Q·g0ᵀ, abar, Delta and the deltas as one-layer
+    matrices.  The skew freedom is fixed by the vector conditions, whose
+    compatibility is guaranteed by the exact product equalities: the skew u
+    with abar_i · u = eta_i is the particular solution `linalg.solve` gives,
+    found on ints by `linalg._int_solve`.
     """
-    d = len(Q)
-    m = len(abar)
-    h0 = la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
-    if m == 0:
+    h0 = la._lmul(p, la._lscale(p, Delta, -1, 2), inv)
+    (A,), a = abar
+    if not A:
         return h0
-    # skew u with abar_i · u · g0_Qt_inv = eta_i
-    g0_Qt = la.mat_mul(Q, la.transpose(g0))
-    etas = []
-    for i in range(m):
-        want = [-(x) for x in deltas[i]]
-        rem = la.vec_sub(want, la.vec_mat(abar[i], h0))
-        etas.append(la.vec_mat(rem, g0_Qt))
-    idx = {pair: j for j, pair in enumerate(_upper_pairs(d))}
-    nvar = len(idx)
-
-    def ucoef(r, s):
-        if r == s:
-            return None, None
-        if r < s:
-            return idx[(r, s)], field.one
-        return idx[(s, r)], -field.one
-
-    rows, rhs = [], []
-    for i in range(m):
-        for col in range(d):
-            row = [field.zero] * nvar
-            for r in range(d):
-                j, sign = ucoef(r, col)
-                if j is not None and abar[i][r]:
-                    row[j] = row[j] + sign * abar[i][r]
+    # eta_i = (-delta_i - abar_i·h0)·Q·g0ᵀ, over e; the equations below are
+    # a·e times those of abar_i·u = eta_i
+    rem = la._lsum(p, la._lscale(p, deltas, -1, 1), la._lmul(p, abar, h0), -1)
+    (E,), e = la._lmul(p, rem, Qg0t)
+    d = len(E[0])
+    pairs = _upper_pairs(d)
+    idx = {pair: j for j, pair in enumerate(pairs)}
+    rows = []
+    for ai, ei in zip(A, E):
+        for c in range(d):
+            # column c of abar_i·u is Σ_r abar_i[r]·u[r][c]
+            row = [0] * len(pairs) + [ei[c] * a]
+            for r, x in enumerate(ai):
+                if r != c and x:
+                    row[idx[min(r, c), max(r, c)]] += x * e if r < c else -x * e
             rows.append(row)
-            rhs.append(etas[i][col])
-    sol = la.solve(field, rows, [rhs])
+    sol = la._int_solve(p, rows)
     if sol is None:
         raise RuntimeError("layer system inconsistent; inputs not in one orbit?")
-    return _add_skew(field, h0, g0_Qt_inv, sol[0])
+    x, f = sol
+    u = [[0] * d for _ in range(d)]
+    for (r, s), v in zip(pairs, x):
+        u[r][s], u[s][r] = v, -v
+    return la._lsum(p, h0, la._lmul(p, ([u], f), inv))
 
 
 def transport(x, y):
@@ -694,16 +668,32 @@ def transport(x, y):
     v -> ((c_i, v) mod t^{k_i}) maps onto ⊕ R_{k_i}, the c_i(0) are
     independent, and equal invariants give y's residues d_i with
     (c_i, c_j) = (d_i, d_j) mod t^{min(k_i, k_j)}: `witt_lift`'s hypothesis.
+    The residues come as int layers from `_t_sym`; lifting, extension and
+    the check x·g = y run on them, and g is boxed once.
     """
     sp = x.space
     inv_x, c = _t_sym(x, None)
     inv_y, d = _t_sym(y, None)
     if inv_x != inv_y:
         return None
-    g = extend_isometry(sp, c, witt_lift(sp, c, d, list(inv_x.partition)))
-    if x.act(g).key() != y.key():
+    g = _extend_ints(sp, c, _witt_lift_ints(sp, c, d, list(inv_x.partition)))
+    if not _acts_to(sp, x, g, y):
         raise RuntimeError("transport verification failed")
-    return g
+    return la._from_layers((sp.field.char, sp.K), sp.field, *g)
+
+
+def _acts_to(sp, x, g, y):
+    """Whether x·g = y for g over R_K as (layers, d): `TensorElement.act`
+    on ints.  Row s of chain i of x·g is the t^s coefficient of w_i·g,
+    w_i = Σ_s (row s of chain i of x)·t^s."""
+    p, n = sp.field.char, sp.V.dim
+    (X, dx), (Y, dy) = la._to_ints(p, x.coords), la._to_ints(p, y.coords)
+    z = [0] * n
+    chains = [[X[o + s] if s < k else z for o, k in zip(sp.offsets, sp.ks)]
+              for s in range(sp.K)]
+    img, e = la._lmul(p, (chains, dx), g)
+    return la._leq(p, ([[img[s][i] for i, k in enumerate(sp.ks) for s in range(k)]], e),
+                ([Y], dy))
 
 
 # --------------------------------------------------------------------------
@@ -1022,12 +1012,13 @@ def random_orthogonal_ring(space, rng):
         w = _random_anisotropic(field, V, rng)
         g0 = la.mat_mul(g0, _reflection(field, V.gram, w))
     basis = la.isometry_lie_basis(field, V.gram)
-    S = la.zeros(R, d, d)
+    S = [la.zeros(field, d, d) for _ in range(K)]       # the layers of S
     for s in range(1, K):
         for B in basis:
             c = field.random(rng, 2)
             if c:
-                S = _add_layer(S, la.scal_mul(c, B), s)
+                S[s] = la.mat_add(S[s], la.scal_mul(c, B))
+    S = [[TruncPoly(field, cs) for cs in zip(*rows)] for rows in zip(*S)]
     g = la.mat_mul(la.change_ring(R, g0), cayley(R, S))
     if not _is_ring_orthogonal(g, sp.Qr):
         raise RuntimeError("random orthogonal sample failed the form identity")

@@ -434,7 +434,8 @@ def group_closure(gens, mul, key, max_size):
     reference for that path: both give the same matrices in the same order."""
     if mul is la.mat_mul and key is tpoly.tmat_key:
         kind, n = la._int_kind(gens), len(gens[0]) if gens else 0
-        if type(kind) is tuple and all(len(r) == n for g in gens for r in (g, *g)):
+        if type(kind) is tuple and kind[0] and \
+                all(len(r) == n for g in gens for r in (g, *g)):
             return _packed_closure(kind, gens, max_size)
     return _bfs(gens, gens, mul, key, max_size)
 

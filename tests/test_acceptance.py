@@ -12,7 +12,7 @@ from sntmod.analytic import (AUT_E8, SiegelPoint, e8, eisenstein_lhs,
 from sntmod.orbits import (TensorSpace, brute_force_orbits, diagonal_space,
                            hyperbolic_plane, invariant_partition, is_submersive,
                            random_orthogonal_ring, same_orbit, transport,
-                           witt_lift, _is_primitive_tuple)
+                           witt_lift)
 from sntmod.sntmodule import (LagrangianFlag, SntModule, decompose,
                               enumerate_t_lagrangians, jordan_type, rho_of,
                               self_dual_map_space_dim, standard_module)
@@ -21,6 +21,12 @@ from sntmod.spgroup import (block_profile, group_closure, random_element,
 from sntmod.tpoly import TruncPoly, tmat_key
 
 F3, F5 = GF(3), GF(5)
+
+
+def _is_primitive_tuple(V, vecs):
+    """Whether the vectors over F[t]/(t^K) are independent mod t."""
+    return la.rank(V.field, [[x.coeffs[0] for x in v] for v in vecs]) == len(vecs) \
+        if vecs else True
 
 
 def _report(name, elapsed, budget, detail=""):

@@ -178,6 +178,16 @@ def test_vectors_by_norm(E8):
     assert sorted(set(int(n) for n in norms)) == [0, 2]
 
 
+def test_rank_zero_lattice_holds_the_zero_vector():
+    L = IntegralLattice([])
+    assert L.counts_by_norm(3) == [1, 0, 0, 0]
+    coords, norms = L.vectors_by_norm(3)
+    assert coords.shape == (1, 0) and coords.dtype == np.int64
+    assert norms.tolist() == [0]
+    coords, norms = L.vectors_by_norm(-1)
+    assert coords.shape == (0, 0) and norms.tolist() == []
+
+
 def test_enumeration_guard_before_allocation(monkeypatch):
     # 1 + 240 + 2160 = 2401 vectors of norm <= 4; the guard caps each level
     monkeypatch.setenv("SNT_MAX_ENUM", "1000")

@@ -180,7 +180,10 @@ REPO_FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
     (["orbit", os.path.join(REPO_FIXTURES, "orbit_x.json"),
       os.path.join(REPO_FIXTURES, "orbit_xg.json")],
      "orbit_x_xg.json"),                                  # W_span, i_coords, transport
-], ids=["census-h2", "census-21-diag12", "orbit-x-xg"])
+    (["orbit", os.path.join(REPO_FIXTURES, "orbit_q_x.json"),
+      os.path.join(REPO_FIXTURES, "orbit_q_xg.json")],
+     "orbit_q_x_xg.json"),                  # over Q: type (3,2), V = diag(1,1,2)
+], ids=["census-h2", "census-21-diag12", "orbit-x-xg", "orbit-q-x-xg"])
 def test_json_checks_match_golden(argv, golden, capsys):
     """The `checks` of these reports are pinned to files under tests/golden;
     only `config` (file paths) and `wall_time` are left out."""
@@ -188,6 +191,19 @@ def test_json_checks_match_golden(argv, golden, capsys):
     assert code == 0
     with open(os.path.join(GOLDEN, golden)) as fh:
         assert data["checks"] == json.load(fh)
+
+
+def test_orbit_pair_shares_one_quasi_basis(monkeypatch, capsys):
+    """y is read into x's tensor space, so Im f_y = Im f_x is found in the
+    images memo of that space: one quasi-basis per call, not two."""
+    from sntmod import orbits
+    calls = []
+    real = orbits.quasi_basis
+    monkeypatch.setattr(orbits, "quasi_basis", lambda *a: calls.append(1) or real(*a))
+    code, data = _run_json(["orbit", os.path.join(REPO_FIXTURES, "orbit_q_x.json"),
+                            os.path.join(REPO_FIXTURES, "orbit_q_xg.json")], capsys)
+    assert code == 0 and data["checks"][1]["details"]["same_orbit"] is True
+    assert len(calls) == 1
 
 
 def test_orbit_pair_in_distinct_orbits(fixtures, capsys):

@@ -1,8 +1,9 @@
 """The int kernels of `linalg` against its generic operator path.
 
 Over QQ and GF(p), `mat_mul`, `vec_mat` and `rref` (so also `inverse`,
-`solve`, `rank` and `right_kernel`) run on ints; over GF(p)[t]/(t^K) only
-`mat_mul` and `vec_mat` do, and elimination takes the operator path.  The
+`solve`, `rank` and `right_kernel`) run on ints; over GF(p)[t]/(t^K) and
+QQ[t]/(t^K) only `mat_mul` and `vec_mat` do, and elimination takes the
+operator path.  The
 `_..._generic` helpers are the reference.  Every comparison checks values
 and element types, entry by entry, down to the coefficients of a TruncPoly.
 A many-right-hand-side `solve` is also checked against single-right-hand-side
@@ -72,9 +73,10 @@ def matrices(draw, field, n, m):
 
 @st.composite
 def cases(draw):
-    field = draw(st.sampled_from(FIELDS))
+    field = draw(st.sampled_from(FIELDS + Q_RINGS))
     n, m, k = (draw(st.integers(1, 5)) for _ in range(3))
-    return field, draw(matrices(field, n, m)), draw(matrices(field, m, k))
+    matrix = ring_matrices if isinstance(field, TruncRing) else matrices
+    return field, draw(matrix(field, n, m)), draw(matrix(field, m, k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,13 +124,20 @@ def test_inverse_and_solve_match_generic_path(data):
         assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(field, n))
 
 
-RINGS = [TruncRing(GF(p), K) for p in (3, 5) for K in (1, 2, 3, 4)]
+Q_RINGS = [TruncRing(QQ, K) for K in (1, 2, 3, 4)]
+RINGS = [TruncRing(GF(p), K) for p in (3, 5) for K in (1, 2, 3, 4)] + Q_RINGS
 
 
 @st.composite
 def ring_elements(draw, R, multiple_of_t=False):
-    """A TruncPoly of R, a multiple of t (so not a unit) if asked."""
-    cs = [draw(st.integers(0, R.field.p - 1)) for _ in range(R.K)]
+    """A TruncPoly of R, a multiple of t (so not a unit) if asked; over QQ
+    its coefficients have signed small or large numerators and mixed
+    denominators."""
+    if R.field == QQ:
+        num = st.one_of(st.integers(-6, 6), st.integers(-10 ** 30, 10 ** 30))
+        cs = [Fraction(draw(num), draw(st.integers(1, 12))) for _ in range(R.K)]
+    else:
+        cs = [draw(st.integers(0, R.field.p - 1)) for _ in range(R.K)]
     if multiple_of_t:
         cs[0] = 0
     return TruncPoly(R.field, [R.field(c) for c in cs], R.K)
@@ -136,9 +145,11 @@ def ring_elements(draw, R, multiple_of_t=False):
 
 @st.composite
 def ring_matrices(draw, R, n, m):
-    """An n x m matrix over R: random, sparse, of rank r < min(n, m), or with
-    no unit in its first column."""
-    shape = draw(st.sampled_from(["random", "sparse", "low-rank", "no-unit"]))
+    """An n x m matrix over R: random, sparse, zero, of rank r < min(n, m),
+    or with no unit in its first column."""
+    shape = draw(st.sampled_from(["random", "sparse", "zero", "low-rank", "no-unit"]))
+    if shape == "zero":
+        return la.zeros(R, n, m)
     if shape == "low-rank":
         r = draw(st.integers(0, min(n, m) - 1))
         if r == 0:
@@ -158,15 +169,15 @@ def ring_matrices(draw, R, n, m):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_ring_kernel_matches_generic_path(data):
-    """Products over GF(p)[t]/(t^K) run on ints; elimination takes the
-    operator path, so `inverse` is checked on its own: S is invertible
-    exactly when S mod t is, and then S·S⁻¹ = I."""
+    """Products over GF(p)[t]/(t^K) and QQ[t]/(t^K) run on ints; elimination
+    takes the operator path, so `inverse` is checked on its own: S is
+    invertible exactly when S mod t is, and then S·S⁻¹ = I."""
     R = data.draw(st.sampled_from(RINGS))
     n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
     A = data.draw(ring_matrices(R, n, m))
     B = data.draw(ring_matrices(R, m, k))
     S = data.draw(ring_matrices(R, n, n))
-    assert la._int_kind((A, B)) == (R.field.p, R.K)
+    assert la._int_kind((A, B)) == (R.field.char, R.K)
     assert _typed(la.mat_mul(A, B)) == _typed(la._mat_mul_generic(A, B))
     for v in A:
         assert _typed(la.vec_mat(v, B)) == \
@@ -259,8 +270,16 @@ def test_ring_kernel_needs_one_prime_and_one_precision():
     F3, F5 = GF(3), GF(5)
     a = TruncPoly(F5, [F5(1), F5(2)], 2)
     assert la._int_kind(([[a, a]],)) == (5, 2)
-    # over Q, or with mixed precisions, primes or kinds: the generic path
-    assert la._int_kind(([[TruncPoly(QQ, [Fraction(1), Fraction(2)])]],)) is None
+    q = TruncPoly(QQ, [Fraction(1), Fraction(-2, 3)])
+    assert la._int_kind(([[q, q]], [[TruncPoly(QQ, [Fraction(0)] * 2)]])) == (0, 2)
+    # with mixed precisions, primes or kinds, or a coefficient over Q that
+    # is not a Fraction: the generic path
+    assert la._int_kind(([[q]], [[a]])) is None
+    assert la._int_kind(([[a, q]],)) is None
+    assert la._int_kind(([[q]], [[TruncPoly(QQ, [Fraction(1)] * 3)]])) is None
+    assert la._int_kind(([[q, TruncPoly(QQ, [Fraction(1), 2])]],)) is None
+    assert la._int_kind(([[TruncPoly(QQ, [1.5, Fraction(1)])]],)) is None
+    assert la._int_kind(([[q, Fraction(1)]],)) is None
     assert la._int_kind(([[a]], [[TruncPoly(F5, [F5(1)] * 3)]])) is None
     assert la._int_kind(([[a]], [[TruncPoly(F3, [F3(1), F3(2)])]])) is None
     assert la._int_kind(([[a, F5(1)]],)) is None

@@ -18,7 +18,6 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            orthogonal_group_ring, random_orthogonal_ring,
                            same_orbit, t_sym, tangent_matrix, transport,
                            witt_extend_field, witt_lift)
-from sntmod.orbits import _is_primitive_tuple
 from sntmod.sntmodule import EnumerationGuardError, quasi_basis
 from sntmod.tpoly import TruncPoly, TruncRing
 
@@ -40,6 +39,14 @@ def from_pairs(sp, pairs):
             for s in range(min(k, poly.prec)):
                 coords[o + s][l] = coords[o + s][l] + poly.coeffs[s]
     return sp.element(coords)
+
+
+def _is_primitive_tuple(V, vecs):
+    if not vecs:
+        return True
+    field = V.field
+    vbar = [[v[l].coeffs[0] for l in range(V.dim)] for v in vecs]
+    return la.rank(field, vbar) == len(vecs)
 
 
 def random_primitive_tuple(sp, m, rng):
@@ -151,7 +158,7 @@ def test_chain_residues_over_the_image_are_primitive(field, ks):
     rng = random.Random(8)
     for x in _residue_elements(sp, rng):
         W = image_of(x)
-        cs = orbits._t_sym(x, W)[1]
+        cs = la._from_layers((field.char, sp.K), field, *orbits._t_sym(x, W)[1])
         assert len(cs) == len(W.partition)
         cbar = [[c[l].coeffs[0] for l in range(sp.V.dim)] for c in cs]
         assert la.rank(field, cbar) == len(cs)
@@ -347,6 +354,10 @@ def test_witt_lift_random_instances(field, seed):
         if not _is_primitive_tuple(V, bvecs):
             continue
         out = witt_lift(sp, avecs, bvecs, ks)
+        # the boxed oracle gives the same lift, and the same extension
+        assert _typed(out) == _typed(boxed_witt_lift(sp, avecs, bvecs, ks))
+        assert _typed(extend_isometry(sp, avecs, out)) == \
+            _typed(boxed_extend_isometry(sp, avecs, out))
         # postconditions are asserted inside; verify independently anyway
         for i in range(m):
             for j in range(m):
@@ -449,6 +460,306 @@ def test_transport_roundtrip_on_brute_force_pairs():
         y = sp.element([[F3(v.v) for v in row] for row in y_key])
         g = transport(x, y)
         assert g is not None and x.act(g).key() == y.key()
+
+
+# --------------------------------------------------------------------------
+# boxed transport: the oracle for the int layers
+# --------------------------------------------------------------------------
+# `transport`, `witt_lift` and `extend_isometry` as they ran on TruncPoly
+# matrices, one ring operation at a time: the int-layer path must give the
+# same g, value for value and type for type, the same None and the same
+# errors.
+
+def boxed_t_sym(x, W):
+    sp = x.space
+    W = image_of(x) if W is None else W
+    ws = orbits._coeffs_over(x, W)
+    ks = list(W.partition)
+    m = len(ks)
+    half = sp.field(1) / sp.field(2)
+    P = la.mat_mul(la.mat_mul(ws, sp.Qr), la.transpose(ws))
+    coords = []
+    for i in range(m):
+        for j in range(i, m):
+            c = P[i][j] if i < j else half * P[i][i]
+            coords.append(tuple(c.coeffs[:ks[j]]))
+    return orbits.OrbitInvariant(W.span, tuple(ks), tuple(coords)), ws
+
+
+def boxed_dual_vectors(space, bvecs):
+    P = la.mat_mul(bvecs, space.Qr)
+    targets = la.identity(space.R, len(bvecs))
+    duals = la.solve(space.R, P, targets)
+    if duals is None or la.mat_mul(duals, la.transpose(P)) != targets:
+        raise RuntimeError("dual system unsolvable; tuple not primitive?")
+    return duals
+
+
+def boxed_witt_lift(space, avecs, bvecs, ks):
+    m = len(avecs)
+    if len(bvecs) != m or len(ks) != m:
+        raise ValueError("mismatched tuple lengths")
+    if m == 0:
+        return []
+    if list(ks) != sorted(ks, reverse=True) or min(ks) < 1:
+        raise ValueError("orders must satisfy k_1 >= ... >= k_m >= 1")
+    sp = space
+    K = sp.K
+    if not _is_primitive_tuple(sp.V, avecs) or not _is_primitive_tuple(sp.V, bvecs):
+        raise ValueError("tuples must be primitive bases")
+    for i in range(m):
+        for j in range(m):
+            d = sp.ring_pair(avecs[i], avecs[j]) - sp.ring_pair(bvecs[i], bvecs[j])
+            if d.valuation() < min(ks[i], ks[j]):
+                raise HypothesisFailedError(
+                    "products differ below t^min(k_i,k_j) at (%d,%d)" % (i, j))
+    field = sp.field
+    b = [list(v) for v in bvecs]
+    for i in range(m):
+        k = ks[i]
+        duals = boxed_dual_vectors(sp, b[:i + 1])
+        hs = []
+        for j in range(i):
+            delta = sp.ring_pair(avecs[j], avecs[i]) - sp.ring_pair(b[j], b[i])
+            hs.append(delta.divide_t(k))
+        hs.append(sp.R.zero)
+
+        def updated():
+            return la.vec_add(b[i], la.vec_mat([h.shift(k) for h in hs], duals))
+        target = sp.ring_pair(avecs[i], avecs[i])
+        for s in range(K - k):
+            cur = updated()
+            resid = sp.ring_pair(cur, cur) - target
+            coef = resid.coeffs[k + s]
+            if coef:
+                fix = [field.zero] * K
+                fix[s] = -coef / field(2)
+                hs[i] = hs[i] + TruncPoly(field, fix)
+        b[i] = updated()
+        resid = sp.ring_pair(b[i], b[i]) - target
+        if resid:
+            raise RuntimeError("diagonal correction failed to converge")
+    for i in range(m):
+        for j in range(m):
+            if sp.ring_pair(b[i], b[j]) != sp.ring_pair(avecs[i], avecs[j]):
+                raise RuntimeError("witt_lift postcondition (products) failed")
+        diff = [b[i][l] - bvecs[i][l] for l in range(sp.V.dim)]
+        if any(d.valuation() < ks[i] for d in diff if d):
+            raise RuntimeError("witt_lift postcondition (congruence) failed")
+    if not _is_primitive_tuple(sp.V, b):
+        raise RuntimeError("witt_lift postcondition (primitivity) failed")
+    return b
+
+
+def boxed_extend_isometry(space, avecs, bvecs):
+    sp = space
+    field, V, K = sp.field, sp.V, sp.K
+    m = len(avecs)
+    for i in range(m):
+        for j in range(m):
+            if sp.ring_pair(avecs[i], avecs[j]) != sp.ring_pair(bvecs[i], bvecs[j]):
+                raise IsometryMismatchError("tuples have unequal products")
+    if not _is_primitive_tuple(V, avecs) or not _is_primitive_tuple(V, bvecs):
+        raise IsometryMismatchError("tuples must be primitive bases")
+    Q = V.gram
+    abar = [[v[l].coeffs[0] for l in range(V.dim)] for v in avecs]
+    bbar = [[v[l].coeffs[0] for l in range(V.dim)] for v in bvecs]
+    g0 = witt_extend_field(field, Q, abar, bbar) if m else la.identity(field, V.dim)
+    g = la.change_ring(sp.R, g0)
+    g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
+    for layer in range(1, K):
+        deltas = []
+        for a, b in zip(avecs, bvecs):
+            img = la.vec_mat(a, g)
+            deltas.append([img[l].coeffs[layer] - b[l].coeffs[layer]
+                           for l in range(V.dim)])
+        h = boxed_solve_layer(field, Q, g0, g0_Qt_inv, abar,
+                              boxed_layer_residual(g, sp.Qr, layer), deltas)
+        g = boxed_add_layer(g, h, layer)
+    if not orbits._is_ring_orthogonal(g, sp.Qr):
+        raise RuntimeError("isometry extension lost orthogonality over the ring")
+    for a, b in zip(avecs, bvecs):
+        if la.vec_mat(a, g) != list(b):
+            raise RuntimeError("isometry extension failed a vector condition")
+    return g
+
+
+def boxed_layer_residual(g, Qr, layer):
+    gQgT = la.mat_mul(la.mat_mul(g, Qr), la.transpose(g))
+    return [[x.coeffs[layer] - q.coeffs[layer] for x, q in zip(rx, rq)]
+            for rx, rq in zip(gQgT, Qr)]
+
+
+def boxed_add_layer(g, h, layer):
+    out = [row[:] for row in g]
+    for r, hrow in enumerate(h):
+        for c, x in enumerate(hrow):
+            if x:
+                p = out[r][c]
+                add = [p.field.zero] * p.prec
+                add[layer] = x
+                out[r][c] = p + TruncPoly(p.field, add)
+    return out
+
+
+def boxed_add_skew(field, h0, g0_Qt_inv, vals):
+    d = len(h0)
+    u = la.zeros(field, d, d)
+    for (r, s), v in zip(orbits._upper_pairs(d), vals):
+        u[r][s] = v
+        u[s][r] = -v
+    return la.mat_add(h0, la.mat_mul(u, g0_Qt_inv))
+
+
+def boxed_solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
+    d = len(Q)
+    m = len(abar)
+    h0 = la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
+    if m == 0:
+        return h0
+    g0_Qt = la.mat_mul(Q, la.transpose(g0))
+    etas = []
+    for i in range(m):
+        want = [-(x) for x in deltas[i]]
+        rem = la.vec_sub(want, la.vec_mat(abar[i], h0))
+        etas.append(la.vec_mat(rem, g0_Qt))
+    idx = {pair: j for j, pair in enumerate(orbits._upper_pairs(d))}
+    nvar = len(idx)
+
+    def ucoef(r, s):
+        if r == s:
+            return None, None
+        if r < s:
+            return idx[(r, s)], field.one
+        return idx[(s, r)], -field.one
+
+    rows, rhs = [], []
+    for i in range(m):
+        for col in range(d):
+            row = [field.zero] * nvar
+            for r in range(d):
+                j, sign = ucoef(r, col)
+                if j is not None and abar[i][r]:
+                    row[j] = row[j] + sign * abar[i][r]
+            rows.append(row)
+            rhs.append(etas[i][col])
+    sol = la.solve(field, rows, [rhs])
+    if sol is None:
+        raise RuntimeError("layer system inconsistent; inputs not in one orbit?")
+    return boxed_add_skew(field, h0, g0_Qt_inv, sol[0])
+
+
+def boxed_transport(x, y):
+    sp = x.space
+    inv_x, c = boxed_t_sym(x, None)
+    inv_y, d = boxed_t_sym(y, None)
+    if inv_x != inv_y:
+        return None
+    g = boxed_extend_isometry(sp, c, boxed_witt_lift(sp, c, d, list(inv_x.partition)))
+    if x.act(g).key() != y.key():
+        raise RuntimeError("transport verification failed")
+    return g
+
+
+def _typed(x):
+    """Nested lists with every scalar as (type, value) and every TruncPoly as
+    (TruncPoly, field, its typed coefficients)."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    if isinstance(x, TruncPoly):
+        return (TruncPoly, x.field, _typed(x.coeffs))
+    return (type(x), x)
+
+
+def _outcome(f, *args):
+    """f(*args) typed, or the type and message of the error it raised."""
+    try:
+        return _typed(f(*args))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+ORACLE_SPACES = [pytest.param(field, ks, form, id="%s-%s-%s" % (
+                     name, "".join(map(str, ks)), form))
+                 for name, field in (("QQ", QQ), ("F3", F3), ("F5", F5))
+                 for ks in ((1,), (2, 1), (3, 1), (2, 2), (3, 2), (3, 2, 1))
+                 for form in ("diag112", "h2+1")]
+
+
+def _oracle_space(field, ks, form):
+    if form == "diag112":
+        return TensorSpace(field, ks, diagonal_space(field, [1, 1, 2]))
+    z, o = field.zero, field.one
+    return TensorSpace(field, ks, orbits.OrthSpace(field, [[z, o, z], [o, z, z],
+                                                           [z, z, o]]))
+
+
+@pytest.mark.parametrize("field,ks,form", ORACLE_SPACES)
+def test_transport_matches_boxed_oracle(field, ks, form):
+    """Seeded pairs x, x·g (also with smaller images) and pairs of random
+    elements, mostly in different orbits: the same g, or the same None, and
+    the same invariant with the same residues."""
+    sp = _oracle_space(field, ks, form)
+    rng = random.Random(str((field.char, ks, form)))
+    kind = (field.char, sp.K)
+    for x in itertools.islice(_residue_elements(sp, rng, n=1), 3):
+        inv, ws = orbits._t_sym(x, None)
+        inv0, ws0 = boxed_t_sym(x, None)
+        assert _typed(inv.coords) == _typed(inv0.coords) and inv == inv0
+        assert _typed(la._from_layers(kind, field, *ws)) == _typed(ws0)
+        y = x.act(random_orthogonal_ring(sp, rng))
+        g = transport(x, y)
+        assert g is not None and _typed(g) == _typed(boxed_transport(x, y))
+        z = sp.random(rng)
+        assert _outcome(transport, x, z) == _outcome(boxed_transport, x, z)
+
+
+def test_oracle_spaces_reach_the_hyperbolic_completion(monkeypatch):
+    """On hyperbolic2 ⊕ <1> some residues have an isotropic part, so
+    `witt_extend_field` completes them to hyperbolic pairs."""
+    calls = []
+    real = orbits._hyperbolic_partners
+    monkeypatch.setattr(orbits, "_hyperbolic_partners",
+                        lambda *a: calls.append(1) or real(*a))
+    for field in (QQ, F3, F5):
+        test_transport_matches_boxed_oracle(field, (2, 1), "h2+1")
+    assert calls
+
+
+def test_lift_and_extension_errors_match_boxed_oracle():
+    """The same exception, with the same message, from the int layers and
+    from the boxed bodies, for each check that can fail on bad input."""
+    for field in (QQ, F5):
+        sp = TensorSpace(field, (2,), hyperbolic_plane(field))
+        a = tvec(field, 2, [1], [1])            # (a, a) = 2
+        a2 = tvec(field, 2, [1], [1, 1])        # (a2, a2) = 2 + 2t
+        twice = tvec(field, 2, [2], [2])        # (twice, twice) = 8
+        b = tvec(field, 2, [1], [2])            # (b, b) = 4
+        flat = tvec(field, 2, [0, 1], [0])      # not primitive
+        u1, u2 = tvec(field, 2, [1], [0]), tvec(field, 2, [0], [1])
+        lifts = [([a], [b], [1]),                         # hypothesis
+                 ([u1, u2], [u1, tvec(field, 2, [0], [2])], [1, 1]),
+                 ([a], [a, a], [1]),                      # lengths
+                 ([a], [a], [1, 1]),
+                 ([a, a2], [a, a2], [1, 2]),               # orders
+                 ([a], [a], [0]),
+                 ([flat], [a], [1]),                      # primitivity
+                 ([a], [flat], [1]),
+                 ([a, twice], [a, twice], [2, 2])]
+        for avecs, bvecs, ks in lifts:
+            out = _outcome(witt_lift, sp, avecs, bvecs, ks)
+            assert out == _outcome(boxed_witt_lift, sp, avecs, bvecs, ks)
+            assert isinstance(out, tuple)       # an error, not a lift
+        extends = [([a], [b]),                                   # products
+                   ([a], [a2]),
+                   ([flat], [flat]),                             # primitivity
+                   ([a, twice], [a, twice])]
+        for avecs, bvecs in extends:
+            out = _outcome(extend_isometry, sp, avecs, bvecs)
+            assert out == _outcome(boxed_extend_isometry, sp, avecs, bvecs)
+            assert out[0] is IsometryMismatchError
+    with pytest.raises(HypothesisFailedError, match=r"at \(0,1\)"):
+        witt_lift(sp, [u1, u2], [u1, tvec(F5, 2, [0], [2])], [1, 1])
 
 
 # --------------------------------------------------------------------------
@@ -584,8 +895,8 @@ def test_group_rows_match_scan(q, form, k, monkeypatch):
 
 def boxed_orthogonal_group_ring(V, k):
     """Oracle for the int layers of `orthogonal_group_ring`: the same
-    lifting on boxed matrices over F_q[t]/(t^k), one `_add_skew` and
-    `_add_layer` per lift, with (Q·g0ᵀ)⁻¹ and Delta per element."""
+    lifting on boxed matrices over F_q[t]/(t^k), one `boxed_add_skew` and
+    `boxed_add_layer` per lift, with (Q·g0ᵀ)⁻¹ and Delta per element."""
     field, Q = V.field, V.gram
     R = TruncRing(field, k)
     sols = [la.change_ring(R, g) for g in orbits._level0_group(field, Q, 10 ** 7)]
@@ -596,11 +907,11 @@ def boxed_orthogonal_group_ring(V, k):
         for g in sols:
             g0 = [[x.coeffs[0] for x in row] for row in g]
             g0_Qt_inv = la.inverse(field, la.mat_mul(Q, la.transpose(g0)))
-            Delta = orbits._layer_residual(g, Qr, layer)
+            Delta = boxed_layer_residual(g, Qr, layer)
             h0 = la.mat_mul(la.scal_mul(-(field(1) / field(2)), Delta), g0_Qt_inv)
             for vals in itertools.product(list(field.elements()), repeat=skew_dim):
-                h = orbits._add_skew(field, h0, g0_Qt_inv, vals)
-                nxt.append(orbits._add_layer(g, h, layer))
+                h = boxed_add_skew(field, h0, g0_Qt_inv, vals)
+                nxt.append(boxed_add_layer(g, h, layer))
         sols = nxt
     return sols
 
