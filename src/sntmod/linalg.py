@@ -12,11 +12,9 @@ on ints for these kinds of input:
   elimination;
 - all `FpElement`s of one prime p: int residues mod p;
 - all `TruncPoly`s of one precision K whose coefficients are all
-  `FpElement`s of one p, i.e. F_p[t]/(t^K): products only, by Kronecker
-  substitution on int coefficient lists;
-- all `TruncPoly`s of one precision K over Q whose coefficients are all
-  `Fraction`s, i.e. Q[t]/(t^K): products only, on the int layers of
-  `_to_layers` (one common denominator per matrix) by `_lmul`.
+  `FpElement`s of one p (F_p[t]/(t^K)), or all over Q with `Fraction`
+  coefficients (Q[t]/(t^K)): products only, by `_lmul` on the int layers
+  of `_to_layers` (residues, or one common denominator per matrix).
 Elimination over F[t]/(t^K) takes the operator path.  Any other input (int
 entries or coefficients, mixed primes, precisions or kinds) goes through
 the elements' operators, in the `_..._generic` helpers.  So there is one
@@ -48,8 +46,7 @@ on them.  Two more serve the t-Lagrangians: `_affine_family` (the points
 A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the layer lifts
 of `orbits.orthogonal_group_ring`) and `_isotropy_test` (U·G·Uᵀ ≡ 0 mod p
 by Kronecker substitution, or U·G·Uᵀ = 0 over Q).  `_kronecker` packs
-polynomials over F_p[t]/(t^K) into ints for `_ring_mat_mul` and
-`spgroup.group_closure`.  A matrix over F[t]/(t^K) kept on ints between
+polynomials over F_p[t]/(t^K) into ints for `spgroup.group_closure`.  A matrix over F[t]/(t^K) kept on ints between
 steps is a pair (K int layer matrices, one denominator), from `_to_layers`
 and boxed by `_from_layers`; the `_l…` helpers (`_lmul`, `_lsum`, `_gram`,
 …) compute with such pairs, and `orbits.transport` runs on them.
@@ -229,25 +226,12 @@ def _int_mat_mul(kind, A, B):
     return _from_ints(0, _ints_mul(0, Ai, Bi), d * e)
 
 
-def _first_entry(blocks):
-    return next(x for rows in blocks for row in rows for x in row)
-
-
 def _ring_mat_mul(kind, A, B):
-    """A·B over F_p[t]/(t^K) by the Kronecker substitution of `_kronecker`:
-    one int product per term and one sum give every coefficient of a dot
-    product at once.  Over Q[t]/(t^K) (p = 0) by `_lmul` on the int layers
-    of A and B, boxed once."""
-    p, K = kind
-    poly, field = _truncpoly(), _first_entry((A, B)).field
-    if not p:
-        return _from_layers(kind, field,
-                            *_lmul(0, _to_layers(kind, A), _to_layers(kind, B)))
-    pack, unpack = _kronecker(p, K, len(B))
-    Bt = [[pack([c.v for c in x.coeffs]) for x in col] for col in zip(*B)]
-    return [[poly(field, [FpElement(p, v) for v in unpack(sum(map(mul, r, col)))])
-             for col in Bt]
-            for r in ([pack([c.v for c in x.coeffs]) for x in row] for row in A)]
+    """A·B over Q[t]/(t^K) or F_p[t]/(t^K) by `_lmul` on the int layers of A
+    and B, boxed once.  The product is left unreduced (`_lmul` with p = 0):
+    boxing reduces it."""
+    field = next(x for rows in (A, B) for row in rows for x in row).field
+    return _from_layers(kind, field, *_lmul(0, _to_layers(kind, A), _to_layers(kind, B)))
 
 
 def _to_layers(kind, A):
@@ -313,47 +297,13 @@ def _lscale(p, X, num, den):
     return _lnorm(p, [[[x * num for x in r] for r in M] for M in L], d * den)
 
 
-def _lput(p, X, i, R):
-    """X with row i replaced by the one row of R."""
-    (A, d), (B, e) = X, R
-    f = lcm(d, e)
-    a, b = f // d, f // e
-    return _lnorm(p, [[[x * b for x in N[0]] if r == i else [x * a for x in row]
-                       for r, row in enumerate(M)] for M, N in zip(A, B)], f)
-
-
 def _leq(p, X, Y):
     return not any(any(map(any, M)) for M in _lsum(p, X, Y, -1)[0])
 
 
-def _lT(X):
-    return [transpose(M) for M in X[0]], X[1]
-
-
-def _lrows(X, rows):
-    return [[M[i] for i in rows] for M in X[0]], X[1]
-
-
-def _layer(X, s):
-    """The t^s coefficient of X, as a one-layer matrix."""
-    return [X[0][s]], X[1]
-
-
 def _gram(p, U, Q, V):
     """U·Q·Vᵀ."""
-    return _lmul(p, _lmul(p, U, Q), _lT(V))
-
-
-def _valuation(D, i, j):
-    """The t-adic valuation of entry (i, j) of the layers D (K when it is
-    zero)."""
-    return next((s for s, M in enumerate(D) if M[i][j]), len(D))
-
-
-def _independent(p, X):
-    """Whether the rows of X are independent mod t."""
-    M = X[0][0]
-    return len(_int_echelon(p, M)[1]) == len(M)
+    return _lmul(p, _lmul(p, U, Q), ([transpose(M) for M in V[0]], V[1]))
 
 
 def _kronecker(p, K, m):
@@ -785,22 +735,6 @@ def _int_kernel(kind, A):
             v[c] = -R[r][f] * scale[r]
         ker.append([x % kind for x in v] if kind else v)
     return ker, d
-
-
-def _int_solve(kind, A):
-    """The solution `solve` returns for the augmented int system A = [M | b]
-    (residues for kind p) as (x, d), x / d with the free unknowns 0; None
-    when the system is inconsistent.  Unknown c at pivot (r, c) is
-    R[r][−1] / R[r][c], so over Q d is the lcm of the pivots."""
-    nc = len(A[0]) - 1
-    R, pivots = _int_echelon(kind, A)
-    if pivots and pivots[-1] >= nc:
-        return None
-    d = 1 if kind else lcm(*(R[r][c] for r, c in enumerate(pivots)))
-    x = [0] * nc
-    for r, c in enumerate(pivots):
-        x[c] = R[r][nc] if kind else R[r][nc] * (d // R[r][c])
-    return x, d
 
 
 def inverse(field, A):

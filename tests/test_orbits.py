@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from sntmod import linalg as la
-from sntmod import orbits
+from sntmod import orbits, witt
 from sntmod.fields import QQ, GF
 from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            TensorSpace, brute_force_orbits,
@@ -605,7 +605,7 @@ def boxed_add_layer(g, h, layer):
 def boxed_add_skew(field, h0, g0_Qt_inv, vals):
     d = len(h0)
     u = la.zeros(field, d, d)
-    for (r, s), v in zip(orbits._upper_pairs(d), vals):
+    for (r, s), v in zip(witt._upper_pairs(d), vals):
         u[r][s] = v
         u[s][r] = -v
     return la.mat_add(h0, la.mat_mul(u, g0_Qt_inv))
@@ -623,7 +623,7 @@ def boxed_solve_layer(field, Q, g0, g0_Qt_inv, abar, Delta, deltas):
         want = [-(x) for x in deltas[i]]
         rem = la.vec_sub(want, la.vec_mat(abar[i], h0))
         etas.append(la.vec_mat(rem, g0_Qt))
-    idx = {pair: j for j, pair in enumerate(orbits._upper_pairs(d))}
+    idx = {pair: j for j, pair in enumerate(witt._upper_pairs(d))}
     nvar = len(idx)
 
     def ucoef(r, s):
@@ -718,8 +718,8 @@ def test_oracle_spaces_reach_the_hyperbolic_completion(monkeypatch):
     """On hyperbolic2 ⊕ <1> some residues have an isotropic part, so
     `witt_extend_field` completes them to hyperbolic pairs."""
     calls = []
-    real = orbits._hyperbolic_partners
-    monkeypatch.setattr(orbits, "_hyperbolic_partners",
+    real = witt._hyperbolic_partners
+    monkeypatch.setattr(witt, "_hyperbolic_partners",
                         lambda *a: calls.append(1) or real(*a))
     for field in (QQ, F3, F5):
         test_transport_matches_boxed_oracle(field, (2, 1), "h2+1")
@@ -760,6 +760,43 @@ def test_lift_and_extension_errors_match_boxed_oracle():
             assert out[0] is IsometryMismatchError
     with pytest.raises(HypothesisFailedError, match=r"at \(0,1\)"):
         witt_lift(sp, [u1, u2], [u1, tvec(F5, 2, [0], [2])], [1, 1])
+
+
+def test_layer_system_reads_its_solution_off_the_kernel():
+    """One layer with Q·g0ᵀ = I, Delta = 0 and abar = (1, 0, 0): the skew u
+    must give abar·u = (0, u01, u02) = -delta.  For delta = (0, 1, 0) that
+    is u01 = -1 with u02 = 0 and the free u12 = 0; for delta = (1, 0, 0) it
+    is inconsistent although u12 stays free."""
+    one = ([la._int_identity(3)], 1)
+    zero = ([[[0] * 3 for _ in range(3)]], 1)
+    abar = ([[[1, 0, 0]]], 1)
+    for p in (0, 5):
+        h = witt._solve_layer(p, one, one, abar, zero, ([[[0, 1, 0]]], 1))
+        assert la._leq(p, h, ([[[0, -1, 0], [1, 0, 0], [0, 0, 0]]], 1))
+        with pytest.raises(RuntimeError, match="layer system inconsistent"):
+            witt._solve_layer(p, one, one, abar, zero, ([[[1, 0, 0]]], 1))
+
+
+def test_lift_and_extension_reject_vectors_outside_the_space():
+    """Vectors of another precision, another field or with coefficients
+    outside the field raise ValueError before they are read as int layers,
+    as TruncPoly arithmetic raises it for mismatched precisions."""
+    F3 = GF(3)
+    for field, other in ((QQ, F5), (F5, QQ), (F5, F3)):
+        sp = TensorSpace(field, (2,), hyperbolic_plane(field))
+        a = tvec(field, 2, [1], [1])
+        bad = [tvec(field, 1, [1], [1]), tvec(field, 3, [1], [1]),
+               tvec(other, 2, [1], [1]),
+               [TruncPoly(field, [1, 0]), TruncPoly(field, [1, 0])]]
+        for b in bad:
+            for avecs, bvecs in (([a], [b]), ([b], [a]), ([b], [b])):
+                with pytest.raises(ValueError, match="mismatched truncation orders"):
+                    witt_lift(sp, avecs, bvecs, [1])
+                with pytest.raises(ValueError, match="mismatched truncation orders"):
+                    extend_isometry(sp, avecs, bvecs)
+        # empty tuples are vectors of the space
+        assert witt_lift(sp, [], [], []) == []
+        assert extend_isometry(sp, [], []) == la.identity(sp.R, 2)
 
 
 # --------------------------------------------------------------------------
