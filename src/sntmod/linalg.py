@@ -46,10 +46,11 @@ on them.  Two more serve the t-Lagrangians: `_affine_family` (the points
 A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the layer lifts
 of `orbits.orthogonal_group_ring`) and `_isotropy_test` (U·G·Uᵀ ≡ 0 mod p
 by Kronecker substitution, or U·G·Uᵀ = 0 over Q).  `_kronecker` packs
-polynomials over F_p[t]/(t^K) into ints for `spgroup.group_closure`.  A matrix over F[t]/(t^K) kept on ints between
-steps is a pair (K int layer matrices, one denominator), from `_to_layers`
-and boxed by `_from_layers`; the `_l…` helpers (`_lmul`, `_lsum`, `_gram`,
-…) compute with such pairs, and `orbits.transport` runs on them.
+polynomials over F_p[t]/(t^K) into ints for `spgroup.group_closure`.  A
+matrix over F[t]/(t^K) kept on ints between steps is a pair (K int layer
+matrices, one denominator), from `_to_layers` and boxed by `_from_layers`;
+the `_l…` helpers (`_lmul`, `_lsum`, `_gram`, …) compute with such pairs,
+and `orbits.transport` and `witt` run on them.
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.

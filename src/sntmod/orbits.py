@@ -26,9 +26,9 @@ from .sntmodule import (EnumerationGuardError, enum_guard_limit,
 from .spgroup import cayley
 from .tpoly import TruncPoly, TruncRing
 from .witt import (HypothesisFailedError, IsometryMismatchError,  # noqa: F401
-                   _extend_ints, _is_ring_orthogonal, _reflection,
-                   _upper_pairs, _witt_lift_ints, extend_isometry,
-                   witt_extend_field, witt_lift)
+                   _extend_ints, _reflection, _upper_pairs,
+                   _witt_lift_ints, extend_isometry, witt_extend_field,
+                   witt_lift)
 
 
 class OrthSpace:
@@ -637,6 +637,10 @@ class _ChainSolver:
 # --------------------------------------------------------------------------
 # random orthogonal elements over the ring (for property tests)
 # --------------------------------------------------------------------------
+
+def _is_ring_orthogonal(g, Qr):
+    return la.mat_eq(la.mat_mul(la.mat_mul(g, Qr), la.transpose(g)), Qr)
+
 
 def random_orthogonal_ring(space, rng):
     """Random element of O(V)(R_K): random reflections at the residue level

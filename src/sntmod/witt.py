@@ -345,10 +345,6 @@ def _extend_ints(sp, A, B):
     return g
 
 
-def _is_ring_orthogonal(g, Qr):
-    return la.mat_eq(la.mat_mul(la.mat_mul(g, Qr), la.transpose(g)), Qr)
-
-
 # One t-adic layer of lifting g from O(V)(R_layer) to O(V)(R_{layer+1}):
 # g + h·t^layer stays orthogonal mod t^{layer+1} exactly when
 # h·Q·g0ᵀ + g0·Q·hᵀ = -Delta.  Writing u = h·Q·g0ᵀ, the solutions are
