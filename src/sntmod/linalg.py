@@ -34,15 +34,19 @@ kind multiplies by `mat_mul`.
 Code that keeps a Q or F_p matrix on ints between steps uses the int-row
 helpers beside the kernels: `_to_ints` (a matrix as int rows over one
 common denominator d, or residues with d = 1), `_from_ints` (the way back,
-boxing each entry once), `_ints_mul` (a product of int rows),
+boxing each entry once), `_ints_mul` (a product of int rows; `_dots` when
+the second factor is at hand as its columns),
 `_int_powers` (the powers above), `_int_echelon` (`_rref_ints` on a copy),
 `_box_echelon` (its rows boxed) and `_int_kernel` (a kernel read off it).
 `isometry_lie_basis` builds its commutation and form equations on them, as
 int rows over the scaled T and G.  `sntmodule.decompose`,
 `SntModule.validate`, `spgroup.is_member`, `spgroup.block_profile`,
-`sntmodule.rho_of`, `is_t_lagrangian` and `LagrangianFlag` (its checks,
-fiber data and `self_dual_map_basis`) convert their matrices once and run
-on them.  Two more serve the t-Lagrangians: `_affine_family` (the points
+`sntmodule.rho_of`, `is_t_lagrangian`, `LagrangianFlag` (its checks,
+fiber data and `self_dual_map_basis`) and `orbits` (f_x, Im f_x, the chain
+residues, T(x) and the tangent map of each element, read off one
+`orbits._Image` record per image W, for every element of the census too)
+convert their matrices once and run on them.  Two more serve the
+t-Lagrangians: `_affine_family` (the points
 A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the layer lifts
 of `orbits.orthogonal_group_ring`) and `_isotropy_test` (U·G·Uᵀ ≡ 0 mod p
 by Kronecker substitution, or U·G·Uᵀ = 0 over Q).  `_kronecker` packs
@@ -50,7 +54,7 @@ polynomials over F_p[t]/(t^K) into ints for `spgroup.group_closure`.  A
 matrix over F[t]/(t^K) kept on ints between steps is a pair (K int layer
 matrices, one denominator), from `_to_layers` and boxed by `_from_layers`;
 the `_l…` helpers (`_lmul`, `_lsum`, `_gram`, …) compute with such pairs,
-and `orbits.transport` and `witt` run on them.
+and `orbits.transport`, `TensorElement.act` and `witt` run on them.
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.
@@ -208,7 +212,11 @@ def _from_ints(kind, rows, d=1):
 def _ints_mul(kind, A, B):
     """A·B for int rows, reduced mod p for kind p.  Over Q the product of
     (A, d) and (B, e) is (A·B, d·e)."""
-    Bt = list(zip(*B))
+    return _dots(kind, A, list(zip(*B)))
+
+
+def _dots(kind, A, Bt):
+    """A·B for int rows A and the columns Bt of B, as `_ints_mul`."""
     if kind:
         return [[sum(map(mul, r, c)) % kind for c in Bt] for r in A]
     return [[sum(map(mul, r, c)) for c in Bt] for r in A]
@@ -399,10 +407,6 @@ def mat_add(A, B):
 
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(A):
-    return [[-a for a in row] for row in A]
 
 
 def scal_mul(c, A):

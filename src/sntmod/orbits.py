@@ -9,6 +9,12 @@ explicit group element by Witt lifting the chain residues w_i mod t^{k_i},
 from which the invariants are read, followed by isometry extension (both
 in `witt`, whose public names are re-exported here).
 
+Elements are read one way, on ints over Q and F_p alike: W = Im f_x is
+keyed by the canonical int echelon rows of f_x and gets one `_Image` record
+in its space's memo, off which the invariants, `transport`, the tangent map
+and `invariant_partition` read x's chain residues and T(x); `act` and
+transport's check x·g = y share one int action (`_act`).
+
 All computations run at working precision K = max k_i of the type of M_-,
 since t^K kills every pairing that matters.
 """
@@ -17,12 +23,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from math import lcm
 from operator import mul
 
 from . import linalg as la
 from .fields import FpElement, PrimeField
-from .sntmodule import (EnumerationGuardError, enum_guard_limit,
-                        module_coords, padded_chain, quasi_basis)
+from .sntmodule import EnumerationGuardError, enum_guard_limit, quasi_basis
 from .spgroup import cayley
 from .tpoly import TruncPoly, TruncRing
 from .witt import (HypothesisFailedError, IsometryMismatchError,  # noqa: F401
@@ -73,12 +79,13 @@ class TensorSpace:
     Row r of a coordinate matrix corresponds to the F-basis vector t^s f_i
     of M_-; the i-th chain occupies rows offset_i .. offset_i + k_i - 1.
     `Qr` is the Gram matrix of V over R_K = F[t]/(t^K), and `_Ql` the same
-    as int layers (layers, d), converted once for `transport`.
+    as int layers (layers, d), converted once for `transport`; its layer 0
+    gives V's Gram as int columns `_Qt` over the denominator `_dq`.
 
-    The space memoises the image submodules of its elements: `image_of`
-    keys them by their canonical span and calls `quasi_basis` once per
-    span.  The memo lives and dies with the space; nothing is shared
-    between spaces.
+    The space memoises the image submodules of its elements, one `_Image`
+    record per W in `_images`: `_image` keys W by its canonical int echelon
+    rows and calls `quasi_basis` once per key.  The memo lives and dies
+    with the space; nothing is shared between spaces.
     """
 
     def __init__(self, field, ks, V):
@@ -94,13 +101,13 @@ class TensorSpace:
         self.R = TruncRing(field, self.K)
         self.Qr = la.change_ring(self.R, V.gram)
         self._Ql = la._to_layers((field.char, self.K), self.Qr)
+        self._Qt, self._dq = la.transpose(self._Ql[0][0]), self._Ql[1]
         self._images = {}
         self.d = sum(ks)
-        self.offsets = []
-        off = 0
-        for k in ks:
-            self.offsets.append(off)
-            off += k
+        self.offsets = list(itertools.accumulate(ks[:-1], initial=0))
+        # t^s on M_- coordinates: entry j takes entry shifts[s][j] (-1: zero)
+        self._shifts = [[o + a - s if a >= s else -1 for o, k in zip(self.offsets, ks)
+                         for a in range(k)] for s in range(self.K)]
         # t on M_- coordinates: shift along each chain
         T = la.zeros(field, self.d, self.d)
         for o, k in zip(self.offsets, ks):
@@ -166,6 +173,30 @@ class TensorSpace:
         """(u, v) in V[t]/(t^K) for TruncPoly vectors u, v."""
         return la.bilinear(u, self.Qr, v)
 
+    def _f_rows(self, X):
+        """f_x's rows as ints, in `f_matrix`'s order, for x's coordinate rows
+        X as ints over a denominator dx (residues over F_p): over dx·`_dq`,
+        row (l, s) is column l of x·Q pushed s steps along each chain of
+        M_-."""
+        xQ = la._dots(self.field.char, X, self._Qt)
+        return [[col[j] for j in idx] for col in (c + (0,) for c in zip(*xQ))
+                for idx in self._shifts]
+
+    def _image(self, X):
+        """The `_Image` record of W = Im f_x for x's coordinate rows X as
+        ints, from the memo.  Its key is the reduced echelon form of f_x's
+        rows: residues over F_p, over Q primitive rows with a positive pivot
+        (as `LagrangianFlag._fiber` keys W)."""
+        p, f = self.field.char, self._f_rows(X)
+        R, pivots = la._rref_ints(p, f) if p else la._int_echelon(0, f)
+        key = tuple(map(tuple, R[:len(pivots)])) if p else tuple(
+            tuple(r if r[c] > 0 else [-v for v in r]) for r, c in zip(R, pivots))
+        img = self._images.get(key)
+        if img is None:
+            img = self._images[key] = _Image(self, quasi_basis(
+                self.field, self.t_minus, self.K, la._box_echelon(p, R, pivots)))
+        return img
+
 
 class TensorElement:
     def __init__(self, space, coords):
@@ -177,29 +208,19 @@ class TensorElement:
     def key(self):
         return tuple(tuple(x for x in row) for row in self.coords)
 
-    def chain_vectors(self):
-        """The V[t]/(t^K)-vectors w_i with x = sum_i f_i ⊗ w_i."""
-        sp = self.space
-        out = []
-        for o, k in zip(sp.offsets, sp.ks):
-            vec = []
-            for l in range(sp.V.dim):
-                coeffs = [self.coords[o + s][l] if s < k else sp.field.zero
-                          for s in range(sp.K)]
-                vec.append(TruncPoly(sp.field, coeffs))
-            out.append(vec)
-        return out
-
     def is_zero(self):
         return la.is_zero_mat(self.coords)
 
     def act(self, g_ring):
-        """x · g for g over R_K acting on the V side (row convention)."""
+        """x · g for g over R_K acting on the V side (row convention), by
+        `_act` on ints."""
         sp = self.space
-        imgs = la.mat_mul(self.chain_vectors(), g_ring)
-        return TensorElement(sp, [[w.coeffs[s] for w in img]
-                                  for img, k in zip(imgs, sp.ks)
-                                  for s in range(k)])
+        p, kind = sp.field.char, (sp.field.char, sp.K)
+        if la._int_kind([g_ring]) != kind:
+            raise ValueError("mismatched truncation orders or coefficients: "
+                             "g must be a matrix over %r" % (sp.R,))
+        rows, e = _act(sp, la._to_ints(p, self.coords), la._to_layers(kind, g_ring))
+        return TensorElement(sp, la._from_ints(p, rows, e))
 
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.space is other.space \
@@ -217,37 +238,108 @@ def f_matrix(x):
     """Matrix of f_x : V[t]/(t^K) -> M_-.
 
     Rows are indexed by the domain F-basis t^s b_l (l major, s minor);
-    columns by M_- chain coordinates.
+    columns by M_- chain coordinates.  The rows are the space's int
+    `_f_rows`, boxed once.
     """
     sp = x.space
-    CQ = la.mat_mul(x.coords, sp.V.gram)     # (d x dimV): column l = f-image data
-    base = la.transpose(CQ)                  # rows indexed by l
-    return [row for l in range(sp.V.dim)
-            for row in padded_chain(sp.field, sp.t_minus, base[l], sp.K)]
+    X, dx = la._to_ints(sp.field.char, x.coords)
+    return la._from_ints(sp.field.char, sp._f_rows(X), dx * sp._dq)
 
 
 def image_of(x):
     """Im f_x as an SntSubmodule of M_- (canonical span + quasi-basis)."""
     sp = x.space
-    span = la.rref_span(sp.field, f_matrix(x))
-    img = sp._images.get(span)
-    if img is None:
-        img = sp._images[span] = quasi_basis(sp.field, sp.t_minus, sp.K,
-                                             [list(r) for r in span])
-    return img
+    return sp._image(la._to_ints(sp.field.char, x.coords)[0]).W
 
 
-def _coeffs_over(x, W):
-    """[w_i mod t^{k_i}] for x = sum_i e_i ⊗ w_i over W's quasi-basis e_i.
+class _Image:
+    """W ⊆ M_- with what reads an element's chain data over it: W's
+    `quasi_basis`, its chains C as int rows over one denominator, the pivot
+    columns P of C with E = C[:, P]⁻¹, and the pairs T(x) sums over.
 
-    Column l of x is sum_i w_i[l]·e_i, so its coordinates over the chains
-    t^s e_i (s < k_i) are the coefficients of w_i[l] mod t^{k_i}; the chains
-    are an F-basis of W, so these residues are unique.
+    W's chains are an F-basis of W, so each column v of x has unique
+    coordinates a over them, a·C = v: the residues w_i mod t^{k_i} of
+    x = Σ_i e_i ⊗ w_i, the t^s coefficient of w_i at position s of chain i.
+    E comes from one reduction of [C | I], a = v_P·E, and a·C = v is checked
+    for every column.  Ints are residues over F_p; over Q, for x's rows over
+    dx, `coords` gives a over `den`·dx.
     """
-    cols = module_coords(W, x.space.K, la.transpose(x.coords))
-    if cols is None:
-        raise ValueError("W does not contain Im f_x")
-    return [[c[i] for c in cols] for i in range(len(W.partition))]
+
+    def __init__(self, sp, W):
+        p, d = sp.field.char, sp.d
+        self.W, self.p, self.n, self.Qt = W, p, sp.V.dim, sp._Qt
+        (C, dc), m = la._to_ints(p, W.chains), len(W.chains)
+        self.P, piv, Y = [], [], []
+        if m:
+            R, self.P = la._rref_ints(p, [row + [int(i == j) for j in range(m)]
+                                          for i, row in enumerate(C)])
+            if self.P[-1] >= d:
+                raise RuntimeError("the chains of W are dependent")
+            # row r is [a_r at P_r | y_r] with y_r·C[:, P] = a_r·e_r (a_r = 1
+            # over F_p), so E = dc·(y_r/a_r)_r, here over den = lcm(a_r)
+            piv, Y = [R[r][c] for r, c in enumerate(self.P)], [row[d:] for row in R]
+        self.den = lcm(*piv)
+        self.scale = self.den * dc
+        self.Et = list(zip(*([x * (self.den // a) * dc for x in y] for y, a in zip(Y, piv))))
+        self.Ct = list(zip(*C))
+        # the (i, j) coordinate of T(x), i <= j, at t^e (e < k_j) is h times
+        # the sum of G[o_i + a][o_j + e - a] over a, G = a·Q·aᵀ: h halves the
+        # diagonal ones (over Q it doubles the others, all being over 2·D)
+        ks, (hd, ho) = W.partition, ((p + 1) // 2, 1) if p else (1, 2)
+        self.offs = list(itertools.accumulate(ks, initial=0))
+        self.pairs = [(self.offs[i], self.offs[j], ks[j], hd if i == j else ho)
+                      for i in range(len(ks)) for j in range(i, len(ks))]
+
+    def coords(self, X):
+        """x's chain coordinates a over W, as int rows, for its coordinate
+        rows X as ints; ValueError when W does not contain Im f_x."""
+        p, s = self.p, self.scale
+        A = la._dots(p, self.Et, list(zip(*(X[j] for j in self.P))))
+        back = la._dots(p, self.Ct, list(zip(*A))) if A else [[0] * self.n for _ in X]
+        if back != (list(map(list, X)) if s == 1 else [[s * v for v in r] for r in X]):
+            raise ValueError("W does not contain Im f_x")
+        return A
+
+    def t_sym(self, A):
+        """T(x)'s coordinates as int tuples from x's chain coordinates A:
+        residues over F_p, over Q numerators over 2·D, D = (den·dx)²·dq."""
+        G = la._dots(0, la._dots(0, A, self.Qt), A)      # unreduced
+        p = self.p
+        if p:       # reduced in place: a pass after it costs the census ~5 %
+            return tuple(tuple(h * sum(G[oi + a][oj + e - a] for a in range(e + 1)) % p
+                               for e in range(kj)) for oi, oj, kj, h in self.pairs)
+        return tuple(tuple(h * sum(G[oi + a][oj + e - a] for a in range(e + 1))
+                           for e in range(kj)) for oi, oj, kj, h in self.pairs)
+
+    def tangent(self, A):
+        """(rows, ncols) of dT_x on W ⊗ V as ints, unreduced, over
+        den·dx·dq over Q, from x's chain coordinates A.  Direction
+        t^s e_i ⊗ b_l, paired with chain j, moves coordinate
+        (min(i, j), max(i, j)) at t^(s+u) by the t^u coefficient of
+        (w_j, b_l), entry (o_j + u, l) of U = a·Q."""
+        ks, n = self.W.partition, self.n
+        U = la._dots(0, A, self.Qt)
+        starts = list(itertools.accumulate((kj for _, _, kj, _ in self.pairs), initial=0))
+        col = dict(zip(((i, j) for i in range(len(ks)) for j in range(i, len(ks))), starts))
+        rows = []
+        for i, ki in enumerate(ks):
+            for s in range(ki):
+                for l in range(n):
+                    row = [0] * starts[-1]
+                    for j, oj in enumerate(self.offs[:-1]):
+                        c, kb = col[min(i, j), max(i, j)] + s, ks[max(i, j)]
+                        for u in range(kb - s):
+                            row[c + u] = U[oj + u][l]
+                    rows.append(row)
+        return rows, starts[-1]
+
+
+def _read(x, W):
+    """(the record of W, x's coordinate rows as ints, their denominator): W
+    = Im f_x from the space's memo when W is None, else W as given."""
+    sp = x.space
+    X, dx = la._to_ints(sp.field.char, x.coords)
+    return (sp._image(X) if W is None else _Image(sp, W)), X, dx
 
 
 @dataclass(frozen=True)
@@ -264,25 +356,21 @@ def t_sym(x, W=None):
 
     The (i, j) coordinate of T(x) = sum (w_i, w_j) e_i ⊗ e_j lives mod
     t^{min(k_i, k_j)}, where it depends only on w_i mod t^{k_i} and
-    w_j mod t^{k_j}: exactly the chain coordinates that `_coeffs_over`
-    reads off x.  Raises ValueError when W does not contain Im f_x.
+    w_j mod t^{k_j}: exactly the chain coordinates that W's record reads
+    off x.  Raises ValueError when W does not contain Im f_x.
     """
     return _t_sym(x, W)[0]
 
 
 def _t_sym(x, W):
     """(`t_sym`'s invariant, the chain residues w_i mod t^{k_i} it is read
-    from as int layers (layers, d)).  The residues are converted once and
-    T(x) is their Gram matrix over R_K, computed on them and boxed once."""
+    from as int layers (layers, d)), from W's record; T(x) is boxed once."""
     sp = x.space
-    W = image_of(x) if W is None else W
-    p, ks = sp.field.char, W.partition
-    ws = la._to_layers((p, sp.K), _coeffs_over(x, W))
-    P = la._from_layers((p, sp.K), sp.field, *la._gram(p, ws, sp._Ql, ws))
-    half = sp.field(1) / sp.field(2)
-    coords = tuple(tuple((P[i][j] if i < j else half * P[i][i]).coeffs[:ks[j]])
-                   for i in range(len(ks)) for j in range(i, len(ks)))
-    return OrbitInvariant(W.span, tuple(ks), coords), ws
+    img, X, dx = _read(x, W)
+    A, p, D = img.coords(X), sp.field.char, img.den * dx
+    T = la._from_ints(p, img.t_sym(A), 2 * D * D * sp._dq)
+    return (OrbitInvariant(img.W.span, img.W.partition, tuple(map(tuple, T))),
+            la._lnorm(p, _layers(sp.K, img.W.partition, A, sp.V.dim), D))
 
 
 def orbit_invariant(x):
@@ -306,7 +394,7 @@ def transport(x, y):
     independent, and equal invariants give y's residues d_i with
     (c_i, c_j) = (d_i, d_j) mod t^{min(k_i, k_j)}: `witt_lift`'s hypothesis.
     The residues come as int layers from `_t_sym`; lifting, extension and
-    the check x·g = y run on them, and g is boxed once.
+    the check x·g = y (`_act`) run on them, and g is boxed once.
     """
     sp = x.space
     inv_x, c = _t_sym(x, None)
@@ -314,80 +402,57 @@ def transport(x, y):
     if inv_x != inv_y:
         return None
     g = _extend_ints(sp, c, _witt_lift_ints(sp, c, d, list(inv_x.partition)))
-    if not _acts_to(sp, x, g, y):
+    p = sp.field.char
+    rows, e = _act(sp, la._to_ints(p, x.coords), g)
+    Y, dy = la._to_ints(p, y.coords)
+    if not la._leq(p, ([rows], e), ([Y], dy)):
         raise RuntimeError("transport verification failed")
-    return la._from_layers((sp.field.char, sp.K), sp.field, *g)
+    return la._from_layers((p, sp.K), sp.field, *g)
 
 
-def _acts_to(sp, x, g, y):
-    """Whether x·g = y for g over R_K as (layers, d): `TensorElement.act`
-    on ints.  Row s of chain i of x·g is the t^s coefficient of w_i·g,
-    w_i = Σ_s (row s of chain i of x)·t^s."""
-    p, n = sp.field.char, sp.V.dim
-    (X, dx), (Y, dy) = la._to_ints(p, x.coords), la._to_ints(p, y.coords)
-    z = [0] * n
-    chains = [[X[o + s] if s < k else z for o, k in zip(sp.offsets, sp.ks)]
-              for s in range(sp.K)]
-    img, e = la._lmul(p, (chains, dx), g)
-    return la._leq(p, ([[img[s][i] for i, k in enumerate(sp.ks) for s in range(k)]], e),
-                   ([Y], dy))
+def _layers(K, ks, rows, n):
+    """Int rows laid out chain by chain (chain i of length k_i) as K layers
+    of n columns: row i of layer s is row s of chain i, zero for s >= k_i,
+    so chain i reads as Σ_s (row s of chain i)·t^s."""
+    offs = list(itertools.accumulate(ks, initial=0))
+    return [[rows[o + s] if s < k else [0] * n for o, k in zip(offs, ks)]
+            for s in range(K)]
+
+
+def _act(sp, X, g):
+    """x·g on ints, for x's coordinate rows X and g over R_K as (layers, d)
+    pairs: row s of chain i of x·g is the t^s coefficient of w_i·g,
+    w_i = Σ_s (row s of chain i of x)·t^s.  Returns x·g's rows as a pair."""
+    img, e = la._lmul(sp.field.char, (_layers(sp.K, sp.ks, X[0], sp.V.dim), X[1]), g)
+    return [img[s][i] for i, k in enumerate(sp.ks) for s in range(k)], e
 
 
 # --------------------------------------------------------------------------
 # tangent map and submersiveness
 # --------------------------------------------------------------------------
 
-def _sym_basis_size(ks):
-    m = len(ks)
-    return sum(ks[j] for i in range(m) for j in range(i, m))
-
-
 def tangent_matrix(x, W=None):
     """F-matrix of the differential of T at x, on W ⊗ V.
 
     Rows: directions t^s e_i ⊗ b_l (i over W's quasi-basis, s < k_i,
     l over the V basis).  Columns: coordinates of S_t^2(W) over the pairs
-    (i <= j) with coefficients mod t^{k_j}.  Raises ValueError when W does
-    not contain Im f_x.
+    (i <= j) with coefficients mod t^{k_j}.  The rows are W's record's int
+    `tangent`, boxed once.  Raises ValueError when W does not contain
+    Im f_x.
     """
-    sp = x.space
-    W = image_of(x) if W is None else W
-    ws = _coeffs_over(x, W)
-    ks = list(W.partition)
-    m = len(ks)
-    WQ = la.mat_mul(ws, sp.Qr)      # WQ[j][l] = (w_j, b_l)
-    ncols = _sym_basis_size(ks)
-    col_off = {}
-    c = 0
-    for i in range(m):
-        for j in range(i, m):
-            col_off[(i, j)] = c
-            c += ks[j]
-    rows = []
-    for i in range(m):
-        for s in range(ks[i]):
-            for l in range(sp.V.dim):
-                row = [sp.field.zero] * ncols
-                for j in range(m):
-                    a, bb = min(i, j), max(i, j)
-                    kb = ks[bb]
-                    for u, coef in enumerate(WQ[j][l].coeffs):
-                        if coef and s + u < kb:
-                            row[col_off[(a, bb)] + s + u] = \
-                                row[col_off[(a, bb)] + s + u] + coef
-                rows.append(row)
-    return rows, ncols
+    img, X, dx = _read(x, W)
+    rows, ncols = img.tangent(img.coords(X))
+    return la._from_ints(img.p, rows, img.den * dx * x.space._dq), ncols
 
 
 def is_submersive(x, W=None):
     """Rank criterion: dT_x surjective onto S_t^2(W); asserted equivalent to
-    Im f_x = W."""
-    sp = x.space
-    img = image_of(x)
-    W_used = W if W is not None else img
-    rows, ncols = tangent_matrix(x, W_used)
-    by_rank = (la.rank(sp.field, rows) == ncols) if ncols else True
-    by_image = img.span == W_used.span
+    Im f_x = W.  The rank is taken on the record's int rows."""
+    img, X, _ = _read(x, None)
+    used = img if W is None else _Image(x.space, W)
+    rows, ncols = used.tangent(used.coords(X))
+    by_rank = len(la._int_echelon(img.p, rows)[1]) == ncols
+    by_image = img.W.span == used.W.span
     if by_rank != by_image:
         raise RuntimeError("rank and image criteria disagree")
     return by_rank
@@ -504,8 +569,8 @@ def brute_force_orbits(space):
     """Exact orbit partition of M_- ⊗ V under O(V)(F_q[t]/(t^K)).
 
     Returns a list of frozensets of coordinate keys, in the order of the
-    orbits' first elements.  The action runs on int residues, as
-    `TensorElement.act` does on TruncPolys: row s of chain i of x·g is the
+    orbits' first elements.  The action runs on int residues, as `_act`
+    computes it for one g: row s of chain i of x·g is the
     sum over b <= s of (row s - b of chain i of x)·g_b, g_b the t^b layer
     of g from `_group_layers`.  The guard counts these products, |group|
     per orbit, as they accrue.
@@ -552,86 +617,20 @@ def invariant_partition(space):
     each `OrbitInvariant` to the frozenset of its members' keys, in the order
     the classes are first met.
 
-    It runs on int residues, step for step as `orbit_invariant`: f_x is x·Q
-    followed by its t-chains, t shifting each chain of M_- coordinates by
-    one; W = Im f_x is keyed by the reduced echelon form of those rows; each
-    new W goes once through `quasi_basis` in a `_ChainSolver`, which reads
-    x's chain residues over W and T(x).  FpElements are built only for each
-    class's invariant and its members' keys.
+    It runs on int residues through the space's memo, step for step as
+    `orbit_invariant`: W = Im f_x is found by `TensorSpace._image`, and its
+    `_Image` record reads x's chain residues and T(x).  FpElements are built
+    only for each W, each class's invariant and its members' keys.
     """
     sp = space
     residues = sp._residues()
-    p, box = sp.field.p, sp._boxer()
-    Qcols = list(zip(*([x.v for x in row] for row in sp.V.gram)))
-    # t^s on M_- coordinates: entry j takes entry shifts[s][j] (-1: zero)
-    shifts = [[o + a - s if a >= s else -1 for o, k in zip(sp.offsets, sp.ks)
-               for a in range(k)] for s in range(sp.K)]
-    images, classes = {}, {}
+    box = sp._boxer()
+    classes = {}
     for x in residues:
-        xQ = [[sum(map(mul, row, c)) % p for c in Qcols] for row in x]
-        f = [[col[j] for j in idx] for col in (c + (0,) for c in zip(*xQ))
-             for idx in shifts]
-        R, pivots = la._rref_ints(p, f)
-        span = tuple(map(tuple, R[:len(pivots)]))
-        W = images.get(span)
-        if W is None:
-            W = images[span] = _ChainSolver(sp, box(span), Qcols)
-        classes.setdefault((span, W.t_sym(x)), []).append(x)
-    return {OrbitInvariant(images[span].W.span, images[span].W.partition,
-                           box(coords)): frozenset(map(box, members))
-            for (span, coords), members in classes.items()}
-
-
-class _ChainSolver:
-    """An image W ⊆ M_- over F_p for `invariant_partition`: its
-    `quasi_basis`, with all its self-checks, and the int data that read an
-    element's chain residues and T(x) off its residue rows.
-
-    W's chains C are an F_p-basis of W, so each column v of x has unique
-    coordinates a over them, a·C = v; these are the residues
-    w_i mod t^{k_i} that `_coeffs_over` reads.  With P the pivot columns of
-    C and E = C[:, P]⁻¹, both from one reduction of [C | I], a = v_P·E, and
-    a·C = v is checked for every column as `_coeffs_over` checks it.
-    """
-
-    def __init__(self, sp, span, Qcols):
-        """W from its reduced echelon rows `span` (FpElements); Qcols are
-        the columns of V's Gram matrix as int residues."""
-        p, d = sp.field.p, sp.d
-        self.W = quasi_basis(sp.field, sp.t_minus, sp.K, [list(r) for r in span])
-        C = [[x.v for x in row] for row in self.W.chains]
-        m = len(C)
-        self.P, E = [], []
-        if m:
-            R, self.P = la._rref_ints(p, [row + [int(i == j) for j in range(m)]
-                                          for i, row in enumerate(C)])
-            if self.P[-1] >= d:
-                raise RuntimeError("the chains of W are dependent")
-            E = [row[d:] for row in R]
-        self.p, self.n, self.Qcols = p, sp.V.dim, Qcols
-        self.Et = list(zip(*E))
-        self.Ct = list(zip(*C)) if m else [()] * d
-        # the (i, j) coordinate of T(x), i <= j, at t^e (e < k_j) is the sum
-        # of G[o_i + a][o_j + e - a] over a, G the Gram matrix of the chain
-        # coordinates; the diagonal ones are halved
-        ks = self.W.partition
-        offs = list(itertools.accumulate(ks, initial=0))
-        half = (p + 1) // 2
-        self.pairs = [(offs[i], offs[j], ks[j], half if i == j else 1)
-                      for i in range(len(ks)) for j in range(i, len(ks))]
-
-    def t_sym(self, x):
-        """T(x)'s coordinates as int tuples, for the residue rows x."""
-        p = self.p
-        cols = list(zip(*(x[j] for j in self.P)))
-        ws = [[sum(map(mul, e, c)) % p for c in cols] for e in self.Et]
-        wcols = list(zip(*ws)) if ws else [()] * self.n
-        if [tuple(sum(map(mul, c, w)) % p for w in wcols) for c in self.Ct] != list(x):
-            raise ValueError("W does not contain Im f_x")
-        U = [[sum(map(mul, w, c)) for c in self.Qcols] for w in ws]
-        G = [[sum(map(mul, u, w)) for w in ws] for u in U]
-        return tuple(tuple(h * sum(G[oi + a][oj + e - a] for a in range(e + 1)) % p
-                           for e in range(kj)) for oi, oj, kj, h in self.pairs)
+        W = sp._image(x)
+        classes.setdefault((W, W.t_sym(W.coords(x))), []).append(x)
+    return {OrbitInvariant(W.W.span, W.W.partition, box(coords)): frozenset(map(box, members))
+            for (W, coords), members in classes.items()}
 
 
 # --------------------------------------------------------------------------

@@ -384,26 +384,6 @@ def _check_quasi(field, T, sub, orders):
             raise RuntimeError("quasi-basis residues are dependent")
 
 
-def module_coords(W, K, vs):
-    """Coordinates of each v in vs over W's quasi-basis: v = sum_i a_i(t)·e_i,
-    a_i in R_{k_i}.
-
-    Returns, per v, a list of TruncPoly (precision K, reduced mod t^{k_i}),
-    from one elimination over the chain basis `W.chains`; None if some v is
-    not in W.
-    """
-    if not vs:
-        return []
-    # the chains as columns, len(v) rows even when W = 0 has no chains
-    sols = la.solve(W.field, [[c[r] for c in W.chains] for r in range(len(vs[0]))],
-                    vs)
-    if sols is None:
-        return None
-    offs = list(itertools.accumulate(W.partition, initial=0))
-    return [[TruncPoly(W.field, x[a:b], K) for a, b in zip(offs, offs[1:])]
-            for x in sols]
-
-
 # --------------------------------------------------------------------------
 # t-Lagrangian subspaces
 # --------------------------------------------------------------------------

@@ -238,20 +238,6 @@ def test_solve_edge_cases():
         la.solve(F5, A, [good, [F5(1)]])
 
 
-def test_module_coords_over_the_empty_submodule():
-    from sntmod.sntmodule import module_coords, quasi_basis
-    F3 = GF(3)
-    T = [[F3(0), F3(1)], [F3(0), F3(0)]]
-    W = quasi_basis(F3, T, 2, [])
-    assert W.chains == []
-    assert module_coords(W, 2, []) == []
-    assert module_coords(W, 2, [[F3(0), F3(0)]]) == [[]]
-    assert module_coords(W, 2, [[F3(0), F3(0)], [F3(0), F3(2)]]) is None
-    full = quasi_basis(F3, T, 2, la.identity(F3, 2))
-    assert module_coords(full, 2, [[F3(1), F3(2)]]) == \
-        [[TruncPoly(F3, [F3(1), F3(2)], 2)]]
-
-
 def test_kernel_chosen_from_every_entry():
     F3, F5 = GF(3), GF(5)
     q = [[Fraction(1, 2), Fraction(3)], [Fraction(0), Fraction(-1, 3)]]

@@ -18,7 +18,7 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            orthogonal_group_ring, random_orthogonal_ring,
                            same_orbit, t_sym, tangent_matrix, transport,
                            witt_extend_field, witt_lift)
-from sntmod.sntmodule import EnumerationGuardError, quasi_basis
+from sntmod.sntmodule import EnumerationGuardError, padded_chain, quasi_basis
 from sntmod.tpoly import TruncPoly, TruncRing
 
 F3 = GF(3)
@@ -129,6 +129,165 @@ def test_image_memo_matches_fresh_quasi_basis():
     assert TensorSpace(F3, (2, 1), diagonal_space(F3, [1, 2]))._images == {}
 
 
+def test_census_fills_the_image_memo(monkeypatch):
+    """The census keeps its records in the space's memo: afterwards
+    `image_of` finds every element's image there, with no further
+    quasi-basis, and the memo holds one record per distinct W."""
+    sp = TensorSpace(F3, (2, 1), diagonal_space(F3, [1, 2]))
+    classes = invariant_partition(sp)
+    calls = []
+    real = orbits.quasi_basis
+    monkeypatch.setattr(orbits, "quasi_basis", lambda *a: calls.append(1) or real(*a))
+    spans = {image_of(x).span for x in sp.all_elements()}
+    assert calls == []
+    assert len(sp._images) == len(spans) == len({inv.w_span for inv in classes}) == 10
+
+
+# --------------------------------------------------------------------------
+# the boxed chain data: the oracle for the image records
+# --------------------------------------------------------------------------
+# f_x, Im f_x, the chain residues over W, T(x)'s tangent map and the action
+# x·g as they ran on boxed matrices.  `f_matrix`, `image_of`, `t_sym`,
+# `tangent_matrix`, `TensorElement.act` and `invariant_partition` run on
+# ints through one record per W, and must give the same values of the same
+# types and the same errors.
+
+def boxed_f_matrix(x):
+    sp = x.space
+    base = la.transpose(la.mat_mul(x.coords, sp.V.gram))
+    return [row for l in range(sp.V.dim)
+            for row in padded_chain(sp.field, sp.t_minus, base[l], sp.K)]
+
+
+def boxed_image_of(x, memo=None):
+    """Im f_x from the echelon form of the boxed f_x; a `memo` dict keeps
+    one quasi-basis per span."""
+    sp = x.space
+    span = la.rref_span(sp.field, boxed_f_matrix(x))
+    memo = {} if memo is None else memo
+    if span not in memo:
+        memo[span] = quasi_basis(sp.field, sp.t_minus, sp.K, [list(r) for r in span])
+    return memo[span]
+
+
+def module_coords(W, K, vs):
+    """Coordinates of each v in vs over W's quasi-basis: v = sum_i a_i(t)·e_i,
+    a_i in R_{k_i}, as TruncPolys of precision K reduced mod t^{k_i}, from
+    one `la.solve` over the chain basis; None if some v is not in W."""
+    if not vs:
+        return []
+    # the chains as columns, len(v) rows even when W = 0 has no chains
+    sols = la.solve(W.field, [[c[r] for c in W.chains] for r in range(len(vs[0]))],
+                    vs)
+    if sols is None:
+        return None
+    offs = list(itertools.accumulate(W.partition, initial=0))
+    return [[TruncPoly(W.field, x[a:b], K) for a, b in zip(offs, offs[1:])]
+            for x in sols]
+
+
+def boxed_coeffs_over(x, W):
+    """[w_i mod t^{k_i}] for x = sum_i e_i ⊗ w_i over W's quasi-basis e_i."""
+    cols = module_coords(W, x.space.K, la.transpose(x.coords))
+    if cols is None:
+        raise ValueError("W does not contain Im f_x")
+    return [[c[i] for c in cols] for i in range(len(W.partition))]
+
+
+def boxed_act(x, g_ring):
+    """x·g by a TruncPoly product of x's chain vectors w_i with g."""
+    sp = x.space
+    ws = [[TruncPoly(sp.field, [x.coords[o + s][l] for s in range(k)], sp.K)
+           for l in range(sp.V.dim)] for o, k in zip(sp.offsets, sp.ks)]
+    imgs = la.mat_mul(ws, g_ring)
+    return sp.element([[w.coeffs[s] for w in img]
+                       for img, k in zip(imgs, sp.ks) for s in range(k)])
+
+
+def boxed_tangent_matrix(x, W):
+    sp = x.space
+    ws = boxed_coeffs_over(x, W)
+    ks = list(W.partition)
+    m = len(ks)
+    WQ = la.mat_mul(ws, sp.Qr)      # WQ[j][l] = (w_j, b_l)
+    col_off = {}
+    c = 0
+    for i in range(m):
+        for j in range(i, m):
+            col_off[(i, j)] = c
+            c += ks[j]
+    rows = []
+    for i in range(m):
+        for s in range(ks[i]):
+            for l in range(sp.V.dim):
+                row = [sp.field.zero] * c
+                for j in range(m):
+                    a, bb = min(i, j), max(i, j)
+                    for u, coef in enumerate(WQ[j][l].coeffs):
+                        if coef and s + u < ks[bb]:
+                            row[col_off[(a, bb)] + s + u] = \
+                                row[col_off[(a, bb)] + s + u] + coef
+                rows.append(row)
+    return rows, c
+
+
+def test_module_coords_over_the_empty_submodule():
+    """The oracle and the record on W = 0, on v outside W and on W = M_-."""
+    T = [[F3(0), F3(1)], [F3(0), F3(0)]]
+    W = quasi_basis(F3, T, 2, [])
+    assert W.chains == []
+    assert module_coords(W, 2, []) == []
+    assert module_coords(W, 2, [[F3(0), F3(0)]]) == [[]]
+    assert module_coords(W, 2, [[F3(0), F3(0)], [F3(0), F3(2)]]) is None
+    full = quasi_basis(F3, T, 2, la.identity(F3, 2))
+    assert module_coords(full, 2, [[F3(1), F3(2)]]) == \
+        [[TruncPoly(F3, [F3(1), F3(2)], 2)]]
+    # the same on records, x's columns being the vectors
+    sp = TensorSpace(F3, (2,), diagonal_space(F3, [1, 2]))
+    assert sp.t_minus == T
+    assert orbits._Image(sp, W).coords([[0, 0], [0, 0]]) == []
+    with pytest.raises(ValueError, match="does not contain Im f_x"):
+        orbits._Image(sp, W).coords([[0, 0], [0, 2]])
+    assert orbits._Image(sp, full).coords([[1, 0], [2, 0]]) == [[1, 0], [2, 0]]
+
+
+RECORD_CASES = [pytest.param(field, ks, id="%s-%s" % (name, "".join(map(str, ks))))
+                for name, field in (("QQ", QQ), ("F3", F3), ("F5", F5))
+                for ks in ((1,), (2, 1), (3, 1, 1), (3, 2))]
+
+
+@pytest.mark.parametrize("field,ks", RECORD_CASES)
+def test_image_records_match_boxed_oracle(field, ks):
+    """f_x, Im f_x, the residues, T(x) and the tangent rows over Im f_x and
+    over M_-, and x·g: value for value and type for type."""
+    sp = _oracle_space(field, ks, "h2+1")
+    Wfull = quasi_basis(field, sp.t_minus, sp.K, la.identity(field, sp.d))
+    rng = random.Random(str((field.char, ks)))
+    kind = (field.char, sp.K)
+    for x in _residue_elements(sp, rng, n=3):
+        assert _typed(f_matrix(x)) == _typed(boxed_f_matrix(x))
+        W, W0 = image_of(x), boxed_image_of(x)
+        assert _typed([W.span, W.quasi, W.chains, W.partition]) == \
+            _typed([W0.span, W0.quasi, W0.chains, W0.partition])
+        for w in (None, Wfull):
+            inv, ws = orbits._t_sym(x, w)
+            inv0, ws0 = boxed_t_sym(x, w)
+            assert _typed(inv.coords) == _typed(inv0.coords) and inv == inv0
+            assert _typed(la._from_layers(kind, field, *ws)) == _typed(ws0)
+            assert _typed(tangent_matrix(x, w)) == _typed(boxed_tangent_matrix(x, w or W0))
+        g = random_orthogonal_ring(sp, rng)
+        assert _typed(x.act(g).coords) == _typed(boxed_act(x, g).coords)
+
+
+def test_act_rejects_matrices_outside_the_ring():
+    sp = TensorSpace(F5, (2,), hyperbolic_plane(F5))
+    x = sp.element([[F5(1), F5(2)], [F5(3), F5(4)]])
+    for K, field in ((1, F5), (3, F5), (2, F3)):
+        g = la.identity(TruncRing(field, K), 2)
+        with pytest.raises(ValueError, match="mismatched truncation orders"):
+            x.act(g)
+
+
 # --------------------------------------------------------------------------
 # chain residues: the primitive tuple that transport lifts
 # --------------------------------------------------------------------------
@@ -216,7 +375,6 @@ def _direct_t_sym_full(sp, x, W):
     The u_r are W's echelon F-basis (the unit vectors when W is all of
     M_-), so x = sum_r u_r ⊗ v_r with v_r the row of x at u_r's pivot.
     """
-    from sntmod.sntmodule import module_coords
     field = sp.field
     ks = list(W.partition)
     m = len(ks)
@@ -470,10 +628,10 @@ def test_transport_roundtrip_on_brute_force_pairs():
 # same g, value for value and type for type, the same None and the same
 # errors.
 
-def boxed_t_sym(x, W):
+def boxed_t_sym(x, W, memo=None):
     sp = x.space
-    W = image_of(x) if W is None else W
-    ws = orbits._coeffs_over(x, W)
+    W = boxed_image_of(x, memo) if W is None else W
+    ws = boxed_coeffs_over(x, W)
     ks = list(W.partition)
     m = len(ks)
     half = sp.field(1) / sp.field(2)
@@ -656,7 +814,7 @@ def boxed_transport(x, y):
     if inv_x != inv_y:
         return None
     g = boxed_extend_isometry(sp, c, boxed_witt_lift(sp, c, d, list(inv_x.partition)))
-    if x.act(g).key() != y.key():
+    if boxed_act(x, g).key() != y.key():
         raise RuntimeError("transport verification failed")
     return g
 
@@ -1033,9 +1191,9 @@ def test_invariants_constant_on_brute_orbits():
         assert len(invs) == 1
 
 
-# the census runs on int residues; the boxed per-element orbit_invariant and
-# TensorElement.act are its oracle.  Every space with at most 3^6 elements
-# among these types and forms
+# the census runs on int residues; the boxed per-element T(x) and action
+# are its oracle.  Every space with at most 3^6 elements among these types
+# and forms
 _DIAGS = {1: [1], 2: [1, 2], 3: [1, 1, 2]}
 _CENSUS_CASES = [(q, ks, form) for q in (3, 5)
                  for ks in [(1,), (2,), (1, 1), (2, 1), (3,), (2, 2)]
@@ -1049,9 +1207,9 @@ def test_census_matches_boxed_oracle(q, ks, form):
     F = GF(q)
     V = hyperbolic_plane(F) if form == "hyperbolic2" else diagonal_space(F, _DIAGS[form])
     sp = TensorSpace(F, ks, V)
-    want = {}
+    want, images = {}, {}
     for x in sp.all_elements():
-        want.setdefault(orbit_invariant(x), set()).add(x.key())
+        want.setdefault(boxed_t_sym(x, None, images)[0], set()).add(x.key())
     # the same classes, in the order they are first met
     assert list(invariant_partition(sp).items()) == \
         [(inv, frozenset(keys)) for inv, keys in want.items()]
@@ -1059,7 +1217,7 @@ def test_census_matches_boxed_oracle(q, ks, form):
     seen, orbs = set(), []
     for x in sp.all_elements():
         if x.key() not in seen:
-            orbs.append(frozenset(x.act(g).key() for g in group))
+            orbs.append(frozenset(boxed_act(x, g).key() for g in group))
             seen |= orbs[-1]
     assert sum(map(len, orbs)) == q ** (sp.d * V.dim)
     assert brute_force_orbits(sp) == orbs

@@ -140,7 +140,7 @@ def boxed_validate(M):
     """`SntModule.validate` by boxed products and entrywise comparisons."""
     bad = []
     G, T, n = M.gram, M.t, M.dim
-    if not la.mat_eq(la.transpose(G), la.mat_neg(G)):
+    if not la.mat_eq(la.transpose(G), [[-a for a in row] for row in G]):
         bad.append("not alternating")
     if any(bool(G[i][i]) for i in range(n)):
         bad.append("nonzero diagonal in gram")
@@ -779,9 +779,11 @@ def test_int_fibration_over_q_matches_boxed_reference(scrambled):
 
 def boxed_enumerate_t_lagrangians(M):
     """`enumerate_t_lagrangians` point by point on boxed matrices, with the
-    boxed flag data and fiber bases: rho = Σ c_k·R_k by `mat_add` and
-    `scal_mul`, its graph by `graph_of_rho`, and `is_isotropic` on each
-    graph; the guard is left out."""
+    boxed flag data and fiber bases: rho = Σ c_k·R_k, its graph by
+    `graph_of_rho`, and `is_isotropic` on each graph; the guard is left out.
+    Each rho is the one before it in product order plus one boxed matrix:
+    where c_k goes up by one and every later c wraps from q - 1 to 0, rho
+    gains R_k + R_{k+1} + … (since −(q − 1) = 1)."""
     field, d = M.field, M.dim // 2
     flag = LagrangianFlag.from_decomposition(M)
     ref = BoxedFlag(M, flag.minus, flag.plus)
@@ -794,11 +796,12 @@ def boxed_enumerate_t_lagrangians(M):
             W_sub = quasi_basis(field, Tm, M.K, W)
             Wperp, reps = boxed_perp_and_reps(ref, W)
             basis = boxed_self_dual_map_basis(ref, W_sub, Wperp, reps)
-            for coeffs in itertools.product(field.elements(), repeat=len(basis)):
-                rho = la.zeros(field, j, len(reps))
-                for c, R in zip(coeffs, basis):
-                    if c:
-                        rho = la.mat_add(rho, la.scal_mul(c, R))
+            steps = [functools.reduce(la.mat_add, basis[k:]) for k in range(len(basis))]
+            rho = la.zeros(field, j, len(reps))
+            for n, coeffs in enumerate(itertools.product(field.elements(),
+                                                         repeat=len(basis))):
+                if n:
+                    rho = la.mat_add(rho, steps[max(k for k, c in enumerate(coeffs) if c)])
                 U = graph_of_rho(flag, W_sub, Wperp, reps, rho)
                 assert len(U) == d and is_isotropic(M, U)
                 found.append(U)
