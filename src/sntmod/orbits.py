@@ -11,9 +11,10 @@ in `witt`, whose public names are re-exported here).
 
 Elements are read one way, on ints over Q and F_p alike: W = Im f_x is
 keyed by the canonical int echelon rows of f_x and gets one `_Image` record
-in its space's memo, off which the invariants, `transport`, the tangent map
-and `invariant_partition` read x's chain residues and T(x); `act` and
-transport's check x·g = y share one int action (`_act`).
+in its space's memo, off which the invariants, `transport` and the tangent
+map read x's chain residues and T(x); `act` and transport's check x·g = y
+share one int action (`_act`).  The census runs the same steps on int64
+arrays of `_BLOCK` elements, within the bound `TensorSpace._count` checks.
 
 All computations run at working precision K = max k_i of the type of M_-,
 since t^K kills every pairing that matters.
@@ -24,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import lcm
-from operator import mul
+
+import numpy as np
 
 from . import linalg as la
 from .fields import FpElement, PrimeField
@@ -35,6 +37,8 @@ from .witt import (HypothesisFailedError, IsometryMismatchError,  # noqa: F401
                    _extend_ints, _reflection, _upper_pairs,
                    _witt_lift_ints, extend_isometry, witt_extend_field,
                    witt_lift)
+
+_BLOCK = 1024       # elements per array in the census
 
 
 class OrthSpace:
@@ -144,30 +148,26 @@ class TensorSpace:
                                     for _ in range(self.d)])
 
     def all_elements(self):
-        residues = self._residues()
-        box = self._boxer()
-        for x in residues:
-            yield TensorElement(self, box(x))
+        self._count()
+        for key in itertools.product(self._rows(), repeat=self.d):
+            yield TensorElement(self, key)
 
-    def _residues(self):
-        """Every coordinate matrix over F_p as a tuple of int residue rows,
-        in `all_elements`' order; raises EnumerationGuardError first when
-        there are more than the guard allows."""
+    def _count(self):
+        """q^(d·n) elements, code c's base-q digits being x's entries row by
+        row (`all_elements`' order); EnumerationGuardError over the guard, or
+        unless int64 holds the codes and dots of d·n residues mod p (< p²·d·n)."""
         if not isinstance(self.field, PrimeField):
             raise ValueError("exhaustive element lists need a finite field")
-        q = self.field.p
-        total = q ** (self.d * self.V.dim)
-        if total > enum_guard_limit():
-            raise EnumerationGuardError("element space of size %d exceeds guard" % total)
-        rows = itertools.product(range(q), repeat=self.V.dim)
-        return itertools.product(rows, repeat=self.d)
+        p, dn = self.field.p, self.d * self.V.dim
+        if p ** dn > enum_guard_limit():
+            raise EnumerationGuardError("element space of size %d exceeds guard" % p ** dn)
+        if (bound := max(p * p * dn, p ** dn)) >= 2 ** 63:
+            raise EnumerationGuardError("int64 bound 2^63 <= max(p²·d·n, q^(d·n)) = %d" % bound)
+        return p ** dn
 
-    def _boxer(self):
-        """The map from rows of int residues to tuples of FpElements (an
-        element's key from its residue rows), through one FpElement per
-        residue."""
-        box = list(self.field.elements()).__getitem__
-        return lambda rows: tuple(tuple(map(box, row)) for row in rows)
+    def _rows(self):
+        """The q^n rows as tuples of FpElements, the row of code c at c."""
+        return list(itertools.product(self.field.elements(), repeat=self.V.dim))
 
     def ring_pair(self, u, v):
         """(u, v) in V[t]/(t^K) for TruncPoly vectors u, v."""
@@ -310,6 +310,18 @@ class _Image:
                                for e in range(kj)) for oi, oj, kj, h in self.pairs)
         return tuple(tuple(h * sum(G[oi + a][oj + e - a] for a in range(e + 1))
                            for e in range(kj)) for oi, oj, kj, h in self.pairs)
+
+    def t_digits(self, X, Q):
+        """`coords` and `t_sym` over F_p on int64 arrays: T(x)'s coordinates,
+        (B, #coordinates), for x's rows X (B, d, n) and V's Gram Q."""
+        p, r, d = self.p, len(self.P), X.shape[1]
+        A = np.array(self.Et, np.int64).reshape(r, r) @ X[:, self.P] % p
+        if (np.array(self.Ct, np.int64).reshape(d, r) @ A % p != X).any():
+            raise ValueError("W does not contain Im f_x")
+        G = A @ Q % p @ A.swapaxes(1, 2) % p
+        T = [h * sum(G[:, oi + a, oj + e - a] for a in range(e + 1)) % p
+             for oi, oj, kj, h in self.pairs for e in range(kj)]
+        return np.array(T, np.int64).reshape(-1, len(X)).T
 
     def tangent(self, A):
         """(rows, ncols) of dT_x on W ⊗ V as ints, unreduced, over
@@ -565,72 +577,90 @@ def _level0_group(field, Q, limit):
     return [[[field(x) for x in vecs[n]] for n in rows] for rows in partial]
 
 
-def brute_force_orbits(space):
-    """Exact orbit partition of M_- ⊗ V under O(V)(F_q[t]/(t^K)).
+def _digits(codes, q, m):
+    """The m base-q digits of each code, most significant first, (N, m)."""
+    return codes[:, None] // q ** np.arange(m - 1, -1, -1, dtype=np.int64) % q
 
-    Returns a list of frozensets of coordinate keys, in the order of the
-    orbits' first elements.  The action runs on int residues, as `_act`
-    computes it for one g: row s of chain i of x·g is the
-    sum over b <= s of (row s - b of chain i of x)·g_b, g_b the t^b layer
-    of g from `_group_layers`.  The guard counts these products, |group|
-    per orbit, as they accrue.
-    """
+
+def brute_force_orbits(space):
+    """Exact orbit partition of M_- ⊗ V under O(V)(F_q[t]/(t^K)): frozensets
+    of coordinate keys, in the order of the orbits' first elements.  Row s of
+    chain i of x·g is Σ_{b<=s} (row s - b of chain i of x)·g_b (`_act`), one
+    int64 product per position s and block of the group; orbits are marked in
+    a `seen` bitmap, and the guard counts |group| products before each one."""
     sp = space
-    residues = sp._residues()       # the element guard, before the group
-    group = _group_layers(sp.V, sp.K)
-    p, n, limit = sp.field.p, sp.V.dim, enum_guard_limit()
-    chain_pos = [s for k in sp.ks for s in range(k)]
-    acts = []
-    for g in group:
-        # cols[s][c]: column c of g_0, g_1, ..., g_s stacked, whose product
-        # with the history of row s of a chain (below) is entry c of row s
-        # of that chain of x·g
-        gt = [list(zip(*layer)) for layer in g]
-        cols = [[sum((t[c] for t in gt[:s + 1]), ()) for c in range(n)]
-                for s in range(sp.K)]
-        acts.append([cols[s] for s in chain_pos])
-    seen, orbits, products = set(), [], 0
-    for x in residues:
-        if x in seen:
-            continue
-        products += len(acts)
-        if products > limit:
-            raise EnumerationGuardError(
-                "orbit products of %d exceed the guard %d" % (products, limit))
-        # the history of row s of a chain: rows s, s - 1, ..., 0 of it
-        hist = []
-        for o, k in zip(sp.offsets, sp.ks):
-            h = ()
-            for r in x[o:o + k]:
-                h = r + h
-                hist.append(h)
-        orb = {tuple(tuple(sum(map(mul, h, c)) % p for c in cs)
-                     for h, cs in zip(hist, act)) for act in acts}
-        seen |= orb
-        orbits.append(orb)
-    box = sp._boxer()
-    return [frozenset(map(box, orb)) for orb in orbits]
+    total, p, d, n = sp._count(), sp.field.p, sp.d, sp.V.dim    # the element guard first
+    group, limit = _group_layers(sp.V, sp.K), enum_guard_limit()
+    # stack[s][g]: g_0, ..., g_s stacked; the history of row s of a chain (its rows
+    # s, ..., 0, picked by hist[s] for each chain longer than s) times it is x·g's row
+    stack = [np.array([g[:s + 1] for g in group], np.int64).reshape(len(group), -1, n)
+             for s in range(sp.K)]
+    hist = [np.array([[(o + s - b) * n + l for b in range(s + 1) for l in range(n)]
+                      for o, k in zip(sp.offsets, sp.ks) if k > s]) for s in range(sp.K)]
+    pw = (p ** np.arange(d * n - 1, -1, -1))[np.concatenate([h[:, :n] for h in hist]).ravel()]
+    rows, seen, orbits, products = sp._rows(), np.zeros(total, bool), [], 0
+    for start in range(0, total, _BLOCK):
+        X = _digits(np.arange(start, min(start + _BLOCK, total)), p, d * n)
+        for i in np.flatnonzero(~seen[start:start + _BLOCK]):
+            if seen[start + i]:
+                continue
+            products += len(group)
+            if products > limit:
+                raise EnumerationGuardError(
+                    "orbit products of %d exceed the guard %d" % (products, limit))
+            # return_index takes np.unique's sort, faster here than its hash table
+            codes = np.unique(np.concatenate([
+                (np.concatenate([X[i][h] @ st[g:g + _BLOCK] for h, st in zip(hist, stack)],
+                                axis=1) % p).reshape(-1, d * n) @ pw
+                for g in range(0, len(group), _BLOCK)]), return_index=True)[0]
+            seen[codes] = True
+            orbits.append(frozenset(tuple(map(rows.__getitem__, r))
+                                    for r in _digits(codes, len(rows), d).tolist()))
+    return orbits
 
 
 def invariant_partition(space):
     """Partition of all elements by the orbit invariant (W, i): a dict from
     each `OrbitInvariant` to the frozenset of its members' keys, in the order
-    the classes are first met.
-
-    It runs on int residues through the space's memo, step for step as
-    `orbit_invariant`: W = Im f_x is found by `TensorSpace._image`, and its
-    `_Image` record reads x's chain residues and T(x).  FpElements are built
-    only for each W, each class's invariant and its members' keys.
-    """
+    the classes are first met.  It runs on int64 arrays of `_BLOCK` elements
+    in `all_elements`' order; W = Im f_x is keyed, with no elimination, by
+    the (q^d - 1)/(q - 1) lines of M_- that f_x's rows annihilate, and its
+    `_Image`, found from its first element, reads T(x) for the block's
+    elements of W (`t_digits`)."""
     sp = space
-    residues = sp._residues()
-    box = sp._boxer()
-    classes = {}
-    for x in residues:
-        W = sp._image(x)
-        classes.setdefault((W, W.t_sym(W.coords(x))), []).append(x)
-    return {OrbitInvariant(W.W.span, W.W.partition, box(coords)): frozenset(map(box, members))
-            for (W, coords), members in classes.items()}
+    total, p, d, n = sp._count(), sp.field.p, sp.d, sp.V.dim
+    Q, shifts = np.array(sp._Qt, np.int64).T, np.array(sp._shifts)
+    # one vector per line of F_p^d, its first nonzero entry 1: codes p^m .. 2p^m - 1
+    lines = _digits(np.concatenate([np.arange(p ** m, 2 * p ** m) for m in range(d)]), p, d).T
+    keys, fps = itertools.product(sp._rows(), repeat=d), list(sp.field.elements())
+    # (W, T(x) coded in base p) -> index of (first element, invariant, keys)
+    images, classes, members = {}, {}, []
+    for start in range(0, total, _BLOCK):
+        X = _digits(np.arange(start, min(start + _BLOCK, total)), p, d * n).reshape(-1, d, n)
+        xQ = np.concatenate([X @ Q % p, np.zeros_like(X[:, :1])], axis=1)
+        # row (l, s) of f_x: column l of x·Q pushed s steps along each chain
+        f = xQ[:, shifts].swapaxes(2, 3).reshape(len(X), -1, d)
+        ann = np.logical_and.reduce([r @ lines % p == 0 for r in f.swapaxes(0, 1)])
+        packed = np.packbits(ann, axis=1)
+        _, first, inv = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+        cls = np.empty(len(X), np.int64)
+        for u in range(len(first)):
+            key = packed[first[u]].tobytes()
+            W = images[key] = images.get(key) or sp._image(X[first[u]].tolist())
+            at = np.flatnonzero(inv == u)
+            T = W.t_digits(X[at], Q)
+            codes, tf, ti = np.unique(T @ p ** np.arange(T.shape[1] - 1, -1, -1),
+                                      return_index=True, return_inverse=True)
+            for c, j in zip(codes.tolist(), tf.tolist()):
+                if (W, c) not in classes:
+                    classes[W, c], ds = len(members), iter(map(fps.__getitem__, T[j].tolist()))
+                    members.append((start + at[j], OrbitInvariant(W.W.span, W.W.partition, tuple(
+                        tuple(itertools.islice(ds, pair[2])) for pair in W.pairs)), []))
+            cls[at] = np.array([classes[W, c] for c in codes.tolist()])[ti]
+        for key, c in zip(itertools.islice(keys, len(X)), cls.tolist()):
+            members[c][2].append(key)
+    return {invariant: frozenset(m) for _, invariant, m in sorted(members, key=lambda c: c[0])}
 
 
 # --------------------------------------------------------------------------

@@ -177,13 +177,16 @@ REPO_FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
      "census_q3_M2_hyperbolic2.json"),                    # 13 classes
     (["census", "--q", "3", "--M", "2,1", "--V", "diag:1,2", "--k", "2"],
      "census_q3_M21_diag12.json"),                        # 88 classes
+    (["census", "--q", "3", "--M", "2,1", "--V", "diag:1,1,1", "--k", "2"],
+     "census_q3_M21_diag111.json"),                       # 128 classes, 3^9 elements
     (["orbit", os.path.join(REPO_FIXTURES, "orbit_x.json"),
       os.path.join(REPO_FIXTURES, "orbit_xg.json")],
      "orbit_x_xg.json"),                                  # W_span, i_coords, transport
     (["orbit", os.path.join(REPO_FIXTURES, "orbit_q_x.json"),
       os.path.join(REPO_FIXTURES, "orbit_q_xg.json")],
      "orbit_q_x_xg.json"),                  # over Q: type (3,2), V = diag(1,1,2)
-], ids=["census-h2", "census-21-diag12", "orbit-x-xg", "orbit-q-x-xg"])
+], ids=["census-h2", "census-21-diag12", "census-21-diag111", "orbit-x-xg",
+        "orbit-q-x-xg"])
 def test_json_checks_match_golden(argv, golden, capsys):
     """The `checks` of these reports are pinned to files under tests/golden;
     only `config` (file paths) and `wall_time` are left out."""
@@ -581,6 +584,22 @@ def test_census_over_a_large_prime_stops_at_the_element_guard():
     data = json.loads(proc.stdout, parse_constant=_reject_constant)
     assert proc.returncode == 3
     assert [c["name"] for c in data["checks"]] == ["guard"]
+    assert data["wall_time"] < 1.0
+
+
+def test_census_over_a_large_prime_stops_at_the_int64_bound():
+    """With a guard of 10^19 the same census passes the element guard; the
+    census's int64 arrays cannot hold p², so it stops there, exit 3, before
+    the level-0 search of the brute-force side."""
+    proc = subprocess.run([sys.executable, "-m", "sntmod.cli", "census",
+                           "--q", str(2 ** 61 - 1), "--M", "1", "--V", "diag:1",
+                           "--k", "1", "--json"],
+                          capture_output=True, text=True, timeout=30,
+                          env=_cli_env(SNT_MAX_ENUM=str(10 ** 19)))
+    data = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert proc.returncode == 3
+    assert [c["name"] for c in data["checks"]] == ["guard"]
+    assert "int64 bound 2^63" in data["checks"][0]["details"]["message"]
     assert data["wall_time"] < 1.0
 
 

@@ -3,6 +3,7 @@ brute-force cross-checks over small finite fields."""
 import hashlib
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -1201,9 +1202,7 @@ _CENSUS_CASES = [(q, ks, form) for q in (3, 5)
                  if q ** (sum(ks) * (2 if form == "hyperbolic2" else form)) <= 3 ** 6]
 
 
-@pytest.mark.parametrize("q,ks,form", _CENSUS_CASES, ids=[
-    "F%d-%s-%s" % (q, "".join(map(str, ks)), form) for q, ks, form in _CENSUS_CASES])
-def test_census_matches_boxed_oracle(q, ks, form):
+def _census_matches_boxed_oracle(q, ks, form):
     F = GF(q)
     V = hyperbolic_plane(F) if form == "hyperbolic2" else diagonal_space(F, _DIAGS[form])
     sp = TensorSpace(F, ks, V)
@@ -1221,6 +1220,55 @@ def test_census_matches_boxed_oracle(q, ks, form):
             seen |= orbs[-1]
     assert sum(map(len, orbs)) == q ** (sp.d * V.dim)
     assert brute_force_orbits(sp) == orbs
+
+
+def _census_id(q, ks, form):
+    return "F%d-%s-%s" % (q, "".join(map(str, ks)), form)
+
+
+@pytest.mark.parametrize("q,ks,form", _CENSUS_CASES,
+                         ids=[_census_id(*c) for c in _CENSUS_CASES])
+def test_census_matches_boxed_oracle(q, ks, form):
+    _census_matches_boxed_oracle(q, ks, form)
+
+
+_CENSUS_729 = [(q, ks, form) for q, ks, form in _CENSUS_CASES
+               if q ** (sum(ks) * (2 if form == "hyperbolic2" else form)) == 729]
+
+
+@pytest.mark.parametrize("q,ks,form", _CENSUS_729, ids=[_census_id(*c) for c in _CENSUS_729])
+def test_census_blocks_that_do_not_divide_the_space(q, ks, form, monkeypatch):
+    # blocks of 5 elements (and of 5 group elements): 729 = 145·5 + 4, so
+    # classes, orbits and W's first elements cross block boundaries
+    monkeypatch.setattr(orbits, "_BLOCK", 5)
+    _census_matches_boxed_oracle(q, ks, form)
+
+
+@pytest.mark.parametrize("census", [invariant_partition, brute_force_orbits])
+def test_census_memory_is_bounded_by_its_blocks(census):
+    # (2,1) ⊗ diag(1,1,1) over F_3: 3^9 = 19 683 elements, 128 classes and a
+    # group of 1296; the elements' keys alone are about 2 MB
+    sp = TensorSpace(F3, (2, 1), diagonal_space(F3, [1, 1, 1]))
+    tracemalloc.start()
+    try:
+        assert len(census(sp)) == 128
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("census", [invariant_partition, brute_force_orbits])
+def test_census_stops_at_the_int64_bound(census, monkeypatch):
+    # q = 2^61 - 1 passes an element guard of 10^19, but p² does not fit in
+    # an int64: both sides stop before any array or group is built
+    monkeypatch.setenv("SNT_MAX_ENUM", str(10 ** 19))
+    F = GF(2 ** 61 - 1)
+    sp = TensorSpace(F, (1,), diagonal_space(F, [1]))
+    start = time.perf_counter()
+    with pytest.raises(EnumerationGuardError, match="int64 bound 2\\^63"):
+        census(sp)
+    assert time.perf_counter() - start < 1.0
 
 
 # --------------------------------------------------------------------------

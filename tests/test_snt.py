@@ -291,13 +291,6 @@ def test_decompose_base_changed_vs_jordan_oracle(field, seed):
                          std.gram)
 
 
-def _typed(x):
-    """Nested lists with every scalar replaced by (type, value)."""
-    if isinstance(x, (list, tuple)):
-        return [_typed(y) for y in x]
-    return (type(x), x)
-
-
 def boxed_t_chain(T, v):
     out = []
     while any(v):
