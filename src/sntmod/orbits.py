@@ -14,7 +14,7 @@ keyed by the canonical int echelon rows of f_x and gets one `_Image` record
 in its space's memo, off which the invariants, `transport` and the tangent
 map read x's chain residues and T(x); `act` and transport's check x·g = y
 share one int action (`_act`).  The census runs the same steps on int64
-arrays of `_BLOCK` elements, within the bound `TensorSpace._count` checks.
+arrays of `_BLOCK` elements, within the int64 bound `_census_count` checks.
 
 All computations run at working precision K = max k_i of the type of M_-,
 since t^K kills every pairing that matters.
@@ -153,17 +153,15 @@ class TensorSpace:
             yield TensorElement(self, key)
 
     def _count(self):
-        """q^(d·n) elements, code c's base-q digits being x's entries row by
-        row (`all_elements`' order); EnumerationGuardError over the guard, or
-        unless int64 holds the codes and dots of d·n residues mod p (< p²·d·n)."""
+        """The number q^(d·n) of elements, code c's base-q digits being x's
+        entries row by row (`all_elements`' order); EnumerationGuardError
+        when there are more than the guard allows."""
         if not isinstance(self.field, PrimeField):
             raise ValueError("exhaustive element lists need a finite field")
-        p, dn = self.field.p, self.d * self.V.dim
-        if p ** dn > enum_guard_limit():
-            raise EnumerationGuardError("element space of size %d exceeds guard" % p ** dn)
-        if (bound := max(p * p * dn, p ** dn)) >= 2 ** 63:
-            raise EnumerationGuardError("int64 bound 2^63 <= max(p²·d·n, q^(d·n)) = %d" % bound)
-        return p ** dn
+        total = self.field.p ** (self.d * self.V.dim)
+        if total > enum_guard_limit():
+            raise EnumerationGuardError("element space of size %d exceeds guard" % total)
+        return total
 
     def _rows(self):
         """The q^n rows as tuples of FpElements, the row of code c at c."""
@@ -577,19 +575,69 @@ def _level0_group(field, Q, limit):
     return [[[field(x) for x in vecs[n]] for n in rows] for rows in partial]
 
 
+def _census_count(sp):
+    """The element guard (`TensorSpace._count`), then the int64 bound of the
+    census's arrays: codes below q^(d·n), and residues reduced mod p after
+    each product, so that a dot of at most d·n terms stays below p²·d·n."""
+    total, p, dn = sp._count(), sp.field.p, sp.d * sp.V.dim
+    bound = max(p * p * dn, total)
+    if bound >= 2 ** 63:
+        raise EnumerationGuardError("int64 bound 2^63 <= max(p²·d·n, q^(d·n)) = %d" % bound)
+    return total
+
+
 def _digits(codes, q, m):
     """The m base-q digits of each code, most significant first, (N, m)."""
     return codes[:, None] // q ** np.arange(m - 1, -1, -1, dtype=np.int64) % q
+
+
+def _inverses(a, p):
+    """a^(p-2) mod p, the inverses of the nonzero residues a, by squaring."""
+    out, e = np.ones_like(a), p - 2
+    while e:
+        if e & 1:
+            out = out * a % p
+        a, e = a * a % p, e >> 1
+    return out
+
+
+def _echelon(f, p):
+    """The reduced row echelon forms over F_p of the matrices f (B, m, d), as
+    (B, min(m, d), d) with the zero rows last: equal forms, equal row spaces.
+    One elimination step per column, for all B matrices at once."""
+    f = f % p
+    B, m, d = f.shape
+    rank, at = np.zeros(B, np.int64), np.arange(m)
+    for c in range(d):
+        pick = (f[:, :, c] != 0) & (at >= rank[:, None])
+        bs = np.flatnonzero(pick.any(axis=1))
+        if not len(bs):
+            continue
+        r, pr = rank[bs], pick[bs].argmax(axis=1)       # pivot row pr moves to r
+        piv = f[bs, pr]
+        piv = piv * _inverses(piv[:, c], p)[:, None] % p
+        f[bs, pr] = f[bs, r]
+        col = f[bs, :, c]
+        col[np.arange(len(bs)), r] = 0
+        f[bs] = (f[bs] - col[:, :, None] * piv[:, None, :]) % p
+        f[bs, r] = piv
+        rank[bs] += 1
+    return f[:, :min(m, d)]
 
 
 def brute_force_orbits(space):
     """Exact orbit partition of M_- ⊗ V under O(V)(F_q[t]/(t^K)): frozensets
     of coordinate keys, in the order of the orbits' first elements.  Row s of
     chain i of x·g is Σ_{b<=s} (row s - b of chain i of x)·g_b (`_act`), one
-    int64 product per position s and block of the group; orbits are marked in
-    a `seen` bitmap, and the guard counts |group| products before each one."""
+    int64 product per position s for a wave of orbit representatives and a
+    piece of the group, _BLOCK products at most: a large group comes in
+    pieces of _BLOCK for one representative, a small one whole for up to
+    _BLOCK // |group| unseen elements of a block.  Orbits are marked in a
+    `seen` bitmap.  The guard counts |group| products per orbit and is
+    checked before each orbit is recorded, once its wave's first piece is
+    computed.  Codes and residues stay within `_census_count`'s int64 bound."""
     sp = space
-    total, p, d, n = sp._count(), sp.field.p, sp.d, sp.V.dim    # the element guard first
+    total, p, d, n = _census_count(sp), sp.field.p, sp.d, sp.V.dim  # the guards first
     group, limit = _group_layers(sp.V, sp.K), enum_guard_limit()
     # stack[s][g]: g_0, ..., g_s stacked; the history of row s of a chain (its rows
     # s, ..., 0, picked by hist[s] for each chain longer than s) times it is x·g's row
@@ -597,25 +645,48 @@ def brute_force_orbits(space):
              for s in range(sp.K)]
     hist = [np.array([[(o + s - b) * n + l for b in range(s + 1) for l in range(n)]
                       for o, k in zip(sp.offsets, sp.ks) if k > s]) for s in range(sp.K)]
-    pw = (p ** np.arange(d * n - 1, -1, -1))[np.concatenate([h[:, :n] for h in hist]).ravel()]
+    # x·g's entries come position by position; pw[j] is the place value of entry j
+    order = np.concatenate([h[:, :n] for h in hist]).ravel()
+    pw = (p ** np.arange(d * n - 1, -1, -1))[order]
     rows, seen, orbits, products = sp._rows(), np.zeros(total, bool), [], 0
+    # orbit representatives per product: with more than one, per·|group| <= _BLOCK,
+    # so the group comes in one piece and each row of codes holds a whole orbit
+    per = max(1, _BLOCK // len(group))
     for start in range(0, total, _BLOCK):
         X = _digits(np.arange(start, min(start + _BLOCK, total)), p, d * n)
-        for i in np.flatnonzero(~seen[start:start + _BLOCK]):
-            if seen[start + i]:
+        todo = np.flatnonzero(~seen[start:start + _BLOCK])
+        for w in range(0, len(todo), per):
+            cand = todo[w:w + per]
+            cand = cand[~seen[start + cand]]
+            if not len(cand):
                 continue
-            products += len(group)
-            if products > limit:
-                raise EnumerationGuardError(
-                    "orbit products of %d exceed the guard %d" % (products, limit))
-            # return_index takes np.unique's sort, faster here than its hash table
-            codes = np.unique(np.concatenate([
-                (np.concatenate([X[i][h] @ st[g:g + _BLOCK] for h, st in zip(hist, stack)],
-                                axis=1) % p).reshape(-1, d * n) @ pw
-                for g in range(0, len(group), _BLOCK)]), return_index=True)[0]
-            seen[codes] = True
-            orbits.append(frozenset(tuple(map(rows.__getitem__, r))
-                                    for r in _digits(codes, len(rows), d).tolist()))
+            Xc, step = X[cand], max(1, _BLOCK // len(cand))
+            reps, found, sizes = None, [], 0
+            for g in range(0, len(group), step):
+                # x·g for each candidate x and group element g of this piece
+                xg = np.concatenate([Xc[:, h][:, None] @ st[None, g:g + step]
+                                     for h, st in zip(hist, stack)], axis=2) % p
+                # the stable sort np.unique uses too: the default one maps in more code
+                S = np.sort(xg.reshape(len(cand), -1, d * n) @ pw, axis=1, kind="stable")
+                if reps is None:
+                    # a candidate in an earlier one's orbit shares its least code
+                    reps = np.sort(np.unique(S[:, 0], return_index=True)[1])
+                    for _ in reps:
+                        products += len(group)
+                        if products > limit:
+                            raise EnumerationGuardError(
+                                "orbit products of %d exceed the guard %d" % (products, limit))
+                # each orbit's codes, once, but those of earlier pieces of the group
+                S = S[reps]
+                keep = ~seen[S]
+                keep[:, 1:] &= S[:, 1:] != S[:, :-1]
+                seen[S[keep]] = True
+                found.append(S[keep])
+                sizes = sizes + keep.sum(axis=1)
+            digits = iter(_digits(np.concatenate(found), len(rows), d).tolist())
+            for size in sizes.tolist():
+                orbits.append(frozenset(tuple(map(rows.__getitem__, r))
+                                        for r in itertools.islice(digits, size)))
     return orbits
 
 
@@ -623,44 +694,55 @@ def invariant_partition(space):
     """Partition of all elements by the orbit invariant (W, i): a dict from
     each `OrbitInvariant` to the frozenset of its members' keys, in the order
     the classes are first met.  It runs on int64 arrays of `_BLOCK` elements
-    in `all_elements`' order; W = Im f_x is keyed, with no elimination, by
-    the (q^d - 1)/(q - 1) lines of M_- that f_x's rows annihilate, and its
+    in `all_elements`' order, within `_census_count`'s int64 bound; W = Im f_x
+    is keyed by the reduced echelon form of f_x's rows (`_echelon`), and its
     `_Image`, found from its first element, reads T(x) for the block's
     elements of W (`t_digits`)."""
     sp = space
-    total, p, d, n = sp._count(), sp.field.p, sp.d, sp.V.dim
+    total, p, d, n = _census_count(sp), sp.field.p, sp.d, sp.V.dim
     Q, shifts = np.array(sp._Qt, np.int64).T, np.array(sp._shifts)
-    # one vector per line of F_p^d, its first nonzero entry 1: codes p^m .. 2p^m - 1
-    lines = _digits(np.concatenate([np.arange(p ** m, 2 * p ** m) for m in range(d)]), p, d).T
     keys, fps = itertools.product(sp._rows(), repeat=d), list(sp.field.elements())
-    # (W, T(x) coded in base p) -> index of (first element, invariant, keys)
+    # images: echelon bytes -> W's record; classes: (W, T(x)'s code) -> index in
+    # members, whose entries are (first element, invariant, keys)
     images, classes, members = {}, {}, []
     for start in range(0, total, _BLOCK):
         X = _digits(np.arange(start, min(start + _BLOCK, total)), p, d * n).reshape(-1, d, n)
-        xQ = np.concatenate([X @ Q % p, np.zeros_like(X[:, :1])], axis=1)
         # row (l, s) of f_x: column l of x·Q pushed s steps along each chain
+        xQ = np.concatenate([X @ Q % p, np.zeros_like(X[:, :1])], axis=1)
         f = xQ[:, shifts].swapaxes(2, 3).reshape(len(X), -1, d)
-        ann = np.logical_and.reduce([r @ lines % p == 0 for r in f.swapaxes(0, 1)])
-        packed = np.packbits(ann, axis=1)
-        _, first, inv = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+        ech = np.ascontiguousarray(_echelon(f, p)).reshape(len(X), -1)
+        _, first, inv = np.unique(ech.view(np.dtype((np.void, ech.shape[1] * 8))).ravel(),
                                   return_index=True, return_inverse=True)
         cls = np.empty(len(X), np.int64)
-        for u in range(len(first)):
-            key = packed[first[u]].tobytes()
-            W = images[key] = images.get(key) or sp._image(X[first[u]].tolist())
+        for u, j in enumerate(first.tolist()):
+            key = ech[j].tobytes()
+            if key not in images:
+                images[key] = sp._image(X[j].tolist())
+            W = images[key]
             at = np.flatnonzero(inv == u)
+            # W has at most n chains, so T(x) has at most d·n coordinates
             T = W.t_digits(X[at], Q)
-            codes, tf, ti = np.unique(T @ p ** np.arange(T.shape[1] - 1, -1, -1),
-                                      return_index=True, return_inverse=True)
-            for c, j in zip(codes.tolist(), tf.tolist()):
+            t_codes = T @ p ** np.arange(T.shape[1] - 1, -1, -1)
+            codes, t_first, t_inv = np.unique(t_codes, return_index=True, return_inverse=True)
+            ids = []
+            for c, i in zip(codes.tolist(), t_first.tolist()):
                 if (W, c) not in classes:
-                    classes[W, c], ds = len(members), iter(map(fps.__getitem__, T[j].tolist()))
-                    members.append((start + at[j], OrbitInvariant(W.W.span, W.W.partition, tuple(
-                        tuple(itertools.islice(ds, pair[2])) for pair in W.pairs)), []))
-            cls[at] = np.array([classes[W, c] for c in codes.tolist()])[ti]
+                    classes[W, c] = len(members)
+                    members.append((start + at[i], _census_invariant(W, T[i], fps), []))
+                ids.append(classes[W, c])
+            cls[at] = np.array(ids)[t_inv]
         for key, c in zip(itertools.islice(keys, len(X)), cls.tolist()):
             members[c][2].append(key)
-    return {invariant: frozenset(m) for _, invariant, m in sorted(members, key=lambda c: c[0])}
+    members.sort(key=lambda m: m[0])
+    return {invariant: frozenset(m) for _, invariant, m in members}
+
+
+def _census_invariant(img, digits, fps):
+    """The `OrbitInvariant` over W's record `img` of T(x)'s coordinates as
+    residues in `t_digits`' order, boxed by `fps`."""
+    coords = iter(map(fps.__getitem__, digits.tolist()))
+    return OrbitInvariant(img.W.span, img.W.partition,
+                          tuple(tuple(itertools.islice(coords, kj)) for _, _, kj, _ in img.pairs))
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sntmod import linalg as la
@@ -1244,18 +1245,24 @@ def test_census_blocks_that_do_not_divide_the_space(q, ks, form, monkeypatch):
     _census_matches_boxed_oracle(q, ks, form)
 
 
+# (2,1) ⊗ diag(1,1,1): 3^9 = 19 683 elements, 128 classes and a group of 1296;
+# (9) ⊗ diag(1): as many elements over a long M_-, 9842 classes, whose W key
+# must not grow with the (3^9 - 1)/2 lines of M_-.  The elements' keys alone
+# are about 2 and 7 MB.
+_MEMORY_CASES = [((2, 1), [1, 1, 1], 128, 8), ((9,), [1], 9842, 16)]
+
+
+@pytest.mark.parametrize("ks,diag,classes,mb", _MEMORY_CASES, ids=["M21-diag111", "M9-diag1"])
 @pytest.mark.parametrize("census", [invariant_partition, brute_force_orbits])
-def test_census_memory_is_bounded_by_its_blocks(census):
-    # (2,1) ⊗ diag(1,1,1) over F_3: 3^9 = 19 683 elements, 128 classes and a
-    # group of 1296; the elements' keys alone are about 2 MB
-    sp = TensorSpace(F3, (2, 1), diagonal_space(F3, [1, 1, 1]))
+def test_census_memory_is_bounded_by_its_blocks(census, ks, diag, classes, mb):
+    sp = TensorSpace(F3, ks, diagonal_space(F3, diag))
     tracemalloc.start()
     try:
-        assert len(census(sp)) == 128
+        assert len(census(sp)) == classes
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    assert peak < mb * 2 ** 20
 
 
 @pytest.mark.parametrize("census", [invariant_partition, brute_force_orbits])
@@ -1269,6 +1276,22 @@ def test_census_stops_at_the_int64_bound(census, monkeypatch):
     with pytest.raises(EnumerationGuardError, match="int64 bound 2\\^63"):
         census(sp)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [2, 7, 2 ** 31 - 1])
+def test_census_echelon_matches_rref_ints(p):
+    # the census's W key against the int elimination `TensorSpace._image` keys
+    # W by: rank-deficient, tall and wide matrices, p² just under 2^63 at most
+    rng = random.Random(p)
+    for m, d in [(4, 3), (3, 5), (6, 6)]:
+        f = [[[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(d)]
+              for _ in range(m)] for _ in range(40)]
+        for rows in f[::4]:
+            rows[-1] = list(rows[0])            # a repeated row
+        got = orbits._echelon(np.array(f, np.int64), p).tolist()
+        for rows, ech in zip(f, got):
+            R, _ = la._rref_ints(p, [list(r) for r in rows])
+            assert ech == (R + [[0] * d] * d)[:min(m, d)]
 
 
 # --------------------------------------------------------------------------
