@@ -31,8 +31,7 @@ from .analytic import (
     IntegralLattice, SiegelPoint, TruncationError, IdentityReport,
     e8, e8e8, d16_plus, rank16_genus, AUT_E8, AUT_E8E8, AUT_D16_PLUS,
     primitive_counts, bernoulli_number, sigma_power,
-    theta_basic, theta_colinear, theta_colinear_direct,
-    eisenstein_q, eisenstein_direct, eisenstein_lhs, eisenstein_lhs_direct,
+    theta_basic, theta_colinear, eisenstein_q, eisenstein_lhs,
     mass_constant, verify_identity,
 )
 

@@ -11,9 +11,12 @@ symmetric matrix with positive definite imaginary part, and the identity
 holds with Q(m,n) = m^2 tau11 + 2mn tau12 + n^2 tau22 and the mass constant
 C fixed by 1 = C sum_j |Aut_j|^{-1}.  Both sides are evaluated with
 certified truncation tails; lattice shell counts are exact integers from a
-depth-first Cholesky-pruned walk whose prefixes carry shrinking partial
-sums, not coordinates, and a Gram is checked positive definite by
-fraction-free elimination on ints.
+depth-first Cholesky-pruned walk over one of each pair ±x, whose prefixes
+carry shrinking partial sums, not coordinates, and a Gram is checked
+positive definite by fraction-free elimination on ints.  The independent
+oracles (plain truncated loops for both sides, and an exact rational
+Fincke-Pohst enumeration of lattice vectors) live with the tests, in
+tests/analytic_oracles.py.
 """
 from __future__ import annotations
 
@@ -146,21 +149,12 @@ class IntegralLattice:
         only zero and the vectors whose highest-index nonzero coordinate is
         positive, and c = 2·half - [1, 0, ...]."""
         B = int(B)
+        if B < 0:
+            return []   # no vector has a negative norm
         if self._counts is None or self._counts_upto < B:
             self._counts = _shell_counts(self.gram, B)
             self._counts_upto = B
         return list(self._counts[:B + 1])
-
-    def vectors_by_norm(self, B):
-        """All lattice vectors with (u,u) <= B (enumeration-guarded), as
-        (coordinates, norms) arrays."""
-        chunks = [(np.zeros((0, self.rank), dtype=np.int64),
-                   np.zeros(0, dtype=np.int64))]
-        if self.rank:
-            chunks += _shell_chunks(self.gram, B)
-        elif B >= 0:        # Z^0 holds the zero vector alone
-            chunks.append((np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)))
-        return tuple(np.concatenate(part) for part in zip(*chunks))
 
     def __repr__(self):
         return "IntegralLattice(%s, rank=%d)" % (self.name or "?", self.rank)
@@ -200,27 +194,25 @@ def rank16_genus():
 _CHUNK = 4096
 
 
-def _shell_chunks(gram, B, half=False):
-    """Yield (X, norms) for all x in Z^N with xᵀGx <= B, chunk by chunk.
+def _shell_chunks(gram, B):
+    """Yield the norms of zero and of one of each pair ±x of nonzero x in
+    Z^N with xᵀGx <= B, chunk by chunk: x and -x have the same norm, and
+    x = -x only for x = 0, so the walk visits zero and the x whose
+    highest-index nonzero coordinate is positive.
 
     Depth-first Cholesky-pruned enumeration, coordinates from the last to
     the first: a level step fixes coordinate i below at most _CHUNK
     prefixes that fix coordinates i+1..N-1, and pending prefixes wait on a
-    stack in order, so the rows come out in lexicographic order of
-    (x_{N-1}, ..., x_0).  A prefix carries no coordinates, only the partial
-    sums S[j] = Σ_k R[j,k] x_k (floats) and E[j] = Σ_k G[j,k] x_k (exact)
-    over its fixed k, for the j <= i still free: S[i] centers x_i, E[i] =
-    (Gx)_i updates the norm, and the step adds x_i times column i of R and
-    G to rows j < i, so level i holds at most _CHUNK × width × i of each.
-    Float bounds are inflated, and each leaf is re-checked against the
-    exact int64 norm every prefix carries, so the output is exact.
-    Raises EnumerationGuardError before a step would take a level's
-    candidate count, summed over its chunks, past the enumeration guard.
-
-    With `half`, only the norms are yielded, of zero and the x whose
-    highest-index nonzero coordinate is positive, one of each pair ±x: x
-    and -x have the same norm, and x = -x only for x = 0.  Below a prefix
-    still all zero, x_i starts at 0.  The full walk's prefixes carry X.
+    stack.  Below a prefix still all zero, x_i starts at 0.  A prefix
+    carries no coordinates, only the partial sums S[j] = Σ_k R[j,k] x_k
+    (floats) and E[j] = Σ_k G[j,k] x_k (exact) over its fixed k, for the
+    j <= i still free: S[i] centers x_i, E[i] = (Gx)_i updates the norm,
+    and the step adds x_i times column i of R and G to rows j < i, so
+    level i holds at most _CHUNK × width × i of each.  Float bounds are
+    inflated, and each leaf is re-checked against the exact int64 norm
+    every prefix carries, so the output is exact.  Raises
+    EnumerationGuardError before a step would take a level's candidate
+    count, summed over its chunks, past the enumeration guard.
     """
     limit = enum_guard_limit()
     G = np.array(gram, dtype=np.int64)
@@ -228,25 +220,23 @@ def _shell_chunks(gram, B, half=False):
     R = np.linalg.cholesky(G.astype(float)).T   # upper triangular, RᵀR = G
     bound = B + 0.5
     seen = [0] * N
-    # (i, pn, en, z, S, E[, X]): prefixes fixing x_i..x_{N-1}, one per column,
-    # with float and exact norms, z = "prefix is 0", S, E and X by rows
+    # (i, pn, en, z, S, E): prefixes fixing x_i..x_{N-1}, one per column,
+    # with float and exact norms, z = "prefix is 0", S and E by rows
     stack = [(N, np.zeros(1), np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
-              np.zeros((N, 1)), np.zeros((N, 1), dtype=np.int64))
-             + (() if half else (np.zeros((0, 1), dtype=np.int64),))]
+              np.zeros((N, 1)), np.zeros((N, 1), dtype=np.int64))]
     while stack:
         i, *level = stack.pop()
         if len(level[0]) > _CHUNK:
             stack.append((i, *(a[..., _CHUNK:] for a in level)))
             level = [a[..., :_CHUNK] for a in level]
-        pn, en, z, S, E, *X = level
+        pn, en, z, S, E = level
         i -= 1
         rii = R[i, i]
         width = np.sqrt(np.maximum(bound - pn, 0.0)) / rii
         center = -S[i] / rii
         lo = np.ceil(center - width).astype(np.int64)
         hi = np.floor(center + width).astype(np.int64)
-        if half:
-            lo = np.where(z, np.maximum(lo, 0), lo)
+        lo = np.where(z, np.maximum(lo, 0), lo)
         cnt = np.where(pn <= bound, np.maximum(hi - lo + 1, 0), 0)
         total = int(cnt.sum())
         seen[i] += total
@@ -262,15 +252,13 @@ def _shell_chunks(gram, B, half=False):
         xi = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
         # (x + x_i e_i)ᵀG(x + x_i e_i) = xᵀGx + x_i (2 (Gx)_i + G_ii x_i)
         en = en[rows] + xi * (2 * E[i].take(rows) + G[i, i] * xi)
-        X = [np.vstack((xi, x.take(rows, axis=1))) for x in X]
         if not i:
-            ok = en <= B
-            yield (X[0][:, ok].T, en[ok]) if X else en[ok]
+            yield en[en <= B]
             continue
         pn = pn[rows] + (rii * xi + S[i].take(rows)) ** 2
         S = S[:i].take(rows, axis=1) + np.multiply.outer(R[:i, i], xi)
         E = E[:i].take(rows, axis=1) + np.multiply.outer(G[:i, i], xi)
-        stack.append((i, pn, en, z[rows] & (xi == 0), S, E, *X))
+        stack.append((i, pn, en, z[rows] & (xi == 0), S, E))
 
 
 def _orthogonal_components(gram):
@@ -305,7 +293,7 @@ def _shell_counts(gram, B):
         comp = sorted(comp, key=lambda i: gram[i][i])
         sub = [[gram[i][j] for j in comp] for i in comp]
         half = np.zeros(B + 1, dtype=np.int64)
-        for norms in _shell_chunks(sub, B, half=True):
+        for norms in _shell_chunks(sub, B):
             half += np.bincount(norms, minlength=B + 1)
         c = (2 * half).tolist()
         c[0] -= 1
@@ -515,35 +503,6 @@ def theta_colinear(L, pt, tail_target=1e-11, max_norm=64):
     return value, tail + inner_tail
 
 
-def theta_colinear_direct(L, pt, B):
-    """Truncation-limited direct double loop over enumerated colinear pairs
-    with both norms <= B; independent oracle for theta_colinear.
-
-    Colinearity is tested by vanishing of all 2x2 minors of [u; v]; the
-    inner loop over v is vectorized per u.
-    """
-    coords, norms = L.vectors_by_norm(B)
-    G = np.array(L.gram, dtype=np.int64)
-    pair_idx = [(a, b) for a in range(L.rank) for b in range(a + 1, L.rank)]
-    value = 0j
-    n_vec = len(coords)
-    for i in range(n_vec):
-        u = coords[i]
-        ok = np.ones(n_vec, dtype=bool)
-        for a, b in pair_idx:
-            if not ok.any():
-                break
-            ok &= (u[a] * coords[:, b] - u[b] * coords[:, a]) == 0
-        mates = np.nonzero(ok)[0]
-        uu = int(norms[i])
-        uv = coords[mates] @ (G @ u)
-        vv = norms[mates]
-        phases = 1j * math.pi * (pt.tau11 * uu + 2 * pt.tau12 * uv
-                                 + pt.tau22 * vv)
-        value += complex(np.exp(phases).sum())
-    return value
-
-
 # --------------------------------------------------------------------------
 # Eisenstein series (weight w = N/2, level one)
 # --------------------------------------------------------------------------
@@ -589,36 +548,6 @@ def _q_expansion(tau, w, coef, tail_target, max_terms):
     return value, tail
 
 
-def eisenstein_direct(tau, w):
-    """Coprime-pair path: 1/2 sum over (m,n)=1 of (m tau + n)^{-w}.
-
-    The (0, ±1) terms give 1; the rest is summed with numpy per m row over
-    |n| <= 4000 and m up to about 12 / Im tau, and a certified tail estimate
-    is returned alongside the value.
-    """
-    if w < 4 or w % 2:
-        raise ValueError("weight must be even and >= 4")
-    y = tau.imag
-    m_max, n_max = max(30, int(12 / y) + 10), 4000
-    value = 1.0 + 0j
-    ns = np.arange(-n_max, n_max + 1)
-    for m in range(1, m_max + 1):
-        mask = np.gcd(m, np.abs(ns)) == 1
-        zs = m * tau + ns[mask]
-        value += complex(np.sum(zs ** (-w)))
-    # tails: |m tau + n| >= m y and >= |n| - m |Re tau|
-    a = abs(tau.real)
-    n_tail = 2 * m_max * ((n_max - m_max * a) ** (1 - w)) / (w - 1)
-    m_tail = 0.0
-    for m in range(m_max + 1, m_max + 200):
-        row = (2 * m * (a + 1) + 1) * (m * y) ** (-w) + \
-            2 * ((m * (a + 1)) ** (1 - w)) / (w - 1)
-        m_tail += row
-        if row < 1e-18:
-            break
-    return value, n_tail + m_tail
-
-
 # --------------------------------------------------------------------------
 # the two sides of the identity
 # --------------------------------------------------------------------------
@@ -635,7 +564,7 @@ def eisenstein_lhs(pt, N, tail_target=1e-12):
     """1 + 1/2 sum_{(m,n)=1} sum_{a>=1, (a,b)=1} (a Q(m,n) + b)^{-N/2}.
 
     The inner coprime sum telescopes to E_w(Q(m,n)) - 1, with E_w evaluated
-    by its q-expansion; eisenstein_lhs_direct is the independent oracle.
+    by its q-expansion.
     """
     w = _lhs_weight(N)
     lam = pt.im_min_eig()
@@ -660,31 +589,6 @@ def eisenstein_lhs(pt, N, tail_target=1e-12):
             value += 0.5 * (ev - 1.0)
             inner_tail += et / 2
     return value, tail + inner_tail
-
-
-def eisenstein_lhs_direct(pt, N):
-    """Direct triple loop over |m|, |n| <= 6, 1 <= a <= 40 and |b| <= 4000:
-    the independent oracle for eisenstein_lhs.  Returns (value, rough tail)."""
-    w = _lhs_weight(N)
-    box, a_max, b_max = 6, 40, 4000
-    value = 1.0 + 0j
-    bs = np.arange(-b_max, b_max + 1)
-    tail = 0.0
-    for m in range(-box, box + 1):
-        for n in range(-box, box + 1):
-            if (m, n) == (0, 0) or math.gcd(m, n) != 1:
-                continue
-            z = pt.qform(m, n)
-            for a in range(1, a_max + 1):
-                mask = np.gcd(a, np.abs(bs)) == 1
-                terms = (a * z + bs[mask]) ** (-w)
-                value += 0.5 * complex(terms.sum())
-            tail += ((a_max * z.imag) ** (1 - w)) / (w - 1) + \
-                2 * ((b_max - a_max * abs(z.real)) ** (1 - w)) / (w - 1)
-    # outer truncation: same shell estimate as the accelerated path
-    lam = pt.im_min_eig()
-    tail += _square_shell_tail(2 * lam, box) * 300
-    return value, tail
 
 
 def mass_constant(aut_orders):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from . import serialize as ser
 from . import linalg as la
 from .analytic import (AUT_E8, IntegralLattice, SiegelPoint, TruncationError,
-                       e8, verify_identity)
+                       _lhs_weight, e8, verify_identity)
 from .fields import QQ, GF
 from .orbits import (EnumerationGuardError, OrthSpace, TensorSpace,
                      brute_force_orbits, invariant_partition, orbit_invariant,
@@ -208,6 +208,9 @@ def cmd_verify_sw(args, report):
         if lat.rank != args.N:
             raise ValueError("lattice rank %d does not match --N %d"
                              % (lat.rank, args.N))
+        # N must give the left side a weight: the rank-0 lattice passes
+        # the checks above vacuously, with N = 0
+        _lhs_weight(args.N)
         if not (math.isfinite(args.tol) and args.tol > 0):
             raise ValueError("--tol must be positive and finite, got %r" % args.tol)
         tau = [_parse_complex(getattr(args, name))

@@ -168,12 +168,6 @@ class BlockProfile:
         return True
 
 
-def _levels(ks):
-    """(levels, multiplicities): the distinct parts of ks and their counts."""
-    groups = [(k, len(list(g))) for k, g in groupby(ks)]
-    return [k for k, _ in groups], [m for _, m in groups]
-
-
 def _level_chains(ks):
     """The chains of each homogeneous level of the standard module of type
     ks: the planes of `plane_rows` grouped by k, each plane giving its e1

@@ -7,7 +7,7 @@ from collections import Counter
 from sntmod import linalg as la
 from sntmod.fields import QQ, GF
 from sntmod.analytic import (AUT_E8, SiegelPoint, e8, eisenstein_lhs,
-                             eisenstein_lhs_direct, eisenstein_q, sigma_power, theta_basic,
+                             eisenstein_q, sigma_power, theta_basic,
                              verify_identity)
 from sntmod.orbits import (TensorSpace, brute_force_orbits, diagonal_space,
                            hyperbolic_plane, invariant_partition, is_submersive,
@@ -19,6 +19,8 @@ from sntmod.sntmodule import (LagrangianFlag, SntModule, decompose,
 from sntmod.spgroup import (block_profile, group_closure, random_element,
                             sp_group_order, sp_ring_generators)
 from sntmod.tpoly import TruncPoly, tmat_key
+
+from analytic_oracles import eisenstein_lhs_direct
 
 F3, F5 = GF(3), GF(5)
 

@@ -18,12 +18,13 @@ import sntmod
 from sntmod import analytic
 from sntmod.analytic import (AUT_E8, IntegralLattice, SiegelPoint,
                              TruncationError, bernoulli_number, e8,
-                             eisenstein_direct, eisenstein_lhs,
-                             eisenstein_lhs_direct, eisenstein_q, mass_constant,
+                             eisenstein_lhs, eisenstein_q, mass_constant,
                              primitive_counts, sigma_power, theta_basic,
-                             theta_colinear, theta_colinear_direct,
-                             verify_identity)
+                             theta_colinear, verify_identity)
 from sntmod.sntmodule import EnumerationGuardError
+
+from analytic_oracles import (eisenstein_direct, eisenstein_lhs_direct,
+                              lattice_vectors, theta_colinear_direct)
 
 
 @pytest.fixture(scope="module")
@@ -172,20 +173,20 @@ def test_primitive_counts_moebius(E8):
     assert cp[8] == c[8] - c[2]
 
 
-def test_vectors_by_norm(E8):
-    coords, norms = E8.vectors_by_norm(2)
-    assert len(coords) == 241
-    assert sorted(set(int(n) for n in norms)) == [0, 2]
-
-
 def test_rank_zero_lattice_holds_the_zero_vector():
     L = IntegralLattice([])
     assert L.counts_by_norm(3) == [1, 0, 0, 0]
-    coords, norms = L.vectors_by_norm(3)
-    assert coords.shape == (1, 0) and coords.dtype == np.int64
-    assert norms.tolist() == [0]
-    coords, norms = L.vectors_by_norm(-1)
-    assert coords.shape == (0, 0) and norms.tolist() == []
+    assert lattice_vectors([], 3) == [((), 0)]
+    assert lattice_vectors([], -1) == []
+
+
+def test_negative_norm_bound_counts_nothing():
+    # no vector has a negative norm, at any rank
+    for gram in ([], analytic._E8_GRAM, _random_gram(random.Random(5), 4)):
+        L = IntegralLattice(gram)
+        assert L.counts_by_norm(-1) == [] and L.counts_by_norm(-3) == []
+        assert lattice_vectors(gram, -1) == []
+        assert L.counts_by_norm(2)[0] == 1
 
 
 def test_enumeration_guard_before_allocation(monkeypatch):
@@ -229,21 +230,12 @@ def test_shell_walker_matches_box_scan(seed, chunk, monkeypatch):
     gram = _random_gram(rng, 2 + seed % 3)
     B = rng.randint(3, 12)
     want = _brute_force_shell(gram, B)
-    coords, norms = IntegralLattice(gram).vectors_by_norm(B)
-    assert [tuple(int(c) for c in x) for x in coords] == [x for x, _ in want]
-    assert norms.tolist() == [nm for _, nm in want]
+    # the counts oracle against the box scan, vector by vector
+    assert lattice_vectors(gram, B) == want
     counts = [0] * (B + 1)
     for _, nm in want:
         counts[nm] += 1
     assert IntegralLattice(gram).counts_by_norm(B) == counts
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_vectors_by_norm_independent_of_chunk(chunk, monkeypatch):
-    want_x, want_n = e8().vectors_by_norm(4)
-    monkeypatch.setattr(analytic, "_CHUNK", chunk)
-    got_x, got_n = e8().vectors_by_norm(4)
-    assert np.array_equal(got_x, want_x) and np.array_equal(got_n, want_n)
 
 
 def test_enumeration_guard_sums_chunks(monkeypatch):
@@ -271,9 +263,6 @@ def test_enumeration_guard_counts_half_walk(monkeypatch):
     assert built and max(built) <= 1200
     monkeypatch.setenv("SNT_MAX_ENUM", "1201")
     assert sum(e8().counts_by_norm(4)) == 2401
-    # the full walk behind vectors_by_norm still counts every vector
-    with pytest.raises(EnumerationGuardError):
-        e8().vectors_by_norm(4)
 
 
 def _orthogonal_sum(grams, rng):
@@ -311,18 +300,25 @@ def _count_cases():
 _COUNT_CASES = {name: (gram, B) for name, gram, B in _count_cases()}
 
 
+def _oracle_counts(gram, B):
+    """c(0..B) from every vector the exact full walk `lattice_vectors`
+    enumerates."""
+    counts = [0] * (B + 1)
+    for _, norm in lattice_vectors(gram, B):
+        counts[norm] += 1
+    return counts
+
+
 @functools.lru_cache(maxsize=None)
 def _full_walk_counts(name):
-    gram, B = _COUNT_CASES[name]
-    _, norms = IntegralLattice(gram).vectors_by_norm(B)
-    return np.bincount(norms, minlength=B + 1).tolist()
+    return _oracle_counts(*_COUNT_CASES[name])
 
 
 @pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
 @pytest.mark.parametrize("name", list(_COUNT_CASES))
 def test_counts_match_full_walk(name, chunk, monkeypatch):
     # the split-and-half-walk counts against the bincount of every vector
-    # the full walk enumerates
+    # the independent full walk enumerates
     want = _full_walk_counts(name)
     monkeypatch.setattr(analytic, "_CHUNK", chunk)
     gram, B = _COUNT_CASES[name]
@@ -374,8 +370,8 @@ def _e8_closed_form(B):
 
 
 # (gram, B of the closed-form check, B of the full-walk check): the full
-# walk runs in the given coordinate order, which a scrambled basis makes
-# wide, so it is compared at a smaller bound
+# walk `lattice_vectors` runs in the given coordinate order, which a
+# scrambled basis makes wide, so it is compared at a smaller bound
 _SCRAMBLED = {"E8-%d" % seed: (_scrambled(analytic._E8_GRAM, seed, 16), 12, 6)
               for seed in (0, 1)}
 _SCRAMBLED.update({"D16+-%d" % seed: (
@@ -395,8 +391,7 @@ def test_scrambled_basis_counts_match_closed_form(name):
 @functools.lru_cache(maxsize=None)
 def _scrambled_full_walk_counts(name):
     gram, _, B = _SCRAMBLED[name]
-    _, norms = IntegralLattice(gram).vectors_by_norm(B)
-    return np.bincount(norms, minlength=B + 1).tolist()
+    return _oracle_counts(gram, B)
 
 
 @pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])

@@ -456,6 +456,18 @@ def test_verify_sw_gram_file_not_even_unimodular(tmp_path, capsys):
     assert "even unimodular" in data["checks"][0]["details"]["message"]
 
 
+def test_verify_sw_rank_zero_gram_file_is_input_error(tmp_path, capsys):
+    # the rank-0 lattice is even and unimodular vacuously, but N = 0 gives
+    # no weight for the left side: an input error, not a traceback
+    path = tmp_path / "rank0.json"
+    path.write_text("[]")
+    code, data = _run_json(["verify-sw", "--gram-file", str(path), "--N", "0",
+                            "--aut", "1"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+    assert "N must be a multiple of 8" in data["checks"][0]["details"]["message"]
+
+
 def test_verify_sw_gram_file_infinite_entry_is_input_error(tmp_path, capsys):
     path = tmp_path / "inf.json"
     path.write_text("[[1e400]]")             # JSON reads 1e400 as inf

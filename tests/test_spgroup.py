@@ -16,7 +16,7 @@ from sntmod.fields import QQ, GF
 from sntmod.sntmodule import (EnumerationGuardError, SntModule, direct_sum,
                               make_H, standard_module)
 from sntmod.spgroup import (HomogeneousRingIso, NotAMemberError,
-                            SntAutomorphism, _level_layout, _levels,
+                            SntAutomorphism, _level_layout,
                             block_profile, cayley, exp_nilpotent,
                             group_closure, is_member, levi_transvection,
                             lie_algebra_basis, radical_lie_basis,
@@ -486,7 +486,7 @@ def boxed_random_element(M, seed, rad):
     if r is None:
         r = cayley(field, S)
     h = la.identity(field, M.dim)
-    for i, m in enumerate(_levels(M.partition)[1]):
+    for i, (_, m, _, _) in enumerate(_level_layout(M.partition)):
         for _ in range(3):
             v = [field.random(rng, 2) for _ in range(2 * m)]
             if not any(bool(c) for c in v):
@@ -514,7 +514,7 @@ def test_levi_transvection_matches_ring_model():
     rng = random.Random(6)
     for field, ks in [(QQ, (2, 2, 1)), (GF(5), (3, 1, 1)), (F3, (2, 1))]:
         M = standard_module(field, ks)
-        for i, m in enumerate(_levels(ks)[1]):
+        for i, (_, m, _, _) in enumerate(_level_layout(ks)):
             v = [field.random(rng, 2) for _ in range(2 * m)]
             lam = field.random_nonzero(rng, 2)
             assert _typed(levi_transvection(M, i, v, lam)) == \
