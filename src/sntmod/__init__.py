@@ -3,7 +3,7 @@ classification of orthogonal groups over truncated polynomial rings, and
 numerical verification of explicit Siegel-Weil identities."""
 
 from .fields import QQ, GF, PrimeField, RationalField, CharacteristicTwoError
-from .tpoly import TruncPoly, NotAUnitError, smith_form_t, smith_divisors
+from .tpoly import TruncPoly, NotAUnitError
 from .sntmodule import (
     SntModule, SntSubmodule, LagrangianFlag,
     NotTStableError, EnumerationGuardError, InvalidModuleError,

@@ -173,7 +173,8 @@ class FpElement:
         return self.v != 0
 
     def __hash__(self):
-        return hash(("Fp", self.p, self.v))
+        # equal to the hash of the int residue it compares equal to
+        return hash(self.v)
 
     def __repr__(self):
         return "%d mod %d" % (self.v, self.p)

@@ -27,8 +27,9 @@ act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from one helper, `_power_rows`: rows·A^j
 for j = 0, 1, … until the product vanishes, with ValueError when
 rows·A^n != 0.  `nilpotent_powers` reads it with rows = I (the matrix
-powers I, A, A², …) and `t_chain` with rows = [v] (the chain v, vA, vA², …,
-v itself first, [] for v = 0).  Over Q and F_p it converts rows and A once,
+powers I, A, A², …), `t_chain` with rows = [v] (the chain v, vA, vA², …,
+v itself first, [] for v = 0) and `sntmodule.quasi_basis` with the basis
+of a span (its presentation rows).  Over Q and F_p it converts rows and A once,
 multiplies on ints in `_int_powers` and boxes each power once; any other
 kind multiplies by `mat_mul`.
 Code that keeps a Q or F_p matrix on ints between steps uses the int-row

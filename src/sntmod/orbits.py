@@ -98,6 +98,8 @@ class TensorSpace:
             raise ValueError("type must be a nonincreasing positive partition")
         if V.field != field:
             raise ValueError("field mismatch between M_- and V")
+        if not V.dim:
+            raise ValueError("V must have positive dimension")
         self.field = field
         self.ks = ks
         self.V = V

@@ -25,7 +25,7 @@ from math import lcm
 
 from . import linalg as la
 from .fields import PrimeField
-from .tpoly import TruncPoly, TruncRing, smith_form_t, smith_divisors
+from .tpoly import TruncPoly, TruncRing
 
 DEFAULT_ENUM_GUARD = 10 ** 7
 
@@ -315,12 +315,6 @@ class SntSubmodule:
         return "SntSubmodule(type=%r, dim=%d)" % (self.partition, self.dim)
 
 
-def padded_chain(field, T, v, k):
-    """The t-chain v, vT, vT², ... cut or zero-padded to exactly k rows."""
-    chain = la.t_chain(T, v)[:k]
-    return chain + [[field.zero] * len(v)] * (k - len(chain))
-
-
 def quasi_basis(field, T, K, generators):
     """Extract a quasi-basis of the F[t]-span of `generators`.
 
@@ -336,35 +330,65 @@ def quasi_basis(field, T, K, generators):
     if not span:
         return SntSubmodule(field, (), [], (), [])
     r = len(gens)
-    # presentation R_K^r -> span; F-basis of the domain indexed by (i, s)
-    dom = [row for v in gens for row in padded_chain(field, T, v, K)]
+    # presentation R_K^r -> span; F-basis t^s·gen_i of the domain, row i·K + s
+    powers = la._power_rows(gens, T)[:K]
+    zero = [field.zero] * len(T)
+    dom = [powers[s][i] if s < len(powers) else zero
+           for i in range(r) for s in range(K)]
     rel = la.right_kernel(field, la.transpose(dom))
-    if rel:
-        lam = [[TruncPoly(field, [vec[i * K + s] for s in range(K)])
-                for i in range(r)] for vec in rel]
-        U, D, V = smith_form_t(lam)
-        orders = smith_divisors(D, ncols=r)
-        Vinv = la.inverse(TruncRing(field, K), V)
-    else:
-        orders = [K] * r
-        Vinv = None
-    quasi, parts = [], []
-    for j in range(r):
-        d = min(orders[j], K)
-        if d == 0:
-            continue
-        if Vinv is None:
-            h = gens[j]
-        else:
-            # row j of V⁻¹ over R_K, read in the F-basis t^s·gen_i of dom
-            h = la.vec_mat([c for a in Vinv[j] for c in a.coeffs], dom)
-        quasi.append((d, h))
+    lam = [[TruncPoly(field, [vec[i * K + s] for s in range(K)])
+            for i in range(r)] for vec in rel]
+    orders, Vinv = _smith_orders(field, lam, r, K)
+    # row j of V⁻¹ over R_K, read in the F-basis of dom, has order orders[j]
+    quasi = [(d, la.vec_mat([c for a in row for c in a.coeffs], dom))
+             for d, row in zip(orders, Vinv) if d]
     quasi.sort(key=lambda p: -p[0])
     chains = [la.t_chain(T, h) for _, h in quasi]
     sub = SntSubmodule(field, span, [h for _, h in quasi], [d for d, _ in quasi],
                        [v for c in chains for v in c])
     _check_quasi(field, T, sub, [len(c) for c in chains])
     return sub
+
+
+def _smith_orders(field, lam, r, K):
+    """(orders, V⁻¹) of the t-local Smith form U·lam·V = diag(t^d_j) of an
+    n x r matrix over R_K: d_j is the valuation of the j-th pivot, K past
+    the last one.  Pivots have least valuation, ties to the lowest
+    (row, col).  U is never built, and V only as its inverse: swapping
+    columns s, j of V swaps rows s, j of V⁻¹, and col_j −= q·col_s is
+    row_s += q·row_j."""
+    R = TruncRing(field, K)
+    D = [row[:] for row in lam]
+    Vinv = la.identity(R, r)
+    orders = []
+    for s in range(min(len(D), r)):
+        best, bv = None, K
+        for i in range(s, len(D)):
+            for j in range(s, r):
+                v = D[i][j].valuation()
+                if v < bv:
+                    best, bv = (i, j), v
+        if best is None:
+            break
+        bi, bj = best
+        D[s], D[bi] = D[bi], D[s]
+        for row in D:
+            row[s], row[bj] = row[bj], row[s]
+        Vinv[s], Vinv[bj] = Vinv[bj], Vinv[s]
+        uinv = D[s][s].divide_t(bv).inv()
+        D[s] = [uinv * x for x in D[s]]
+        # rows and columns before s are zero off the diagonal; the column
+        # operations would clear row s of D, which no later step reads
+        for i in range(s + 1, len(D)):
+            if D[i][s]:
+                q = D[i][s].divide_t(bv)
+                D[i] = [x - q * y for x, y in zip(D[i], D[s])]
+        for j in range(s + 1, r):
+            if D[s][j]:
+                q = D[s][j].divide_t(bv)
+                Vinv[s] = [x + q * y for x, y in zip(Vinv[s], Vinv[j])]
+        orders.append(bv)
+    return orders + [K] * (r - len(orders)), Vinv
 
 
 def _check_quasi(field, T, sub, orders):

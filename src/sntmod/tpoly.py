@@ -1,18 +1,19 @@
 """Truncated polynomial rings R_K = F[t]/(t^K).
 
 R_K is a local ring: every element is t^v · unit (v = t-adic valuation), so
-Gaussian elimination with unit pivots and a t-local Smith normal form are
-available.  A TruncPoly always carries exactly K coefficients; arithmetic
-silently truncates at t^K.  Matrices over R_K are handled by `linalg` with
-the ring descriptor `TruncRing(field, K)`; this module adds what needs
-valuations (the t-local Smith normal form).  `tmat_mul` (which is
-`linalg.mat_mul`) and the hashable matrix key `tmat_key` are the pair that
-sends `spgroup.group_closure` over F_p[t]/(t^K) to its packed-int path;
-with any other pair it runs its generic BFS.
+Gaussian elimination with unit pivots is available.  A TruncPoly always
+carries exactly K coefficients; arithmetic silently truncates at t^K.
+Matrices over R_K are handled by `linalg` with the ring descriptor
+`TruncRing(field, K)`; the t-local Smith reduction that reads quasi-bases
+off a presentation lives with its one caller, `sntmodule.quasi_basis`.
+`tmat_mul` (which is `linalg.mat_mul`) and the hashable matrix key
+`tmat_key` are the pair that sends `spgroup.group_closure` over
+F_p[t]/(t^K) to its packed-int path; with any other pair it runs its
+generic BFS.
 """
 from __future__ import annotations
 
-from .linalg import identity, mat_mul
+from .linalg import mat_mul
 
 
 class NotAUnitError(ArithmeticError):
@@ -211,69 +212,3 @@ def tmat_key(A):
     """Hashable key of a matrix over R_K (used for group closures)."""
     return tuple(tuple(x.coeffs for x in row) for row in A)
 
-
-def smith_form_t(A):
-    """t-local Smith normal form over R_K.
-
-    Returns (U, D, V) with U·A·V = D, U and V invertible over R_K, and D
-    diagonal with entries t^{d_1} | t^{d_2} | ... (d_i nondecreasing; the
-    zero entry is t^K).  Pivots are chosen by minimal t-valuation with ties
-    broken by lowest (row, col), so the output is deterministic.
-    """
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
-    if nr == 0 or nc == 0:
-        return [], [row[:] for row in A], []
-    R = TruncRing(A[0][0].field, A[0][0].prec)
-    K = R.K
-    D = [row[:] for row in A]
-    U = identity(R, nr)
-    V = identity(R, nc)
-    for s in range(min(nr, nc)):
-        best, bv = None, K
-        for i in range(s, nr):
-            for j in range(s, nc):
-                v = D[i][j].valuation()
-                if v < bv:
-                    best, bv = (i, j), v
-        if best is None or bv >= K:
-            break
-        bi, bj = best
-        if bi != s:
-            D[s], D[bi] = D[bi], D[s]
-            U[s], U[bi] = U[bi], U[s]
-        if bj != s:
-            for row in D:
-                row[s], row[bj] = row[bj], row[s]
-            for row in V:
-                row[s], row[bj] = row[bj], row[s]
-        unit = D[s][s].divide_t(bv)
-        uinv = unit.inv()
-        D[s] = [uinv * x for x in D[s]]
-        U[s] = [uinv * x for x in U[s]]
-        for i in range(nr):
-            if i != s and D[i][s]:
-                q = D[i][s].divide_t(bv)
-                D[i] = [x - q * y for x, y in zip(D[i], D[s])]
-                U[i] = [x - q * y for x, y in zip(U[i], U[s])]
-        for j in range(nc):
-            if j != s and D[s][j]:
-                q = D[s][j].divide_t(bv)
-                for row in D:
-                    row[j] = row[j] - q * row[s]
-                for vrow in V:
-                    vrow[j] = vrow[j] - q * vrow[s]
-    return U, D, V
-
-
-def smith_divisors(D, ncols=None):
-    """Column orders from a Smith form: d_j = valuation of the diagonal
-    entry (K when absent or zero)."""
-    if not D:
-        return []
-    K = D[0][0].prec
-    nc = ncols if ncols is not None else len(D[0])
-    out = []
-    for j in range(nc):
-        out.append(D[j][j].valuation() if j < len(D) else K)
-    return out

@@ -249,6 +249,20 @@ def test_orbit_mismatched_ambient(fixtures, tmp_path, capsys):
     assert code == 2
 
 
+def test_orbit_zero_dimensional_v_is_input_error(fixtures, tmp_path, capsys):
+    with open(os.path.join(fixtures, "orbit_x.json")) as fh:
+        obj = json.load(fh)
+    obj["v_gram"] = []
+    obj["coords"] = [[] for _ in obj["coords"]]
+    path = str(tmp_path / "dim0_v.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    code, data = _run_json(["orbit", path], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "parse"
+    assert "V must have positive dimension" in data["checks"][0]["details"]["message"]
+
+
 # --------------------------------------------------------------------------
 # census
 # --------------------------------------------------------------------------
@@ -321,6 +335,15 @@ def test_zero_guard_limit_is_valid(capsys, monkeypatch):
                             "--V", "hyperbolic2", "--k", "1"], capsys)
     assert code == 3
     assert data["checks"][-1]["name"] == "guard"
+
+
+@pytest.mark.parametrize("spec", ["[]", "{}"])
+def test_census_zero_dimensional_v_is_input_error(spec, capsys):
+    code, data = _run_json(["census", "--q", "3", "--M", "2", "--V", spec,
+                            "--k", "2"], capsys)
+    assert code == 2
+    assert data["checks"][0]["name"] == "setup"
+    assert "V must have positive dimension" in data["checks"][0]["details"]["message"]
 
 
 def test_census_k_mismatch(capsys):

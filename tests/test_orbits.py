@@ -20,8 +20,10 @@ from sntmod.orbits import (HypothesisFailedError, IsometryMismatchError,
                            orthogonal_group_ring, random_orthogonal_ring,
                            same_orbit, t_sym, tangent_matrix, transport,
                            witt_extend_field, witt_lift)
-from sntmod.sntmodule import EnumerationGuardError, padded_chain, quasi_basis
+from sntmod.sntmodule import EnumerationGuardError, quasi_basis
 from sntmod.tpoly import TruncPoly, TruncRing
+
+from ring_oracles import padded_chain
 
 F3 = GF(3)
 F5 = GF(5)

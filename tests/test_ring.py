@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from sntmod import linalg as la
 from sntmod.fields import QQ, GF, CharacteristicTwoError
-from sntmod.tpoly import (NotAUnitError, TruncPoly, TruncRing, smith_divisors,
-                          smith_form_t, tp)
+from sntmod.sntmodule import _smith_orders
+from sntmod.tpoly import NotAUnitError, TruncPoly, TruncRing, tp
+
+from ring_oracles import smith_divisors, smith_form_t
 
 F5 = GF(5)
 F3 = GF(3)
@@ -64,6 +66,18 @@ def test_fp_arithmetic():
     assert -a == F5(2)
     with pytest.raises(ZeroDivisionError):
         a / F5(0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_fp_hash_agrees_with_int_equality(p):
+    """Residues in [0, p) equal their ints, so they hash alike (and the
+    residues of other primes stay distinct set members)."""
+    F = GF(p)
+    for a in range(p):
+        assert F(a) == a and hash(F(a)) == hash(a)
+        assert a in {F(a)} and F(a) in {a}
+        assert F(a + p) in {F(a)}
+    assert len({F(1), GF(11)(1)}) == 2
 
 
 def test_mixed_prime_fields_rejected():
@@ -265,6 +279,41 @@ def test_smith_divisors_invariant_under_units():
         R = _random_invertible_tmat(F3, rng, 4, 3)
         _, D2, _ = smith_form_t(la.mat_mul(la.mat_mul(L, A), R))
         assert smith_divisors(D2, 4) == base
+
+
+def _typed(x):
+    """Nested lists with every TruncPoly as its typed coefficients."""
+    if isinstance(x, list):
+        return [_typed(y) for y in x]
+    return x.field, [(type(c), c) for c in x.coeffs]
+
+
+@pytest.mark.parametrize("field", [F3, F5, QQ], ids=["F3", "F5", "Q"])
+def test_smith_orders_match_full_smith_form(field):
+    """`_smith_orders` against the full Smith form: the orders are its
+    divisors and V⁻¹ the ring inverse of its V, in values and entry types;
+    no rows (no relations) give [K]*r and the identity."""
+    rng = random.Random(17)
+    shapes = [(0, 3, 2), (1, 3, 1), (2, 4, 3), (3, 3, 3), (4, 2, 2), (2, 2, 1),
+              (3, 5, 4)]
+    for nr, r, K in shapes:
+        R = TruncRing(field, K)
+        for trial in range(8):
+            A = _random_tmat(field, rng, nr, r, K)
+            if trial == 0:
+                A = [[R.zero] * r for _ in range(nr)]
+            elif trial % 3 == 0:   # sparse: valuation ties and zero entries
+                A = [[a if rng.random() < 0.4 else R.zero for a in row] for row in A]
+            elif trial % 3 == 1:   # no unit entries
+                A = [[a.shift(1) for a in row] for row in A]
+            orders, Vinv = _smith_orders(field, A, r, K)
+            if nr == 0:
+                assert orders == [K] * r
+                assert _typed(Vinv) == _typed(la.identity(R, r))
+                continue
+            _, D, V = smith_form_t(A)
+            assert orders == smith_divisors(D, r)
+            assert _typed(Vinv) == _typed(la.inverse(R, V))
 
 
 def test_tmat_inverse_roundtrip():

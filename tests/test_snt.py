@@ -18,6 +18,9 @@ from sntmod.sntmodule import (InvalidModuleError, LagrangianFlag,
                               self_dual_map_space_dim, standard_module,
                               standard_t_lagrangian)
 from sntmod.sntmodule import _all_rref_subspaces, _perp_and_reps
+from sntmod.tpoly import TruncRing
+
+from ring_oracles import boxed_quasi_basis
 
 F3 = GF(3)
 F5 = GF(5)
@@ -391,6 +394,46 @@ def test_quasi_basis_type_independent_of_generators():
         gens2 = la.mat_mul(mixer, span)
         t2 = quasi_basis(F3, M.t, M.K, gens2).partition
         assert t1 == t2
+
+
+@pytest.mark.parametrize("field", [F3, F5, QQ], ids=["F3", "F5", "Q"])
+def test_quasi_basis_matches_full_smith_form(field):
+    """The quasi-basis from the trimmed Smith reduction equals the one read
+    off the full Smith form and the ring inverse of V, in values, order and
+    entry types, and takes no elimination over F[t]/(t^K)."""
+    rng = random.Random(23)
+    for ks in [(1,), (1, 1), (2,), (2, 1), (3, 1), (2, 2, 1), (3, 3, 2)]:
+        M = standard_module(field, ks)
+        for _ in range(6):
+            vecs = [[field.random(rng) if rng.random() < 0.6 else field.zero
+                     for _ in range(M.dim)] for _ in range(rng.randint(0, 3))]
+            gens = [w for v in vecs for w in la.t_chain(M.t, v)]
+            sub = quasi_basis(field, M.t, M.K, gens)
+            assert _typed((sub.span, sub.quasi, sub.partition, sub.chains)) == \
+                _typed(boxed_quasi_basis(field, M.t, M.K, gens))
+
+
+def test_quasi_basis_runs_no_ring_elimination(monkeypatch):
+    calls = []
+    real = la._rref_generic
+
+    def counted(field, rows):
+        if isinstance(field, TruncRing):
+            calls.append(field)
+        return real(field, rows)
+    monkeypatch.setattr(la, "_rref_generic", counted)
+    rng = random.Random(29)
+    M = direct_sum(make_H(F3, 3), make_H(F3, 2))
+    subs = []
+    for _ in range(10):
+        vecs = [[F3.random(rng) for _ in range(M.dim)] for _ in range(2)]
+        subs.append(quasi_basis(F3, M.t, M.K,
+                                [w for v in vecs for w in la.t_chain(M.t, v)]))
+    assert calls == []
+    assert any(len(sub.partition) > 1 for sub in subs)
+    # the counter sees a ring elimination when there is one
+    la.inverse(TruncRing(F3, 2), la.identity(TruncRing(F3, 2), 2))
+    assert len(calls) == 1
 
 
 def test_quasi_basis_chains_are_an_F_basis():
