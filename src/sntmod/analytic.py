@@ -12,8 +12,15 @@ holds with Q(m,n) = m^2 tau11 + 2mn tau12 + n^2 tau22 and the mass constant
 C fixed by 1 = C sum_j |Aut_j|^{-1}.  Both sides are evaluated with
 certified truncation tails; lattice shell counts are exact integers from a
 depth-first Cholesky-pruned walk over one of each pair ±x, whose prefixes
-carry shrinking partial sums, not coordinates, and a Gram is checked
-positive definite by fraction-free elimination on ints.  The independent
+carry shrinking partial sums, not coordinates.  The walk stops two
+coordinates short: below each prefix, the norms of the last two are a
+binary quadratic polynomial fixed by the prefix's residue class modulo the
+column Hermite form of the Gram's leading 2x2 block, up to a shift, so
+each prefix is tallied under one key (class, least norm) and each class's
+tally is convolved once with its polynomial's histogram.  The guard still
+counts the candidates of those two levels, the last of which are exactly
+the vectors of norm <= B.  A Gram is checked positive definite by
+fraction-free elimination on ints.  The independent
 oracles (plain truncated loops for both sides, and an exact rational
 Fincke-Pohst enumeration of lattice vectors) live with the tests, in
 tests/analytic_oracles.py.
@@ -129,6 +136,7 @@ class IntegralLattice:
         self._det = minors[-1] if minors else 1
         self._counts = None
         self._counts_upto = -1
+        self._largest_level = 0
 
     def det(self):
         return self._det
@@ -152,7 +160,7 @@ class IntegralLattice:
         if B < 0:
             return []   # no vector has a negative norm
         if self._counts is None or self._counts_upto < B:
-            self._counts = _shell_counts(self.gram, B)
+            self._counts, self._largest_level = _shell_counts(self.gram, B)
             self._counts_upto = B
         return list(self._counts[:B + 1])
 
@@ -190,36 +198,199 @@ def rank16_genus():
 
 # prefixes expanded by one level step.  The walker holds one expanded step
 # per level, at most _CHUNK times the ~2√B / R_ii values one coordinate can
-# take, so its memory does not follow the number of vectors of norm <= B
+# take, and the tails of at most 2·_CHUNK residue classes, so its memory
+# does not follow the number of vectors of norm <= B
 _CHUNK = 4096
 
 
-def _shell_chunks(gram, B):
-    """Yield the norms of zero and of one of each pair ±x of nonzero x in
-    Z^N with xᵀGx <= B, chunk by chunk: x and -x have the same norm, and
-    x = -x only for x = 0, so the walk visits zero and the x whose
-    highest-index nonzero coordinate is positive.
+def _runs(lo, cnt):
+    """(rows, x): each row j repeated cnt[j] times, beside the integers
+    lo[j], lo[j] + 1, ..., lo[j] + cnt[j] - 1 it runs over."""
+    rows = np.repeat(np.arange(len(cnt)), cnt)
+    # x's offset in row j's run is its position minus the run's start
+    return rows, np.arange(len(rows)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
 
-    Depth-first Cholesky-pruned enumeration, coordinates from the last to
-    the first: a level step fixes coordinate i below at most _CHUNK
-    prefixes that fix coordinates i+1..N-1, and pending prefixes wait on a
-    stack.  Below a prefix still all zero, x_i starts at 0.  A prefix
-    carries no coordinates, only the partial sums S[j] = Σ_k R[j,k] x_k
-    (floats) and E[j] = Σ_k G[j,k] x_k (exact) over its fixed k, for the
-    j <= i still free: S[i] centers x_i, E[i] = (Gx)_i updates the norm,
-    and the step adds x_i times column i of R and G to rows j < i, so
-    level i holds at most _CHUNK × width × i of each.  Float bounds are
-    inflated, and each leaf is re-checked against the exact int64 norm
-    every prefix carries, so the output is exact.  Raises
+
+def _hermite(a, b, c):
+    """(g, h, k, U): H·U = [[g, 0], [h, k]] for H = [[a, b], [b, c]]
+    positive definite and U unimodular, H's column Hermite form, with
+    g = gcd(a, b) and k = det H / g.  So each e in Z² is H·U·q + r for
+    exactly one residue r in [0, g) × [0, k): q0 = e0 // g and
+    q1 = (e1 - h·q0) // k."""
+    g = math.gcd(a, b)
+    x = pow(a // g, -1, abs(b) // g) if b else 1     # a·x ≡ g (mod b)
+    y = (g - a * x) // b if b else 0
+    return g, b * x + c * y, (a * c - b * b) // g, [[x, -b // g], [y, a // g]]
+
+
+def _tail_classes(H, e0, e1, B):
+    """(m, hist) for the residues e_j = (e0[j], e1[j]), int64 arrays, and a
+    positive definite H = [[a, b], [b, c]]: m[j] is the least value of
+    p_j(w) = wᵀHw + 2e_jᵀw over w in Z², and
+    hist[j, n] = #{w : p_j(w) = m[j] + n} for n = 0..B.
+
+    Each walk runs around w*, the nearest-plane rounding of the real
+    minimizer -H⁻¹e_j: p_j(w* + w) = p_j(w*) + p'(w) with
+    p'(w) = wᵀHw + 2e'ᵀw and e' = Hw* + e_j, a residue of the size of H's
+    entries whatever det H is.  p' is 0 at w = 0, so its least value is
+    among its values <= B, which the two-coordinate Fincke-Pohst walk
+    lists, with some more: with d = det H and f = a e'_1 - b e'_0,
+    a·p' = (a w0 + b w1 + e'_0)² + q(w1) and
+    d·q(w1) = (d w1 + f)² - f² - d e'_0², so w1 runs over the integers
+    with q(w1) <= a·B and, below each w1, w0 over those with
+    (a w0 + b w1 + e'_0)² <= a·B - q(w1).  Both ranges are taken from
+    float square roots one wider on each side."""
+    (a, b), (_, c) = H
+    d = a * c - b * b
+    w1 = (d - 2 * (a * e1 - b * e0)) // (2 * d)
+    w0 = (a - 2 * (b * w1 + e0)) // (2 * a)
+    at = (a * w0 + 2 * (b * w1 + e0)) * w0 + (c * w1 + 2 * e1) * w1
+    e0, e1 = a * w0 + b * w1 + e0, b * w0 + c * w1 + e1
+    f = a * e1 - b * e0
+    s = np.sqrt(d * (a * B + e0 * e0) + f * f).astype(np.int64) + 1
+    lo = -((s + f) // d)
+    j, w1 = _runs(lo, (s - f) // d - lo + 1)
+    room = a * B - (d * w1 * w1 + 2 * f[j] * w1 - e0[j] ** 2)
+    s = np.sqrt(np.maximum(room, 0)).astype(np.int64) + 1
+    u = b * w1 + e0[j]
+    lo = -((s + u) // a)
+    rows, w0 = _runs(lo, np.maximum((s - u) // a - lo + 1, 0))
+    w1, j = w1[rows], j[rows]
+    p = (a * w0 + 2 * (b * w1 + e0[j])) * w0 + (c * w1 + 2 * e1[j]) * w1
+    # each p' is 0 at w = 0, and its values <= B are all listed, so these
+    # are the least ones, and those at most B above them are listed too
+    low = np.zeros(len(e0), dtype=np.int64)
+    np.minimum.at(low, j, p)
+    p -= low[j]
+    keep = p <= B
+    hist = np.bincount(j[keep] * (B + 1) + p[keep], minlength=len(e0) * (B + 1))
+    return at + low, hist.reshape(-1, B + 1)
+
+
+class _Tails:
+    """The tails w = (x_0, x_1) of a walk's prefixes, counted in closed form.
+
+    A prefix fixing x_2..x_{N-1} has an exact norm en and
+    e = ((Gx)_0, (Gx)_1), and its tail the norms en + wᵀHw + 2eᵀw over
+    w in Z², H = G[:2, :2].  Two floor divisions by H's column Hermite form
+    write e = Hv + r with r one of det H residues, and then the norms are
+    en - vᵀ(e + r) + p_r(w), with p_r(w) = wᵀHw + 2rᵀw.  So a prefix is
+    one key: its class r and the least norm of its tail, its start.  Each
+    class's prefixes are tallied by start, and each tally is convolved once
+    with p_r's histogram.  A class gets its pattern, from a walk over
+    p_r's ellipse, only when it occurs, and past _CHUNK classes the tallies
+    are convolved and the classes dropped, so at most 2·_CHUNK tallies and
+    patterns of B + 1 counts are held, whatever det H is."""
+
+    def __init__(self, G, B):
+        self.H = [[int(G[i, j]) for j in range(2)] for i in range(2)]
+        (a, b), (_, c) = self.H
+        self.g, self.h, self.k, self.U = _hermite(a, b, c)
+        self.B = B
+        # r -> [least value of p_r, p_r's histogram above it, prefixes by start]
+        self.classes = {}
+        self.half = np.zeros(B + 1, dtype=np.int64)
+
+    def add(self, en, e0, e1, zero):
+        """Tally the prefixes with exact norms en and (Gx)_0, (Gx)_1 = e0,
+        e1, `zero` when the zero prefix is among them, and return the
+        number of vectors of norm <= B below them, the walk's leaves."""
+        g, h, k, B = self.g, self.h, self.k, self.B
+        (u00, u01), (u10, u11) = self.U
+        q0 = e0 // g
+        r0 = e0 - g * q0
+        t = e1 - h * q0
+        q1 = t // k
+        r1 = t - k * q1
+        # e = H·U·q + r, so v = U·q
+        v0 = u00 * q0 + u01 * q1
+        v1 = u10 * q0 + u11 * q1
+        keys, inv = np.unique(r0 * k + r1, return_inverse=True)
+        new = [r for r in keys.tolist() if r not in self.classes]
+        if new:
+            m, hist = _tail_classes(self.H, *np.divmod(np.array(new), k), B)
+            for r, *row in zip(new, m.tolist(), hist):
+                self.classes[r] = [*row, np.zeros(B + 1, dtype=np.int64)]
+        rows = [self.classes[r] for r in keys.tolist()]
+        start = en - v0 * (e0 + r0) - v1 * (e1 + r1) + \
+            np.array([m for m, _, _ in rows])[inv]
+        keep = start <= B
+        starts = np.bincount(inv[keep] * (B + 1) + start[keep],
+                             minlength=len(rows) * (B + 1)).reshape(-1, B + 1)
+        cum = np.cumsum([hist for _, hist, _ in rows], axis=1)
+        leaves = int((starts * cum[:, ::-1]).sum())
+        for row, n in zip(rows, starts):
+            row[2] += n
+        if zero:
+            # the zero prefix, class 0 from norm 0: its tail holds w and -w
+            # for each w != 0 and 0 once, and the walk keeps one of each pair
+            pairs = self.classes[0][1] // 2
+            self.half -= pairs
+            leaves -= int(pairs.sum())
+        if len(self.classes) > _CHUNK:
+            self.total()
+        return leaves
+
+    def total(self):
+        """The half counts of every tail tallied so far, the classes'
+        tallies convolved with their patterns; drops the classes."""
+        B = self.B
+        for _, hist, starts in self.classes.values():
+            # one shifted copy of one side per nonzero entry of the other,
+            # the sparser: both may be long and mostly zero when B is large
+            if np.count_nonzero(starts) > np.count_nonzero(hist):
+                starts, hist = hist, starts
+            for n in np.flatnonzero(starts).tolist():
+                self.half[n:] += starts[n] * hist[:B + 1 - n]
+        self.classes.clear()
+        return self.half
+
+
+def _shell_chunks(gram, B):
+    """(half, largest): half[n] counts zero and one of each pair ±x of
+    nonzero x in Z^N with xᵀGx = n <= B, and largest is the largest level
+    candidate count the enumeration guard was compared with.  x and -x
+    have the same norm, and x = -x only for x = 0, so the walk visits zero
+    and the x whose highest-index nonzero coordinate is positive.
+
+    Depth-first Cholesky-pruned enumeration of x_{N-1}, ..., x_2: a level
+    step fixes coordinate i below at most _CHUNK prefixes that fix
+    coordinates i+1..N-1, and pending prefixes wait on a stack.  Below a
+    prefix still all zero, x_i starts at 0.  A prefix carries no
+    coordinates, only the partial sums S[j] = Σ_k R[j,k] x_k (floats) and
+    E[j] = Σ_k G[j,k] x_k (exact) over its fixed k, for the j <= i still
+    free: S[i] centers x_i, E[i] = (Gx)_i updates the exact norm en, and
+    the step adds x_i times column i of R and G to rows j < i, so level i
+    holds at most _CHUNK × width × i of each.  The last two coordinates
+    are not expanded: `_Tails` counts each prefix's vectors of norm <= B
+    in closed form, from en, E[0] and E[1].  A rank-1 gram [[g]] is walked
+    as [[g, 0], [0, B + 1]], whose added coordinate no vector of norm
+    <= B uses.
+
+    The guard counts every level as a full walk would.  Float bounds are
+    inflated to B + ½, so level 1's candidates are still counted from the
+    float sums, and level 0's float candidates are exactly the leaves, the
+    vectors of norm <= B, since norms are integers.  Raises
     EnumerationGuardError before a step would take a level's candidate
-    count, summed over its chunks, past the enumeration guard.
+    count, summed over its chunks, past the guard.
     """
     limit = enum_guard_limit()
+    if len(gram) == 1:
+        gram = [[gram[0][0], 0], [0, B + 1]]
     G = np.array(gram, dtype=np.int64)
     N = len(gram)
     R = np.linalg.cholesky(G.astype(float)).T   # upper triangular, RᵀR = G
     bound = B + 0.5
+    tails = _Tails(G, B)
     seen = [0] * N
+
+    def count(i, n):
+        seen[i] += n
+        if seen[i] > limit:
+            raise EnumerationGuardError(
+                "lattice enumeration level of %d candidates exceeds the guard %d"
+                % (seen[i], limit))
+
     # (i, pn, en, z, S, E): prefixes fixing x_i..x_{N-1}, one per column,
     # with float and exact norms, z = "prefix is 0", S and E by rows
     stack = [(N, np.zeros(1), np.zeros(1, dtype=np.int64), np.ones(1, dtype=bool),
@@ -239,26 +410,20 @@ def _shell_chunks(gram, B):
         lo = np.where(z, np.maximum(lo, 0), lo)
         cnt = np.where(pn <= bound, np.maximum(hi - lo + 1, 0), 0)
         total = int(cnt.sum())
-        seen[i] += total
-        if seen[i] > limit:
-            raise EnumerationGuardError(
-                "lattice enumeration level of %d candidates exceeds the guard %d"
-                % (seen[i], limit))
+        count(i, total)
         if not total:
             continue
-        rows = np.repeat(np.arange(len(pn)), cnt)
-        # x_i runs over lo..hi below each prefix: its offset in the prefix's
-        # run is the position minus the run's start
-        xi = np.arange(total) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        if i == 1:
+            count(0, tails.add(en, *E, z.any()))
+            continue
+        rows, xi = _runs(lo, cnt)
         # (x + x_i e_i)ᵀG(x + x_i e_i) = xᵀGx + x_i (2 (Gx)_i + G_ii x_i)
         en = en[rows] + xi * (2 * E[i].take(rows) + G[i, i] * xi)
-        if not i:
-            yield en[en <= B]
-            continue
         pn = pn[rows] + (rii * xi + S[i].take(rows)) ** 2
         S = S[:i].take(rows, axis=1) + np.multiply.outer(R[:i, i], xi)
         E = E[:i].take(rows, axis=1) + np.multiply.outer(G[:i, i], xi)
         stack.append((i, pn, en, z[rows] & (xi == 0), S, E))
+    return tails.total(), max(seen)
 
 
 def _orthogonal_components(gram):
@@ -281,25 +446,26 @@ def _orthogonal_components(gram):
 
 
 def _shell_counts(gram, B):
-    """counts_by_norm's c(0..B) as Python ints: each orthogonal component
-    walked by half, c = 2·half - [1, 0, ...], and convolved over them.
+    """(counts, largest): counts_by_norm's c(0..B) as Python ints, each
+    orthogonal component walked by half, c = 2·half - [1, 0, ...], and
+    convolved over them; largest is the largest level candidate count the
+    enumeration guard was compared with over the components' walks.
 
     A component's coordinates are walked stably sorted by their diagonal
     entry, largest last, so that the walker fixes them first: a coordinate
     of large norm takes few values, and fixing it early keeps the inner
     levels narrow.  A permutation of the coordinates keeps every count."""
-    counts = [1] + [0] * B
+    counts, largest = None, 0
     for comp in _orthogonal_components(gram):
         comp = sorted(comp, key=lambda i: gram[i][i])
         sub = [[gram[i][j] for j in comp] for i in comp]
-        half = np.zeros(B + 1, dtype=np.int64)
-        for norms in _shell_chunks(sub, B):
-            half += np.bincount(norms, minlength=B + 1)
+        half, level = _shell_chunks(sub, B)
+        largest = max(largest, level)
         c = (2 * half).tolist()
         c[0] -= 1
-        counts = [sum(counts[k] * c[n - k] for k in range(n + 1))
-                  for n in range(B + 1)]
-    return counts
+        counts = c if counts is None else [
+            sum(counts[k] * c[n - k] for k in range(n + 1)) for n in range(B + 1)]
+    return counts or [1] + [0] * B, largest
 
 
 def primitive_counts(counts):
@@ -666,6 +832,7 @@ def verify_identity(lattices, aut_orders, pt, N, tol=1e-8, mass=None,
         per.append({"lattice": L.name, "aut": int(aut),
                     "theta_colinear": [th.real, th.imag], "tail": tl,
                     "norm_bound": B, "vectors": sum(L._counts[:B + 1]),
+                    "largest_level": L._largest_level,
                     "components": [len(c) for c in _orthogonal_components(L.gram)]})
     abs_diff = abs(lhs - rhs)
     rel_diff = abs_diff / max(abs(lhs), 1e-300)

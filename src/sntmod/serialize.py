@@ -65,6 +65,11 @@ def matrix_to_json(A):
 
 
 def matrix_from_json(field, rows):
+    """The matrix of a JSON list of rows, each a list of exact scalars;
+    ValueError for any other JSON value, such as an object or a string."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("a matrix must be a JSON list of lists, got %.40r"
+                         % (rows,))
     return [[scalar_from_str(field, x) for x in row] for row in rows]
 
 

@@ -9,6 +9,7 @@ import random
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -330,6 +331,119 @@ def test_counts_match_full_walk(name, chunk, monkeypatch):
     monkeypatch.setattr(analytic, "_CHUNK", chunk)
     gram, B = _COUNT_CASES[name]
     assert IntegralLattice(gram).counts_by_norm(B) == want
+
+
+# the least SNT_MAX_ENUM at which the counts pass: the largest level of the
+# half walk, in each case its leaves (1 + half the nonzero vectors)
+_GUARD_PINS = {"E8-4": (analytic._E8_GRAM, 4, 1201),
+               "E8-16": (analytic._E8_GRAM, 16, 170161),
+               "D16+-4": (analytic._D16_PLUS_GRAM, 4, 31201)}
+
+
+@pytest.mark.parametrize("name", list(_GUARD_PINS))
+def test_enumeration_guard_least_limit(name, monkeypatch):
+    gram, B, least = _GUARD_PINS[name]
+    monkeypatch.setenv("SNT_MAX_ENUM", str(least - 1))
+    with pytest.raises(EnumerationGuardError, match="level of %d candidates" % least):
+        IntegralLattice(gram).counts_by_norm(B)
+    monkeypatch.setenv("SNT_MAX_ENUM", str(least))
+    L = IntegralLattice(gram)
+    assert sum(L.counts_by_norm(B)) == 2 * least - 1
+    assert L._largest_level == least
+
+
+def _with_tail(H, rest, rng):
+    """A positive definite gram whose walk ends in the block H: H, then
+    `rest` coordinates of diagonal above H's, so that the stable sort by
+    diagonal keeps H's two first, coupled to H by entries in {-1, 0, 1}."""
+    n = 2 + rest
+    while True:
+        gram = [[0] * n for _ in range(n)]
+        for i in range(2):
+            gram[i][:2] = H[i]
+        for i in range(2, n):
+            gram[i][i] = max(H[0][0], H[1][1]) + rng.randint(1, 3)
+            for j in range(i):
+                gram[i][j] = gram[j][i] = rng.randint(-1, 1)
+        minors = analytic._leading_minors(gram)     # up to the first <= 0
+        if len(minors) == n and minors[-1] > 0:
+            return gram
+
+
+# tail blocks H = G[:2, :2]: diagonal and not, with det 1 to 28, gcd of the
+# first row 1 to 3, and one reduced basis of Z² that is not ([[2, 3], [3, 5]])
+_TAIL_BLOCKS = [[[1, 0], [0, 1]], [[1, 0], [0, 2]], [[2, 0], [0, 3]],
+                [[3, 0], [0, 5]], [[4, 0], [0, 7]], [[2, 1], [1, 2]],
+                [[2, -1], [-1, 3]], [[3, 1], [1, 4]], [[4, -2], [-2, 5]],
+                [[4, 2], [2, 4]], [[5, 2], [2, 6]], [[6, -3], [-3, 6]],
+                [[2, 3], [3, 5]]]
+
+
+def _tail_cases():
+    """(id, gram, B): each tail block below 1 or 4 more coordinates, whose
+    prefixes fall in up to 12 classes, each alone as a rank-2 component, a
+    skewed block below 3 more, and rank-1 components beside others."""
+    rng = random.Random(31)
+    cases = []
+    for H in _TAIL_BLOCKS:
+        (a, b), (_, c) = H
+        name = "H%d,%d,%d-" % (a, b, c)
+        for rest in (1, 4):
+            gram = _with_tail(H, rest, rng)
+            cases.append((name + "rank%d" % (2 + rest), gram,
+                          2 * max(gram[i][i] for i in range(len(gram)))))
+        cases.append((name + "alone", H, 12 + rng.randint(0, 8)))
+    # det H = 999 999, of which 13 classes occur
+    cases.append(("H1000,1,1000-rank5", [[1000, 1, 0, 0, 1], [1, 1000, 1, 0, 0],
+                                         [0, 1, 1001, 1, 0], [0, 0, 1, 1002, 1],
+                                         [1, 0, 0, 1, 1003]], 6100))
+    cases += [("rank1-%d" % g, _orthogonal_sum([[[g]], [[2, 1], [1, 3]], [[1]]], rng), 11)
+              for g in (1, 2, 5)]
+    return cases
+
+
+_TAIL_CASES = {name: (gram, B) for name, gram, B in _tail_cases()}
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_oracle_counts(name):
+    return _oracle_counts(*{**_TAIL_CASES, **_SKEWED}[name])
+
+
+@pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
+@pytest.mark.parametrize("name", list(_TAIL_CASES))
+def test_tail_blocks_match_full_walk(name, chunk, monkeypatch):
+    # the closed-form tail against every vector the exact full walk lists
+    gram, B = _TAIL_CASES[name]
+    want = _cached_oracle_counts(name)
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    assert IntegralLattice(gram).counts_by_norm(B) == want
+
+
+# skewed tail blocks, det H = 999 999: the rank-2 block beside E8 (its
+# walk is the zero prefix's tail alone), and a rank-4 gram whose prefixes
+# fall in many of the 999 999 classes
+_SKEWED = {"beside-E8": (_orthogonal_sum([[[1000, 1], [1, 1000]], analytic._E8_GRAM],
+                                         random.Random(4)), 4),
+           "rank4": ([[1000, 1, 0, 0], [1, 1000, 1, 0], [0, 1, 1001, 1],
+                      [0, 0, 1, 1002]], 4100)}
+
+
+@pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
+@pytest.mark.parametrize("name", list(_SKEWED))
+def test_skewed_tail_block_stays_small(name, chunk, monkeypatch):
+    gram, B = _SKEWED[name]
+    want = _cached_oracle_counts(name)
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    tracemalloc.start()
+    try:
+        got = IntegralLattice(gram).counts_by_norm(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # one int64 per class would be 8 MB
+    assert peak < 2 << 20, peak
 
 
 def test_orthogonal_components_interleaved():

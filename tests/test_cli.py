@@ -337,13 +337,25 @@ def test_zero_guard_limit_is_valid(capsys, monkeypatch):
     assert data["checks"][-1]["name"] == "guard"
 
 
-@pytest.mark.parametrize("spec", ["[]", "{}"])
+@pytest.mark.parametrize("spec", ["[]"])
 def test_census_zero_dimensional_v_is_input_error(spec, capsys):
     code, data = _run_json(["census", "--q", "3", "--M", "2", "--V", spec,
                             "--k", "2"], capsys)
     assert code == 2
     assert data["checks"][0]["name"] == "setup"
     assert "V must have positive dimension" in data["checks"][0]["details"]["message"]
+
+
+@pytest.mark.parametrize("spec", ["{}", '"5"', '{"1": 1}', "[1]", '[[1], "1"]'])
+def test_census_non_matrix_v_is_input_error(spec, capsys):
+    # a JSON object or string is no Gram, however its items would iterate,
+    # and neither is a list with a row that is not a list: exit 2 from setup
+    code, data = _run_json(["census", "--q", "3", "--M", "1", "--V", spec,
+                            "--k", "1"], capsys)
+    assert code == 2
+    check = data["checks"][0]
+    assert check["name"] == "setup"
+    assert "a matrix must be a JSON list of lists" in check["details"]["message"]
 
 
 def test_census_k_mismatch(capsys):
@@ -378,6 +390,15 @@ def test_verify_sw_reports_norm_bound(capsys):
     # 1 + 240 sigma_3(m) vectors of norm 2m, summed up to the bound
     assert entry["vectors"] == 1 + sum(240 * sigma_power(m, 3)
                                        for m in range(1, B // 2 + 1))
+    # the guard's largest level is the half walk's leaves, 1 + (vectors - 1)/2
+    assert entry["largest_level"] == (entry["vectors"] + 1) // 2
+    # E8's largest norm bound, 16: the largest level that passes the guard
+    # is 170161, the least SNT_MAX_ENUM at which this run exits 0
+    code, data = _run_json(["verify-sw", "--tau11", "0.85i", "--tau12", "0i",
+                            "--tau22", "1.1i"], capsys)
+    assert code == 0
+    entry = data["checks"][0]["details"]["per_lattice"][0]
+    assert entry["norm_bound"] == 16 and entry["largest_level"] == 170161
 
 
 def test_verify_sw_diagonal_specialization_flagged(capsys):
