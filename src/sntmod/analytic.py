@@ -12,18 +12,22 @@ holds with Q(m,n) = m^2 tau11 + 2mn tau12 + n^2 tau22 and the mass constant
 C fixed by 1 = C sum_j |Aut_j|^{-1}.  Both sides are evaluated with
 certified truncation tails; lattice shell counts are exact integers from a
 depth-first Cholesky-pruned walk over one of each pair ±x, whose prefixes
-carry shrinking partial sums, not coordinates.  The walk stops two
-coordinates short: below each prefix, the norms of the last two are a
-binary quadratic polynomial fixed by the prefix's residue class modulo the
-column Hermite form of the Gram's leading 2x2 block, up to a shift, so
-each prefix is tallied under one key (class, least norm) and each class's
-tally is convolved once with its polynomial's histogram.  The guard still
-counts the candidates of those two levels, the last of which are exactly
-the vectors of norm <= B.  A Gram is checked positive definite by
-fraction-free elimination on ints.  The independent
-oracles (plain truncated loops for both sides, and an exact rational
-Fincke-Pohst enumeration of lattice vectors) live with the tests, in
-tests/analytic_oracles.py.
+carry shrinking partial sums, not coordinates.  The walk stops k
+coordinates short, k = 4 when the Gram's leading 4x4 block has det at most
+_TAIL_DET (3 on a rank-3 Gram) and k = 2 otherwise: below each prefix, the
+norms of the last k are a quadratic polynomial fixed by the prefix's
+residue class modulo the column Hermite form of the leading k x k block,
+up to a shift, so each prefix is tallied under one key (class, least norm)
+and each class's tally is convolved once with its polynomial's histogram.
+A class's pattern is walked by the same level step as the prefixes.  The
+guard still counts the candidates of those k levels as the exact walk
+would, the last of which are exactly the vectors of norm <= B.  D16+ to
+norm 6 counts in about 33 ms, against 54 ms with k = 2 (medians of 7
+runs on a 2-core shared host, Python 3.11, numpy 2.4).  A Gram is
+checked positive definite by fraction-free elimination on ints.  The
+independent oracles (plain truncated loops for both sides, and an exact
+rational Fincke-Pohst enumeration of lattice vectors) live with the tests,
+in tests/analytic_oracles.py.
 """
 from __future__ import annotations
 
@@ -202,6 +206,13 @@ def rank16_genus():
 # does not follow the number of vectors of norm <= B
 _CHUNK = 4096
 
+# the largest det G[:k, :k] at which the walker counts the last k = 4
+# coordinates (3 on a rank-3 gram) per residue class; each class walks its
+# own pattern, so past it the walk stops k = 2 coordinates short.  Timed on
+# rank-14 grams (2-core shared host), k = 4 took 0.5-0.8 of k = 2's time at
+# det 36-87 and 1.2-1.9 of it at det 156-295
+_TAIL_DET = 100
+
 
 def _runs(lo, cnt):
     """(rows, x): each row j repeated cnt[j] times, beside the integers
@@ -211,137 +222,201 @@ def _runs(lo, cnt):
     return rows, np.arange(len(rows)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
 
 
-def _hermite(a, b, c):
-    """(g, h, k, U): H·U = [[g, 0], [h, k]] for H = [[a, b], [b, c]]
-    positive definite and U unimodular, H's column Hermite form, with
-    g = gcd(a, b) and k = det H / g.  So each e in Z² is H·U·q + r for
-    exactly one residue r in [0, g) × [0, k): q0 = e0 // g and
-    q1 = (e1 - h·q0) // k."""
-    g = math.gcd(a, b)
-    x = pow(a // g, -1, abs(b) // g) if b else 1     # a·x ≡ g (mod b)
-    y = (g - a * x) // b if b else 0
-    return g, b * x + c * y, (a * c - b * b) // g, [[x, -b // g], [y, a // g]]
+def _candidates(R, i, bound, level):
+    """(lo, cnt): the x_i of float norm <= bound below each column of
+    level = (pn, en, z, S, E) run over lo, lo + 1, ..., lo + cnt - 1; a
+    column still all zero (z) starts at 0."""
+    pn, _, z, S, _ = level
+    rii = R[i, i]
+    width = np.sqrt(np.maximum(bound - pn, 0.0)) / rii
+    center = -S[i] / rii
+    lo = np.ceil(center - width).astype(np.int64)
+    hi = np.floor(center + width).astype(np.int64)
+    lo = np.where(z, np.maximum(lo, 0), lo)
+    return lo, np.where(pn <= bound, np.maximum(hi - lo + 1, 0), 0)
 
 
-def _tail_classes(H, e0, e1, B):
-    """(m, hist) for the residues e_j = (e0[j], e1[j]), int64 arrays, and a
-    positive definite H = [[a, b], [b, c]]: m[j] is the least value of
-    p_j(w) = wᵀHw + 2e_jᵀw over w in Z², and
-    hist[j, n] = #{w : p_j(w) = m[j] + n} for n = 0..B.
+def _descend(R, G, i, lo, cnt, level):
+    """(rows, level'): the level step fixing x_i, one column per candidate,
+    rows[c] the column of `level` it extends."""
+    pn, en, z, S, E = level
+    rows, xi = _runs(lo, cnt)
+    # (x + x_i e_i)ᵀG(x + x_i e_i) = xᵀGx + x_i (2 (Gx)_i + G_ii x_i)
+    en = en[rows] + xi * (2 * E[i].take(rows) + G[i, i] * xi)
+    pn = pn[rows] + (R[i, i] * xi + S[i].take(rows)) ** 2
+    S = S[:i].take(rows, axis=1) + np.multiply.outer(R[:i, i], xi)
+    E = E[:i].take(rows, axis=1) + np.multiply.outer(G[:i, i], xi)
+    return rows, (pn, en, z[rows] & (xi == 0), S, E)
 
-    Each walk runs around w*, the nearest-plane rounding of the real
-    minimizer -H⁻¹e_j: p_j(w* + w) = p_j(w*) + p'(w) with
-    p'(w) = wᵀHw + 2e'ᵀw and e' = Hw* + e_j, a residue of the size of H's
-    entries whatever det H is.  p' is 0 at w = 0, so its least value is
-    among its values <= B, which the two-coordinate Fincke-Pohst walk
-    lists, with some more: with d = det H and f = a e'_1 - b e'_0,
-    a·p' = (a w0 + b w1 + e'_0)² + q(w1) and
-    d·q(w1) = (d w1 + f)² - f² - d e'_0², so w1 runs over the integers
-    with q(w1) <= a·B and, below each w1, w0 over those with
-    (a w0 + b w1 + e'_0)² <= a·B - q(w1).  Both ranges are taken from
-    float square roots one wider on each side."""
-    (a, b), (_, c) = H
-    d = a * c - b * b
-    w1 = (d - 2 * (a * e1 - b * e0)) // (2 * d)
-    w0 = (a - 2 * (b * w1 + e0)) // (2 * a)
-    at = (a * w0 + 2 * (b * w1 + e0)) * w0 + (c * w1 + 2 * e1) * w1
-    e0, e1 = a * w0 + b * w1 + e0, b * w0 + c * w1 + e1
-    f = a * e1 - b * e0
-    s = np.sqrt(d * (a * B + e0 * e0) + f * f).astype(np.int64) + 1
-    lo = -((s + f) // d)
-    j, w1 = _runs(lo, (s - f) // d - lo + 1)
-    room = a * B - (d * w1 * w1 + 2 * f[j] * w1 - e0[j] ** 2)
-    s = np.sqrt(np.maximum(room, 0)).astype(np.int64) + 1
-    u = b * w1 + e0[j]
-    lo = -((s + u) // a)
-    rows, w0 = _runs(lo, np.maximum((s - u) // a - lo + 1, 0))
-    w1, j = w1[rows], j[rows]
-    p = (a * w0 + 2 * (b * w1 + e0[j])) * w0 + (c * w1 + 2 * e1[j]) * w1
-    # each p' is 0 at w = 0, and its values <= B are all listed, so these
-    # are the least ones, and those at most B above them are listed too
-    low = np.zeros(len(e0), dtype=np.int64)
-    np.minimum.at(low, j, p)
-    p -= low[j]
-    keep = p <= B
-    hist = np.bincount(j[keep] * (B + 1) + p[keep], minlength=len(e0) * (B + 1))
-    return at + low, hist.reshape(-1, B + 1)
+
+def _hermite(H):
+    """(L, U): H·U = L lower triangular with a positive diagonal, U
+    unimodular, for a nonsingular int matrix H, by extended-gcd column
+    operations: H's column Hermite form without the reduction of L's
+    entries below the diagonal.  Each e in Z^k is then L·q + r for exactly
+    one residue r in [0, L_00) × ... × [0, L_{k-1,k-1}), read off by
+    forward floor divisions, and Π L_ii = |det H|."""
+    k = len(H)
+    L = [list(row) for row in H]
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            a, b = L[i][i], L[i][j]
+            if not b:
+                continue
+            g, x, y = a, 1, 0                 # a·x + b·y = g = gcd(a, b)
+            g1, x1, y1 = b, 0, 1
+            while g1:
+                t = g // g1
+                g, g1, x, x1, y, y1 = g1, g - t * g1, x1, x - t * x1, y1, y - t * y1
+            # columns (i, j) times [[x, -b/g], [y, a/g]], of det 1
+            for M in (L, U):
+                for row in M:
+                    ci, cj = row[i], row[j]
+                    row[i], row[j] = x * ci + y * cj, (a * cj - b * ci) // g
+        if L[i][i] < 0:
+            for M in (L, U):
+                for row in M:
+                    row[i] = -row[i]
+    return L, U
+
+
+def _convolve(a, b):
+    """The product of the series a and b cut to their length, exact on
+    int64 arrays and on object arrays of Python ints: one shifted copy of
+    one side per nonzero entry of the other, the sparser, since both may be
+    long and mostly zero when B is large."""
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros_like(b)
+    for n in np.flatnonzero(a).tolist():
+        out[n:] += a[n] * b[:len(b) - n]
+    return out
 
 
 class _Tails:
-    """The tails w = (x_0, x_1) of a walk's prefixes, counted in closed form.
+    """The tails y = (x_0, ..., x_{k-1}) of a walk's prefixes, counted per
+    residue class.
 
-    A prefix fixing x_2..x_{N-1} has an exact norm en and
-    e = ((Gx)_0, (Gx)_1), and its tail the norms en + wᵀHw + 2eᵀw over
-    w in Z², H = G[:2, :2].  Two floor divisions by H's column Hermite form
-    write e = Hv + r with r one of det H residues, and then the norms are
-    en - vᵀ(e + r) + p_r(w), with p_r(w) = wᵀHw + 2rᵀw.  So a prefix is
-    one key: its class r and the least norm of its tail, its start.  Each
-    class's prefixes are tallied by start, and each tally is convolved once
-    with p_r's histogram.  A class gets its pattern, from a walk over
-    p_r's ellipse, only when it occurs, and past _CHUNK classes the tallies
-    are convolved and the classes dropped, so at most 2·_CHUNK tallies and
-    patterns of B + 1 counts are held, whatever det H is."""
+    A prefix fixing x_k..x_{N-1} has an exact norm en, a float norm pn and
+    e = ((Gx)_0, ..., (Gx)_{k-1}), and its tail the norms
+    en + yᵀHy + 2eᵀy over y in Z^k, H = G[:k, :k].  Forward floor
+    divisions by H's column Hermite form write e = Hv + r with r one of
+    det H residues, and then the norms are en - vᵀ(e + r) + p_r(y), with
+    p_r(y) = yᵀHy + 2rᵀy, and the tail's float partial norms are those of
+    y + v below the column (pn = 0, en = 0, S = R_k·H⁻¹r, E = r) shifted
+    by pn.  So a prefix is one key: its class r and the least norm of its
+    tail, its start.  Each class's prefixes are tallied by start, and each
+    tally is convolved once with p_r's histogram.
 
-    def __init__(self, G, B):
-        self.H = [[int(G[i, j]) for j in range(2)] for i in range(2)]
-        (a, b), (_, c) = self.H
-        self.g, self.h, self.k, self.U = _hermite(a, b, c)
-        self.B = B
-        # r -> [least value of p_r, p_r's histogram above it, prefixes by start]
+    A class gets its pattern when it first occurs: the walker's own level
+    steps from that column down to level 0 at the walk's bounds, which give
+    p_r's values at the leaves and, for levels 1..k-2, the sorted float
+    norms of the nodes, from which a prefix's candidates there are counted
+    as a full walk would.  A prefix's float norm is at least 0, so its
+    nodes are among its class's.  Past _CHUNK classes the tallies are
+    convolved and the classes dropped, so at most 2·_CHUNK tallies and
+    patterns are held, whatever det H is."""
+
+    def __init__(self, G, R, k, B, bounds):
+        self.G, self.R, self.k, self.B, self.bounds = G, R, k, B, bounds
+        self.L, self.U = _hermite(G[:k, :k].tolist())
+        self.det = math.prod(self.L[i][i] for i in range(k))
+        # r -> [least value of p_r, p_r's histogram above it, prefixes by
+        # start, sorted node norms of levels 1..k-2]
         self.classes = {}
         self.half = np.zeros(B + 1, dtype=np.int64)
 
-    def add(self, en, e0, e1, zero):
-        """Tally the prefixes with exact norms en and (Gx)_0, (Gx)_1 = e0,
-        e1, `zero` when the zero prefix is among them, and return the
-        number of vectors of norm <= B below them, the walk's leaves."""
-        g, h, k, B = self.g, self.h, self.k, self.B
-        (u00, u01), (u10, u11) = self.U
-        q0 = e0 // g
-        r0 = e0 - g * q0
-        t = e1 - h * q0
-        q1 = t // k
-        r1 = t - k * q1
+    def _patterns(self, r):
+        """The class rows of the residues r, one per column."""
+        k, B = self.k, self.B
+        n = r.shape[1]
+        level = (np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool),
+                 np.linalg.solve(self.R[:k, :k].T, r), r)
+        cls = np.arange(n)
+        nodes = []
+        for i in range(k - 1, -1, -1):
+            lo, cnt = _candidates(self.R, i, self.bounds[i], level)
+            rows, level = _descend(self.R, self.G, i, lo, cnt, level)
+            cls = cls[rows]       # rows ascend, so cls stays sorted
+            if 0 < i < k - 1:
+                order = np.lexsort((level[0], cls))
+                cuts = np.cumsum(np.bincount(cls, minlength=n))[:-1]
+                nodes.insert(0, np.split(level[0][order], cuts))
+        p = level[1]
+        size = np.bincount(cls, minlength=n)
+        # a class without leaves gets start B + 1: no prefix of it has any
+        least = np.full(n, B + 1, dtype=np.int64)
+        least[size > 0] = np.minimum.reduceat(p, (np.cumsum(size) - size)[size > 0])
+        p = p - least[cls]
+        keep = p <= B
+        hist = np.bincount(cls[keep] * (B + 1) + p[keep],
+                           minlength=n * (B + 1)).reshape(n, B + 1)
+        return [[m, h, np.zeros(B + 1, dtype=np.int64), levels]
+                for m, h, *levels in zip(least.tolist(), hist, *nodes)]
+
+    def add(self, level):
+        """Tally the prefixes of level = (pn, en, z, S, E) and return the
+        candidate counts a full walk would take below them at levels 0, 1,
+        ..., k-2; level 0's are the vectors of norm <= B."""
+        k, B, L = self.k, self.B, self.L
+        pn, en, z, _, E = level
+        q, r = [], []
+        key = 0
+        for i in range(k):
+            t = E[i] - sum(L[i][j] * q[j] for j in range(i))
+            q.append(t // L[i][i])
+            r.append(t - L[i][i] * q[i])
+            key = key * L[i][i] + r[i]
         # e = H·U·q + r, so v = U·q
-        v0 = u00 * q0 + u01 * q1
-        v1 = u10 * q0 + u11 * q1
-        keys, inv = np.unique(r0 * k + r1, return_inverse=True)
-        new = [r for r in keys.tolist() if r not in self.classes]
+        shift = en - sum(sum(u * qj for u, qj in zip(self.U[i], q)) * (E[i] + r[i])
+                         for i in range(k))
+        if self.det < 2 ** 15:
+            key = key.astype(np.int16)      # which numpy sorts by radix
+        keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        keys = keys.tolist()
+        new = [c for c, r_ in enumerate(keys) if r_ not in self.classes]
         if new:
-            m, hist = _tail_classes(self.H, *np.divmod(np.array(new), k), B)
-            for r, *row in zip(new, m.tolist(), hist):
-                self.classes[r] = [*row, np.zeros(B + 1, dtype=np.int64)]
-        rows = [self.classes[r] for r in keys.tolist()]
-        start = en - v0 * (e0 + r0) - v1 * (e1 + r1) + \
-            np.array([m for m, _, _ in rows])[inv]
+            cols = first[new]
+            for c, row in zip(new, self._patterns(np.array([ri[cols] for ri in r]))):
+                self.classes[keys[c]] = row
+        rows = [self.classes[r_] for r_ in keys]
+        start = shift + np.array([m for m, *_ in rows])[inv]
         keep = start <= B
         starts = np.bincount(inv[keep] * (B + 1) + start[keep],
                              minlength=len(rows) * (B + 1)).reshape(-1, B + 1)
-        cum = np.cumsum([hist for _, hist, _ in rows], axis=1)
-        leaves = int((starts * cum[:, ::-1]).sum())
+        cum = np.cumsum([hist for _, hist, _, _ in rows], axis=1)
+        counts = [int((starts * cum[:, ::-1]).sum())]
         for row, n in zip(rows, starts):
             row[2] += n
-        if zero:
-            # the zero prefix, class 0 from norm 0: its tail holds w and -w
-            # for each w != 0 and 0 once, and the walk keeps one of each pair
-            pairs = self.classes[0][1] // 2
+        if k > 2:
+            # a prefix's nodes at level j are its class's with float norm
+            # at most the level's bound minus pn
+            order = np.argsort(key, kind="stable")
+            groups = np.split(pn[order], np.cumsum(np.bincount(inv))[:-1])
+            counts += [sum(int(np.searchsorted(row[3][j], self.bounds[j + 1] - g,
+                                               side="right").sum())
+                           for row, g in zip(rows, groups)) for j in range(k - 2)]
+        if z.any():
+            # the zero prefix, class 0 from norm 0: its tail holds y and -y
+            # for each y != 0 and 0 once, at every level, and the walk keeps
+            # one of each pair
+            zero = self.classes[0]
+            pairs = zero[1] // 2
             self.half -= pairs
-            leaves -= int(pairs.sum())
+            counts[0] -= int(pairs.sum())
+            for j, vals in enumerate(zero[3]):
+                full = np.searchsorted(vals, self.bounds[j + 1], side="right")
+                counts[j + 1] -= int(full) // 2
         if len(self.classes) > _CHUNK:
             self.total()
-        return leaves
+        return counts
 
     def total(self):
         """The half counts of every tail tallied so far, the classes'
         tallies convolved with their patterns; drops the classes."""
-        B = self.B
-        for _, hist, starts in self.classes.values():
-            # one shifted copy of one side per nonzero entry of the other,
-            # the sparser: both may be long and mostly zero when B is large
-            if np.count_nonzero(starts) > np.count_nonzero(hist):
-                starts, hist = hist, starts
-            for n in np.flatnonzero(starts).tolist():
-                self.half[n:] += starts[n] * hist[:B + 1 - n]
+        for _, hist, starts, _ in self.classes.values():
+            self.half += _convolve(starts, hist)
         self.classes.clear()
         return self.half
 
@@ -353,24 +428,26 @@ def _shell_chunks(gram, B):
     have the same norm, and x = -x only for x = 0, so the walk visits zero
     and the x whose highest-index nonzero coordinate is positive.
 
-    Depth-first Cholesky-pruned enumeration of x_{N-1}, ..., x_2: a level
-    step fixes coordinate i below at most _CHUNK prefixes that fix
-    coordinates i+1..N-1, and pending prefixes wait on a stack.  Below a
-    prefix still all zero, x_i starts at 0.  A prefix carries no
-    coordinates, only the partial sums S[j] = Σ_k R[j,k] x_k (floats) and
-    E[j] = Σ_k G[j,k] x_k (exact) over its fixed k, for the j <= i still
-    free: S[i] centers x_i, E[i] = (Gx)_i updates the exact norm en, and
-    the step adds x_i times column i of R and G to rows j < i, so level i
-    holds at most _CHUNK × width × i of each.  The last two coordinates
-    are not expanded: `_Tails` counts each prefix's vectors of norm <= B
-    in closed form, from en, E[0] and E[1].  A rank-1 gram [[g]] is walked
-    as [[g, 0], [0, B + 1]], whose added coordinate no vector of norm
-    <= B uses.
+    Depth-first Cholesky-pruned enumeration of x_{N-1}, ..., x_k: a level
+    step (`_candidates`, `_descend`) fixes coordinate i below at most
+    _CHUNK prefixes that fix coordinates i+1..N-1, and pending prefixes
+    wait on a stack.  Below a prefix still all zero, x_i starts at 0.  A
+    prefix carries no coordinates, only the partial sums
+    S[j] = Σ_l R[j,l] x_l (floats) and E[j] = Σ_l G[j,l] x_l (exact) over
+    its fixed l, for the j <= i still free: S[i] centers x_i, E[i] = (Gx)_i
+    updates the exact norm en, and the step adds x_i times column i of R
+    and G to rows j < i, so level i holds at most _CHUNK × width × i of
+    each.  The last k coordinates are not expanded: k = 4 (3 on a rank-3
+    gram) when det G[:k, :k] <= _TAIL_DET, else 2, and `_Tails` counts
+    each prefix's vectors of norm <= B per residue class, from en, pn and
+    E[:k].  A rank-1 gram [[g]] is walked as [[g, 0], [0, B + 1]], whose
+    added coordinate no vector of norm <= B uses.
 
-    The guard counts every level as a full walk would.  Float bounds are
-    inflated to B + ½, so level 1's candidates are still counted from the
-    float sums, and level 0's float candidates are exactly the leaves, the
-    vectors of norm <= B, since norms are integers.  Raises
+    The guard counts every level as the exact rational walk at bound
+    B + ½ would.  Level i's float bound is B + ½, lifted by 1/(2 D_i) when
+    D_i = det G[:i, :i] is even, so levels k-1..1 are counted from float
+    norms without ties, and level 0's float candidates are exactly the
+    leaves, the vectors of norm <= B, since norms are integers.  Raises
     EnumerationGuardError before a step would take a level's candidate
     count, summed over its chunks, past the guard.
     """
@@ -380,8 +457,13 @@ def _shell_chunks(gram, B):
     G = np.array(gram, dtype=np.int64)
     N = len(gram)
     R = np.linalg.cholesky(G.astype(float)).T   # upper triangular, RᵀR = G
-    bound = B + 0.5
-    tails = _Tails(G, B)
+    # D_i = det G[:i, :i] times a level-i float norm is an integer, so with
+    # D_i even the norm can be B + ½ exactly: the bound is lifted halfway
+    # to the next value, where rounding cannot move a candidate across it
+    D = [1] + _leading_minors(gram)
+    bounds = [B + 0.5 + (0.5 / d if d % 2 == 0 else 0.0) for d in D]
+    k = min(N, 4) if D[min(N, 4)] <= _TAIL_DET else 2
+    tails = _Tails(G, R, k, B, bounds)
     seen = [0] * N
 
     def count(i, n):
@@ -400,29 +482,18 @@ def _shell_chunks(gram, B):
         if len(level[0]) > _CHUNK:
             stack.append((i, *(a[..., _CHUNK:] for a in level)))
             level = [a[..., :_CHUNK] for a in level]
-        pn, en, z, S, E = level
         i -= 1
-        rii = R[i, i]
-        width = np.sqrt(np.maximum(bound - pn, 0.0)) / rii
-        center = -S[i] / rii
-        lo = np.ceil(center - width).astype(np.int64)
-        hi = np.floor(center + width).astype(np.int64)
-        lo = np.where(z, np.maximum(lo, 0), lo)
-        cnt = np.where(pn <= bound, np.maximum(hi - lo + 1, 0), 0)
+        lo, cnt = _candidates(R, i, bounds[i], level)
         total = int(cnt.sum())
         count(i, total)
         if not total:
             continue
-        if i == 1:
-            count(0, tails.add(en, *E, z.any()))
+        if i == k - 1:
+            for j, n in enumerate(tails.add(level)):
+                count(j, n)
             continue
-        rows, xi = _runs(lo, cnt)
-        # (x + x_i e_i)ᵀG(x + x_i e_i) = xᵀGx + x_i (2 (Gx)_i + G_ii x_i)
-        en = en[rows] + xi * (2 * E[i].take(rows) + G[i, i] * xi)
-        pn = pn[rows] + (rii * xi + S[i].take(rows)) ** 2
-        S = S[:i].take(rows, axis=1) + np.multiply.outer(R[:i, i], xi)
-        E = E[:i].take(rows, axis=1) + np.multiply.outer(G[:i, i], xi)
-        stack.append((i, pn, en, z[rows] & (xi == 0), S, E))
+        _, level = _descend(R, G, i, lo, cnt, level)
+        stack.append((i, *level))
     return tails.total(), max(seen)
 
 
@@ -461,11 +532,10 @@ def _shell_counts(gram, B):
         sub = [[gram[i][j] for j in comp] for i in comp]
         half, level = _shell_chunks(sub, B)
         largest = max(largest, level)
-        c = (2 * half).tolist()
+        c = (2 * half).astype(object)     # Python ints, which cannot overflow
         c[0] -= 1
-        counts = c if counts is None else [
-            sum(counts[k] * c[n - k] for k in range(n + 1)) for n in range(B + 1)]
-    return counts or [1] + [0] * B, largest
+        counts = c if counts is None else _convolve(counts, c)
+    return [1] + [0] * B if counts is None else counts.tolist(), largest
 
 
 def primitive_counts(counts):

@@ -16,6 +16,7 @@ input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -293,7 +294,10 @@ class _Parser(argparse.ArgumentParser):
         raise HelpRequested(self.format_help())
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process: parsing reads it
+    and leaves it as it was, and each parse gets a fresh namespace."""
     p = _Parser(
         prog="sntmod",
         description="Exact structure theory of symplectic t-modules and "

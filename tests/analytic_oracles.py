@@ -3,11 +3,12 @@
 `lattice_vectors` enumerates lattice vectors by a plain recursive
 Fincke-Pohst walk over the exact rational LDLᵀ of the Gram; it shares no
 code with the library's float-pruned half walk, whose shell counts it
-checks.  The direct evaluators are plain truncated loops over lattice
-pairs, coprime pairs and coprime quadruples, checked against the
-accelerated evaluators (`theta_colinear`, `eisenstein_q`,
-`eisenstein_lhs`).  The file is not named test_*.py, so pytest imports it
-without collecting it.
+checks, and `lattice_levels` counts the exact half walk's candidates per
+level, which the guard's counts must match.  The direct evaluators are
+plain truncated loops over lattice pairs, coprime pairs and coprime
+quadruples, checked against the accelerated evaluators
+(`theta_colinear`, `eisenstein_q`, `eisenstein_lhs`).  The file is not
+named test_*.py, so pytest imports it without collecting it.
 """
 import math
 from fractions import Fraction
@@ -33,6 +34,17 @@ def _ldl(gram):
     return d, u
 
 
+def _int_ldl(gram):
+    """(m, K, w, p): the LDLᵀ terms over one denominator K, with m_i the
+    denominator of row i of U: K·d_i (x_i - c_i)² = w_i (m_i x_i + P_i)²
+    with P_i = Σ_{j>i} p[i][j] x_j, all ints."""
+    d, u = _ldl(gram)
+    m = [math.lcm(*(v.denominator for v in row)) for row in u]
+    K = math.lcm(*((di / mi ** 2).denominator for di, mi in zip(d, m)))
+    w = [int(K * di / mi ** 2) for di, mi in zip(d, m)]
+    return m, K, w, [[int(mi * v) for v in row] for mi, row in zip(m, u)]
+
+
 def lattice_vectors(gram, B):
     """All x in Z^n with xᵀGx <= B, as (x, xᵀGx) pairs of an int tuple and
     an int, in lexicographic order of (x_{n-1}, ..., x_0).
@@ -46,11 +58,7 @@ def lattice_vectors(gram, B):
     K·d_i (x_i - c_i)² = w_i (m_i x_i + P_i)² with P_i = -m_i c_i, so each
     range is read off an integer square root: every x_i tried is kept."""
     n = len(gram)
-    d, u = _ldl(gram)
-    m = [math.lcm(*(v.denominator for v in row)) for row in u]
-    K = math.lcm(*((di / mi ** 2).denominator for di, mi in zip(d, m)))
-    w = [int(K * di / mi ** 2) for di, mi in zip(d, m)]
-    p = [[int(mi * v) for v in row] for mi, row in zip(m, u)]
+    m, K, w, p = _int_ldl(gram)
     x = [0] * n
     out = []
 
@@ -69,6 +77,35 @@ def lattice_vectors(gram, B):
     if B >= 0:
         walk(n - 1, 0)
     return out
+
+
+def lattice_levels(gram, B):
+    """[n_0, ..., n_{n-1}]: n_i counts the candidates x_i of the exact half
+    walk at bound B + ½, the nodes (x_i, ..., x_{n-1}) whose terms k >= i
+    of the LDLᵀ sum Σ_k d_k (x_k - c_k)² add up to at most B + ½ and whose
+    highest nonzero coordinate, if any, is positive: below a prefix still
+    all zero, x_i starts at 0.  The same integer square roots as
+    `lattice_vectors`, with K·(B + ½) as the bound."""
+    n = len(gram)
+    m, K, w, p = _int_ldl(gram)
+    x = [0] * n
+    levels = [0] * n
+
+    def walk(i, Q, zero):
+        # 2·w_i (m_i x_i + P)² <= K (2B + 1) - 2Q
+        if i < 0:
+            return
+        P = sum(p[i][j] * x[j] for j in range(i + 1, n))
+        s = math.isqrt((K * (2 * B + 1) - 2 * Q) // (2 * w[i]))
+        lo = -((s + P) // m[i])
+        for xi in range(max(lo, 0) if zero else lo, (s - P) // m[i] + 1):
+            levels[i] += 1
+            x[i] = xi
+            walk(i - 1, Q + w[i] * (m[i] * xi + P) ** 2, zero and xi == 0)
+
+    if B >= 0:
+        walk(n - 1, 0, True)
+    return levels
 
 
 def theta_colinear_direct(L, pt, B):

@@ -25,7 +25,8 @@ from sntmod.analytic import (AUT_E8, IntegralLattice, SiegelPoint,
 from sntmod.sntmodule import EnumerationGuardError
 
 from analytic_oracles import (eisenstein_direct, eisenstein_lhs_direct,
-                              lattice_vectors, theta_colinear_direct)
+                              lattice_levels, lattice_vectors,
+                              theta_colinear_direct)
 
 
 @pytest.fixture(scope="module")
@@ -353,16 +354,18 @@ def test_enumeration_guard_least_limit(name, monkeypatch):
 
 
 def _with_tail(H, rest, rng):
-    """A positive definite gram whose walk ends in the block H: H, then
-    `rest` coordinates of diagonal above H's, so that the stable sort by
-    diagonal keeps H's two first, coupled to H by entries in {-1, 0, 1}."""
-    n = 2 + rest
+    """A positive definite gram whose walk ends in the k x k block H: H,
+    then `rest` coordinates of diagonal above H's, so that the stable sort
+    by diagonal keeps H's k first, coupled to H by entries in {-1, 0, 1}."""
+    k = len(H)
+    n = k + rest
+    top = max(H[i][i] for i in range(k))
     while True:
         gram = [[0] * n for _ in range(n)]
-        for i in range(2):
-            gram[i][:2] = H[i]
-        for i in range(2, n):
-            gram[i][i] = max(H[0][0], H[1][1]) + rng.randint(1, 3)
+        for i in range(k):
+            gram[i][:k] = H[i]
+        for i in range(k, n):
+            gram[i][i] = top + rng.randint(1, 3)
             for j in range(i):
                 gram[i][j] = gram[j][i] = rng.randint(-1, 1)
         minors = analytic._leading_minors(gram)     # up to the first <= 0
@@ -370,7 +373,7 @@ def _with_tail(H, rest, rng):
             return gram
 
 
-# tail blocks H = G[:2, :2]: diagonal and not, with det 1 to 28, gcd of the
+# 2 x 2 tail blocks H = G[:2, :2]: diagonal and not, with det 1 to 28, gcd of the
 # first row 1 to 3, and one reduced basis of Z² that is not ([[2, 3], [3, 5]])
 _TAIL_BLOCKS = [[[1, 0], [0, 1]], [[1, 0], [0, 2]], [[2, 0], [0, 3]],
                 [[3, 0], [0, 5]], [[4, 0], [0, 7]], [[2, 1], [1, 2]],
@@ -444,6 +447,129 @@ def test_skewed_tail_block_stays_small(name, chunk, monkeypatch):
     assert got == want
     # one int64 per class would be 8 MB
     assert peak < 2 << 20, peak
+
+
+# 3 x 3 and 4 x 4 leading blocks, diagonal and not, of det 4 to 37, and
+# one of det _TAIL_DET + 1, whose walk stops two coordinates short
+_K_BLOCKS = [[[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+             [[2, -1, 1], [-1, 3, 0], [1, 0, 4]], [[3, 1, 1], [1, 3, 1], [1, 1, 3]],
+             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
+             [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+             [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+             [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 3, 1], [1, 0, 1, 4]]]
+_ABOVE_CAP = [[2, 1, 0, -1], [1, 3, 1, 0], [0, 1, 5, 0], [-1, 0, 0, 5]]
+
+
+def _tail_sizes(gram):
+    """The tail size k of each orthogonal component's walk, in the
+    walker's coordinate order: min(rank, 4) when that leading block has
+    det at most _TAIL_DET, else 2 (a rank-1 component is walked at rank 2)."""
+    sizes = []
+    for comp in analytic._orthogonal_components(gram):
+        comp = sorted(comp, key=lambda i: gram[i][i])
+        k = max(2, min(len(comp), 4))
+        block = [[gram[i][j] for j in comp[:k]] for i in comp[:k]]
+        det = analytic._leading_minors(block)[-1] if len(comp) > 1 else 0
+        sizes.append(k if det <= analytic._TAIL_DET else 2)
+    return sizes
+
+
+def _k_cases():
+    """(id, gram, B): each block below 1 or 3 more coordinates and, if
+    3 x 3, alone."""
+    rng = random.Random(32)
+    cases = []
+    for H in _K_BLOCKS + [_ABOVE_CAP]:
+        name = "K%s-" % ",".join(str(H[i][j]) for i in range(len(H))
+                                 for j in range(i, len(H)))
+        for rest in (1, 3):
+            gram = _with_tail(H, rest, rng)
+            cases.append((name + "rank%d" % (len(H) + rest), gram,
+                          2 * max(gram[i][i] for i in range(len(gram)))))
+        if len(H) == 3:
+            cases.append((name + "alone", H, 14 + rng.randint(0, 6)))
+    return cases
+
+
+_K_CASES = {name: (gram, B) for name, gram, B in _k_cases()}
+
+
+def test_k_cases_cover_each_tail_size():
+    assert analytic._leading_minors(_ABOVE_CAP)[-1] == analytic._TAIL_DET + 1
+    sizes = {name: _tail_sizes(gram) for name, (gram, _) in _K_CASES.items()}
+    assert {k for ks in sizes.values() for k in ks} == {2, 3, 4}
+    # the block just above the cap, connected to the rest, falls back to 2
+    above = [ks for name, ks in sizes.items() if name.startswith("K2,1,0,-1,")]
+    assert above and all(ks == [2] for ks in above)
+
+
+@functools.lru_cache(maxsize=None)
+def _k_oracle_counts(name):
+    return _oracle_counts(*_K_CASES[name])
+
+
+@pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
+@pytest.mark.parametrize("name", list(_K_CASES))
+def test_k_blocks_match_full_walk(name, chunk, monkeypatch):
+    # the per-class tails of the last k coordinates against every vector
+    # the exact full walk lists, with the k the walk took
+    gram, B = _K_CASES[name]
+    want = _k_oracle_counts(name)
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    taken = []
+
+    class Spy(analytic._Tails):
+        def __init__(self, G, R, k, *args):
+            taken.append(k)
+            super().__init__(G, R, k, *args)
+
+    monkeypatch.setattr(analytic, "_Tails", Spy)
+    assert IntegralLattice(gram).counts_by_norm(B) == want
+    assert taken == _tail_sizes(gram)
+
+
+def _exact_largest_level(gram, B):
+    """The largest level count of the exact half walks of the gram's
+    orthogonal components, each in the walker's order (stably sorted by
+    diagonal)."""
+    largest = 0
+    for comp in analytic._orthogonal_components(gram):
+        comp = sorted(comp, key=lambda i: gram[i][i])
+        sub = [[gram[i][j] for j in comp] for i in comp]
+        largest = max(largest, max(lattice_levels(sub, B)))
+    return largest
+
+
+_LEVEL_CASES = {**_COUNT_CASES, **_TAIL_CASES, **_K_CASES}
+
+
+@pytest.mark.parametrize("name", list(_LEVEL_CASES))
+def test_largest_level_matches_exact_half_walk(name):
+    # the guard's counts, those of the tail levels included, are the exact
+    # rational walk's at bound B + ½, ties at B + ½ too (E8 at odd B)
+    gram, B = _LEVEL_CASES[name]
+    L = IntegralLattice(gram)
+    L.counts_by_norm(B)
+    assert L._largest_level == _exact_largest_level(gram, B)
+
+
+def test_exact_levels_of_e8():
+    # E8 to norm 1 holds only 0, but its partial norms reach B + ½ = 3/2
+    # exactly: level 1 of the exact half walk has 29 candidates
+    assert lattice_levels(analytic._E8_GRAM, 1) == [1, 29, 39, 32, 16, 8, 4, 2]
+    assert lattice_levels(analytic._E8_GRAM, 4)[0] == 1201
+    assert lattice_levels([], 3) == [] and lattice_levels([[2]], -1) == [0]
+
+
+def test_orthogonal_sum_convolved_exactly_at_a_large_bound():
+    # the components' counts are convolved as Python ints, one shifted
+    # copy per nonzero count of the sparser side
+    gram = _orthogonal_sum([[[2]], [[2, 1], [1, 2]]], random.Random(81))
+    got = IntegralLattice(gram).counts_by_norm(2000)
+    assert got == _oracle_counts(gram, 2000)
+    assert all(type(c) is int for c in got)
+    a, b = np.array([1, 0, 2, 0], dtype=object), np.array([3, 1, 0, 5], dtype=object)
+    assert analytic._convolve(a, b).tolist() == [3, 1, 6, 7]
 
 
 def test_orthogonal_components_interleaved():
@@ -534,6 +660,14 @@ def test_scrambled_e8_fixture():
     L = IntegralLattice(gram)
     assert L.det() == 1 and L.is_even()
     assert L.counts_by_norm(16) == _e8_closed_form(16)
+
+
+def test_d16_plus_fixture():
+    # the Gram file that CI runs through `verify-sw` at norm bound 6
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        "d16plus_gram.json")
+    with open(path) as fh:
+        assert json.load(fh) == analytic._D16_PLUS_GRAM
 
 
 def test_rank16_counts_in_bounded_memory():

@@ -620,6 +620,34 @@ def test_help_with_json_is_one_report(argv, capsys):
     assert ("--q" in text) == (argv[0] == "census")
 
 
+def test_main_calls_in_one_process_share_no_state(capsys):
+    # the parser is built once per process, so a usage error, a help
+    # request or a run must leave nothing behind for the next call: each
+    # report is the same in either order of the calls
+    assert cli.build_parser() is cli.build_parser()
+    calls = [["census", "--q", "3"],
+             ["--help"],
+             ["verify-sw", "--tau11", "0.85i", "--tau12", "0i", "--tau22", "1.1i"],
+             ["verify-sw"],
+             ["census", "--q", "3", "--M", "1", "--V", "diag:1,1,1", "--k", "1"]]
+
+    def reports(order):
+        out = {}
+        for argv in order:
+            code, data = _run_json(argv, capsys)
+            del data["wall_time"]
+            out[tuple(argv)] = code, data
+        return out
+
+    forward = reports(calls)
+    assert [forward[tuple(a)][0] for a in calls] == [2, 0, 0, 0, 0]
+    assert forward[tuple(calls[0])][1]["checks"][0]["name"] == "usage"
+    assert forward == reports(calls[::-1])
+    # the default point of `verify-sw` after a call that set another one
+    details = forward[("verify-sw",)][1]["checks"][0]["details"]
+    assert details["per_lattice"][0]["norm_bound"] < 16
+
+
 def test_plain_help_is_argparse_text():
     proc = subprocess.run([sys.executable, "-m", "sntmod.cli", "census", "--help"],
                           capture_output=True, text=True, env=_cli_env(), timeout=60)
