@@ -3,7 +3,7 @@ classification of orthogonal groups over truncated polynomial rings, and
 numerical verification of explicit Siegel-Weil identities."""
 
 from .fields import QQ, GF, PrimeField, RationalField, CharacteristicTwoError
-from .tpoly import TruncPoly, NotAUnitError
+from .tpoly import TruncPoly
 from .sntmodule import (
     SntModule, SntSubmodule, LagrangianFlag,
     NotTStableError, EnumerationGuardError, InvalidModuleError,
@@ -13,7 +13,7 @@ from .sntmodule import (
 )
 from .spgroup import (
     SntAutomorphism, BlockProfile, NotAMemberError,
-    is_member, HomogeneousRingIso, block_profile, unipotent_radical_test,
+    is_member, block_profile, unipotent_radical_test,
     lie_algebra_basis, radical_lie_basis, random_element,
     sp_group_order, sp_ring_generators, group_closure, cayley, exp_nilpotent,
 )

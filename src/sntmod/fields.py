@@ -1,8 +1,7 @@
 """Exact coefficient fields: the rationals and odd prime fields F_p.
 
 All higher layers are generic over a *field descriptor* object exposing
-``zero``, ``one``, ``char``, element construction via ``__call__`` and the
-pivot test ``is_unit`` (true for nonzero elements).
+``zero``, ``one``, ``char`` and element construction via ``__call__``.
 Rational scalars are plain :class:`fractions.Fraction` (already in lowest
 terms with positive denominator); prime-field scalars are :class:`FpElement`
 values stored as residues in ``[0, p)``.
@@ -54,7 +53,6 @@ class RationalField:
     """Descriptor for Q.  A single instance ``QQ`` is exported."""
 
     char = 0
-    is_unit = staticmethod(bool)
 
     def __call__(self, num=0, den=1):
         if isinstance(num, Fraction) and den == 1:
@@ -182,8 +180,6 @@ class FpElement:
 
 class PrimeField:
     """Descriptor for F_p, p an odd prime (p = 2 is rejected)."""
-
-    is_unit = staticmethod(bool)
 
     def __init__(self, p: int):
         if p == 2:

@@ -2,8 +2,7 @@
 
 Matrices are plain lists of lists of ring elements; vectors are lists.  The
 descriptor (``QQ``, ``GF(p)`` or ``tpoly.TruncRing(field, K)`` for
-F[t]/(t^K)) supplies ``zero``, ``one``, element construction and the pivot
-test ``is_unit``.
+F[t]/(t^K)) supplies ``zero``, ``one`` and element construction.
 `mat_mul`, `vec_mat` and `rref` (and so `bilinear`, `inverse`, `solve`,
 `rank`, `right_kernel` and `rref_span`) look at every entry first and run
 on ints for these kinds of input:
@@ -13,25 +12,31 @@ on ints for these kinds of input:
 - all `FpElement`s of one prime p: int residues mod p;
 - all `TruncPoly`s of one precision K whose coefficients are all
   `FpElement`s of one p (F_p[t]/(t^K)), or all over Q with `Fraction`
-  coefficients (Q[t]/(t^K)): products only, by `_lmul` on the int layers
-  of `_to_layers` (residues, or one common denominator per matrix).
-Elimination over F[t]/(t^K) takes the operator path.  Any other input (int
-entries or coefficients, mixed primes, precisions or kinds) goes through
-the elements' operators, in the `_..._generic` helpers.  So there is one
-elimination per scalar kind: `_rref_ints` for Q and F_p, `_rref_generic`
-for every other ring.  Both paths return the same values and element
-types, since `Fraction`, `FpElement` and `TruncPoly` are normalised and
-the reduced echelon form over a field is canonical.
+  coefficients (Q[t]/(t^K)): products by `_lmul` on the int layers of
+  `_to_layers` (residues, or one common denominator per matrix), and
+  `inverse` by t-adic lifting (`_lift_solve`).
+Products of any other input (int entries or coefficients, mixed primes,
+precisions or kinds) go through the elements' operators in
+`_mat_mul_generic`.  There is one elimination, `_rref_ints`, for Q and
+F_p; `rref` raises TypeError on every other kind (rows without entries
+reduce to themselves), and so do `solve`, `rank`, `right_kernel` and
+`rref_span`.  Systems over F[t]/(t^K) are solved by `_lift_solve`: one
+`_rref_ints` of the layer-0 matrix P_0, then one update per layer; it is
+complete when P_0 has full row rank and returns None otherwise.  Its
+callers are `inverse` (so `spgroup.cayley`) and `witt._dual_vectors`; the
+t-local Smith reduction of `sntmodule.quasi_basis` runs on int coefficient
+layers in `sntmodule._smith_orders`.  The boxed unit-pivot elimination they
+replaced is the tests' oracle (`tests/ring_oracles.py`).
 The row-vector convention is used throughout the package: group elements
 act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from one helper, `_power_rows`: rows·A^j
 for j = 0, 1, … until the product vanishes, with ValueError when
 rows·A^n != 0.  `nilpotent_powers` reads it with rows = I (the matrix
-powers I, A, A², …), `t_chain` with rows = [v] (the chain v, vA, vA², …,
-v itself first, [] for v = 0) and `sntmodule.quasi_basis` with the basis
-of a span (its presentation rows).  Over Q and F_p it converts rows and A once,
+powers I, A, A², …) and `t_chain` with rows = [v] (the chain v, vA, vA², …,
+v itself first, [] for v = 0).  Over Q and F_p it converts rows and A once,
 multiplies on ints in `_int_powers` and boxes each power once; any other
-kind multiplies by `mat_mul`.
+kind multiplies by `mat_mul`.  `sntmodule.quasi_basis` calls `_int_powers`
+on its int rows directly.
 Code that keeps a Q or F_p matrix on ints between steps uses the int-row
 helpers beside the kernels: `_to_ints` (a matrix as int rows over one
 common denominator d, or residues with d = 1), `_from_ints` (the way back,
@@ -41,11 +46,12 @@ the second factor is at hand as its columns),
 `_box_echelon` (its rows boxed) and `_int_kernel` (a kernel read off it).
 `isometry_lie_basis` builds its commutation and form equations on them, as
 int rows over the scaled T and G.  `sntmodule.decompose`,
-`SntModule.validate`, `spgroup.is_member`, `spgroup.block_profile`,
-`sntmodule.rho_of`, `is_t_lagrangian`, `LagrangianFlag` (its checks,
-fiber data and `self_dual_map_basis`) and `orbits` (f_x, Im f_x, the chain
-residues, T(x) and the tangent map of each element, read off one
-`orbits._Image` record per image W, for every element of the census too)
+`SntModule.validate`, `sntmodule.quasi_basis`, `spgroup.is_member`,
+`spgroup.block_profile`, `sntmodule.rho_of`, `is_t_lagrangian`,
+`LagrangianFlag` (its checks, fiber data and `self_dual_map_basis`) and
+`orbits` (f_x, Im f_x, the chain residues, T(x) and the tangent map of
+each element, read off one `orbits._Image` record per image W, for every
+element of the census too, and the orthogonal group over F_q[t]/(t^k))
 convert their matrices once and run on them.  Two more serve the
 t-Lagrangians: `_affine_family` (the points
 A_0 + Σ c_k·A_k mod p of an affine family over F_p, also the layer lifts
@@ -59,11 +65,8 @@ and `orbits.transport`, `TensorElement.act` and `witt` run on them.
 `solve` takes a list of right-hand sides and solves them all from one
 elimination; it returns particular solutions only, and `right_kernel`
 gives kernels.
-Every routine here is exact — no pivoting heuristics beyond "first unit"
-(first nonzero entry over a field).  Over F[t]/(t^K) elimination with unit
-pivots is complete for square invertible matrices (`inverse`) but not for
-general systems: `solve` may then return a non-solution, so callers check
-A·xᵀ = b.
+Every routine here is exact — no pivoting heuristics beyond "first
+nonzero entry" over a field.
 """
 from __future__ import annotations
 
@@ -548,44 +551,17 @@ def mat_eq(A, B):
 
 
 def rref(field, rows):
-    """Reduced row echelon form.  Returns (reduced rows, pivot columns).
-
-    Pivots are the entries that pass ``field.is_unit``: any nonzero one over
-    a field, units only over a local ring such as F[t]/(t^K).
-    """
+    """Reduced row echelon form over Q or F_p, on int rows (`_int_rref`).
+    Returns (reduced rows, pivot columns).  Rows with no entries reduce to
+    themselves; any other kind of entry (ints, TruncPolys, mixed kinds)
+    raises TypeError."""
     kind = _int_kind((rows,))
+    if kind is None and not any(rows):
+        return [row[:] for row in rows], []
     if kind is None or type(kind) is tuple:
-        return _rref_generic(field, rows)
+        raise TypeError("rref runs over Q or F_p only, on Fraction or FpElement "
+                        "entries of one kind")
     return _int_rref(kind, rows)
-
-
-def _rref_generic(field, rows):
-    is_pivot = field.is_unit
-    R = [row[:] for row in rows]
-    nr = len(R)
-    nc = len(R[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = None
-        for i in range(r, nr):
-            if is_pivot(R[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = field.one / R[r][c]
-        R[r] = [inv * x for x in R[r]]
-        for i in range(nr):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return R, pivots
 
 
 def rref_span(field, rows):
@@ -744,12 +720,59 @@ def _int_kernel(kind, A):
 
 
 def inverse(field, A):
+    """A⁻¹ over Q, F_p (one elimination of [A | I]) or F[t]/(t^K) (t-adic
+    lifting, `_lift_solve`); ValueError when A is singular, over F[t]/(t^K)
+    when A mod t is."""
     n = len(A)
+    kind = _int_kind((A,))
+    if type(kind) is tuple:
+        eye = [_int_identity(n)] + [[[0] * n for _ in range(n)]] * (kind[1] - 1)
+        X = _lift_solve(kind[0], _to_layers(kind, A), (eye, 1))
+        if X is None:
+            raise ValueError("matrix is singular")
+        return _from_layers(kind, A[0][0].field, *X)
     aug = [row[:] + e for row, e in zip(A, identity(field, n))]
     R, pivots = rref(field, aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [R[i][n:] for i in range(n)]
+
+
+def _lift_solve(p, P, B):
+    """X with P·X = B over F_p[t]/(t^K) (p > 0) or Q[t]/(t^K) (p = 0), for
+    pairs (layers, d) P (n x m) and B (n x r), as a pair; None unless P_0,
+    P's layer 0, has full row rank n.
+
+    One `_rref_ints` of [P_0 | I] gives the pivot columns c_i of P_0 and
+    S = P_0's right inverse with zero rows off the pivots, over a
+    denominator D (the lcm of the undivided pivots over Q).  Then layer k of
+    X is S·(B_k − Σ_{j=1..k} P_j·X_{k−j}): the solution whose unknowns off
+    the pivot columns are 0, which is unique (P restricted to the pivot
+    columns is invertible, since its reduction mod t is)."""
+    (Pl, d), (Bl, e) = P, B
+    n, K = len(Pl[0]), len(Pl)
+    m = len(Pl[0][0]) if n else 0
+    R, piv = _int_echelon(p, [row + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(Pl[0])])
+    if piv and piv[-1] >= m:        # a pivot in I's columns: P_0 rank < n
+        return None
+    D = 1 if p else lcm(*(R[i][c] for i, c in enumerate(piv)))
+    S = [[0] * n for _ in range(m)]
+    for i, c in enumerate(piv):
+        S[c] = [x * (D // R[i][c]) for x in R[i][m:]]
+    # over Q, Pl·X' = Bl with X = X'·d/e; layer k of X' is N_k / D^(k+1)
+    N = []
+    for k in range(K):
+        Y = [[x * D ** k for x in row] for row in Bl[k]]
+        for j in range(1, k + 1):
+            c = D ** (j - 1)
+            Y = [[y - c * z for y, z in zip(r, s)]
+                 for r, s in zip(Y, _ints_mul(0, Pl[j], N[k - j]))]
+        N.append(_ints_mul(p, S, Y))
+    if p:
+        return N, 1
+    return _lnorm(0, [[[x * d * D ** (K - 1 - k) for x in row] for row in Nk]
+                      for k, Nk in enumerate(N)], D ** K * e)
 
 
 def block_diag(field, blocks):

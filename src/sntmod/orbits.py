@@ -121,22 +121,6 @@ class TensorSpace:
                 T[o + s][o + s + 1] = field.one
         self.t_minus = T
 
-    @classmethod
-    def from_flag(cls, flag, V):
-        """Tensor space attached to a Lagrangian flag of an ambient module.
-
-        M_- need not be t-stable; it carries the action induced by
-        M_- ≅ M/M_+.  Returns (space, chain_rows) where chain_rows express
-        the adapted chain basis in the flag's M_- coordinates, so that an
-        element sum_r (minus_r) ⊗ v_r with M_- coordinate matrix X becomes
-        space.element(transpose(inverse(chain_rows)) · X).
-        """
-        field = flag.M.field
-        Tm = flag.t_on_minus()
-        d = flag.M.dim // 2
-        sub = quasi_basis(field, Tm, flag.M.K, la.identity(field, d))
-        return cls(field, sub.partition, V), sub.chains
-
     # -- elements ------------------------------------------------------------
     def element(self, coords):
         return TensorElement(self, coords)
@@ -168,10 +152,6 @@ class TensorSpace:
     def _rows(self):
         """The q^n rows as tuples of FpElements, the row of code c at c."""
         return list(itertools.product(self.field.elements(), repeat=self.V.dim))
-
-    def ring_pair(self, u, v):
-        """(u, v) in V[t]/(t^K) for TruncPoly vectors u, v."""
-        return la.bilinear(u, self.Qr, v)
 
     def _f_rows(self, X):
         """f_x's rows as ints, in `f_matrix`'s order, for x's coordinate rows
@@ -493,17 +473,16 @@ def _group_layers(V, k):
         raise ValueError("group enumeration needs a finite field")
     limit = enum_guard_limit()
     q, d = field.p, V.dim
-    Q = V.gram
-    base = _level0_group(field, Q, limit)
-    if not all(la.mat_eq(la.mat_mul(la.mat_mul(g, Q), la.transpose(g)), Q)
+    Q = la._to_ints(q, V.gram)[0]
+    base = _level0_group(q, Q, limit)
+    if not all(la._ints_mul(q, la._ints_mul(q, g, Q), la.transpose(g)) == Q
                for g in base):
         raise RuntimeError("a level-0 element does not preserve the form")
     skew_dim = d * (d - 1) // 2
     total = len(base) * q ** ((k - 1) * skew_dim)
     if total > limit:
         raise EnumerationGuardError("group of size %d exceeds guard" % total)
-    Qi = la._to_ints(q, Q)[0]
-    return [g for g0 in base for g in _lifts(q, Qi, la._to_ints(q, g0)[0], k)]
+    return [g for g0 in base for g in _lifts(q, Q, g0, k)]
 
 
 def _lifts(p, Q, g0, k):
@@ -540,8 +519,9 @@ def _lifts(p, Q, g0, k):
     return lifts
 
 
-def _level0_group(field, Q, limit):
-    """O(V)(F_q) row by row, in the order of a scan over all q^(d²) matrices.
+def _level0_group(q, Q, limit):
+    """O(V)(F_q) as int residue rows, row by row, for V's Gram Q as
+    residues, in the order of a scan over all q^(d²) matrices.
 
     Row i of g ranges over the vectors v with B(v, v) = Q_ii and
     B(g_j, v) = Q_ji for every earlier row g_j, where B(u, v) = u·Q·vᵀ;
@@ -551,8 +531,7 @@ def _level0_group(field, Q, limit):
     checked before each row is searched; row 0's q^d candidates are counted
     before they are built.
     """
-    q, d = field.p, len(Q)
-    Qv = [[x.v for x in row] for row in Q]
+    d = len(Q)
     partial, visited = [()], 0
     for i in range(d):
         visited += len(partial) * q ** d
@@ -561,20 +540,20 @@ def _level0_group(field, Q, limit):
                 "level-0 search of %d candidate rows exceeds guard %d" % (visited, limit))
         if i == 0:
             vecs = list(itertools.product(range(q), repeat=d))
-            vQ = [[sum(v[l] * Qv[l][c] for l in range(d)) % q for c in range(d)]
+            vQ = [[sum(v[l] * Q[l][c] for l in range(d)) % q for c in range(d)]
                   for v in vecs]
             norms = [sum(a * b for a, b in zip(w, v)) % q for v, w in zip(vecs, vQ)]
-        same_norm = [n for n, c in enumerate(norms) if c == Qv[i][i]]
+        same_norm = [n for n, c in enumerate(norms) if c == Q[i][i]]
         nxt = []
         for rows in partial:
-            earlier = [(vQ[n], Qv[j][i]) for j, n in enumerate(rows)]
+            earlier = [(vQ[n], Q[j][i]) for j, n in enumerate(rows)]
             for n in same_norm:
                 v = vecs[n]
                 if all(sum(a * b for a, b in zip(w, v)) % q == want
                        for w, want in earlier):
                     nxt.append(rows + (n,))
         partial = nxt
-    return [[[field(x) for x in vecs[n]] for n in rows] for rows in partial]
+    return [[list(vecs[n]) for n in rows] for rows in partial]
 
 
 def _census_count(sp):

@@ -11,7 +11,6 @@ from fractions import Fraction
 from .fields import QQ, GF, FpElement, PrimeField, RationalField
 from .linalg import mat_eq
 from .sntmodule import SntModule, standard_module
-from .tpoly import TruncPoly
 
 
 def field_to_json(field):
@@ -75,10 +74,6 @@ def matrix_from_json(field, rows):
 
 def tpoly_to_json(p):
     return [scalar_to_str(c) for c in p.coeffs]
-
-
-def tpoly_from_json(field, coeffs, K):
-    return TruncPoly(field, [scalar_from_str(field, c) for c in coeffs], K)
 
 
 def module_to_json(M, meta=None):

@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 import os
 from functools import partial
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg as la
 from .fields import PrimeField
-from .tpoly import TruncPoly, TruncRing
 
 DEFAULT_ENUM_GUARD = 10 ** 7
 
@@ -85,11 +85,6 @@ class SntModule:
     # -- basic pairing / action --------------------------------------------
     def pair(self, x, y):
         return la.bilinear(x, self.gram, y)
-
-    def apply_t(self, x, times=1):
-        for _ in range(times):
-            x = la.vec_mat(x, self.t)
-        return x
 
     @property
     def K(self):
@@ -322,90 +317,146 @@ def quasi_basis(field, T, K, generators):
     SntSubmodule whose `quasi` rows have orders k_1 >= ... >= k_m, with
     their t-chains as `chains`; its cardinality equals dim(span / t·span).
     Raises NotTStableError when the plain linear span is not t-stable.
+
+    The generators and T are converted once (`linalg._to_ints`: residues
+    over F_p, one denominator per matrix over Q).  The span, the t-stability
+    test, the presentation, its relations, `_smith_orders`, the quasi rows,
+    their chains and `_check_quasi` run on int rows, and the submodule is
+    boxed once.
     """
-    span = la.rref_span(field, [list(g) for g in generators])
-    gens = [list(r) for r in span]
-    if not _stable_basis(field, T, gens):
+    kind = field.char
+    (G, _), (Ti, e) = la._to_ints(kind, [list(g) for g in generators]), la._to_ints(kind, T)
+    R, piv = la._int_echelon(kind, G)
+    # the reduced echelon rows of the span, over one denominator ds
+    ds = lcm(*(R[i][c] for i, c in enumerate(piv))) if not kind else 1
+    S = [[x * (ds // R[i][c]) for x in R[i]] for i, c in enumerate(piv)]
+    ST = la._ints_mul(kind, S, Ti)
+    if _rank(kind, S + ST) != len(S):
         raise NotTStableError("generators span a non-t-stable subspace")
-    if not span:
+    span = la._box_echelon(kind, R, piv)
+    if not S:
         return SntSubmodule(field, (), [], (), [])
-    r = len(gens)
-    # presentation R_K^r -> span; F-basis t^s·gen_i of the domain, row i·K + s
-    powers = la._power_rows(gens, T)[:K]
-    zero = [field.zero] * len(T)
-    dom = [powers[s][i] if s < len(powers) else zero
+    r = len(S)
+    # presentation R_K^r -> span; F-basis t^s·gen_i of the domain, row i·K + s,
+    # power s over ds·e^s, so all over ds·e^(K-1)
+    powers = la._int_powers(kind, S, Ti)[:K]
+    zero = [0] * len(Ti)
+    dom = [[x * e ** (K - 1 - s) for x in powers[s][i]] if s < len(powers) else zero
            for i in range(r) for s in range(K)]
-    rel = la.right_kernel(field, la.transpose(dom))
-    lam = [[TruncPoly(field, [vec[i * K + s] for s in range(K)])
-            for i in range(r)] for vec in rel]
-    orders, Vinv = _smith_orders(field, lam, r, K)
+    orders, Vinv = _smith_orders(kind, la._int_kernel(kind, la.transpose(dom))[0], r, K)
     # row j of V⁻¹ over R_K, read in the F-basis of dom, has order orders[j]
-    quasi = [(d, la.vec_mat([c for a in row for c in a.coeffs], dom))
-             for d, row in zip(orders, Vinv) if d]
-    quasi.sort(key=lambda p: -p[0])
-    chains = [la.t_chain(T, h) for _, h in quasi]
-    sub = SntSubmodule(field, span, [h for _, h in quasi], [d for d, _ in quasi],
-                       [v for c in chains for v in c])
-    _check_quasi(field, T, sub, [len(c) for c in chains])
-    return sub
+    quasi = [(d, la._ints_mul(kind, [vec], dom)[0], den * ds * e ** (K - 1))
+             for d, (vec, den) in zip(orders, Vinv) if d]
+    quasi.sort(key=lambda q: -q[0])
+    chains = [la._int_powers(kind, [h], Ti) for _, h, _ in quasi]
+    _check_quasi(kind, ST, r, [h for _, h, _ in quasi], [d for d, _, _ in quasi],
+                 list(map(len, chains)))
+    return SntSubmodule(field, span, [la._from_ints(kind, [h], den)[0] for _, h, den in quasi],
+                        [d for d, _, _ in quasi],
+                        [la._from_ints(kind, P, den * e ** j)[0]
+                         for (_, _, den), c in zip(quasi, chains) for j, P in enumerate(c)])
 
 
-def _smith_orders(field, lam, r, K):
-    """(orders, V⁻¹) of the t-local Smith form U·lam·V = diag(t^d_j) of an
-    n x r matrix over R_K: d_j is the valuation of the j-th pivot, K past
-    the last one.  Pivots have least valuation, ties to the lowest
-    (row, col).  U is never built, and V only as its inverse: swapping
-    columns s, j of V swaps rows s, j of V⁻¹, and col_j −= q·col_s is
-    row_s += q·row_j."""
-    R = TruncRing(field, K)
-    D = [row[:] for row in lam]
-    Vinv = la.identity(R, r)
-    orders = []
+def _smith_orders(p, lam, r, K):
+    """(orders, V⁻¹) of the t-local Smith form U·Λ·V = diag(t^d_j) of the
+    relation rows `lam` over F_p[t]/(t^K) (p > 0) or Q[t]/(t^K) (p = 0):
+    entry j of row i of Λ is Σ_s lam[i][j·K + s]·t^s, int coefficients
+    (residues over F_p; over Q each row up to a nonzero factor).  d_j is
+    the valuation (the index of the first nonzero coefficient) of the j-th
+    pivot, K past the last one.  Pivots have least valuation, ties to the
+    lowest (row, col).  U is never built, and V only as its inverse, each
+    row as (int vector in lam's layout, denominator).
+
+    At step s the pivot is t^v·u, u a unit, and N = (row s)·c·u⁻¹ with
+    c·u⁻¹ from `_unit_inverse`: row s normalised, times c.  Row s of V⁻¹ is
+    N/t^v over c at the current columns ≥ s: swapping columns s, j of V
+    swaps rows s, j of V⁻¹ and col_j −= q·col_s is row_s += q·row_j, and
+    the rows of V⁻¹ after s are still unit vectors then.  Each later row
+    becomes c·row − (its column-s entry / t^v)·N, which clears column s;
+    over Q it is then made primitive.  Both only scale a row by a nonzero
+    constant, which changes no valuation and no normalised row, so neither
+    the orders nor V⁻¹."""
+    D = [[row[j * K:(j + 1) * K] for j in range(r)] for row in lam]
+    cols, orders, Vinv = list(range(r)), [], []
     for s in range(min(len(D), r)):
         best, bv = None, K
         for i in range(s, len(D)):
             for j in range(s, r):
-                v = D[i][j].valuation()
-                if v < bv:
-                    best, bv = (i, j), v
+                x = D[i][j]
+                for a in range(bv):     # only a valuation below bv wins
+                    if x[a]:
+                        best, bv = (i, j), a
+                        break
+            if bv == 0:
+                break
         if best is None:
             break
         bi, bj = best
         D[s], D[bi] = D[bi], D[s]
-        for row in D:
+        for row in D[s:]:
             row[s], row[bj] = row[bj], row[s]
-        Vinv[s], Vinv[bj] = Vinv[bj], Vinv[s]
-        uinv = D[s][s].divide_t(bv).inv()
-        D[s] = [uinv * x for x in D[s]]
-        # rows and columns before s are zero off the diagonal; the column
-        # operations would clear row s of D, which no later step reads
+        cols[s], cols[bj] = cols[bj], cols[s]
+        W, c = _unit_inverse(p, D[s][s][bv:] + [0] * bv)
+        N = [_pmul(p, W, x) for x in D[s]]
+        vec = [0] * (r * K)
+        for j in range(s, r):
+            vec[cols[j] * K:(cols[j] + 1) * K] = N[j][bv:] + [0] * bv
+        Vinv.append((vec, c))
         for i in range(s + 1, len(D)):
-            if D[i][s]:
-                q = D[i][s].divide_t(bv)
-                D[i] = [x - q * y for x, y in zip(D[i], D[s])]
-        for j in range(s + 1, r):
-            if D[s][j]:
-                q = D[s][j].divide_t(bv)
-                Vinv[s] = [x + q * y for x, y in zip(Vinv[s], Vinv[j])]
+            if any(D[i][s]):
+                q = D[i][s][bv:] + [0] * bv
+                row = [[0] * K] * (s + 1) + [[c * x - y for x, y in zip(a, _pmul(0, q, b))]
+                                             for a, b in zip(D[i][s + 1:], N[s + 1:])]
+                if p:
+                    row = [[x % p for x in a] for a in row]
+                elif (g := gcd(*(x for a in row for x in a))) > 1:
+                    row = [[x // g for x in a] for a in row]
+                D[i] = row
         orders.append(bv)
+    for s in range(len(orders), r):
+        vec = [0] * (r * K)
+        vec[cols[s] * K] = 1
+        Vinv.append((vec, 1))
     return orders + [K] * (r - len(orders)), Vinv
 
 
-def _check_quasi(field, T, sub, orders):
-    """Raise unless `sub` is a quasi-basis; `orders` are the lengths of the
-    t-chains in `sub.chains`, i.e. the exact orders of the rows."""
-    span = [list(r) for r in sub.span]
-    tspan = la.rref_span(field, [la.vec_mat(r, T) for r in span]) if span else ()
-    expect = len(span) - len(tspan)
-    if len(sub.quasi) != expect:
+def _pmul(p, a, b):
+    """a·b mod t^K for coefficient lists of length K, reduced mod p if p."""
+    K, rb = len(a), b[::-1]
+    out = [sum(map(mul, a[:k + 1], rb[K - 1 - k:])) for k in range(K)]
+    return [x % p for x in out] if p else out
+
+
+def _unit_inverse(p, u):
+    """(W, c) with W·u = c mod t^K for the coefficients u of a unit: c = 1
+    over F_p, c = u_0^K over Q, where W = c·u⁻¹ is integral (its t^k
+    coefficient has denominator u_0^(k+1) before scaling)."""
+    K, u0 = len(u), u[0]
+    if p:
+        inv = pow(u0, -1, p)
+        W = [inv]
+        for k in range(1, K):
+            W.append(-inv * sum(u[i] * W[k - i] for i in range(1, k + 1)) % p)
+        return W, 1
+    W = [u0 ** (K - 1)]
+    for k in range(1, K):
+        W.append(-sum(u[i] * W[k - i] for i in range(1, k + 1)) // u0)
+    return W, u0 ** K
+
+
+def _check_quasi(kind, ST, r, quasi, partition, orders):
+    """Raise unless the int rows `quasi` of orders `partition` are a
+    quasi-basis of an r-dimensional t-stable span whose rows times T are
+    the int rows ST; `orders` are the lengths of their t-chains, i.e.
+    their exact orders."""
+    tspan, tpiv = la._int_echelon(kind, ST)
+    if len(quasi) != r - len(tpiv):
         raise RuntimeError("quasi-basis has wrong cardinality")
-    if orders != list(sub.partition):
+    if orders != partition:
         raise RuntimeError("quasi-basis row has the wrong order")
     # residues independent mod t·span
-    if sub.quasi:
-        base = [list(r) for r in tspan]
-        if la.rank(field, base + sub.quasi) != len(tspan) + len(sub.quasi):
-            raise RuntimeError("quasi-basis residues are dependent")
+    if quasi and _rank(kind, tspan[:len(tpiv)] + quasi) != len(tpiv) + len(quasi):
+        raise RuntimeError("quasi-basis residues are dependent")
 
 
 # --------------------------------------------------------------------------
@@ -415,12 +466,6 @@ def _check_quasi(field, T, sub, orders):
 def is_isotropic(M, rows):
     B = [list(r) for r in rows]
     return la.is_zero_mat(la.mat_mul(la.mat_mul(B, M.gram), la.transpose(B)))
-
-
-def _stable_basis(field, T, basis):
-    """Whether the span of the independent rows `basis` is t-stable:
-    basis·T lies in it exactly when it adds nothing to the rank."""
-    return la.rank(field, basis + la.mat_mul(basis, T)) == len(basis)
 
 
 def is_t_lagrangian(M, rows):
@@ -564,8 +609,9 @@ class LagrangianFlag:
 
     What every fiber reads is computed once, as `linalg._to_ints` rows over
     denominators: T, an isotropy test (`linalg._isotropy_test`), the
-    inverse `_full_inv` of minus + plus, and t on M_-, t on M_+ and the
-    pairing (boxed for `t_on_minus` etc.).  The flag's checks run on them.
+    inverse `_full_inv` of minus + plus, and t on M_- (boxed for
+    `t_on_minus`), t on M_+ and the pairing.  The flag's checks run on
+    them.
 
     The flag caches, per t-stable W ⊆ M_-, what the fiber of U -> pi_-(U)
     over W depends on: W's quasi-basis, W^⊥, the reps of M_+/W^⊥ and, once
@@ -597,8 +643,7 @@ class LagrangianFlag:
         self._tm = [r[:d] for r in mul(mul(minus, T), inv)], dm * e * f
         self._tp = [r[d:] for r in mul(mul(plus, T), inv)], dp * e * f
         self._pair = mul(mul(minus, G), la.transpose(plus)), dm * g * dp
-        self._t_minus, self._t_plus, self._pairing = (
-            la._from_ints(kind, *A) for A in (self._tm, self._tp, self._pair))
+        self._t_minus = la._from_ints(kind, *self._tm)
         self._fibers = {}
 
     @classmethod
@@ -621,20 +666,9 @@ class LagrangianFlag:
         d = self.M.dim // 2
         return c[:d], c[d:]
 
-    def project_minus(self, v):
-        a, _ = self.split_coords(v)
-        return a
-
     def t_on_minus(self):
         """Matrix of the induced t-action on M_- coordinates (via M/M_+)."""
         return self._t_minus
-
-    def t_on_plus(self):
-        return self._t_plus
-
-    def pairing_minus_plus(self):
-        """d x d matrix <minus_i, plus_j> (invertible by nondegeneracy)."""
-        return self._pairing
 
     def _fiber(self, W, maps=False):
         """The cache entry [W_sub, Wperp, reps, maps, perp, cols] of W, given

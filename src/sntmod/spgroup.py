@@ -62,69 +62,6 @@ class SntAutomorphism:
 
 
 # --------------------------------------------------------------------------
-# homogeneous case: Sp(M,t) <-> Sp_2n(F[t]/(t^k))
-# --------------------------------------------------------------------------
-
-class HomogeneousRingIso:
-    """Bidirectional maps Sp(M,t) <-> Sp_{2n}(R_k) for M = H_k^{⊕n}.
-
-    The R_k-basis eps_1, ..., eps_2n identifies eps_{2j-1}, eps_{2j} with the
-    two generators of the j-th plane; the F-form is the t^{k-1} coefficient
-    of the R_k-valued standard symplectic form.
-    """
-
-    def __init__(self, M):
-        ks = M.partition
-        if ks is None or len(set(ks)) != 1:
-            raise ValueError("module is not homogeneous standard")
-        self.M = M
-        self.k = ks[0]
-        self.n = len(ks)
-        self.field = M.field
-        self.R = TruncRing(M.field, self.k)
-        # F-basis row index of t^s * eps_a: eps_2j and eps_2j+1 are the e1
-        # and e2 of plane j, so t^s * eps_a is row s of the a-th chain
-        chains = [c for plane in plane_rows(ks) for c in plane]
-        self._row = {(a, s): r for a, c in enumerate(chains) for s, r in enumerate(c)}
-
-    def ring_gram(self):
-        """The R_k-valued symplectic gram on R_k^{2n} (pairs (2j-1, 2j))."""
-        R, n = self.R, self.n
-        J = la.zeros(R, 2 * n, 2 * n)
-        for j in range(n):
-            J[2 * j][2 * j + 1] = R.one
-            J[2 * j + 1][2 * j] = -R.one
-        return J
-
-    def from_ring(self, ghat):
-        """F-matrix of the R_k-linear right action of ghat."""
-        f, k, n = self.field, self.k, self.n
-        N = 2 * n * k
-        out = la.zeros(f, N, N)
-        for a in range(2 * n):
-            for s in range(k):
-                r = self._row[(a, s)]
-                for b in range(2 * n):
-                    poly = ghat[a][b]
-                    for u, c in enumerate(poly.coeffs):
-                        if c and s + u < k:
-                            out[r][self._row[(b, s + u)]] = c
-        return out
-
-    def to_ring(self, g):
-        """R_k-matrix recovered from an F-side member of Sp(M,t)."""
-        f, k, n = self.field, self.k, self.n
-        ghat = []
-        for a in range(2 * n):
-            row = []
-            for b in range(2 * n):
-                coeffs = [g[self._row[(a, 0)]][self._row[(b, u)]] for u in range(k)]
-                row.append(TruncPoly(f, coeffs))
-            ghat.append(row)
-        return ghat
-
-
-# --------------------------------------------------------------------------
 # block profiles over homogeneous levels
 # --------------------------------------------------------------------------
 
@@ -282,13 +219,11 @@ def _exp_ints(kind, S, d):
 
 
 def cayley(field, S):
-    """(I + S/2)(I - S/2)^{-1}: lands in the group for Lie elements with
-    I - S/2 invertible (always, for nilpotent S).  Char-independent."""
-    n = len(S)
-    half = field(1) / field(2)
-    A = la.scal_mul(half, S)
-    I = la.identity(field, n)
-    return la.mat_mul(la.mat_add(I, A), la.inverse(field, la.mat_sub(I, A)))
+    """(I + S/2)(I - S/2)^{-1} = (2I + S)(2I - S)^{-1}: lands in the group
+    for Lie elements with I - S/2 invertible (always, for nilpotent S).
+    Char-independent; over F[t]/(t^K) `linalg.inverse` lifts t-adically."""
+    two = la.scal_mul(field(2), la.identity(field, len(S)))
+    return la.mat_mul(la.mat_add(two, S), la.inverse(field, la.mat_sub(two, S)))
 
 
 def _transvection_ints(kind, v, lam):
@@ -323,22 +258,6 @@ def _lift_levels(kind, n, blocks):
                 for r, s in zip(ca, cb):
                     out[r][s] = c * x
     return out, d
-
-
-def levi_transvection(M, level_index, v_coeffs, lam):
-    """Lift of a residue symplectic transvection on one homogeneous level.
-
-    v_coeffs are F-coordinates in the R-basis of the level; the R-module
-    transvection x -> x + lam * <x, v>^ v is R-linear, preserves the
-    R-valued form, and reduces to the residue transvection.
-    """
-    field = M.field
-    kind = field.char
-    chains = _level_chains(M.partition)[level_index]
-    if len(v_coeffs) != len(chains):
-        raise ValueError("level %d needs %d coordinates" % (level_index, len(chains)))
-    tau = _transvection_ints(kind, [field(c) for c in v_coeffs], field(lam))
-    return la._from_ints(kind, *_lift_levels(kind, M.dim, [(chains, tau)]))
 
 
 def random_element(M, seed):

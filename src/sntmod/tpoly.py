@@ -1,23 +1,19 @@
 """Truncated polynomial rings R_K = F[t]/(t^K).
 
-R_K is a local ring: every element is t^v · unit (v = t-adic valuation), so
-Gaussian elimination with unit pivots is available.  A TruncPoly always
-carries exactly K coefficients; arithmetic silently truncates at t^K.
-Matrices over R_K are handled by `linalg` with the ring descriptor
-`TruncRing(field, K)`; the t-local Smith reduction that reads quasi-bases
-off a presentation lives with its one caller, `sntmodule.quasi_basis`.
-`tmat_mul` (which is `linalg.mat_mul`) and the hashable matrix key
-`tmat_key` are the pair that sends `spgroup.group_closure` over
-F_p[t]/(t^K) to its packed-int path; with any other pair it runs its
-generic BFS.
+A TruncPoly always carries exactly K coefficients; arithmetic silently
+truncates at t^K.  Matrices over R_K are products and inverses in `linalg`
+(on int layers, the inverse by t-adic lifting) with the ring descriptor
+`TruncRing(field, K)`; ring systems and the t-local Smith reduction run on
+int layers where they are used (`linalg._lift_solve` for `witt` and
+`spgroup.cayley`, `sntmodule._smith_orders` for `quasi_basis`), and their
+boxed oracles live in the tests.  `tmat_mul` (which is `linalg.mat_mul`)
+and the hashable matrix key `tmat_key` are the pair that sends
+`spgroup.group_closure` over F_p[t]/(t^K) to its packed-int path; with any
+other pair it runs its generic BFS.
 """
 from __future__ import annotations
 
 from .linalg import mat_mul
-
-
-class NotAUnitError(ArithmeticError):
-    """Inversion of a non-unit (constant term zero) was attempted."""
 
 
 class TruncPoly:
@@ -53,15 +49,6 @@ class TruncPoly:
 
     def constant(self):
         return self.coeffs[0]
-
-    def is_unit(self):
-        return bool(self.coeffs[0])
-
-    def valuation(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.prec
 
     def __bool__(self):
         return any(bool(c) for c in self.coeffs)
@@ -111,31 +98,9 @@ class TruncPoly:
 
     __rmul__ = __mul__
 
-    def inv(self):
-        """Multiplicative inverse mod t^K; requires a unit."""
-        if not self.is_unit():
-            raise NotAUnitError("constant term is zero")
-        K = self.prec
-        c0inv = self.field.one / self.coeffs[0]
-        out = [c0inv]
-        for n in range(1, K):
-            acc = self.field.zero
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[n - i]
-            out.append(-c0inv * acc)
-        return TruncPoly(self.field, out)
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return self._check(other) * self.inv()
-
     def __pow__(self, e):
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError("negative powers of a TruncPoly are not supported")
         r = TruncPoly.one(self.field, self.prec)
         for _ in range(e):
             r = r * self
@@ -146,12 +111,6 @@ class TruncPoly:
         """Multiply by t^s."""
         z = self.field.zero
         return TruncPoly(self.field, [z] * s + list(self.coeffs), self.prec)
-
-    def divide_t(self, s):
-        """Exact division by t^s; raises if any low coefficient is nonzero."""
-        if any(bool(c) for c in self.coeffs[:s]):
-            raise ValueError("not divisible by t^%d" % s)
-        return TruncPoly(self.field, list(self.coeffs[s:]), self.prec)
 
     # -- misc ---------------------------------------------------------------
     def __eq__(self, other):
@@ -185,10 +144,7 @@ def tp(field, K, *coeffs):
 
 class TruncRing:
     """Descriptor for R_K = F[t]/(t^K), shaped like the field descriptors
-    (``zero``, ``one``, ``__call__``, ``is_unit``) so that every `linalg`
-    routine runs over it."""
-
-    is_unit = staticmethod(TruncPoly.is_unit)
+    (``zero``, ``one``, ``__call__``)."""
 
     def __init__(self, field, K):
         self.field = field

@@ -31,17 +31,14 @@ class IsometryMismatchError(ValueError):
 
 def _dual_vectors(sp, B):
     """c_j in V[t]/(t^K) with (b_i, c_j) = delta_ij, for a primitive tuple B,
-    as (layers, d).  P = B·Q is boxed once and solved over R_K by
-    `linalg.solve`, whose elimination takes the operator path; the duals
-    are converted once and C·Pᵀ = C·Q·Bᵀ = I is checked on ints."""
-    p, kind = sp.field.char, (sp.field.char, sp.K)
-    P, targets = la._lmul(p, B, sp._Ql), la.identity(sp.R, len(B[0][0]))
-    duals = la.solve(sp.R, la._from_layers(kind, sp.field, *P), targets)
-    # unit-pivot elimination can miss an inconsistency of positive
-    # valuation, so the solutions are checked
-    if duals is not None:
-        C = la._to_layers(kind, duals)
-        if la._leq(p, la._gram(p, C, sp._Ql, B), la._to_layers(kind, targets)):
+    as (layers, d): P·Cᵀ = I for P = B·Q, solved by t-adic lifting
+    (`linalg._lift_solve`), and C·Q·Bᵀ = I checked on ints."""
+    p, m, K = sp.field.char, len(B[0][0]), sp.K
+    eye = [la._int_identity(m)] + [[[0] * m for _ in range(m)]] * (K - 1)
+    X = la._lift_solve(p, la._lmul(p, B, sp._Ql), (eye, 1))
+    if X is not None:
+        C = [la.transpose(L) for L in X[0]], X[1]
+        if la._leq(p, la._gram(p, C, sp._Ql, B), (eye, 1)):
             return C
     raise RuntimeError("dual system unsolvable; tuple not primitive?")
 

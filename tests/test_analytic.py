@@ -353,14 +353,19 @@ def test_enumeration_guard_least_limit(name, monkeypatch):
     assert L._largest_level == least
 
 
+_TAIL_TRIES = 1000
+
+
 def _with_tail(H, rest, rng):
     """A positive definite gram whose walk ends in the k x k block H: H,
     then `rest` coordinates of diagonal above H's, so that the stable sort
-    by diagonal keeps H's k first, coupled to H by entries in {-1, 0, 1}."""
+    by diagonal keeps H's k first, coupled to H by entries in {-1, 0, 1}.
+    Draws at most `_TAIL_TRIES` couplings (the cases here need at most 8),
+    then raises RuntimeError."""
     k = len(H)
     n = k + rest
     top = max(H[i][i] for i in range(k))
-    while True:
+    for _ in range(_TAIL_TRIES):
         gram = [[0] * n for _ in range(n)]
         for i in range(k):
             gram[i][:k] = H[i]
@@ -371,6 +376,15 @@ def _with_tail(H, rest, rng):
         minors = analytic._leading_minors(gram)     # up to the first <= 0
         if len(minors) == n and minors[-1] > 0:
             return gram
+    raise RuntimeError("no positive definite coupling of %d more coordinates in %d tries"
+                       % (rest, _TAIL_TRIES))
+
+
+def test_with_tail_stops_after_its_tries():
+    # I_4 below 8 more coordinates is almost never positive definite
+    with pytest.raises(RuntimeError, match="1000 tries"):
+        _with_tail([[int(i == j) for j in range(4)] for i in range(4)], 8,
+                   random.Random(0))
 
 
 # 2 x 2 tail blocks H = G[:2, :2]: diagonal and not, with det 1 to 28, gcd of the

@@ -1,11 +1,12 @@
-"""The int kernels of `linalg` against its generic operator path.
+"""The int kernels of `linalg` against the generic operator path.
 
 Over QQ and GF(p), `mat_mul`, `vec_mat` and `rref` (so also `inverse`,
 `solve`, `rank` and `right_kernel`) run on ints; over GF(p)[t]/(t^K) and
-QQ[t]/(t^K) only `mat_mul` and `vec_mat` do, and elimination takes the
-operator path.  The
-`_..._generic` helpers are the reference.  Every comparison checks values
-and element types, entry by entry, down to the coefficients of a TruncPoly.
+QQ[t]/(t^K) `mat_mul` and `vec_mat` do, and `inverse` lifts t-adically,
+while elimination raises TypeError.  `_mat_mul_generic` and the tests'
+`ring_oracles.rref_generic` are the reference.  Every comparison checks
+values and element types, entry by entry, down to the coefficients of a
+TruncPoly.
 A many-right-hand-side `solve` is also checked against single-right-hand-side
 solves, and `nilpotent_powers` and `t_chain` against loops of boxed
 `mat_mul` and `vec_mat` products.
@@ -21,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from sntmod import linalg as la
 from sntmod.fields import QQ, GF
 from sntmod.tpoly import TruncPoly, TruncRing
+
+from ring_oracles import boxed_inverse, rref_generic
 
 FIELDS = [QQ, GF(3), GF(5)]
 
@@ -40,7 +43,7 @@ def _generic_rref():
     """Route `inverse`, `solve`, `rank`, `right_kernel` and the rest through
     the generic rref."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(la, "rref", la._rref_generic)
+        mp.setattr(la, "rref", rref_generic)
         yield
 
 
@@ -88,8 +91,12 @@ def test_kernels_match_generic_path(case):
         assert _typed(la.vec_mat(v, B)) == \
             _typed(la._mat_mul_generic([v], B)[0])
     for M in (A, B):
+        if isinstance(field, TruncRing):
+            with pytest.raises(TypeError):
+                la.rref(field, M)
+            continue
         R, piv = la.rref(field, M)
-        R0, piv0 = la._rref_generic(field, M)
+        R0, piv0 = rref_generic(field, M)
         assert piv == piv0
         assert _typed(R) == _typed(R0)
 
@@ -169,9 +176,9 @@ def ring_matrices(draw, R, n, m):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_ring_kernel_matches_generic_path(data):
-    """Products over GF(p)[t]/(t^K) and QQ[t]/(t^K) run on ints; elimination
-    takes the operator path, so `inverse` is checked on its own: S is
-    invertible exactly when S mod t is, and then S·S⁻¹ = I."""
+    """Products over GF(p)[t]/(t^K) and QQ[t]/(t^K) run on ints; `inverse`
+    lifts t-adically: S is invertible exactly when S mod t is, and then
+    S·S⁻¹ = I and S⁻¹ is what the boxed elimination gives."""
     R = data.draw(st.sampled_from(RINGS))
     n, m, k = (data.draw(st.integers(1, 4)) for _ in range(3))
     A = data.draw(ring_matrices(R, n, m))
@@ -188,6 +195,7 @@ def test_ring_kernel_matches_generic_path(data):
         return
     inv = la.inverse(R, S)
     assert la.mat_eq(la._mat_mul_generic(S, inv), la.identity(R, n))
+    assert _typed(inv) == _typed(boxed_inverse(R, S))
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,15 +203,12 @@ def test_ring_kernel_matches_generic_path(data):
 def test_solve_many_matches_single_solves(data):
     """One elimination for every right-hand side gives what one generic
     elimination per right-hand side gives, and None exactly when one of the
-    systems is inconsistent."""
-    R = data.draw(st.sampled_from(FIELDS + [TruncRing(GF(5), 3)]))
+    systems is inconsistent.  (Systems over F[t]/(t^K) are `_lift_solve`'s,
+    checked in test_ring.py.)"""
+    R = data.draw(st.sampled_from(FIELDS))
     n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    if isinstance(R, TruncRing):
-        A = data.draw(ring_matrices(R, n, m))
-        entry, matrix = ring_elements(R), ring_matrices
-    else:
-        A = data.draw(matrices(R, n, m))
-        entry, matrix = scalars(R), matrices
+    A = data.draw(matrices(R, n, m))
+    entry, matrix = scalars(R), matrices
     B = []
     for _ in range(data.draw(st.integers(0, 4))):
         if data.draw(st.booleans()):      # consistent: b = A·xᵀ
@@ -281,8 +286,10 @@ def test_fraction_int_mix_takes_generic_path():
     assert _typed(out) == _typed(la._mat_mul_generic(A, B))
     assert _typed(la.vec_mat(A[0], B)) == \
         _typed(la._mat_mul_generic([A[0]], B)[0])
+    # elimination runs on one kind only
     M = [[2, 4, 0], [0, 0, 0], [Fraction(1, 2), 1, 3]]
-    assert _typed(la.rref(QQ, M)) == _typed(la._rref_generic(QQ, M))
+    with pytest.raises(TypeError):
+        la.rref(QQ, M)
 
 
 def test_mixed_primes_still_rejected():
@@ -300,10 +307,15 @@ def test_truncring_matrix_takes_generic_path():
     assert _typed(la.mat_mul(A, B)) == _typed(la._mat_mul_generic(A, B))
     assert _typed(la.vec_mat(A[0], B)) == \
         _typed(la._mat_mul_generic([A[0]], B)[0])
-    assert _typed(la.rref(R, A)) == _typed(la._rref_generic(R, A))
-    inv = la.inverse(R, A)
-    with _generic_rref():
-        assert _typed(inv) == _typed(la.inverse(R, A))
+    # no elimination over the ring, nor an inverse of int coefficients
+    for run in (lambda: la.rref(R, A), lambda: la.solve(R, A, [A[0]]),
+                lambda: la.inverse(R, A)):
+        with pytest.raises(TypeError):
+            run()
+    # boxed coefficients: the lifted inverse is the boxed elimination's
+    Ab = [[TruncPoly(F5, [F5(c) for c in x.coeffs]) for x in row] for row in A]
+    inv = la.inverse(R, Ab)
+    assert _typed(inv) == _typed(boxed_inverse(R, Ab)) == _typed(boxed_inverse(R, A))
     assert la.mat_eq(la.mat_mul(A, inv), la.identity(R, 2))
 
 

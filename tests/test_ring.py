@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 from sntmod import linalg as la
 from sntmod.fields import QQ, GF, CharacteristicTwoError
 from sntmod.sntmodule import _smith_orders
-from sntmod.tpoly import NotAUnitError, TruncPoly, TruncRing, tp
+from sntmod.tpoly import TruncPoly, TruncRing, tp
 
-from ring_oracles import smith_divisors, smith_form_t
+from ring_oracles import (NotAUnitError, boxed_inverse, boxed_smith_orders, boxed_solve,
+                          poly_inv, smith_divisors, smith_form_t, valuation)
 
 F5 = GF(5)
 F3 = GF(3)
@@ -189,11 +190,11 @@ def test_tp_mul_against_full_product_oracle():
 
 def test_tp_inv():
     a = tp(QQ, 3, 1, 1)
-    assert a.inv().coeffs == (QQ(1), QQ(-1), QQ(1))
+    assert poly_inv(a).coeffs == (QQ(1), QQ(-1), QQ(1))
     c = tp(QQ, 3, 5)
-    assert c.inv().coeffs == (Fraction(1, 5), QQ(0), QQ(0))
+    assert poly_inv(c).coeffs == (Fraction(1, 5), QQ(0), QQ(0))
     with pytest.raises(NotAUnitError):
-        tp(QQ, 3, 0, 1).inv()
+        poly_inv(tp(QQ, 3, 0, 1))
 
 
 def test_tp_inv_multiply_back():
@@ -203,7 +204,7 @@ def test_tp_inv_multiply_back():
         if not coeffs[0]:
             coeffs[0] = QQ(1)
         a = TruncPoly(QQ, coeffs)
-        assert a * a.inv() == TruncPoly.one(QQ, 5)
+        assert a * poly_inv(a) == TruncPoly.one(QQ, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,14 +289,26 @@ def _typed(x):
     return x.field, [(type(c), c) for c in x.coeffs]
 
 
+def _int_smith_orders(field, A, rng):
+    """The coefficient rows of A as ints, the input of `_smith_orders`; over
+    Q each row times a random nonzero int, which must not matter."""
+    kind = field.char
+    rows = la._to_ints(kind, [[c for a in row for c in a.coeffs] for row in A])[0]
+    if not kind:
+        rows = [[x * c for x in row] for row, c in
+                zip(rows, (rng.choice([-3, -1, 2, 5]) for _ in rows))]
+    return rows
+
+
 @pytest.mark.parametrize("field", [F3, F5, QQ], ids=["F3", "F5", "Q"])
 def test_smith_orders_match_full_smith_form(field):
-    """`_smith_orders` against the full Smith form: the orders are its
-    divisors and V⁻¹ the ring inverse of its V, in values and entry types;
-    no rows (no relations) give [K]*r and the identity."""
+    """`_smith_orders` on int layers against its boxed copy and the full
+    Smith form: the orders are its divisors and V⁻¹ the ring inverse of its
+    V, in values and entry types, for K = 1, ..., 4; no rows (no
+    relations) give [K]*r and the identity."""
     rng = random.Random(17)
     shapes = [(0, 3, 2), (1, 3, 1), (2, 4, 3), (3, 3, 3), (4, 2, 2), (2, 2, 1),
-              (3, 5, 4)]
+              (3, 5, 4), (3, 3, 2)]
     for nr, r, K in shapes:
         R = TruncRing(field, K)
         for trial in range(8):
@@ -306,14 +319,18 @@ def test_smith_orders_match_full_smith_form(field):
                 A = [[a if rng.random() < 0.4 else R.zero for a in row] for row in A]
             elif trial % 3 == 1:   # no unit entries
                 A = [[a.shift(1) for a in row] for row in A]
-            orders, Vinv = _smith_orders(field, A, r, K)
+            orders, Vinv = _smith_orders(field.char, _int_smith_orders(field, A, rng), r, K)
+            Vinv = [[TruncPoly(field, cs[i * K:(i + 1) * K]) for i in range(r)]
+                    for cs in (la._from_ints(field.char, [vec], den)[0] for vec, den in Vinv)]
+            assert (orders, _typed(Vinv)) == \
+                (lambda o, V: (o, _typed(V)))(*boxed_smith_orders(field, A, r, K))
             if nr == 0:
                 assert orders == [K] * r
                 assert _typed(Vinv) == _typed(la.identity(R, r))
                 continue
             _, D, V = smith_form_t(A)
             assert orders == smith_divisors(D, r)
-            assert _typed(Vinv) == _typed(la.inverse(R, V))
+            assert _typed(Vinv) == _typed(boxed_inverse(R, V))
 
 
 def test_tmat_inverse_roundtrip():
@@ -347,29 +364,62 @@ def _random_full_row_rank_tmat(field, rng, r, c, K):
 
 @pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "QQ"])
 def test_tmat_solve_right_unit_pivots(field):
+    """Ring systems solve by t-adic lifting (`linalg._lift_solve`): when A
+    mod t has full row rank it returns what the boxed unit-pivot
+    elimination returns, and A·yᵀ = b; otherwise None, where the boxed
+    route returns None or a non-solution."""
     rng = random.Random(21)
     R = TruncRing(field, 3)
     t = tp(field, 3, 0, 1)
+    kind = (field.char, 3)
+
+    def lift(A, b):
+        X = la._lift_solve(field.char, la._to_layers(kind, A),
+                           la._to_layers(kind, [[v] for v in b]))
+        return None if X is None else [row[0] for row in la._from_layers(kind, field, *X)]
     for _ in range(8):
         r = rng.randint(1, 3)
         c = r + rng.randint(0, 2)
         A = _random_full_row_rank_tmat(field, rng, r, c, 3)
         b = [TruncPoly(field, [field.random(rng) for _ in range(3)])
              for _ in range(r)]
-        sol = la.solve(R, A, [b])
-        assert sol is not None
-        y = sol[0]
+        y = lift(A, b)
+        assert _typed([y]) == _typed(boxed_solve(R, A, [b]))
         assert la.mat_eq(la.mat_mul(A, [[v] for v in y]), [[v] for v in b])
         # t·(row 0) · yᵀ lies in (t), so it never equals the unit t·b_0 + 1
         A_bad = A + [[t * x for x in A[0]]]
         b_bad = b + [t * b[0] + 1]
-        assert la.solve(R, A_bad, [b_bad]) is None
-        # an inconsistency of positive valuation is no unit pivot: the
-        # returned vector fails A·yᵀ = b, which callers must check
+        assert boxed_solve(R, A_bad, [b_bad]) is None
+        assert lift(A_bad, b_bad) is None
+        # an inconsistency of positive valuation is no unit pivot: the boxed
+        # route returns a vector that fails A·yᵀ = b, the lift none
         b_bad = b + [t * b[0] + t * t]
-        y = la.solve(R, A_bad, [b_bad])[0]
+        y = boxed_solve(R, A_bad, [b_bad])[0]
         assert not la.mat_eq(la.mat_mul(A_bad, [[v] for v in y]),
                              [[v] for v in b_bad])
+        assert lift(A_bad, b_bad) is None
+
+
+@pytest.mark.parametrize("field", [F3, F5, QQ], ids=["F3", "F5", "Q"])
+def test_ring_inverse_lift_matches_boxed_elimination(field):
+    """`linalg.inverse` over F[t]/(t^K) by t-adic lifting against the boxed
+    unit-pivot elimination, in values and entry types, for K = 1, ..., 4;
+    a matrix singular mod t raises the same error on both routes."""
+    rng = random.Random(31)
+    for K in (1, 2, 3, 4):
+        R = TruncRing(field, K)
+        for n in (1, 2, 3, 4):
+            for trial in range(6):
+                A = _random_tmat(field, rng, n, n, K)
+                if trial == 0:      # singular mod t: row 0 a multiple of t
+                    A[0] = [a.shift(1) for a in A[0]]
+                try:
+                    want = boxed_inverse(R, A)
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=str(e)):
+                        la.inverse(R, A)
+                    continue
+                assert _typed(la.inverse(R, A)) == _typed(want)
 
 
 def test_solve_dimension_mismatch():
@@ -383,5 +433,5 @@ def test_tp_unit_inverse_property(coeffs):
     from hypothesis import assume
     assume(coeffs[0] != 0)
     a = tp(QQ, 5, *coeffs)
-    assert a * a.inv() == TruncPoly.one(QQ, 5)
-    assert (a * a).valuation() == 0
+    assert a * poly_inv(a) == TruncPoly.one(QQ, 5)
+    assert valuation(a * a) == 0

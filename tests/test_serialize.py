@@ -11,10 +11,14 @@ from sntmod.serialize import (field_from_json, field_to_json,
                               module_from_json, module_to_json,
                               scalar_from_str, scalar_to_str,
                               tensor_element_from_json,
-                              tensor_element_to_json, tpoly_from_json,
-                              tpoly_to_json)
+                              tensor_element_to_json, tpoly_to_json)
 from sntmod.sntmodule import standard_module
-from sntmod.tpoly import tp
+from sntmod.tpoly import TruncPoly, tp
+
+
+def tpoly_from_json(field, coeffs, K):
+    return TruncPoly(field, [scalar_from_str(field, c) for c in coeffs], K)
+
 
 F5 = GF(5)
 

@@ -18,7 +18,7 @@ from sntmod.sntmodule import (InvalidModuleError, LagrangianFlag,
                               self_dual_map_space_dim, standard_module,
                               standard_t_lagrangian)
 from sntmod.sntmodule import _all_rref_subspaces, _perp_and_reps
-from sntmod.tpoly import TruncRing
+from sntmod.tpoly import TruncPoly
 
 from ring_oracles import boxed_quasi_basis
 
@@ -30,6 +30,22 @@ def unit(field, n, i):
     e = [field.zero] * n
     e[i] = field.one
     return e
+
+
+def apply_t(M, x, times=1):
+    for _ in range(times):
+        x = la.vec_mat(x, M.t)
+    return x
+
+
+def t_on_plus(flag):
+    """t on M_+ coordinates, boxed from the flag's int rows."""
+    return la._from_ints(flag._kind, *flag._tp)
+
+
+def pairing_minus_plus(flag):
+    """The d x d matrix <minus_i, plus_j>, boxed from the flag's int rows."""
+    return la._from_ints(flag._kind, *flag._pair)
 
 
 def random_invertible(field, n, rng):
@@ -238,7 +254,7 @@ def test_self_duality_pairing_form():
     for _ in range(20):
         x = [QQ.random(rng) for _ in range(6)]
         y = [QQ.random(rng) for _ in range(6)]
-        assert M.pair(M.apply_t(x), y) == M.pair(x, M.apply_t(y))
+        assert M.pair(apply_t(M, x), y) == M.pair(x, apply_t(M, y))
 
 
 def test_isotropy_of_t_powers():
@@ -248,7 +264,7 @@ def test_isotropy_of_t_powers():
     for _ in range(20):
         x = [QQ.random(rng) for _ in range(M.dim)]
         for k in range(1, M.K + 1):
-            assert not M.pair(x, M.apply_t(x, k))
+            assert not M.pair(x, apply_t(M, x, k))
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +401,7 @@ def test_quasi_basis_type_independent_of_generators():
         for v in vecs:
             w = v
             for _ in range(M.K):
-                w = M.apply_t(w)
+                w = apply_t(M, w)
                 closure.append(w)
         span = [list(r) for r in la.rref_span(F3, closure)]
         t1 = quasi_basis(F3, M.t, M.K, span).partition
@@ -413,26 +429,56 @@ def test_quasi_basis_matches_full_smith_form(field):
                 _typed(boxed_quasi_basis(field, M.t, M.K, gens))
 
 
-def test_quasi_basis_runs_no_ring_elimination(monkeypatch):
-    calls = []
-    real = la._rref_generic
+@pytest.mark.parametrize("field", [F3, F5, QQ], ids=["F3", "F5", "Q"])
+def test_quasi_basis_on_int_rows_matches_boxed_route(field):
+    """The int route against the boxed one for K = 1, ..., 4 (and a
+    precision above the nilpotency index): equal span, quasi rows, type and
+    chains in values and entry types on t-stable generator sets, and
+    NotTStableError on sets whose span t does not keep."""
+    rng = random.Random(37)
+    stable = unstable = 0
+    for ks in [(1,), (1, 1), (2, 1), (3, 1), (2, 2, 1), (4, 2), (4, 3, 1)]:
+        M = standard_module(field, ks)
+        for K in (M.K, M.K + 1):
+            for trial in range(6):
+                vecs = [[field.random(rng) if rng.random() < 0.6 else field.zero
+                         for _ in range(M.dim)] for _ in range(rng.randint(1, 3))]
+                gens = vecs if trial % 2 else \
+                    [w for v in vecs for w in la.t_chain(M.t, v)]
+                if not is_t_stable(M, gens):
+                    unstable += 1
+                    with pytest.raises(NotTStableError):
+                        quasi_basis(field, M.t, K, gens)
+                    continue
+                stable += 1
+                sub = quasi_basis(field, M.t, K, gens)
+                assert _typed((sub.span, sub.quasi, sub.partition, sub.chains)) == \
+                    _typed(boxed_quasi_basis(field, M.t, K, gens))
+    assert stable > 20 and unstable > 20
 
-    def counted(field, rows):
-        if isinstance(field, TruncRing):
-            calls.append(field)
-        return real(field, rows)
-    monkeypatch.setattr(la, "_rref_generic", counted)
+
+def test_quasi_basis_runs_no_ring_elimination(monkeypatch):
+    """The relations, the Smith reduction and the rest run on int rows:
+    quasi_basis builds no TruncPoly at all."""
+    calls = []
+    real = TruncPoly.__init__
+
+    def counted(self, *args, **kw):
+        calls.append(args)
+        real(self, *args, **kw)
+    monkeypatch.setattr(TruncPoly, "__init__", counted)
     rng = random.Random(29)
-    M = direct_sum(make_H(F3, 3), make_H(F3, 2))
     subs = []
-    for _ in range(10):
-        vecs = [[F3.random(rng) for _ in range(M.dim)] for _ in range(2)]
-        subs.append(quasi_basis(F3, M.t, M.K,
-                                [w for v in vecs for w in la.t_chain(M.t, v)]))
+    for field, M in ((F3, direct_sum(make_H(F3, 3), make_H(F3, 2))),
+                     (QQ, standard_module(QQ, (3, 2)))):
+        for _ in range(10):
+            vecs = [[field.random(rng) for _ in range(M.dim)] for _ in range(2)]
+            subs.append(quasi_basis(field, M.t, M.K,
+                                    [w for v in vecs for w in la.t_chain(M.t, v)]))
     assert calls == []
     assert any(len(sub.partition) > 1 for sub in subs)
-    # the counter sees a ring elimination when there is one
-    la.inverse(TruncRing(F3, 2), la.identity(TruncRing(F3, 2), 2))
+    # the counter sees a TruncPoly when one is built
+    TruncPoly.one(F3, 2)
     assert len(calls) == 1
 
 
@@ -699,7 +745,7 @@ def _flag_data(flag):
     split = [flag.split_coords(r) for r in flag.M.basis()]
     if isinstance(flag, BoxedFlag):
         return _typed((flag.t_minus, flag.t_plus, flag.pairing, flag.minus_t_stable, split))
-    return _typed((flag.t_on_minus(), flag.t_on_plus(), flag.pairing_minus_plus(),
+    return _typed((flag.t_on_minus(), t_on_plus(flag), pairing_minus_plus(flag),
                    flag.minus_t_stable, split))
 
 
@@ -899,7 +945,7 @@ def test_fiber_sizes_sum_to_gr_21_over_f5():
     assert len(lagr) == len(set(lagr)) == 906
     assert all(is_t_lagrangian(M, [list(r) for r in U]) for U in lagr)
     flag = LagrangianFlag.standard(M)
-    fibers = Counter(la.rref_span(F5, [flag.project_minus(u) for u in U])
+    fibers = Counter(la.rref_span(F5, [flag.split_coords(u)[0] for u in U])
                      for U in lagr)
     dims = {}
     for U in lagr:
@@ -1000,8 +1046,8 @@ def test_H1_fiber_sizes_are_1_and_3():
 def test_rho_is_t_linear_and_self_dual():
     M = standard_module(F3, (2, 1))
     flag = LagrangianFlag.standard(M)
-    Pi = flag.pairing_minus_plus()
-    Tp = flag.t_on_plus()
+    Pi = pairing_minus_plus(flag)
+    Tp = t_on_plus(flag)
     Tm = flag.t_on_minus()
     for U in enumerate_t_lagrangians(M):
         W, Wperp, reps, rho = rho_of(flag, [list(r) for r in U])
@@ -1105,8 +1151,8 @@ def test_self_duality_property(xs, ys):
     M = direct_sum(make_H(QQ, 2), make_H(QQ, 1))
     x = [QQ(v) for v in xs]
     y = [QQ(v) for v in ys]
-    assert M.pair(M.apply_t(x), y) == M.pair(x, M.apply_t(y))
-    assert not M.pair(x, M.apply_t(x))       # <xi, t xi> = 0
+    assert M.pair(apply_t(M, x), y) == M.pair(x, apply_t(M, y))
+    assert not M.pair(x, apply_t(M, x))       # <xi, t xi> = 0
 
 
 def test_graph_of_given_self_dual_map_returns_same_rho():

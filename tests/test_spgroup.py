@@ -14,15 +14,17 @@ from sntmod import linalg as la
 from sntmod import spgroup
 from sntmod.fields import QQ, GF
 from sntmod.sntmodule import (EnumerationGuardError, SntModule, direct_sum,
-                              make_H, standard_module)
-from sntmod.spgroup import (HomogeneousRingIso, NotAMemberError,
-                            SntAutomorphism, _level_layout,
+                              make_H, plane_rows, standard_module)
+from sntmod.spgroup import (NotAMemberError, SntAutomorphism, _level_chains,
+                            _level_layout, _lift_levels, _transvection_ints,
                             block_profile, cayley, exp_nilpotent,
-                            group_closure, is_member, levi_transvection,
+                            group_closure, is_member,
                             lie_algebra_basis, radical_lie_basis,
                             random_element, sp_group_order,
                             sp_ring_generators, unipotent_radical_test)
-from sntmod.tpoly import TruncRing, tmat_key, tmat_mul, tp
+from sntmod.tpoly import TruncPoly, TruncRing, tmat_key, tmat_mul, tp
+
+from ring_oracles import boxed_inverse, poly_inv
 
 F3 = GF(3)
 
@@ -38,6 +40,93 @@ def unit(field, n, i):
     e = [field.zero] * n
     e[i] = field.one
     return e
+
+
+def apply_t(M, x, times=1):
+    for _ in range(times):
+        x = la.vec_mat(x, M.t)
+    return x
+
+
+# --------------------------------------------------------------------------
+# the ring model of the homogeneous case, Sp(M,t) <-> Sp_2n(F[t]/(t^k)), and
+# the level transvections (test helpers: nothing in the package uses them)
+# --------------------------------------------------------------------------
+
+class HomogeneousRingIso:
+    """Bidirectional maps Sp(M,t) <-> Sp_{2n}(R_k) for M = H_k^{⊕n}.
+
+    The R_k-basis eps_1, ..., eps_2n identifies eps_{2j-1}, eps_{2j} with the
+    two generators of the j-th plane; the F-form is the t^{k-1} coefficient
+    of the R_k-valued standard symplectic form.
+    """
+
+    def __init__(self, M):
+        ks = M.partition
+        if ks is None or len(set(ks)) != 1:
+            raise ValueError("module is not homogeneous standard")
+        self.M = M
+        self.k = ks[0]
+        self.n = len(ks)
+        self.field = M.field
+        self.R = TruncRing(M.field, self.k)
+        # F-basis row index of t^s * eps_a: eps_2j and eps_2j+1 are the e1
+        # and e2 of plane j, so t^s * eps_a is row s of the a-th chain
+        chains = [c for plane in plane_rows(ks) for c in plane]
+        self._row = {(a, s): r for a, c in enumerate(chains) for s, r in enumerate(c)}
+
+    def ring_gram(self):
+        """The R_k-valued symplectic gram on R_k^{2n} (pairs (2j-1, 2j))."""
+        R, n = self.R, self.n
+        J = la.zeros(R, 2 * n, 2 * n)
+        for j in range(n):
+            J[2 * j][2 * j + 1] = R.one
+            J[2 * j + 1][2 * j] = -R.one
+        return J
+
+    def from_ring(self, ghat):
+        """F-matrix of the R_k-linear right action of ghat."""
+        f, k, n = self.field, self.k, self.n
+        N = 2 * n * k
+        out = la.zeros(f, N, N)
+        for a in range(2 * n):
+            for s in range(k):
+                r = self._row[(a, s)]
+                for b in range(2 * n):
+                    poly = ghat[a][b]
+                    for u, c in enumerate(poly.coeffs):
+                        if c and s + u < k:
+                            out[r][self._row[(b, s + u)]] = c
+        return out
+
+    def to_ring(self, g):
+        """R_k-matrix recovered from an F-side member of Sp(M,t)."""
+        f, k, n = self.field, self.k, self.n
+        ghat = []
+        for a in range(2 * n):
+            row = []
+            for b in range(2 * n):
+                coeffs = [g[self._row[(a, 0)]][self._row[(b, u)]] for u in range(k)]
+                row.append(TruncPoly(f, coeffs))
+            ghat.append(row)
+        return ghat
+
+
+def levi_transvection(M, level_index, v_coeffs, lam):
+    """Lift of a residue symplectic transvection on one homogeneous level.
+
+    v_coeffs are F-coordinates in the R-basis of the level; the R-module
+    transvection x -> x + lam * <x, v>^ v is R-linear, preserves the
+    R-valued form, and reduces to the residue transvection.  It is the
+    block that `random_element` lifts, built by the same private helpers.
+    """
+    field = M.field
+    kind = field.char
+    chains = _level_chains(M.partition)[level_index]
+    if len(v_coeffs) != len(chains):
+        raise ValueError("level %d needs %d coordinates" % (level_index, len(chains)))
+    tau = _transvection_ints(kind, [field(c) for c in v_coeffs], field(lam))
+    return la._from_ints(kind, *_lift_levels(kind, M.dim, [(chains, tau)]))
 
 
 def is_ring_member(iso, ghat):
@@ -152,7 +241,7 @@ def test_ring_iso_scalar_unit():
     iso = HomogeneousRingIso(M)
     a = tp(F3, 2, 1, 1)
     z = TruncRing(F3, 2).zero
-    ghat = [[a, z], [z, a.inv()]]
+    ghat = [[a, z], [z, poly_inv(a)]]
     assert is_ring_member(iso, ghat)
     g = iso.from_ring(ghat)
     assert is_member(M, g)
@@ -209,7 +298,7 @@ def test_bar_grams_match_unit_vector_pairings(field, ks):
         bp = block_profile(M, random_element(M, seed))
         for (lv, _, _, gens), Gb in zip(_level_layout(ks), bp.bar_grams):
             want = [[M.pair(unit(field, M.dim, a),
-                            M.apply_t(unit(field, M.dim, b), lv - 1))
+                            apply_t(M, unit(field, M.dim, b), lv - 1))
                      for b in gens] for a in gens]
             assert _typed(Gb) == _typed(want)
 
@@ -349,6 +438,35 @@ def test_isometry_lie_basis_matches_boxed_equations(field):
         assert len(la.isometry_lie_basis(field, G)) == dim
         assert _typed(la.isometry_lie_basis(field, G)) == \
             _typed(boxed_isometry_lie_basis(field, G))
+
+
+@pytest.mark.parametrize("field", [F3, GF(5), QQ], ids=["F3", "F5", "Q"])
+def test_ring_cayley_matches_boxed_inverse(field):
+    """`cayley` over F[t]/(t^K) inverts by t-adic lifting: it equals
+    (I + S/2)·(I − S/2)⁻¹ with the boxed elimination's inverse, in values
+    and coefficient types, for K = 1, ..., 4; an I − S/2 that is singular
+    mod t raises the same error on both routes."""
+    rng = random.Random(47)
+
+    def typed(A):
+        return [[(x.field, [(type(c), c) for c in x.coeffs]) for x in row] for row in A]
+    for K in (1, 2, 3, 4):
+        R = TruncRing(field, K)
+        half = R(field(1) / field(2))
+        for n in (1, 2, 3):
+            for trial in range(5):
+                S = [[TruncPoly(field, [field.random(rng) for _ in range(K)])
+                      for _ in range(n)] for _ in range(n)]
+                if trial == 0:              # I − S/2 = 0
+                    S = la.scal_mul(R(2), la.identity(R, n))
+                I, A = la.identity(R, n), la.scal_mul(half, S)
+                try:
+                    want = la.mat_mul(la.mat_add(I, A), boxed_inverse(R, la.mat_sub(I, A)))
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=str(e)):
+                        cayley(R, S)
+                    continue
+                assert typed(cayley(R, S)) == typed(want)
 
 
 def test_exp_and_cayley_land_in_group():
