@@ -289,7 +289,7 @@ def _typed(x):
     return x.field, [(type(c), c) for c in x.coeffs]
 
 
-def _int_smith_orders(field, A, rng):
+def _relation_rows(field, A, rng):
     """The coefficient rows of A as ints, the input of `_smith_orders`; over
     Q each row times a random nonzero int, which must not matter."""
     kind = field.char
@@ -319,11 +319,11 @@ def test_smith_orders_match_full_smith_form(field):
                 A = [[a if rng.random() < 0.4 else R.zero for a in row] for row in A]
             elif trial % 3 == 1:   # no unit entries
                 A = [[a.shift(1) for a in row] for row in A]
-            orders, Vinv = _smith_orders(field.char, _int_smith_orders(field, A, rng), r, K)
+            orders, Vinv = _smith_orders(field.char, _relation_rows(field, A, rng), r, K)
             Vinv = [[TruncPoly(field, cs[i * K:(i + 1) * K]) for i in range(r)]
                     for cs in (la._from_ints(field.char, [vec], den)[0] for vec, den in Vinv)]
-            assert (orders, _typed(Vinv)) == \
-                (lambda o, V: (o, _typed(V)))(*boxed_smith_orders(field, A, r, K))
+            want_orders, want_Vinv = boxed_smith_orders(field, A, r, K)
+            assert orders == want_orders and _typed(Vinv) == _typed(want_Vinv)
             if nr == 0:
                 assert orders == [K] * r
                 assert _typed(Vinv) == _typed(la.identity(R, r))
