@@ -45,11 +45,14 @@ the second factor is at hand as its columns),
 `_int_powers` (the powers above), `_int_echelon` (`_rref_ints` on a copy),
 `_box_echelon` (its rows boxed) and `_int_kernel` (a kernel read off it).
 `isometry_lie_basis` builds its commutation and form equations on them, as
-int rows over the scaled T and G.  `sntmodule.decompose`,
-`SntModule.validate`, `sntmodule.quasi_basis`, `spgroup.is_member`,
-`spgroup.block_profile`, `sntmodule.rho_of`, `is_t_lagrangian`,
-`LagrangianFlag` (its checks, fiber data and `self_dual_map_basis`) and
-`orbits` (f_x, Im f_x, the chain residues, T(x) and the tangent map of
+int rows over the scaled T and G.  An `SntModule` converts its T and G,
+and takes T's powers, once (`SntModule._ints`), for `K`, `validate`, the
+first plane of `decompose`, `is_t_lagrangian`, `LagrangianFlag`,
+`spgroup.is_member`, `spgroup.block_profile` and `spgroup._radical_ints`
+(the form equations on the centraliser of T, one `_int_kernel`, then one
+`_int_echelon` for the canonical basis).  `sntmodule.quasi_basis`,
+`sntmodule.rho_of`, `LagrangianFlag` (its checks, fiber data and
+`self_dual_map_basis`) and `orbits` (f_x, Im f_x, the chain residues, T(x) and the tangent map of
 each element, read off one `orbits._Image` record per image W, for every
 element of the census too, and the orthogonal group over F_q[t]/(t^k))
 convert their matrices once and run on them.  Two more serve the

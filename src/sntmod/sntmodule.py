@@ -63,10 +63,11 @@ class SntModule:
 
     Values are immutable by convention: no method mutates the matrices, so
     instances may be shared freely across threads.  Two derived values are
-    cached on first use: the nilpotency degree `K` and, in
-    `_radical_cache`, the radical Lie basis that `spgroup.random_element`
-    samples from, as `spgroup._radical_ints` gives it: int rows (each basis
-    matrix flattened) with their common denominator.
+    cached on first use: `_ints()`, T and G as int rows with T's powers,
+    which `K`, `validate`, `decompose`, `is_t_lagrangian`, `LagrangianFlag`
+    and `spgroup` read; and, in `_radical_cache`, the radical Lie basis that
+    `spgroup.random_element` samples from, as `spgroup._radical_ints` gives
+    it: int rows (each basis matrix flattened) with their common denominator.
     """
 
     def __init__(self, field, t_action, gram, partition=None):
@@ -79,43 +80,50 @@ class SntModule:
             raise ValueError("t_action and gram must be square of equal size")
         # set when the module was assembled from standard planes
         self.partition = tuple(partition) if partition is not None else None
-        self._K = None
+        self._int_cache = None
         self._radical_cache = None
 
     # -- basic pairing / action --------------------------------------------
     def pair(self, x, y):
         return la.bilinear(x, self.gram, y)
 
+    def _ints(self):
+        """((T, e), (G, g), powers): T and G as `linalg._to_ints` rows and
+        [I, T, T², …] up to the last nonzero power (T^j over e^j), or None
+        for powers when T is not nilpotent.  Callers must not mutate it."""
+        if self._int_cache is None:
+            kind = self.field.char
+            T, G = la._to_ints(kind, self.t), la._to_ints(kind, self.gram)
+            try:
+                powers = la._int_powers(kind, la._int_identity(self.dim), T[0])
+            except ValueError:
+                powers = None
+            self._int_cache = T, G, powers
+        return self._int_cache
+
     @property
     def K(self):
-        """Nilpotency degree of t (= max element order; t^K = 0 on M),
-        counted on int rows for Q and F_p: T, T², ... up to the last
-        nonzero power, as `validate` runs them."""
-        if self._K is None:
-            kind = la._int_kind((self.t,))
-            if kind is None or type(kind) is tuple:
-                self._K = max(len(la.nilpotent_powers(self.field, self.t)), 1)
-            else:
-                T = la._to_ints(kind, self.t)[0]
-                self._K = len(la._int_powers(kind, T, T)) + 1
-        return self._K
+        """Nilpotency degree of t (= max element order; t^K = 0 on M): the
+        number of cached powers I, T, …, at least 1.  ValueError when T is
+        not nilpotent."""
+        powers = self._ints()[2]
+        if powers is None:
+            raise ValueError("matrix is not nilpotent")
+        return max(len(powers), 1)
 
     def validate(self):
         """Return the list of violated invariants (empty = valid), checked
         on T and G as `linalg._to_ints` rows."""
         bad = []
         kind, n = self.field.char, self.dim
-        (T, _), (G, _) = la._to_ints(kind, self.t), la._to_ints(kind, self.gram)
+        (T, _), (G, _), powers = self._ints()
         if not la._has_symmetry(kind, G, -1):
             bad.append("not alternating")
         if any(G[i][i] for i in range(n)):
             bad.append("nonzero diagonal in gram")
         if len(la._int_echelon(kind, G)[1]) < n:
             bad.append("degenerate gram")
-        try:
-            # T·T^n = 0 exactly when the n x n matrix T is nilpotent
-            la._int_powers(kind, T, T)
-        except ValueError:
+        if powers is None:
             bad.append("t_action not nilpotent")
         # both products are over the same denominator
         if la._ints_mul(kind, T, G) != la._ints_mul(kind, G, la.transpose(T)):
@@ -207,14 +215,15 @@ def decompose(M, seed=0):
     if bad:
         raise InvalidModuleError(bad)
     kind = M.field.char
-    (T, e), (G, g) = la._to_ints(kind, M.t), la._to_ints(kind, M.gram)
+    (T, e), (G, g), powers = M._ints()
     C, c = la._int_identity(M.dim), 1
     parts = []
     while C:
         # C spans a t-stable subspace, so one of its rows attains the
         # maximal order N there; the order of a row of C is the first power
-        # C·T^j (over c·e^j) at which it vanishes
-        powers = la._int_powers(kind, C, T)
+        # C·T^j (over c·e^j) at which it vanishes; the module caches I's
+        if parts:
+            powers = la._int_powers(kind, C, T)
         orders = [sum(1 for P in powers if any(P[i])) for i in range(len(C))]
         N = max(orders)
         i = orders.index(N)
@@ -471,7 +480,8 @@ def is_isotropic(M, rows):
 def is_t_lagrangian(M, rows):
     """Whether `rows` span a t-Lagrangian subspace of M, on int rows."""
     kind = M.field.char
-    U, T, G = (la._to_ints(kind, A)[0] for A in (rows, M.t, M.gram))
+    (T, _), (G, _), _ = M._ints()
+    U = la._to_ints(kind, rows)[0]
     return _spans_t_lagrangian(kind, T, la._isotropy_test(kind, G), U, _rank(kind, U))
 
 
@@ -608,10 +618,10 @@ class LagrangianFlag:
     identification M_- ≅ M / M_+.
 
     What every fiber reads is computed once, as `linalg._to_ints` rows over
-    denominators: T, an isotropy test (`linalg._isotropy_test`), the
-    inverse `_full_inv` of minus + plus, and t on M_- (boxed for
-    `t_on_minus`), t on M_+ and the pairing.  The flag's checks run on
-    them.
+    denominators: T (the module's cached rows), an isotropy test
+    (`linalg._isotropy_test`), the inverse `_full_inv` of minus + plus, and
+    t on M_- (also boxed, as `_t_minus`, for the fibers' quasi-bases), t on
+    M_+ and the pairing.  The flag's checks run on them.
 
     The flag caches, per t-stable W ⊆ M_-, what the fiber of U -> pi_-(U)
     over W depends on: W's quasi-basis, W^⊥, the reps of M_+/W^⊥ and, once
@@ -629,8 +639,8 @@ class LagrangianFlag:
             raise ValueError("flag parts must have dimension dim/2")
         kind = self._kind = M.field.char
         mul = partial(la._ints_mul, kind)
-        (T, e), (G, g), (minus, dm), (plus, dp) = (
-            la._to_ints(kind, A) for A in (M.t, M.gram, self.minus, self.plus))
+        (T, e), (G, g), _ = M._ints()
+        (minus, dm), (plus, dp) = (la._to_ints(kind, A) for A in (self.minus, self.plus))
         self._t, self._isotropic = T, la._isotropy_test(kind, G)
         if not self._isotropic(minus) or not self._isotropic(plus):
             raise ValueError("flag parts must be isotropic")
@@ -665,10 +675,6 @@ class LagrangianFlag:
         (c,) = la._from_ints(self._kind, la._ints_mul(self._kind, [v], inv), dv * f)
         d = self.M.dim // 2
         return c[:d], c[d:]
-
-    def t_on_minus(self):
-        """Matrix of the induced t-action on M_- coordinates (via M/M_+)."""
-        return self._t_minus
 
     def _fiber(self, W, maps=False):
         """The cache entry [W_sub, Wperp, reps, maps, perp, cols] of W, given

@@ -38,7 +38,7 @@ def is_member(M, g):
     if len(g) != M.dim or any(len(r) != M.dim for r in g):
         raise ValueError("size mismatch")
     kind = M.field.char
-    (gi, d), (T, _), (G, _) = (la._to_ints(kind, A) for A in (g, M.t, M.gram))
+    (gi, d), ((T, _), (G, _), _) = la._to_ints(kind, g), M._ints()
     if la._ints_mul(kind, gi, T) != la._ints_mul(kind, T, gi):
         return False
     return la._ints_mul(kind, la._ints_mul(kind, gi, G), la.transpose(gi)) == \
@@ -107,10 +107,12 @@ class BlockProfile:
 
 def _level_chains(ks):
     """The chains of each homogeneous level of the standard module of type
-    ks: the planes of `plane_rows` grouped by k, each plane giving its e1
-    chain and then its e2 chain."""
-    return [[c for _, plane in planes for c in plane]
-            for _, planes in groupby(zip(ks, plane_rows(ks)), key=itemgetter(0))]
+    ks, levels by decreasing k: the planes of `plane_rows` with that k,
+    wherever they stand in ks (a `direct_sum` need not be sorted), each
+    giving its e1 chain and then its e2 chain."""
+    planes = sorted(zip(ks, plane_rows(ks)), key=lambda p: -p[0])     # stable
+    return [[c for _, plane in group for c in plane]
+            for _, group in groupby(planes, key=itemgetter(0))]
 
 
 def _level_layout(ks):
@@ -135,8 +137,7 @@ def block_profile(M, g):
     # the bar Gram of level lv is <e_a, t^(lv-1) e_b> = (G·(T^(lv-1))ᵀ)[a][b]
     # at the level's generator rows a, b, over f·e^(lv-1)
     kind = M.field.char
-    (T, e), (G, f) = la._to_ints(kind, M.t), la._to_ints(kind, M.gram)
-    powers = la._int_powers(kind, la._int_identity(M.dim), T)
+    (_, e), (G, f), powers = M._ints()
     bar_grams = []
     for lv, gens in zip(levels, lvl_gens):
         bar = la._ints_mul(kind, [G[r] for r in gens],
@@ -160,27 +161,75 @@ def lie_algebra_basis(M):
 
 
 def radical_lie_basis(M):
-    """Lie elements whose reduced diagonal blocks vanish (standard M)."""
+    """Lie elements whose reduced diagonal blocks vanish (standard M): the
+    kernel of the reduction map on the canonical Lie basis, the basis
+    `isometry_lie_basis(M.field, M.gram, M.t)` returns, as `_radical_ints`
+    reads both off the centraliser of T."""
     n = M.dim
     rad = la._from_ints(M.field.char, *_radical_ints(M))
     return [[row[i * n:(i + 1) * n] for i in range(n)] for row in rad]
 
 
 def _radical_ints(M):
-    """`radical_lie_basis` on ints: its matrices flattened, as (rows, d)."""
+    """`radical_lie_basis` on ints: its matrices flattened, as (rows, d).
+
+    T shifts the chains c_a of `plane_rows`, of lengths L_a, so its
+    centraliser has the basis E_u = E_{a,b,s}: c_a[j] -> c_b[s+j], for
+    max(0, L_b − L_a) <= s < L_b, with disjoint supports.  The Lie algebra
+    is the kernel X of S·G + G·Sᵀ = 0 (i < j, G alternating) on their
+    coefficients.  Its canonical basis, the one `linalg._lie_kernel` reads
+    off the full system on n² unknowns, is the identity on that system's
+    free columns.  By matroid duality those are the basis of X's columns
+    picked greedily from the right, so one `_rref_ints` of X, its columns
+    right to left, has them as pivots and the canonical basis as rows.  The
+    kernel of the reduction map (generator-to-generator entries within each
+    level) is taken in that basis, on coefficients, and expanded once."""
     ks = M.partition
     if ks is None:
         raise ValueError("radical_lie_basis needs a standard module")
     kind, n = M.field.char, M.dim
-    basis, d = la._lie_kernel(kind, M.gram, M.t)
-    if not basis:
+    (T, (G, _), _), chains = M._ints(), [c for plane in plane_rows(ks) for c in plane]
+    shift = [[0] * n for _ in range(n)]
+    for c in chains:
+        for a, b in zip(c, c[1:]):
+            shift[a][b] = 1
+    # the closed form holds for the chain shift and an alternating G only
+    if T != (shift, 1) or not la._has_symmetry(kind, G, -1):
+        raise ValueError("radical_lie_basis needs a standard module")
+    maps = [list(zip(ca, cb[s:])) for ca in chains for cb in chains
+            for s in range(max(0, len(cb) - len(ca)), len(cb))]
+    # column u: the entries (S·G − (S·G)ᵀ)[i][j] of S = E_u, row i·n + j
+    eqs = [[0] * len(maps) for _ in range(n * n)]
+    for u, pairs in enumerate(maps):
+        for r, c in pairs:
+            for j, x in enumerate(G[c]):
+                if x:
+                    eqs[r * n + j][u] += x
+                    eqs[j * n + r][u] -= x
+    X = la._int_kernel(kind, [row for i in range(n) for row in eqs[i * n + i + 1:(i + 1) * n]
+                              if any(row)])[0]
+    if not X:
         return [], 1
-    # the kernel of the reduction map (the generator-to-generator entries
-    # within each level), in coordinates of the Lie basis
-    idx = [a * n + b for _, _, _, gens in _level_layout(ks)
-           for a in gens for b in gens]
-    lam, e = la._int_kernel(kind, [[B[i] for B in basis] for i in idx])
-    return la._ints_mul(kind, lam, basis), d * e
+    # the columns right to left: E_u's last entry is its rightmost one
+    order = sorted(range(len(maps)), key=lambda u: maps[u][-1], reverse=True)
+    R, piv = la._int_echelon(kind, [[x[u] for u in order] for x in X])
+    d = lcm(*(R[i][c] for i, c in enumerate(piv))) if not kind else 1
+    # the canonical basis over d, by increasing free column, as {u: x_u}
+    basis = [{u: x if kind else x * (d // R[i][piv[i]]) for u, x in zip(order, R[i]) if x}
+             for i in reversed(range(len(piv)))]
+    at = {rc: u for u, pairs in enumerate(maps) for rc in pairs}
+    idx = [at[a, b] for _, _, _, gens in _level_layout(ks) for a in gens for b in gens]
+    lam, e = la._int_kernel(kind, [[B.get(u, 0) for B in basis] for u in idx])
+    out = []
+    for coefs in lam:
+        flat = [0] * (n * n)
+        for c, B in zip(coefs, basis):
+            if c:
+                for u, x in B.items():
+                    for r, s in maps[u]:
+                        flat[r * n + s] += c * x
+        out.append([x % kind for x in flat] if kind else flat)
+    return out, d * e
 
 
 def exp_nilpotent(field, S):

@@ -1337,7 +1337,8 @@ def from_flag(flag, V):
     space.element(transpose(inverse(chain_rows)) · X).
     """
     field = flag.M.field
-    sub = quasi_basis(field, flag.t_on_minus(), flag.M.K, la.identity(field, flag.M.dim // 2))
+    # t on M_- coordinates, as the flag boxes it
+    sub = quasi_basis(field, flag._t_minus, flag.M.K, la.identity(field, flag.M.dim // 2))
     return TensorSpace(field, sub.partition, V), sub.chains
 
 

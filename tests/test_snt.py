@@ -18,6 +18,7 @@ from sntmod.sntmodule import (InvalidModuleError, LagrangianFlag,
                               self_dual_map_space_dim, standard_module,
                               standard_t_lagrangian)
 from sntmod.sntmodule import _all_rref_subspaces, _perp_and_reps
+from sntmod.spgroup import block_profile, random_element
 from sntmod.tpoly import TruncPoly
 
 from ring_oracles import boxed_quasi_basis
@@ -36,6 +37,11 @@ def apply_t(M, x, times=1):
     for _ in range(times):
         x = la.vec_mat(x, M.t)
     return x
+
+
+def t_on_minus(flag):
+    """t on M_- coordinates (via M/M_+), as the flag boxes it."""
+    return flag._t_minus
 
 
 def t_on_plus(flag):
@@ -153,6 +159,43 @@ def test_validate_reports_problems():
     assert "t_action not nilpotent" in not_nilpotent.validate()
     with pytest.raises(ValueError):
         not_nilpotent.K
+
+
+def test_module_caches_agree_in_any_call_order():
+    # T and G are converted, and T's powers taken, once per module by
+    # whichever reader comes first; the others read the same cache
+    G = make_H(QQ, 2).gram
+    for order in itertools.permutations(("K", "validate", "decompose")):
+        M = SntModule(QQ, la.identity(QQ, 4), G)
+        for name in order:
+            if name == "K":
+                with pytest.raises(ValueError, match="not nilpotent"):
+                    M.K
+            elif name == "validate":
+                assert "t_action not nilpotent" in M.validate()
+            else:
+                with pytest.raises(InvalidModuleError, match="t_action not nilpotent"):
+                    decompose(M)
+    readers = {"K": lambda M, g: M.K,
+               "validate": lambda M, g: M.validate(),
+               "decompose": lambda M, g: _typed(decompose(M))}
+    rng = random.Random(12)
+    for field, ks in [(QQ, (3, 2, 1)), (F5, (2, 2, 1)), (GF(3), (2, 1, 2))]:
+        std = functools.reduce(direct_sum, (make_H(field, k) for k in ks))
+        P, g = random_invertible(field, std.dim, rng), random_element(std, 0)
+        for make, names in ((lambda: SntModule(field, std.t, std.gram, ks),
+                             dict(readers, profile=_profile)),
+                            (lambda: base_change(std, P), readers)):
+            want = {name: f(make(), g) for name, f in names.items()}
+            for order in itertools.permutations(names):
+                M = make()
+                for name in order:
+                    assert names[name](M, g) == want[name]
+
+
+def _profile(M, g):
+    bp = block_profile(M, g)
+    return _typed((bp.levels, bp.mults, bp.reduced, bp.bar_grams))
 
 
 def boxed_validate(M):
@@ -745,7 +788,7 @@ def _flag_data(flag):
     split = [flag.split_coords(r) for r in flag.M.basis()]
     if isinstance(flag, BoxedFlag):
         return _typed((flag.t_minus, flag.t_plus, flag.pairing, flag.minus_t_stable, split))
-    return _typed((flag.t_on_minus(), t_on_plus(flag), pairing_minus_plus(flag),
+    return _typed((t_on_minus(flag), t_on_plus(flag), pairing_minus_plus(flag),
                    flag.minus_t_stable, split))
 
 
@@ -1048,7 +1091,7 @@ def test_rho_is_t_linear_and_self_dual():
     flag = LagrangianFlag.standard(M)
     Pi = pairing_minus_plus(flag)
     Tp = t_on_plus(flag)
-    Tm = flag.t_on_minus()
+    Tm = t_on_minus(flag)
     for U in enumerate_t_lagrangians(M):
         W, Wperp, reps, rho = rho_of(flag, [list(r) for r in U])
         if not W.span or not reps:
@@ -1160,7 +1203,7 @@ def test_graph_of_given_self_dual_map_returns_same_rho():
     # graph, and recover the same matrix
     M = make_H(F3, 2)
     flag = LagrangianFlag.standard(M)
-    Wfull = quasi_basis(F3, flag.t_on_minus(), M.K, la.identity(F3, 2))
+    Wfull = quasi_basis(F3, t_on_minus(flag), M.K, la.identity(F3, 2))
     for a, b in [(F3(1), F3(2)), (F3(0), F3(1)), (F3(2), F3(0))]:
         rho = [[a, b], [F3.zero, a]]       # commutes with the chain shift
         U = graph_of_rho(flag, Wfull, [], la.identity(F3, 2), rho)

@@ -397,6 +397,30 @@ def boxed_radical_lie_basis(M):
     return out
 
 
+def full_system_radical_lie_basis(M):
+    """`radical_lie_basis` by the full system on n² unknowns: the Lie basis
+    of `linalg._lie_kernel`, then the kernel of the reduction map (the
+    generator-to-generator entries within each level) in that basis, on
+    ints.  Fast enough for modules where the boxed route is not."""
+    kind, n = M.field.char, M.dim
+    basis, d = la._lie_kernel(kind, M.gram, M.t)
+    if not basis:
+        return []
+    idx = [a * n + b for _, _, _, gens in _level_layout(M.partition)
+           for a in gens for b in gens]
+    lam, e = la._int_kernel(kind, [[B[i] for B in basis] for i in idx])
+    rad = la._from_ints(kind, la._ints_mul(kind, lam, basis), d * e)
+    return [[row[i * n:(i + 1) * n] for i in range(n)] for row in rad]
+
+
+def sum_of_planes(field, ks):
+    """H_{k_1} ⊕ ... ⊕ H_{k_n} by `direct_sum`, in the order of ks."""
+    M = make_H(field, ks[0])
+    for k in ks[1:]:
+        M = direct_sum(M, make_H(field, k))
+    return M
+
+
 def _conjugated(field, M, rng):
     """(P·T·P⁻¹, P·G·Pᵀ) for a random invertible P: a module with the
     denominators of P, P⁻¹ in its matrices."""
@@ -422,6 +446,11 @@ def test_isometry_lie_basis_matches_boxed_equations(field):
             assert _typed(la.isometry_lie_basis(field, *args)) == \
                 _typed(boxed_isometry_lie_basis(field, *args))
         assert _typed(radical_lie_basis(M)) == _typed(boxed_radical_lie_basis(M))
+    # the closed form beside the boxed equations on more levels, and on
+    # direct sums whose equal parts stand apart
+    for M in (standard_module(field, (2, 2, 1, 1)), sum_of_planes(field, (1, 2, 1)),
+              sum_of_planes(field, (2, 1, 2))):
+        assert _typed(radical_lie_basis(M)) == _typed(boxed_radical_lie_basis(M))
     # a symmetric, non-integral Gram: the orthogonal Lie algebra
     entries = ([QQ(1, 2), QQ(3), QQ(-2, 3)] if field == QQ
                else [field.one / field(2), field.one, field(-2)])
@@ -438,6 +467,27 @@ def test_isometry_lie_basis_matches_boxed_equations(field):
         assert len(la.isometry_lie_basis(field, G)) == dim
         assert _typed(la.isometry_lie_basis(field, G)) == \
             _typed(boxed_isometry_lie_basis(field, G))
+
+
+@pytest.mark.parametrize("field,ks", [(GF(3), (3, 3, 2, 1)), (QQ, (4, 2, 2))])
+def test_radical_basis_matches_full_system(field, ks, monkeypatch):
+    # the closed form on the centraliser of T against the full system on
+    # n² unknowns, where the boxed equations would be too slow
+    M = standard_module(field, ks)
+    want = full_system_radical_lie_basis(M)
+    monkeypatch.setattr(la, "_lie_kernel", None)
+    assert _typed(radical_lie_basis(M)) == _typed(want)
+
+
+def test_radical_basis_needs_the_standard_matrices():
+    # a partition claimed over other matrices: T not the chain shift, or a
+    # Gram that is not alternating
+    M = standard_module(QQ, (2, 1))
+    T, G = _conjugated(QQ, M, random.Random(5))
+    sym = [[abs(x) for x in row] for row in M.gram]
+    for N in (SntModule(QQ, T, G, (2, 1)), SntModule(QQ, M.t, sym, (2, 1))):
+        with pytest.raises(ValueError, match="needs a standard module"):
+            radical_lie_basis(N)
 
 
 @pytest.mark.parametrize("field", [F3, GF(5), QQ], ids=["F3", "F5", "Q"])
@@ -557,6 +607,22 @@ def test_sampling_keeps_module_attributes(monkeypatch):
         random_element(M, seed)
     assert set(vars(M)) == names
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, F3, GF(5)], ids=["Q", "F3", "F5"])
+@pytest.mark.parametrize("ks", [(1, 2, 1), (2, 1, 2)])
+def test_sampling_groups_equal_parts_that_stand_apart(field, ks):
+    # planes of one k form one level wherever they stand in ks, so the
+    # radical is nilpotent, every sample a member, and its profile block
+    # upper triangular and symplectic on the diagonal
+    M = sum_of_planes(field, ks)
+    chains = [c for plane in plane_rows(ks) for c in plane]
+    assert _level_chains(ks) == [[c for a, c in enumerate(chains) if ks[a // 2] == k]
+                                 for k in sorted(set(ks), reverse=True)]
+    for seed in range(20):
+        bp = block_profile(M, random_element(M, seed))
+        assert (bp.levels, bp.mults) == ((2, 1), (ks.count(2), ks.count(1)))
+        assert bp.upper_triangular_ok() and bp.diagonal_symplectic_ok()
 
 
 def test_samples_are_members_and_closed():
