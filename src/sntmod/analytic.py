@@ -13,18 +13,22 @@ C fixed by 1 = C sum_j |Aut_j|^{-1}.  Both sides are evaluated with
 certified truncation tails; lattice shell counts are exact integers from a
 depth-first Cholesky-pruned walk over one of each pair ±x, whose prefixes
 carry shrinking partial sums, not coordinates.  The walk stops k
-coordinates short, k = 4 when the Gram's leading 4x4 block has det at most
-_TAIL_DET (3 on a rank-3 Gram) and k = 2 otherwise: below each prefix, the
-norms of the last k are a quadratic polynomial fixed by the prefix's
-residue class modulo the column Hermite form of the leading k x k block,
-up to a shift, so each prefix is tallied under one key (class, least norm)
-and each class's tally is convolved once with its polynomial's histogram.
-A class's pattern is walked by the same level step as the prefixes.  The
-guard still counts the candidates of those k levels as the exact walk
-would, the last of which are exactly the vectors of norm <= B.  D16+ to
-norm 6 counts in about 33 ms, against 54 ms with k = 2 (medians of 7
-runs on a 2-core shared host, Python 3.11, numpy 2.4).  A Gram is
-checked positive definite by fraction-free elimination on ints.  The
+coordinates short: below each prefix, the norms of the last k are a
+quadratic polynomial fixed by the prefix's residue class modulo the column
+Hermite form of the leading k x k block, up to a shift, so each prefix is
+tallied under one key (class, least norm) and each class's tally is
+convolved once with its polynomial's histogram.  A class's pattern is
+walked by the same level step as the prefixes.  k is the one of 2..N at
+which a Gaussian-heuristic estimate of the rows built, from the Gram's
+leading minors, is least, among those whose patterns fit the walker's
+per-level memory bound: 4 for E8 at norm bounds 3 to 16, 8 for D16+ from
+norm 4.  The guard still counts the candidates of those k levels as the
+exact walk would, the last of which are exactly the vectors of norm <= B.
+Identical orthogonal components (E8+E8's two E8s) are walked once per
+count.  D16+ to norm 6 counts in about 13 ms at k = 8, against 31 ms at
+k = 4 (best of 21 runs, alternating trees, 2-core shared host, Python
+3.11, numpy 2.4).  A Gram is checked positive definite by fraction-free elimination
+on ints.  The
 independent oracles (plain truncated loops for both sides, and an exact
 rational Fincke-Pohst enumeration of lattice vectors) live with the tests,
 in tests/analytic_oracles.py.
@@ -141,6 +145,7 @@ class IntegralLattice:
         self._counts = None
         self._counts_upto = -1
         self._largest_level = 0
+        self._tail_depths = []
 
     def det(self):
         return self._det
@@ -164,7 +169,8 @@ class IntegralLattice:
         if B < 0:
             return []   # no vector has a negative norm
         if self._counts is None or self._counts_upto < B:
-            self._counts, self._largest_level = _shell_counts(self.gram, B)
+            self._counts, self._largest_level, self._tail_depths = \
+                _shell_counts(self.gram, B)
             self._counts_upto = B
         return list(self._counts[:B + 1])
 
@@ -202,16 +208,42 @@ def rank16_genus():
 
 # prefixes expanded by one level step.  The walker holds one expanded step
 # per level, at most _CHUNK times the ~2√B / R_ii values one coordinate can
-# take, and the tails of at most 2·_CHUNK residue classes, so its memory
-# does not follow the number of vectors of norm <= B
+# take, the tails of at most 2·_CHUNK residue classes, and class patterns
+# that `_tail_depth` keeps within one level, so its memory does not follow
+# the number of vectors of norm <= B
 _CHUNK = 4096
 
-# the largest det G[:k, :k] at which the walker counts the last k = 4
-# coordinates (3 on a rank-3 gram) per residue class; each class walks its
-# own pattern, so past it the walk stops k = 2 coordinates short.  Timed on
-# rank-14 grams (2-core shared host), k = 4 took 0.5-0.8 of k = 2's time at
-# det 36-87 and 1.2-1.9 of it at det 156-295
-_TAIL_DET = 100
+
+def _tail_depth(D, B):
+    """The tail size k in 2..N whose walk is estimated to build the fewest
+    rows, for a gram with leading minors D = [1, D_1, ..., D_N].
+
+    Gaussian heuristic: about V_n(√(B + ½)) / det^½ points of an n-dim
+    lattice lie in the ball of radius √(B + ½), and Π_{i<=j<k} R_jj =
+    (D_k / D_i)^½, so the half walk holds about
+    h_i = ½ V_{N-i} / (D_N / D_i)^½ prefixes at level i.  Stopping k short
+    costs the levels i >= k, the k - 1 levels `_Tails.add` counts for each
+    of the h_k prefixes, and min(D_k, h_k) classes' patterns, each
+    Σ_{i<k} V_{k-i} / (D_k / D_i)^½ nodes.  A k > 2 whose patterns, all
+    classes together, would exceed the walker's own per-level bound of
+    _CHUNK prefixes times the widest coordinate's 2√(B + ½) / R_ii + 1
+    values is left out, so memory still does not follow the number of
+    vectors.  In logs on plain floats: it runs once per walk."""
+    N = len(D) - 1
+    P = [0.5 * math.log(d) for d in D]          # log Π_{j<i} R_jj
+    lr = 0.5 * math.log(B + 0.5)
+    lv = [n * (0.5 * math.log(math.pi) + lr) - math.lgamma(0.5 * n + 1)
+          for n in range(N + 1)]                # log V_n(√(B + ½))
+    half = [0.5 * math.exp(lv[N - i] - P[N] + P[i]) for i in range(N + 1)]
+    cap = _CHUNK * (2 * math.exp(lr - min(b - a for a, b in zip(P, P[1:]))) + 1)
+    costs, walk = [], sum(half[2:N])            # levels k..N-1
+    for k in range(2, N + 1):
+        patterns = min(D[k], half[k]) * sum(math.exp(lv[k - i] - P[k] + P[i])
+                                            for i in range(k))
+        if k == 2 or patterns <= cap:
+            costs.append((walk + (k - 1) * half[k] + patterns, k))
+        walk -= half[k]
+    return min(costs)[1]
 
 
 def _runs(lo, cnt):
@@ -316,7 +348,9 @@ class _Tails:
     as a full walk would.  A prefix's float norm is at least 0, so its
     nodes are among its class's.  Past _CHUNK classes the tallies are
     convolved and the classes dropped, so at most 2·_CHUNK tallies and
-    patterns are held, whatever det H is."""
+    patterns are held, whatever det H is, and `_tail_depth` takes no k > 2
+    whose patterns, all classes together, are estimated to exceed one of
+    the walker's levels."""
 
     def __init__(self, G, R, k, B, bounds):
         self.G, self.R, self.k, self.B, self.bounds = G, R, k, B, bounds
@@ -422,9 +456,10 @@ class _Tails:
 
 
 def _shell_chunks(gram, B):
-    """(half, largest): half[n] counts zero and one of each pair ±x of
-    nonzero x in Z^N with xᵀGx = n <= B, and largest is the largest level
-    candidate count the enumeration guard was compared with.  x and -x
+    """(half, largest, k): half[n] counts zero and one of each pair ±x of
+    nonzero x in Z^N with xᵀGx = n <= B, largest is the largest level
+    candidate count the enumeration guard was compared with, and k the
+    tail size the walk stopped short by.  x and -x
     have the same norm, and x = -x only for x = 0, so the walk visits zero
     and the x whose highest-index nonzero coordinate is positive.
 
@@ -437,10 +472,11 @@ def _shell_chunks(gram, B):
     its fixed l, for the j <= i still free: S[i] centers x_i, E[i] = (Gx)_i
     updates the exact norm en, and the step adds x_i times column i of R
     and G to rows j < i, so level i holds at most _CHUNK × width × i of
-    each.  The last k coordinates are not expanded: k = 4 (3 on a rank-3
-    gram) when det G[:k, :k] <= _TAIL_DET, else 2, and `_Tails` counts
-    each prefix's vectors of norm <= B per residue class, from en, pn and
-    E[:k].  A rank-1 gram [[g]] is walked as [[g, 0], [0, B + 1]], whose
+    each.  The last k coordinates are not expanded, k from `_tail_depth`'s
+    estimate of the rows each k in 2..N builds, and `_Tails` counts each
+    prefix's vectors of norm <= B per residue class, from en, pn and
+    E[:k].  At k = N the root is the only prefix, and its pattern the full
+    walk.  A rank-1 gram [[g]] is walked as [[g, 0], [0, B + 1]], whose
     added coordinate no vector of norm <= B uses.
 
     The guard counts every level as the exact rational walk at bound
@@ -462,7 +498,7 @@ def _shell_chunks(gram, B):
     # to the next value, where rounding cannot move a candidate across it
     D = [1] + _leading_minors(gram)
     bounds = [B + 0.5 + (0.5 / d if d % 2 == 0 else 0.0) for d in D]
-    k = min(N, 4) if D[min(N, 4)] <= _TAIL_DET else 2
+    k = _tail_depth(D, B)
     tails = _Tails(G, R, k, B, bounds)
     seen = [0] * N
 
@@ -494,7 +530,7 @@ def _shell_chunks(gram, B):
             continue
         _, level = _descend(R, G, i, lo, cnt, level)
         stack.append((i, *level))
-    return tails.total(), max(seen)
+    return tails.total(), max(seen), k
 
 
 def _orthogonal_components(gram):
@@ -517,25 +553,34 @@ def _orthogonal_components(gram):
 
 
 def _shell_counts(gram, B):
-    """(counts, largest): counts_by_norm's c(0..B) as Python ints, each
-    orthogonal component walked by half, c = 2·half - [1, 0, ...], and
+    """(counts, largest, depths): counts_by_norm's c(0..B) as Python ints,
+    each orthogonal component walked by half, c = 2·half - [1, 0, ...], and
     convolved over them; largest is the largest level candidate count the
-    enumeration guard was compared with over the components' walks.
+    enumeration guard was compared with over the components' walks, and
+    depths the tail size k each component was walked with, in order.
 
     A component's coordinates are walked stably sorted by their diagonal
     entry, largest last, so that the walker fixes them first: a coordinate
     of large norm takes few values, and fixing it early keeps the inner
-    levels narrow.  A permutation of the coordinates keeps every count."""
-    counts, largest = None, 0
+    levels narrow.  A permutation of the coordinates keeps every count.
+    A component whose sorted gram equals one already walked in this call
+    (E8+E8's second E8, Z^n's [[1]]s) reuses that walk's counts, level
+    count and k."""
+    counts, largest, depths, walked = None, 0, [], {}
     for comp in _orthogonal_components(gram):
         comp = sorted(comp, key=lambda i: gram[i][i])
         sub = [[gram[i][j] for j in comp] for i in comp]
-        half, level = _shell_chunks(sub, B)
+        key = tuple(map(tuple, sub))
+        if key not in walked:
+            half, level, k = _shell_chunks(sub, B)
+            c = (2 * half).astype(object)     # Python ints, which cannot overflow
+            c[0] -= 1
+            walked[key] = c, level, k
+        c, level, k = walked[key]
         largest = max(largest, level)
-        c = (2 * half).astype(object)     # Python ints, which cannot overflow
-        c[0] -= 1
+        depths.append(k)
         counts = c if counts is None else _convolve(counts, c)
-    return [1] + [0] * B if counts is None else counts.tolist(), largest
+    return [1] + [0] * B if counts is None else counts.tolist(), largest, depths
 
 
 def primitive_counts(counts):
@@ -903,7 +948,8 @@ def verify_identity(lattices, aut_orders, pt, N, tol=1e-8, mass=None,
                     "theta_colinear": [th.real, th.imag], "tail": tl,
                     "norm_bound": B, "vectors": sum(L._counts[:B + 1]),
                     "largest_level": L._largest_level,
-                    "components": [len(c) for c in _orthogonal_components(L.gram)]})
+                    "components": [len(c) for c in _orthogonal_components(L.gram)],
+                    "tail_depths": L._tail_depths})
     abs_diff = abs(lhs - rhs)
     rel_diff = abs_diff / max(abs(lhs), 1e-300)
     return IdentityReport(

@@ -32,8 +32,7 @@ act on the right, so ``vec_mat(v, A)`` is the basic action primitive.
 Powers of a nilpotent t come from one helper, `_power_rows`: rows·A^j
 for j = 0, 1, … until the product vanishes, with ValueError when
 rows·A^n != 0.  `nilpotent_powers` reads it with rows = I (the matrix
-powers I, A, A², …) and `t_chain` with rows = [v] (the chain v, vA, vA², …,
-v itself first, [] for v = 0).  Over Q and F_p it converts rows and A once,
+powers I, A, A², …).  Over Q and F_p it converts rows and A once,
 multiplies on ints in `_int_powers` and boxes each power once; any other
 kind multiplies by `mat_mul`.  `sntmodule.quasi_basis` calls `_int_powers`
 on its int rows directly.
@@ -443,17 +442,6 @@ def nilpotent_powers(field, A):
     Stops at the first zero power; raises ValueError when A^n != 0.
     """
     return _power_rows(identity(field, len(A)), A)
-
-
-def t_chain(A, v):
-    """[v, vA, vA², ...] up to the last nonzero vector; [] for v = 0.
-
-    Raises ValueError when vA^n != 0 for n = len(A) (A is not nilpotent).
-    """
-    v = list(v)
-    if not any(v):
-        return []
-    return [P[0] for P in _power_rows([v], A)]
 
 
 def _power_rows(rows, A):

@@ -14,6 +14,9 @@ These are the boxed routes that src replaced by int-layer ones:
   F[t]/(t^K), with U and V built; `smith_divisors` reads its column orders.
   `boxed_smith_orders` is the trimmed reduction (orders and V⁻¹ only) on
   boxed TruncPolys, which `sntmodule._smith_orders` runs on int layers.
+- `t_chain` is the chain v, vA, vA², … of one vector under a nilpotent A,
+  read off `linalg._power_rows`; src builds its chains from the module's
+  int rows.
 - `boxed_quasi_basis` is the quasi-basis built the long way, from one
   `padded_chain` per generator, the full Smith form and a ring inverse of
   V.  `padded_chain` (the t-chain of one vector cut or padded to k rows)
@@ -24,6 +27,17 @@ it.
 """
 from sntmod import linalg as la
 from sntmod.tpoly import TruncPoly, TruncRing
+
+
+def t_chain(A, v):
+    """[v, vA, vA², ...] up to the last nonzero vector; [] for v = 0.
+
+    Raises ValueError when vA^n != 0 for n = len(A) (A is not nilpotent).
+    """
+    v = list(v)
+    if not any(v):
+        return []
+    return [P[0] for P in la._power_rows([v], A)]
 
 
 class NotAUnitError(ArithmeticError):
@@ -119,7 +133,7 @@ def boxed_solve(field, A, B):
 
 def padded_chain(field, T, v, k):
     """The t-chain v, vT, vT², ... cut or zero-padded to exactly k rows."""
-    chain = la.t_chain(T, v)[:k]
+    chain = t_chain(T, v)[:k]
     return chain + [[field.zero] * len(v)] * (k - len(chain))
 
 
@@ -256,5 +270,5 @@ def boxed_quasi_basis(field, T, K, generators):
             la.vec_mat([c for a in Vinv[j] for c in a.coeffs], dom)
         quasi.append((orders[j], h))
     quasi.sort(key=lambda p: -p[0])
-    chains = [v for _, h in quasi for v in la.t_chain(T, h)]
+    chains = [v for _, h in quasi for v in t_chain(T, h)]
     return span, [h for _, h in quasi], tuple(d for d, _ in quasi), chains

@@ -464,28 +464,20 @@ def test_skewed_tail_block_stays_small(name, chunk, monkeypatch):
 
 
 # 3 x 3 and 4 x 4 leading blocks, diagonal and not, of det 4 to 37, and
-# one of det _TAIL_DET + 1, whose walk stops two coordinates short
+# one of det 101, walked at each tail size k they allow
 _K_BLOCKS = [[[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
              [[2, -1, 1], [-1, 3, 0], [1, 0, 4]], [[3, 1, 1], [1, 3, 1], [1, 1, 3]],
              [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]],
              [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
              [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-             [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 3, 1], [1, 0, 1, 4]]]
-_ABOVE_CAP = [[2, 1, 0, -1], [1, 3, 1, 0], [0, 1, 5, 0], [-1, 0, 0, 5]]
+             [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 3, 1], [1, 0, 1, 4]],
+             [[2, 1, 0, -1], [1, 3, 1, 0], [0, 1, 5, 0], [-1, 0, 0, 5]]]
 
 
-def _tail_sizes(gram):
-    """The tail size k of each orthogonal component's walk, in the
-    walker's coordinate order: min(rank, 4) when that leading block has
-    det at most _TAIL_DET, else 2 (a rank-1 component is walked at rank 2)."""
-    sizes = []
-    for comp in analytic._orthogonal_components(gram):
-        comp = sorted(comp, key=lambda i: gram[i][i])
-        k = max(2, min(len(comp), 4))
-        block = [[gram[i][j] for j in comp[:k]] for i in comp[:k]]
-        det = analytic._leading_minors(block)[-1] if len(comp) > 1 else 0
-        sizes.append(k if det <= analytic._TAIL_DET else 2)
-    return sizes
+def _walked_ranks(gram):
+    """The rank each orthogonal component is walked at (a rank-1
+    component is walked at rank 2)."""
+    return [max(2, len(c)) for c in analytic._orthogonal_components(gram)]
 
 
 def _k_cases():
@@ -493,7 +485,7 @@ def _k_cases():
     3 x 3, alone."""
     rng = random.Random(32)
     cases = []
-    for H in _K_BLOCKS + [_ABOVE_CAP]:
+    for H in _K_BLOCKS:
         name = "K%s-" % ",".join(str(H[i][j]) for i in range(len(H))
                                  for j in range(i, len(H)))
         for rest in (1, 3):
@@ -506,40 +498,85 @@ def _k_cases():
 
 
 _K_CASES = {name: (gram, B) for name, gram, B in _k_cases()}
+_K_CASES["D16+-4"] = _COUNT_CASES["D16+-4"]
+
+
+def _forced_depths(name):
+    """The tail sizes each case is walked at: every k in 2..min(N, 8), N
+    its largest component's walked rank; a component of rank n < k is
+    walked at k = n."""
+    return range(2, min(max(_walked_ranks(_K_CASES[name][0])), 8) + 1)
 
 
 def test_k_cases_cover_each_tail_size():
-    assert analytic._leading_minors(_ABOVE_CAP)[-1] == analytic._TAIL_DET + 1
-    sizes = {name: _tail_sizes(gram) for name, (gram, _) in _K_CASES.items()}
-    assert {k for ks in sizes.values() for k in ks} == {2, 3, 4}
-    # the block just above the cap, connected to the rest, falls back to 2
-    above = [ks for name, ks in sizes.items() if name.startswith("K2,1,0,-1,")]
-    assert above and all(ks == [2] for ks in above)
+    # every k from 2 to 8 below more coordinates, and every k from 3 to 7
+    # as a whole component, whose zero prefix's pattern is the full walk
+    below, whole = set(), set()
+    for name, (gram, _) in _K_CASES.items():
+        top = max(_walked_ranks(gram))
+        below.update(k for k in _forced_depths(name) if k < top)
+        whole.update(k for k in _forced_depths(name) if k == top)
+    assert below == set(range(2, 9)) and whole >= set(range(3, 8))
+    # the leading blocks have det 4 to 101, diagonal and not
+    dets = {analytic._leading_minors(H)[-1] for H in _K_BLOCKS}
+    assert min(dets) == 4 and max(dets) == 101
 
 
 @functools.lru_cache(maxsize=None)
-def _k_oracle_counts(name):
-    return _oracle_counts(*_K_CASES[name])
+def _k_oracle(name):
+    gram, B = _K_CASES[name]
+    if name in _COUNT_CASES:
+        return _full_walk_counts(name), _GUARD_PINS[name][2]
+    return _oracle_counts(gram, B), _exact_largest_level(gram, B)
 
 
-@pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
-@pytest.mark.parametrize("name", list(_K_CASES))
+# chunks of one and three prefixes below the small cases; D16+ crosses
+# chunk boundaries at 64, as in the count cases
+_K_CHUNKS = [(name, chunk) for name in _K_CASES
+             for chunk in ([analytic._CHUNK, 64] if name in _COUNT_CASES
+                           else [analytic._CHUNK, 1, 3])]
+
+
+@pytest.mark.parametrize("name,chunk", _K_CHUNKS)
 def test_k_blocks_match_full_walk(name, chunk, monkeypatch):
     # the per-class tails of the last k coordinates against every vector
-    # the exact full walk lists, with the k the walk took
+    # the exact full walk lists, and the guard's counts against the exact
+    # half walk's, at every tail size, not only the one the estimate picks
     gram, B = _K_CASES[name]
-    want = _k_oracle_counts(name)
+    want = _k_oracle(name)
     monkeypatch.setattr(analytic, "_CHUNK", chunk)
-    taken = []
+    for k in _forced_depths(name):
+        monkeypatch.setattr(analytic, "_tail_depth", lambda D, B: min(k, len(D) - 1))
+        L = IntegralLattice(gram)
+        assert (L.counts_by_norm(B), L._largest_level) == want, k
+        assert L._tail_depths == [min(k, n) for n in _walked_ranks(gram)]
 
-    class Spy(analytic._Tails):
-        def __init__(self, G, R, k, *args):
-            taken.append(k)
-            super().__init__(G, R, k, *args)
 
-    monkeypatch.setattr(analytic, "_Tails", Spy)
-    assert IntegralLattice(gram).counts_by_norm(B) == want
-    assert taken == _tail_sizes(gram)
+def test_tail_depth_follows_the_estimate(monkeypatch):
+    # D16+ to norm 6 stops deep, E8 at verify-sw's bounds at k = 4
+    L = analytic.d16_plus()
+    L.counts_by_norm(6)
+    assert L._tail_depths[0] >= 7
+    for B in range(4, 17):
+        L = e8()
+        L.counts_by_norm(B)
+        assert L._tail_depths == [4], B
+    # E8 to norm 16 at k = 8 would hold its whole walk at once (26 MB);
+    # at the depth taken it stays small
+    tracemalloc.start()
+    try:
+        e8().counts_by_norm(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    # the patterns of a k > 2 must fit the walker's own level bound,
+    # _CHUNK prefixes times a coordinate's range: with one-prefix chunks
+    # none of E8's does
+    D = [1] + analytic._leading_minors(analytic._E8_GRAM)
+    assert analytic._tail_depth(D, 16) == 4
+    monkeypatch.setattr(analytic, "_CHUNK", 1)
+    assert analytic._tail_depth(D, 16) == 2
 
 
 def _exact_largest_level(gram, B):
@@ -584,6 +621,39 @@ def test_orthogonal_sum_convolved_exactly_at_a_large_bound():
     assert all(type(c) is int for c in got)
     a, b = np.array([1, 0, 2, 0], dtype=object), np.array([3, 1, 0, 5], dtype=object)
     assert analytic._convolve(a, b).tolist() == [3, 1, 6, 7]
+
+
+def test_identical_components_walked_once(monkeypatch):
+    # a component whose sorted gram was walked earlier in the same call
+    # reuses that walk: E8+E8's second E8, Z^6's [[1]]s, and in a shuffled
+    # sum A2 twice, [[2]] twice and [[3, 1], [1, 2]], which sorts to
+    # [[2, 1], [1, 3]]
+    walked = []
+    shell_chunks = analytic._shell_chunks
+    monkeypatch.setattr(analytic, "_shell_chunks",
+                        lambda gram, B: walked.append(gram) or shell_chunks(gram, B))
+    a2, b = [[2, 1], [1, 2]], [[2, 1], [1, 3]]
+    mixed = _orthogonal_sum([a2, [[2]], b, a2, [[3, 1], [1, 2]], [[2]], [[5]]],
+                            random.Random(35))
+    identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    for gram, B, walks, want in [
+            (analytic.e8e8().gram, 4, 1, _full_walk_counts("E8+E8-4")),
+            (identity, 9, 1, _oracle_counts(identity, 9)),
+            (mixed, 8, 4, _oracle_counts(mixed, 8))]:
+        walked.clear()
+        L = IntegralLattice(gram)
+        assert L.counts_by_norm(B) == want
+        assert len(walked) == walks
+        # against each component walked on its own, in a call of its own
+        parts = [IntegralLattice([[gram[i][j] for j in c] for i in c])
+                 for c in analytic._orthogonal_components(gram)]
+        per = [1] + [0] * B
+        for P in parts:
+            c = P.counts_by_norm(B)
+            per = [sum(per[m] * c[n - m] for m in range(n + 1)) for n in range(B + 1)]
+        assert per == want
+        assert L._largest_level == max(P._largest_level for P in parts)
+        assert L._tail_depths == [d for P in parts for d in P._tail_depths]
 
 
 def test_orthogonal_components_interleaved():
@@ -688,8 +758,8 @@ def test_rank16_counts_in_bounded_memory():
     # holding all 1.1M vectors of norm <= 6 at once took ~740 MB of address
     # space; counting chunk by chunk fits in 400 MB with room to spare
     limit = 400 * 2 ** 20
-    # both classes: E8+E8 splits into two rank-8 walks, D16+ is one rank-16
-    # walk
+    # both classes: E8+E8 splits into two equal rank-8 summands, walked
+    # once, D16+ is one rank-16 walk
     code = ("from sntmod.analytic import d16_plus, e8e8\n"
             "print(e8e8().counts_by_norm(6))\n"
             "print(d16_plus().counts_by_norm(6))\n")
@@ -981,3 +1051,6 @@ def test_rank16_identity():
     rep = verify_identity(lats, auts, SiegelPoint(3j, 0.3j, 3j), 16, tol=1e-8)
     assert rep.passed and len(rep.per_lattice) == 2
     assert [e["components"] for e in rep.per_lattice] == [[8, 8], [16]]
+    # the tail size each component was walked with, at norm bound 6
+    assert [e["norm_bound"] for e in rep.per_lattice] == [6, 6]
+    assert [e["tail_depths"] for e in rep.per_lattice] == [[4, 4], [8]]

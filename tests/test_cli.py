@@ -384,7 +384,7 @@ def test_verify_sw_reports_norm_bound(capsys):
     entry = data["checks"][0]["details"]["per_lattice"][0]
     assert {"lattice", "aut", "theta_colinear", "tail"} <= set(entry)
     # E8 is a single orthogonal summand
-    assert entry["components"] == [8]
+    assert entry["components"] == [8] and entry["tail_depths"] == [4]
     B = entry["norm_bound"]
     assert B >= 4 and B % 2 == 0
     # 1 + 240 sigma_3(m) vectors of norm 2m, summed up to the bound
@@ -399,6 +399,16 @@ def test_verify_sw_reports_norm_bound(capsys):
     assert code == 0
     entry = data["checks"][0]["details"]["per_lattice"][0]
     assert entry["norm_bound"] == 16 and entry["largest_level"] == 170161
+    assert entry["tail_depths"] == [4]
+    # D16+ at norm bound 6, as CI runs it: one component, walked 8 short
+    code, data = _run_json(["verify-sw", "--gram-file", os.path.join(
+        REPO_FIXTURES, "d16plus_gram.json"), "--aut", "685597979049984000",
+        "--N", "16", "--tau11", "0.5+2.7i", "--tau12", "0", "--tau22", "0.3+3.3i"],
+        capsys)
+    assert code == 0
+    entry = data["checks"][0]["details"]["per_lattice"][0]
+    assert entry["norm_bound"] == 6
+    assert entry["components"] == [16] and entry["tail_depths"] == [8]
 
 
 def test_verify_sw_diagonal_specialization_flagged(capsys):

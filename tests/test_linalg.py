@@ -8,8 +8,8 @@ while elimination raises TypeError.  `_mat_mul_generic` and the tests'
 values and element types, entry by entry, down to the coefficients of a
 TruncPoly.
 A many-right-hand-side `solve` is also checked against single-right-hand-side
-solves, and `nilpotent_powers` and `t_chain` against loops of boxed
-`mat_mul` and `vec_mat` products.
+solves, and `nilpotent_powers` and `_power_rows` (read by the oracle
+`t_chain`) against loops of boxed `mat_mul` and `vec_mat` products.
 """
 import itertools
 import random
@@ -23,7 +23,7 @@ from sntmod import linalg as la
 from sntmod.fields import QQ, GF
 from sntmod.tpoly import TruncPoly, TruncRing
 
-from ring_oracles import boxed_inverse, rref_generic
+from ring_oracles import boxed_inverse, rref_generic, t_chain
 
 FIELDS = [QQ, GF(3), GF(5)]
 
@@ -362,15 +362,15 @@ def test_powers_match_boxed_loops(field):
             _typed(boxed_nilpotent_powers(field, A))
         for _ in range(5):
             v = [field(rng.randint(-2, 2)) for _ in range(n)]
-            chain = la.t_chain(A, v)
+            chain = t_chain(A, v)
             assert _typed(chain) == _typed(boxed_t_chain(A, v))
             # the first row is v's own entries, not copies of them
             assert all(a is b for a, b in zip(chain[0] if chain else [], v))
-        assert la.t_chain(A, [field.zero] * n) == []
+        assert t_chain(A, [field.zero] * n) == []
     A = la.identity(field, 3)
     A[0][1] = field.one
     for run in (lambda: la.nilpotent_powers(field, A),
-                lambda: la.t_chain(A, [field.zero, field.zero, field.one])):
+                lambda: t_chain(A, [field.zero, field.zero, field.one])):
         with pytest.raises(ValueError, match="not nilpotent"):
             run()
     assert la.nilpotent_powers(field, []) == []
@@ -385,9 +385,9 @@ def test_powers_of_ring_matrices_match_boxed_loops(field):
     assert _typed(la.nilpotent_powers(R, A)) == _typed(boxed_nilpotent_powers(R, A))
     assert len(la.nilpotent_powers(R, A)) == 3
     for v in ([R.one, R.zero, t], [R.zero, t, R.one], [R.zero] * 3):
-        assert _typed(la.t_chain(A, v)) == _typed(boxed_t_chain(A, v))
+        assert _typed(t_chain(A, v)) == _typed(boxed_t_chain(A, v))
     with pytest.raises(ValueError, match="not nilpotent"):
-        la.t_chain([[R.one]], [t])
+        t_chain([[R.one]], [t])
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from sntmod.sntmodule import _all_rref_subspaces, _perp_and_reps
 from sntmod.spgroup import block_profile, random_element
 from sntmod.tpoly import TruncPoly
 
-from ring_oracles import boxed_quasi_basis
+from ring_oracles import boxed_quasi_basis, t_chain
 
 F3 = GF(3)
 F5 = GF(5)
@@ -248,7 +248,7 @@ def test_validate_matches_boxed_reference(field):
 
 def element_order(M, x):
     """Least k with x·t^k = 0; the zero vector has order 0."""
-    return len(la.t_chain(M.t, x))
+    return len(t_chain(M.t, x))
 
 
 def test_element_order():
@@ -268,14 +268,14 @@ def test_t_chain_against_nilpotent_powers(field):
         for _ in range(6):
             v = [field(rng.randint(-2, 2)) for _ in range(M.dim)]
             v = la.vec_mat(v, powers[rng.randrange(len(powers))])
-            chain = la.t_chain(M.t, v)
+            chain = t_chain(M.t, v)
             assert all(c == la.vec_mat(v, P) for c, P in zip(chain, powers))
             # the length is the least k with v·T^k = 0
             orders = [k for k, P in enumerate(powers) if not any(la.vec_mat(v, P))]
             assert len(chain) == (orders[0] if orders else len(powers))
-        assert la.t_chain(M.t, [field.zero] * M.dim) == []
+        assert t_chain(M.t, [field.zero] * M.dim) == []
     with pytest.raises(ValueError):
-        la.t_chain(la.identity(field, 3), [field.one, field.zero, field.zero])
+        t_chain(la.identity(field, 3), [field.one, field.zero, field.zero])
 
 
 @pytest.mark.parametrize("field", [QQ, F3, F5])
@@ -466,7 +466,7 @@ def test_quasi_basis_matches_full_smith_form(field):
         for _ in range(6):
             vecs = [[field.random(rng) if rng.random() < 0.6 else field.zero
                      for _ in range(M.dim)] for _ in range(rng.randint(0, 3))]
-            gens = [w for v in vecs for w in la.t_chain(M.t, v)]
+            gens = [w for v in vecs for w in t_chain(M.t, v)]
             sub = quasi_basis(field, M.t, M.K, gens)
             assert _typed((sub.span, sub.quasi, sub.partition, sub.chains)) == \
                 _typed(boxed_quasi_basis(field, M.t, M.K, gens))
@@ -487,7 +487,7 @@ def test_quasi_basis_on_int_rows_matches_boxed_route(field):
                 vecs = [[field.random(rng) if rng.random() < 0.6 else field.zero
                          for _ in range(M.dim)] for _ in range(rng.randint(1, 3))]
                 gens = vecs if trial % 2 else \
-                    [w for v in vecs for w in la.t_chain(M.t, v)]
+                    [w for v in vecs for w in t_chain(M.t, v)]
                 if not is_t_stable(M, gens):
                     unstable += 1
                     with pytest.raises(NotTStableError):
@@ -517,7 +517,7 @@ def test_quasi_basis_runs_no_ring_elimination(monkeypatch):
         for _ in range(10):
             vecs = [[field.random(rng) for _ in range(M.dim)] for _ in range(2)]
             subs.append(quasi_basis(field, M.t, M.K,
-                                    [w for v in vecs for w in la.t_chain(M.t, v)]))
+                                    [w for v in vecs for w in t_chain(M.t, v)]))
     assert calls == []
     assert any(len(sub.partition) > 1 for sub in subs)
     # the counter sees a TruncPoly when one is built
@@ -531,11 +531,11 @@ def test_quasi_basis_chains_are_an_F_basis():
     assert quasi_basis(F3, M.t, M.K, []).chains == []
     for _ in range(10):
         vecs = [[F3.random(rng) for _ in range(M.dim)] for _ in range(2)]
-        span = la.rref_span(F3, [w for v in vecs for w in la.t_chain(M.t, v)])
+        span = la.rref_span(F3, [w for v in vecs for w in t_chain(M.t, v)])
         sub = quasi_basis(F3, M.t, M.K, span)
         # the t-chains of the quasi-basis rows, of lengths k_i, chain by chain
-        assert sub.chains == [w for h in sub.quasi for w in la.t_chain(M.t, h)]
-        assert [len(la.t_chain(M.t, h)) for h in sub.quasi] == list(sub.partition)
+        assert sub.chains == [w for h in sub.quasi for w in t_chain(M.t, h)]
+        assert [len(t_chain(M.t, h)) for h in sub.quasi] == list(sub.partition)
         assert len(sub.chains) == sub.dim
         assert la.rref_span(F3, sub.chains) == sub.span
 
@@ -874,7 +874,7 @@ def _graph_points(flag, ref, rng):
     points = []
     for n in (0, 1, 1, 1, 2, 2, d):
         gens = [[field(rng.randint(-2, 2)) for _ in range(d)] for _ in range(n)]
-        span = la.rref_span(field, [v for g in gens for v in la.t_chain(ref.t_minus, g)])
+        span = la.rref_span(field, [v for g in gens for v in t_chain(ref.t_minus, g)])
         W = quasi_basis(field, ref.t_minus, flag.M.K, [list(r) for r in span])
         Wperp, reps = boxed_perp_and_reps(ref, W.span)
         for _ in range(3):
