@@ -20,9 +20,12 @@ tallied under one key (class, least norm) and each class's tally is
 convolved once with its polynomial's histogram.  A class's pattern is
 walked by the same level step as the prefixes.  k is the one of 2..N at
 which a Gaussian-heuristic estimate of the rows built, from the Gram's
-leading minors, is least, among those whose patterns fit the walker's
-per-level memory bound: 4 for E8 at norm bounds 3 to 16, 8 for D16+ from
-norm 4.  The guard still counts the candidates of those k levels as the
+leading minors, is least, among those whose det G[:k, :k] is below 2^31
+(the class keys are int64) and whose patterns are estimated to fit the
+walker's per-level bound: 4 for E8 at norm bounds 3 to 16, 8 for D16+ from
+norm 4.  The classes are read off the reduced column Hermite form, on
+int64 where a bound shows it cannot overflow and on Python ints
+otherwise.  The guard still counts the candidates of those k levels as the
 exact walk would, the last of which are exactly the vectors of norm <= B.
 Identical orthogonal components (E8+E8's two E8s) are walked once per
 count.  D16+ to norm 6 counts in about 13 ms at k = 8, against 31 ms at
@@ -208,15 +211,20 @@ def rank16_genus():
 
 # prefixes expanded by one level step.  The walker holds one expanded step
 # per level, at most _CHUNK times the ~2√B / R_ii values one coordinate can
-# take, the tails of at most 2·_CHUNK residue classes, and class patterns
-# that `_tail_depth` keeps within one level, so its memory does not follow
-# the number of vectors of norm <= B
+# take, and the tails of at most 2·_CHUNK residue classes; `_tail_depth`
+# takes no k whose class patterns it estimates to exceed one level
 _CHUNK = 4096
 
+# a k > 2 is taken only while det G[:k, :k] is below this: `_Tails` keys
+# its classes by int64 residues up to det, and its reduced Hermite form's
+# entries lie below det
+_KEY_LIMIT = 2 ** 31
 
-def _tail_depth(D, B):
+
+def _tail_depth(D, B, chunk):
     """The tail size k in 2..N whose walk is estimated to build the fewest
-    rows, for a gram with leading minors D = [1, D_1, ..., D_N].
+    rows, for a gram with leading minors D = [1, D_1, ..., D_N], walked in
+    chunks of `chunk` prefixes.
 
     Gaussian heuristic: about V_n(√(B + ½)) / det^½ points of an n-dim
     lattice lie in the ball of radius √(B + ½), and Π_{i<=j<k} R_jj =
@@ -224,23 +232,24 @@ def _tail_depth(D, B):
     h_i = ½ V_{N-i} / (D_N / D_i)^½ prefixes at level i.  Stopping k short
     costs the levels i >= k, the k - 1 levels `_Tails.add` counts for each
     of the h_k prefixes, and min(D_k, h_k) classes' patterns, each
-    Σ_{i<k} V_{k-i} / (D_k / D_i)^½ nodes.  A k > 2 whose patterns, all
-    classes together, would exceed the walker's own per-level bound of
-    _CHUNK prefixes times the widest coordinate's 2√(B + ½) / R_ii + 1
-    values is left out, so memory still does not follow the number of
-    vectors.  In logs on plain floats: it runs once per walk."""
+    Σ_{i<k} V_{k-i} / (D_k / D_i)^½ nodes.  A k > 2 is left out when
+    D_k >= _KEY_LIMIT, or when its patterns, all classes together, are
+    estimated to exceed the walker's own per-level bound of `chunk`
+    prefixes times the widest coordinate's 2√(B + ½) / R_ii + 1 values.
+    That is an estimate, not a bound: the patterns built may be larger.
+    In logs on plain floats: it runs once per walk."""
     N = len(D) - 1
     P = [0.5 * math.log(d) for d in D]          # log Π_{j<i} R_jj
     lr = 0.5 * math.log(B + 0.5)
     lv = [n * (0.5 * math.log(math.pi) + lr) - math.lgamma(0.5 * n + 1)
           for n in range(N + 1)]                # log V_n(√(B + ½))
     half = [0.5 * math.exp(lv[N - i] - P[N] + P[i]) for i in range(N + 1)]
-    cap = _CHUNK * (2 * math.exp(lr - min(b - a for a, b in zip(P, P[1:]))) + 1)
+    cap = chunk * (2 * math.exp(lr - min(b - a for a, b in zip(P, P[1:]))) + 1)
     costs, walk = [], sum(half[2:N])            # levels k..N-1
     for k in range(2, N + 1):
         patterns = min(D[k], half[k]) * sum(math.exp(lv[k - i] - P[k] + P[i])
                                             for i in range(k))
-        if k == 2 or patterns <= cap:
+        if k == 2 or D[k] < _KEY_LIMIT and patterns <= cap:
             costs.append((walk + (k - 1) * half[k] + patterns, k))
         walk -= half[k]
     return min(costs)[1]
@@ -282,12 +291,13 @@ def _descend(R, G, i, lo, cnt, level):
 
 
 def _hermite(H):
-    """(L, U): H·U = L lower triangular with a positive diagonal, U
-    unimodular, for a nonsingular int matrix H, by extended-gcd column
-    operations: H's column Hermite form without the reduction of L's
-    entries below the diagonal.  Each e in Z^k is then L·q + r for exactly
-    one residue r in [0, L_00) × ... × [0, L_{k-1,k-1}), read off by
-    forward floor divisions, and Π L_ii = |det H|."""
+    """(L, U): H·U = L lower triangular with a positive diagonal and
+    0 <= L_ij < L_ii below it, U unimodular, for a nonsingular int matrix
+    H, by extended-gcd column operations: H's column Hermite form.  Without
+    the reduction, L's entries can grow far past det H (hundreds of bits
+    on 14 x 14 blocks of det below 2^31).  Each e in Z^k is then L·q + r
+    for exactly one residue r in [0, L_00) × ... × [0, L_{k-1,k-1}), read
+    off by forward floor divisions, and Π L_ii = |det H|."""
     k = len(H)
     L = [list(row) for row in H]
     U = [[int(i == j) for j in range(k)] for i in range(k)]
@@ -310,6 +320,15 @@ def _hermite(H):
             for M in (L, U):
                 for row in M:
                     row[i] = -row[i]
+    # column i is zero above row i, so subtracting it from a column j < i
+    # reduces L_ij into [0, L_ii) and leaves L's rows above i as they are
+    for i in range(k):
+        for j in range(i):
+            c = L[i][j] // L[i][i]
+            if c:
+                for M in (L, U):
+                    for row in M:
+                        row[j] -= c * row[i]
     return L, U
 
 
@@ -350,12 +369,28 @@ class _Tails:
     convolved and the classes dropped, so at most 2·_CHUNK tallies and
     patterns are held, whatever det H is, and `_tail_depth` takes no k > 2
     whose patterns, all classes together, are estimated to exceed one of
-    the walker's levels."""
+    the walker's levels.
+
+    The residue step runs on int64 when a bound on its intermediates, from
+    the largest |E_i| and |en| of the chunk, shows it cannot overflow, and
+    on Python ints otherwise; its keys and residues lie below det."""
 
     def __init__(self, G, R, k, B, bounds):
         self.G, self.R, self.k, self.B, self.bounds = G, R, k, B, bounds
         self.L, self.U = _hermite(G[:k, :k].tolist())
         self.det = math.prod(self.L[i][i] for i in range(k))
+        # with e = 1 + max |E_i|, by induction |q_i| <= e·Q_i, and |t_i| and
+        # |L_ii q_i| are at most e·(T_i + L_ii), T_i = 1 + Σ_j |L_ij| Q_j,
+        # Q_i = T_i / L_ii + 1; v = U·q and E + r, at most e·Σ_j |U_ij| Q_j
+        # and e·(1 + L_ii), make the shift at most |en| + e²·wide_s, to
+        # which a start adds at most B + 1
+        T, Q = [], []
+        for i, row in enumerate(self.L):
+            T.append(1 + sum(abs(a) * b for a, b in zip(row, Q)))
+            Q.append(T[i] / row[i] + 1)
+        self.wide_t = max(t + row[i] for i, (t, row) in enumerate(zip(T, self.L)))
+        self.wide_s = sum(sum(abs(u) * b for u, b in zip(row, Q)) * (1 + self.L[i][i])
+                          for i, row in enumerate(self.U))
         # r -> [least value of p_r, p_r's histogram above it, prefixes by
         # start, sorted node norms of levels 1..k-2]
         self.classes = {}
@@ -389,12 +424,22 @@ class _Tails:
         return [[m, h, np.zeros(B + 1, dtype=np.int64), levels]
                 for m, h, *levels in zip(least.tolist(), hist, *nodes)]
 
+    def _fits(self, E, en):
+        """Whether every intermediate of the residue step on E[:k] and en
+        stays below 2^62, by the bounds of __init__."""
+        e = 1 + max(int(E[:self.k].max()), -int(E[:self.k].min()))
+        n = max(int(en.max()), -int(en.min())) + self.B + 1
+        return self.det < 2 ** 62 and e * self.wide_t < 2 ** 62 \
+            and n + e * e * self.wide_s < 2 ** 62
+
     def add(self, level):
         """Tally the prefixes of level = (pn, en, z, S, E) and return the
         candidate counts a full walk would take below them at levels 0, 1,
         ..., k-2; level 0's are the vectors of norm <= B."""
         k, B, L = self.k, self.B, self.L
         pn, en, z, _, E = level
+        if not self._fits(E, en):
+            E, en = E[:k].astype(object), en.astype(object)   # Python ints
         q, r = [], []
         key = 0
         for i in range(k):
@@ -405,19 +450,22 @@ class _Tails:
         # e = H·U·q + r, so v = U·q
         shift = en - sum(sum(u * qj for u, qj in zip(self.U[i], q)) * (E[i] + r[i])
                          for i in range(k))
-        if self.det < 2 ** 15:
-            key = key.astype(np.int16)      # which numpy sorts by radix
+        # int16, when det allows, is what numpy sorts by radix
+        key = key.astype(np.int16 if self.det < 2 ** 15 else np.int64, copy=False)
         keys, first, inv = np.unique(key, return_index=True, return_inverse=True)
         keys = keys.tolist()
         new = [c for c, r_ in enumerate(keys) if r_ not in self.classes]
         if new:
             cols = first[new]
-            for c, row in zip(new, self._patterns(np.array([ri[cols] for ri in r]))):
+            r_new = np.array([ri[cols] for ri in r], dtype=np.int64)
+            for c, row in zip(new, self._patterns(r_new)):
                 self.classes[keys[c]] = row
         rows = [self.classes[r_] for r_ in keys]
         start = shift + np.array([m for m, *_ in rows])[inv]
         keep = start <= B
-        starts = np.bincount(inv[keep] * (B + 1) + start[keep],
+        # a tail's least norm is at least 0, so the kept starts are in [0, B]
+        kept = start[keep].astype(np.int64, copy=False)
+        starts = np.bincount(inv[keep] * (B + 1) + kept,
                              minlength=len(rows) * (B + 1)).reshape(-1, B + 1)
         cum = np.cumsum([hist for _, hist, _, _ in rows], axis=1)
         counts = [int((starts * cum[:, ::-1]).sum())]
@@ -476,8 +524,10 @@ def _shell_chunks(gram, B):
     estimate of the rows each k in 2..N builds, and `_Tails` counts each
     prefix's vectors of norm <= B per residue class, from en, pn and
     E[:k].  At k = N the root is the only prefix, and its pattern the full
-    walk.  A rank-1 gram [[g]] is walked as [[g, 0], [0, B + 1]], whose
-    added coordinate no vector of norm <= B uses.
+    walk, unchunked: what the patterns hold is kept down only by the
+    estimate, not bounded.  A rank-1 gram [[g]] is walked as
+    [[g, 0], [0, B + 1]], whose added coordinate no vector of norm <= B
+    uses.
 
     The guard counts every level as the exact rational walk at bound
     B + ½ would.  Level i's float bound is B + ½, lifted by 1/(2 D_i) when
@@ -498,7 +548,7 @@ def _shell_chunks(gram, B):
     # to the next value, where rounding cannot move a candidate across it
     D = [1] + _leading_minors(gram)
     bounds = [B + 0.5 + (0.5 / d if d % 2 == 0 else 0.0) for d in D]
-    k = _tail_depth(D, B)
+    k = _tail_depth(D, B, _CHUNK)
     tails = _Tails(G, R, k, B, bounds)
     seen = [0] * N
 

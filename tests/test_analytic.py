@@ -224,10 +224,19 @@ def _brute_force_shell(gram, B):
     return found
 
 
+def _walk_in_chunks(monkeypatch, chunk):
+    """Walk in chunks of `chunk` prefixes at the tail depths the walker
+    takes at its own _CHUNK, which caps the depth's class patterns: these
+    cases cross chunk boundaries at the depth the counts take in use."""
+    depth, full = analytic._tail_depth, analytic._CHUNK
+    monkeypatch.setattr(analytic, "_tail_depth", lambda D, B, _: depth(D, B, full))
+    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+
+
 @pytest.mark.parametrize("chunk", [analytic._CHUNK, 1, 3])
 @pytest.mark.parametrize("seed", range(8))
 def test_shell_walker_matches_box_scan(seed, chunk, monkeypatch):
-    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    _walk_in_chunks(monkeypatch, chunk)
     rng = random.Random(seed)
     gram = _random_gram(rng, 2 + seed % 3)
     B = rng.randint(3, 12)
@@ -242,7 +251,7 @@ def test_shell_walker_matches_box_scan(seed, chunk, monkeypatch):
 
 def test_enumeration_guard_sums_chunks(monkeypatch):
     # one-prefix chunks: no single step nears the guard, only their sum
-    monkeypatch.setattr(analytic, "_CHUNK", 1)
+    _walk_in_chunks(monkeypatch, 1)
     monkeypatch.setenv("SNT_MAX_ENUM", "1000")
     with pytest.raises(EnumerationGuardError):
         e8().counts_by_norm(4)
@@ -329,7 +338,7 @@ def test_counts_match_full_walk(name, chunk, monkeypatch):
     # the split-and-half-walk counts against the bincount of every vector
     # the independent full walk enumerates
     want = _full_walk_counts(name)
-    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    _walk_in_chunks(monkeypatch, chunk)
     gram, B = _COUNT_CASES[name]
     assert IntegralLattice(gram).counts_by_norm(B) == want
 
@@ -433,7 +442,7 @@ def test_tail_blocks_match_full_walk(name, chunk, monkeypatch):
     # the closed-form tail against every vector the exact full walk lists
     gram, B = _TAIL_CASES[name]
     want = _cached_oracle_counts(name)
-    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    _walk_in_chunks(monkeypatch, chunk)
     assert IntegralLattice(gram).counts_by_norm(B) == want
 
 
@@ -451,7 +460,7 @@ _SKEWED = {"beside-E8": (_orthogonal_sum([[[1000, 1], [1, 1000]], analytic._E8_G
 def test_skewed_tail_block_stays_small(name, chunk, monkeypatch):
     gram, B = _SKEWED[name]
     want = _cached_oracle_counts(name)
-    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    _walk_in_chunks(monkeypatch, chunk)
     tracemalloc.start()
     try:
         got = IntegralLattice(gram).counts_by_norm(B)
@@ -546,13 +555,14 @@ def test_k_blocks_match_full_walk(name, chunk, monkeypatch):
     want = _k_oracle(name)
     monkeypatch.setattr(analytic, "_CHUNK", chunk)
     for k in _forced_depths(name):
-        monkeypatch.setattr(analytic, "_tail_depth", lambda D, B: min(k, len(D) - 1))
+        monkeypatch.setattr(analytic, "_tail_depth",
+                            lambda D, B, chunk: min(k, len(D) - 1))
         L = IntegralLattice(gram)
         assert (L.counts_by_norm(B), L._largest_level) == want, k
         assert L._tail_depths == [min(k, n) for n in _walked_ranks(gram)]
 
 
-def test_tail_depth_follows_the_estimate(monkeypatch):
+def test_tail_depth_follows_the_estimate():
     # D16+ to norm 6 stops deep, E8 at verify-sw's bounds at k = 4
     L = analytic.d16_plus()
     L.counts_by_norm(6)
@@ -571,12 +581,114 @@ def test_tail_depth_follows_the_estimate(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 << 20, peak
     # the patterns of a k > 2 must fit the walker's own level bound,
-    # _CHUNK prefixes times a coordinate's range: with one-prefix chunks
+    # chunk prefixes times a coordinate's range: with one-prefix chunks
     # none of E8's does
     D = [1] + analytic._leading_minors(analytic._E8_GRAM)
-    assert analytic._tail_depth(D, 16) == 4
-    monkeypatch.setattr(analytic, "_CHUNK", 1)
-    assert analytic._tail_depth(D, 16) == 2
+    assert analytic._tail_depth(D, 16, analytic._CHUNK) == 4
+    assert analytic._tail_depth(D, 16, 1) == 2
+
+
+def _tridiagonal(n, d, c):
+    return [[d if i == j else c if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
+# connected grams of large det: at bound 2d the estimate alone would stop
+# all 16 coordinates short, with det past 2^63 (diagonal 16) and a Hermite
+# diagonal split by the common factor 2 (all entries even)
+_LARGE_DET = {"tri16": (_tridiagonal(16, 16, 1), 32),
+              "tri16-even": (_tridiagonal(16, 32, 2), 64)}
+
+
+@pytest.mark.parametrize("name", list(_LARGE_DET))
+def test_tail_depth_keeps_class_keys_inside_int64(name, monkeypatch):
+    gram, B = _LARGE_DET[name]
+    D = [1] + analytic._leading_minors(gram)
+    assert D[-1] >= 2 ** 63
+    want = _oracle_counts(gram, B), _exact_largest_level(gram, B)
+    L = IntegralLattice(gram)
+    assert (L.counts_by_norm(B), L._largest_level) == want
+    assert D[L._tail_depths[0]] < analytic._KEY_LIMIT
+    # forced to each depth the limit allows: up to 7 and 6, det 2^28 and
+    # 2^30 or so
+    top = max(k for k in range(2, 17) if D[k] < analytic._KEY_LIMIT)
+    assert top >= 6
+    for k in range(2, top + 1):
+        monkeypatch.setattr(analytic, "_tail_depth", lambda D, B, chunk: k)
+        L = IntegralLattice(gram)
+        assert (L.counts_by_norm(B), L._largest_level) == want, k
+    # the limit is what keeps the estimate from k = 16
+    monkeypatch.undo()
+    monkeypatch.setattr(analytic, "_KEY_LIMIT", 2 ** 200)
+    assert analytic._tail_depth(D, B, analytic._CHUNK) == 16
+
+
+# connected grams whose leading blocks' unreduced Hermite forms reach 2^50
+# to 2^90 at det below 2^31: the first overflowed at its estimated depth
+# 9, and the second counted wrongly, with no error, when walked at k = 9
+_WIDE_HERMITE = {
+    "rank9": ([[8, -1, -1, 0, -1, 0, 0, 0, 0], [-1, 10, -1, 0, 0, 1, 0, -3, 0],
+               [-1, -1, 9, 2, 2, -3, 0, 0, 2], [0, 0, 2, 9, -1, -3, -3, 0, -2],
+               [-1, 0, 2, -1, 16, -2, 0, -3, 2], [0, 1, -3, -3, -2, 11, -1, 0, -2],
+               [0, 0, 0, -3, 0, -1, 14, 0, 0], [0, -3, 0, 0, -3, 0, 0, 13, 0],
+               [0, 0, 2, -2, 2, -2, 0, 0, 13]], 32),
+    "rank10": ([[4, -2, 0, 0, 0, 1, 0, 1, 0, -2], [-2, 8, 0, 0, -2, -2, -1, 0, 1, 0],
+                [0, 0, 8, -2, 0, 1, -2, 0, 0, 0], [0, 0, -2, 8, -2, -2, -1, -2, 0, -2],
+                [0, -2, 0, -2, 8, 0, 1, 0, 0, -1], [1, -2, 1, -2, 0, 8, -1, -1, -2, 0],
+                [0, -1, -2, -1, 1, -1, 8, -2, -1, 0], [1, 0, 0, -2, 0, -1, -2, 6, 0, 1],
+                [0, 1, 0, 0, 0, -2, -1, 0, 6, 0], [-2, 0, 0, -2, -1, 0, 0, 1, 0, 4]], 16)}
+
+
+@pytest.mark.parametrize("name", list(_WIDE_HERMITE))
+def test_reduced_hermite_form_counts_at_every_depth(name, monkeypatch):
+    gram, B = _WIDE_HERMITE[name]
+    comp = sorted(range(len(gram)), key=lambda i: gram[i][i])
+    sub = [[gram[i][j] for j in comp] for i in comp]
+    D = [1] + analytic._leading_minors(sub)
+    for k in range(2, len(gram) + 1):
+        H = [row[:k] for row in sub[:k]]
+        L, U = analytic._hermite(H)
+        assert (np.array(H, dtype=object).dot(np.array(U, dtype=object)) == L).all()
+        assert abs(round(np.linalg.det(np.array(U, dtype=float)))) == 1
+        assert all(0 <= L[i][j] < L[i][i] for i in range(k) for j in range(i))
+        assert all(L[i][j] == 0 for i in range(k) for j in range(i + 1, k))
+        assert math.prod(L[i][i] for i in range(k)) == D[k]
+    want = _oracle_counts(gram, B), _exact_largest_level(gram, B)
+    L = IntegralLattice(gram)
+    assert (L.counts_by_norm(B), L._largest_level) == want
+    for k in range(2, len(gram) + 1):
+        monkeypatch.setattr(analytic, "_tail_depth", lambda D, B, chunk: k)
+        L = IntegralLattice(gram)
+        assert (L.counts_by_norm(B), L._largest_level) == want, k
+
+
+def test_residue_step_on_python_ints(monkeypatch):
+    # the residue step's int64 bound holds on the built-in lattices; where
+    # it would not, the step runs on Python ints and counts the same
+    fits, seen = analytic._Tails._fits, []
+
+    def spy(self, E, en):
+        seen.append(fits(self, E, en))
+        return seen[-1]
+
+    monkeypatch.setattr(analytic._Tails, "_fits", spy)
+    analytic.d16_plus().counts_by_norm(6)
+    e8().counts_by_norm(16)
+    assert seen and all(seen)
+    G = np.array(analytic._E8_GRAM)
+    tails = analytic._Tails(G, np.linalg.cholesky(G.astype(float)).T, 4, 16,
+                            [16.5] * 9)
+    E, en = np.zeros((8, 3), dtype=np.int64), np.zeros(3, dtype=np.int64)
+    assert tails._fits(E, en)
+    E[2, 1] = 2 ** 61
+    assert not tails._fits(E, en)
+    monkeypatch.setattr(analytic._Tails, "_fits", lambda self, E, en: False)
+    cases = [(_COUNT_CASES["E8-6"], _full_walk_counts("E8-6")),
+             (_COUNT_CASES["D16+-4"], _full_walk_counts("D16+-4")),
+             (_SKEWED["rank4"], _cached_oracle_counts("rank4")),
+             (_WIDE_HERMITE["rank10"], _oracle_counts(*_WIDE_HERMITE["rank10"]))]
+    for (gram, B), want in cases:
+        assert IntegralLattice(gram).counts_by_norm(B) == want
 
 
 def _exact_largest_level(gram, B):
@@ -729,7 +841,7 @@ def _scrambled_full_walk_counts(name):
 @pytest.mark.parametrize("name", list(_SCRAMBLED))
 def test_scrambled_basis_half_walk_matches_full_walk(name, chunk, monkeypatch):
     want = _scrambled_full_walk_counts(name)
-    monkeypatch.setattr(analytic, "_CHUNK", chunk)
+    _walk_in_chunks(monkeypatch, chunk)
     gram, _, B = _SCRAMBLED[name]
     assert IntegralLattice(gram).counts_by_norm(B) == want
 
